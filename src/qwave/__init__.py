@@ -74,6 +74,7 @@ from .statevector import (
     apply_hadamard_layer,
     apply_qft,
     apply_single_qubit,
+    apply_uniformly_controlled,
     init_state,
     inner_product,
 )
@@ -96,6 +97,6 @@ __all__ = [
     "sample_counts",
     "run_selftest",
     "MAX_QUBITS", "QubitLayout", "Statevector", "apply_controlled_unitary",
-    "apply_hadamard_layer", "apply_qft", "apply_single_qubit", "init_state",
-    "inner_product",
+    "apply_hadamard_layer", "apply_qft", "apply_single_qubit",
+    "apply_uniformly_controlled", "init_state", "inner_product",
 ]

@@ -27,7 +27,7 @@ from .audio import (
     write_wav,
 )
 from .encoding import SignalChunk
-from .errors import QwaveError, ShapeError
+from .errors import QwaveError, ResourceLimitError, ShapeError
 from .pipelines import (
     classical_circular_convolution,
     classical_dft,
@@ -44,6 +44,7 @@ from .sampling import (
     sample_counts,
 )
 from .selftest import run_selftest
+from .statevector import MAX_QUBITS
 
 _MAX_TEXT_SAMPLE = 1.0 - 2.0 ** -15
 
@@ -214,7 +215,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_chunk_size(chunk_size: int) -> None:
+    # multiply and convolve both hold a chunk of 2**n samples in n + 2 qubits
+    limit = 1 << (MAX_QUBITS - 2)
+    if chunk_size > limit:
+        raise ResourceLimitError(
+            f"--chunk-size {chunk_size} exceeds 2**(MAX_QUBITS-2) = {limit}: a chunk "
+            f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
+
+
 def _cmd_multiply(args) -> int:
+    _check_chunk_size(args.chunk_size)
     buf_f = _load_signal(args.signal_f, args.sample_rate)
     buf_g = _load_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
@@ -260,6 +271,7 @@ def _cmd_convolve(args) -> int:
         raise ShapeError(
             "convolve runs on the exact statevector; --shots exact is the only mode"
         )
+    _check_chunk_size(args.chunk_size)
     buf = _load_signal(args.signal_f, args.sample_rate)
     padded_len = 2 * args.chunk_size
     kernel, domain = build_kernel(args.kernel, args.chunk_size, padded_len,

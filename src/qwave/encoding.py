@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, ShapeError
-from .statevector import QubitLayout, Statevector, apply_controlled_unitary
+from .statevector import QubitLayout, Statevector, apply_uniformly_controlled
 
 # Headroom below magnitude 1 so arccos stays well conditioned and the
 # complement sqrt(1-|v|^2) never goes negative under roundoff.
@@ -126,11 +126,12 @@ def encode_function(
     signal: SignalChunk,
     ancilla: int,
 ) -> Statevector:
-    """Write `signal` onto `ancilla` with one controlled rho per index value.
+    """Write `signal` onto `ancilla` as one uniformly controlled rho.
 
-    For each x in ascending order applies rho(signal[x]) to the ancilla,
-    controlled on the index register reading x. Assumes the ancilla qubit is
-    currently in the |0> factor (not checked; callers prepare it that way).
+    Applies rho(signal[x]) to the ancilla on the subspace where the index
+    register reads x, for every x in a single pass; the same result as one
+    controlled rho per index value. Assumes the ancilla qubit is currently in
+    the |0> factor (not checked; callers prepare it that way).
     """
     if ancilla not in layout.ancillae:
         raise ShapeError(f"qubit {ancilla} is not an ancilla of the layout")
@@ -141,8 +142,5 @@ def encode_function(
         )
     if layout.num_qubits > state.num_qubits:
         raise ShapeError("layout does not fit in the state")
-    for x in range(1 << n):
-        apply_controlled_unitary(
-            state, layout.controls_for_index(x), ancilla, build_rho(signal.values[x])
-        )
-    return state
+    rhos = np.array([build_rho(v) for v in signal.values])
+    return apply_uniformly_controlled(state, layout.index_register, ancilla, rhos)

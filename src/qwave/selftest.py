@@ -1,9 +1,7 @@
 """Built-in consistency checks exposed through the CLI.
 
 Each check compares a quantum-pipeline result against an independently
-computed classical reference and returns (name, passed, detail). The
-`corrupt_qft_sign` hook flips the transform direction while the convolution
-check runs, to demonstrate the check actually trips on a wrong convention.
+computed classical reference and returns (name, passed, detail).
 """
 
 from __future__ import annotations
@@ -56,21 +54,7 @@ def _check_convolution(rng) -> tuple[str, bool, str]:
     return "convolution-vs-classical", worst < 1e-9, f"worst rel l2 err {worst:.3e}"
 
 
-def run_selftest(corrupt_qft_sign: bool = False) -> list[tuple[str, bool, str]]:
+def run_selftest() -> list[tuple[str, bool, str]]:
     """Run all checks with a fixed seed; returns (name, passed, detail) rows."""
     rng = make_rng(20240917)
-    results = [_check_qft_matches_dft(rng), _check_product_state(rng)]
-    if corrupt_qft_sign:
-        real_qft = pipelines.apply_qft
-
-        def flipped(state, register, inverse=False):
-            return real_qft(state, register, inverse=not inverse)
-
-        pipelines.apply_qft = flipped
-        try:
-            results.append(_check_convolution(rng))
-        finally:
-            pipelines.apply_qft = real_qft
-    else:
-        results.append(_check_convolution(rng))
-    return results
+    return [_check_qft_matches_dft(rng), _check_product_state(rng), _check_convolution(rng)]

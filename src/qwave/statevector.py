@@ -4,9 +4,11 @@ Amplitudes are a single complex128 array of length 2**num_qubits. Basis
 states are indexed little-endian in bit position: qubit p is bit p of the
 basis integer, so |b_{n-1} ... b_1 b_0> sits at index sum_p b_p * 2**p.
 
-Gates are applied as direct amplitude-pair updates on index arrays rather
-than through matrix products or gate decompositions. All apply_* functions
-mutate the state in place and return it, so calls can be chained.
+Gates are applied as direct amplitude-pair updates rather than through
+matrix products or gate decompositions: the amplitudes are viewed as a
+(2,)*num_qubits tensor with the acted-on bit positions moved to the front,
+and each gate writes through that view. All apply_* functions mutate
+state.amplitudes in place and return the state, so calls can be chained.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import numpy as np
 from .errors import ResourceLimitError, ShapeError, StateError
 
 MAX_QUBITS = 26
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 @dataclass
@@ -110,24 +110,20 @@ def init_state(num_qubits: int) -> Statevector:
     return Statevector(num_qubits)
 
 
-def _check_positions(state: Statevector, positions) -> None:
-    seen = set()
+def _axes_first(state: Statevector, positions) -> np.ndarray:
+    """Checked positions as the leading axes of a (2,)*num_qubits amplitude view.
+
+    Axis k of the plain reshape is bit position num_qubits-1-k. The view shares
+    memory with state.amplitudes, so writes through it update the state.
+    """
+    nq = state.num_qubits
     for p in positions:
-        if not 0 <= p < state.num_qubits:
-            raise ShapeError(f"qubit {p} out of range for {state.num_qubits} qubits")
-        if p in seen:
-            raise ShapeError(f"qubit {p} listed twice")
-        seen.add(p)
-
-
-def _pair_indices(state: Statevector, target: int, controls=()) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the target=0 half of every amplitude pair selected by controls."""
-    idx = np.arange(state.dim)
-    keep = ((idx >> target) & 1) == 0
-    for pos, bit in controls:
-        keep &= ((idx >> pos) & 1) == bit
-    lower = idx[keep]
-    return lower, lower | (1 << target)
+        if not 0 <= p < nq:
+            raise ShapeError(f"qubit {p} out of range for {nq} qubits")
+    if len(set(positions)) != len(positions):
+        raise ShapeError(f"qubit positions {positions} repeat")
+    psi = state.amplitudes.reshape((2,) * nq)
+    return np.moveaxis(psi, [nq - 1 - p for p in positions], range(len(positions)))
 
 
 def apply_single_qubit(state: Statevector, qubit: int, u: np.ndarray) -> Statevector:
@@ -137,26 +133,34 @@ def apply_single_qubit(state: Statevector, qubit: int, u: np.ndarray) -> Stateve
 def apply_hadamard_layer(state: Statevector, qubits) -> Statevector:
     """Hadamard on each listed qubit (order irrelevant, they commute)."""
     qubits = list(qubits)
-    _check_positions(state, qubits)
-    amps = state.amplitudes
+    psi = _axes_first(state, qubits)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for q in qubits:
-        lo, hi = _pair_indices(state, q)
-        a0 = amps[lo].copy()
-        a1 = amps[hi]
-        amps[lo] = (a0 + a1) * inv_sqrt2
-        amps[hi] = (a0 - a1) * inv_sqrt2
+    for k in range(len(qubits)):
+        lead = (slice(None),) * k
+        a0, a1 = psi[lead + (0, ...)], psi[lead + (1, ...)]
+        new0 = (a0 + a1) * inv_sqrt2
+        a1[...] = (a0 - a1) * inv_sqrt2
+        a0[...] = new0
     return state
 
 
-def _check_unitary(u: np.ndarray) -> np.ndarray:
+def _check_unitary(u: np.ndarray, shape=(2, 2)) -> np.ndarray:
+    """`u` as complex128 of the given shape, each trailing 2x2 block unitary."""
     u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = np.abs(u @ u.conj().T - np.eye(2)).max()
+    if u.shape != shape:
+        raise ShapeError(f"expected matrices of shape {shape}, got shape {u.shape}")
+    defect = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(2)).max()
     if defect > 1e-9:
         raise StateError(f"matrix is not unitary (defect {defect:.3e})")
     return u
+
+
+def _rotate_pairs(psi: np.ndarray, lead: tuple, u: np.ndarray) -> None:
+    """Apply u to the pairs (psi[lead + (0,)], psi[lead + (1,)]), writing through psi."""
+    a0, a1 = psi[lead + (0, ...)], psi[lead + (1, ...)]
+    new0 = u[..., 0, 0] * a0 + u[..., 0, 1] * a1
+    a1[...] = u[..., 1, 0] * a0 + u[..., 1, 1] * a1
+    a0[...] = new0
 
 
 def apply_controlled_unitary(state: Statevector, controls, target: int, u: np.ndarray) -> Statevector:
@@ -166,17 +170,26 @@ def apply_controlled_unitary(state: Statevector, controls, target: int, u: np.nd
     an ordinary single-qubit gate. Anti-controls are just bit=0 entries.
     """
     controls = [(int(p), int(b)) for p, b in controls]
-    for _, b in controls:
-        if b not in (0, 1):
-            raise ShapeError(f"control bit must be 0 or 1, got {b}")
-    _check_positions(state, [p for p, _ in controls] + [target])
-    u = _check_unitary(u)
-    lo, hi = _pair_indices(state, target, controls)
-    amps = state.amplitudes
-    a0 = amps[lo].copy()
-    a1 = amps[hi]
-    amps[lo] = u[0, 0] * a0 + u[0, 1] * a1
-    amps[hi] = u[1, 0] * a0 + u[1, 1] * a1
+    if any(b not in (0, 1) for _, b in controls):
+        raise ShapeError(f"control bits must be 0 or 1, got {controls}")
+    psi = _axes_first(state, [p for p, _ in controls] + [target])
+    _rotate_pairs(psi, tuple(b for _, b in controls), _check_unitary(u))
+    return state
+
+
+def apply_uniformly_controlled(state: Statevector, register, target: int, us: np.ndarray) -> Statevector:
+    """Apply us[x] to `target` where the register (most significant bit first) reads x.
+
+    `us` has shape (2**len(register), 2, 2). Equal to one
+    apply_controlled_unitary per x, in a single pass over the state.
+    """
+    register = list(register)
+    psi = _axes_first(state, register + [target])
+    m = len(register)
+    us = _check_unitary(us, (1 << m, 2, 2))
+    # us[x] broadcast over the register axes, constant over the spectators
+    u = us.reshape((2,) * m + (1,) * (state.num_qubits - m - 1) + (2, 2))
+    _rotate_pairs(psi, (slice(None),) * m, u)
     return state
 
 
@@ -192,23 +205,10 @@ def apply_qft(state: Statevector, register, inverse: bool = False) -> Statevecto
     register = list(register)
     if not register:
         raise ShapeError("register must name at least one qubit")
-    _check_positions(state, register)
-    nq = state.num_qubits
-    m = len(register)
-    big_m = 1 << m
-    # axis k of the reshaped tensor is bit position nq-1-k
-    axes = [nq - 1 - p for p in register]
-    psi = state.amplitudes.reshape((2,) * nq)
-    psi = np.moveaxis(psi, axes, range(m))
-    moved_shape = psi.shape
-    flat = psi.reshape(big_m, -1)
-    if inverse:
-        flat = np.fft.ifft(flat, axis=0, norm="ortho")
-    else:
-        flat = np.fft.fft(flat, axis=0, norm="ortho")
-    psi = flat.reshape(moved_shape)
-    psi = np.moveaxis(psi, range(m), axes)
-    state.amplitudes = np.ascontiguousarray(psi).reshape(-1)
+    psi = _axes_first(state, register)
+    flat = psi.reshape(1 << len(register), -1)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    psi[...] = transform(flat, axis=0, norm="ortho").reshape(psi.shape)
     return state
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwave import AudioBuffer, load_wav, write_wav
+from qwave import MAX_QUBITS, AudioBuffer, load_wav, pipelines, run_selftest, write_wav
 from qwave.cli import build_kernel, main
 
 RNG = np.random.default_rng(662)
@@ -186,6 +186,35 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "FAIL" not in out
+
+
+def test_selftest_trips_on_flipped_qft(monkeypatch):
+    real_qft = pipelines.apply_qft
+
+    def flipped(state, register, inverse=False):
+        return real_qft(state, register, inverse=not inverse)
+
+    monkeypatch.setattr(pipelines, "apply_qft", flipped)
+    passed = {name: ok for name, ok, _ in run_selftest()}
+    assert passed == {
+        "qft-vs-dft": True,
+        "product-vs-formula": True,
+        "convolution-vs-classical": False,
+    }
+
+
+@pytest.mark.parametrize("command", [
+    ["multiply", "missing_f.wav", "missing_g.wav"],
+    ["convolve", "missing_f.wav", "--kernel", "identity"],
+])
+def test_chunk_size_above_qubit_limit_rejected_before_loading(tmp_path, capsys, command):
+    # the inputs do not exist: the size check must fire before anything is read
+    code = main(command + ["--chunk-size", str(2 ** 25), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--chunk-size 33554432" in err
+    assert f"MAX_QUBITS is {MAX_QUBITS}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_version(capsys):

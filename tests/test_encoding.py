@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwave import (
     EPSILON,
@@ -9,6 +11,7 @@ from qwave import (
     QubitLayout,
     ShapeError,
     SignalChunk,
+    Statevector,
     apply_controlled_unitary,
     apply_hadamard_layer,
     build_mu,
@@ -46,6 +49,75 @@ def encode_fresh(values):
     apply_hadamard_layer(state, layout.index_register)
     encode_function(state, layout, chunk, layout.ancillae[0])
     return state
+
+
+def random_state(num_qubits, rng=RNG):
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return Statevector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def encode_reference(state, layout, chunk, ancilla):
+    """One controlled rho per index value, the gate-by-gate form of the encoder."""
+    for x, v in enumerate(chunk.values):
+        apply_controlled_unitary(state, layout.controls_for_index(x), ancilla, build_rho(v))
+    return state
+
+
+def scattered_layout(n, rng=RNG):
+    """Ancillae on bits (n, 1), the register on the rest in shuffled order.
+
+    For n >= 2 the register holds bits 0 and n + 1, so both ancillae sit
+    between register bits; n = 1 puts the ancillae on bits (2, 1).
+    """
+    ancillae = (max(n, 2), 1)
+    rest = [p for p in range(n + 2) if p not in ancillae]
+    return QubitLayout(tuple(int(p) for p in rng.permutation(rest)), ancillae)
+
+
+def assert_encoder_matches_reference(state, layout, chunk):
+    for ancilla in layout.ancillae:
+        fast = encode_function(state.copy(), layout, chunk, ancilla)
+        slow = encode_reference(state.copy(), layout, chunk, ancilla)
+        assert np.array_equal(fast.amplitudes, slow.amplitudes)
+
+
+def test_encoder_bitwise_equals_gate_loop():
+    for n in range(1, 7):
+        values = random_bounded_complex(1 << n)
+        values[0] = 0.0
+        chunk = SignalChunk(values)
+        scattered = scattered_layout(n)
+        if n >= 2:
+            register = scattered.index_register
+            assert all(min(register) < a < max(register) for a in scattered.ancillae)
+        for layout in (QubitLayout.standard(n, num_ancillae=2), scattered):
+            prepared = init_state(n + 2)
+            apply_hadamard_layer(prepared, layout.index_register)
+            assert_encoder_matches_reference(prepared, layout, chunk)
+            assert_encoder_matches_reference(random_state(n + 2), layout, chunk)
+
+
+_BOUNDED_COMPLEX = st.one_of(
+    st.just(0j),
+    st.floats(-np.pi, np.pi).map(lambda t: (1.0 - EPSILON) * np.exp(1j * t)),
+    st.complex_numbers(max_magnitude=1.0 - EPSILON, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(_BOUNDED_COMPLEX, min_size=1 << n, max_size=1 << n)
+    ),
+    st.booleans(),
+)
+def test_encoder_bitwise_property(values, scattered):
+    chunk = SignalChunk(np.array(values, dtype=np.complex128))
+    n = chunk.n
+    layout = scattered_layout(n) if scattered else QubitLayout.standard(n, num_ancillae=2)
+    state = init_state(n + 2)
+    apply_hadamard_layer(state, layout.index_register)
+    assert_encoder_matches_reference(state, layout, chunk)
 
 
 def test_magnitude_angle_endpoints():

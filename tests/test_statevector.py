@@ -14,6 +14,7 @@ from qwave import (
     apply_hadamard_layer,
     apply_qft,
     apply_single_qubit,
+    apply_uniformly_controlled,
     init_state,
     inner_product,
 )
@@ -175,6 +176,58 @@ def test_controlled_unitary_rejects_bad_positions():
         apply_controlled_unitary(state, [(2, 1)], 0, x)  # out of range
     with pytest.raises(ShapeError):
         apply_controlled_unitary(state, [(1, 2)], 0, x)  # bad control bit
+
+
+def test_uniformly_controlled_equals_controlled_gates():
+    """us[x] fired on register value x, register and target anywhere in the state."""
+    cases = [(3, [2, 1], 0), (4, [0, 3], 2), (5, [4, 1, 2], 3), (2, [], 1)]
+    for num_qubits, register, target in cases:
+        us = np.array([random_unitary() for _ in range(1 << len(register))])
+        state = random_state(num_qubits)
+        expected = state.amplitudes.copy()
+        for x, u in enumerate(us):
+            controls = [(p, (x >> (len(register) - 1 - k)) & 1) for k, p in enumerate(register)]
+            expected = dense_controlled(num_qubits, controls, target, u) @ expected
+        apply_uniformly_controlled(state, register, target, us)
+        assert np.abs(state.amplitudes - expected).max() < 1e-12
+
+
+def test_uniformly_controlled_rejects_bad_input():
+    state = init_state(3)
+    us = np.array([np.eye(2), H, H, np.eye(2)], dtype=np.complex128)
+    with pytest.raises(ShapeError):
+        apply_uniformly_controlled(state, [2, 1], 0, us[:3])  # one block short
+    with pytest.raises(ShapeError):
+        apply_uniformly_controlled(state, [2, 1], 0, us[:, :, :1])  # not 2x2
+    with pytest.raises(ShapeError):
+        apply_uniformly_controlled(state, [2, 1], 1, us)  # target in register
+    with pytest.raises(ShapeError):
+        apply_uniformly_controlled(state, [3, 1], 0, us)  # out of range
+    bad = us.copy()
+    bad[2] = [[1, 0], [0, 1.1]]
+    with pytest.raises(StateError):
+        apply_uniformly_controlled(state, [2, 1], 0, bad)
+
+
+def test_gates_write_into_the_amplitude_buffer():
+    """Every apply_* updates state.amplitudes in place; no call rebinds it."""
+    gates = [
+        lambda s: apply_hadamard_layer(s, [0, 2]),
+        lambda s: apply_single_qubit(s, 1, random_unitary()),
+        lambda s: apply_controlled_unitary(s, [(3, 1), (0, 0)], 2, random_unitary()),
+        lambda s: apply_uniformly_controlled(
+            s, [3, 1], 0, np.array([random_unitary() for _ in range(4)])
+        ),
+        lambda s: apply_qft(s, [3, 1, 2]),
+        lambda s: apply_qft(s, [3, 2, 1, 0], inverse=True),
+    ]
+    for gate in gates:
+        state = random_state(4)
+        amps = state.amplitudes
+        before = amps.copy()
+        gate(state)
+        assert state.amplitudes is amps
+        assert not np.array_equal(amps, before)
 
 
 def test_qft_delta_gives_uniform():
