@@ -325,9 +325,28 @@ def _cmd_convolve(args) -> int:
     return 0
 
 
+def _parse_shots_list(text: str) -> list:
+    """Comma-separated --shots-list entries, each checked by the --shots rules."""
+    specs = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            specs.append(_parse_shots(token))
+        except argparse.ArgumentTypeError as exc:
+            raise ShapeError(f"--shots-list: {exc}") from None
+    if not specs:
+        raise ShapeError(f"--shots-list names no shot counts: {text!r}")
+    return specs
+
+
 def _cmd_shot_sweep(args) -> int:
     if (args.signal_f is None) != (args.signal_g is None):
         raise ShapeError("provide both --signal-f and --signal-g, or neither")
+    if args.num_seeds < 1:
+        raise ShapeError(f"num-seeds must be >= 1, got {args.num_seeds}")
+    shot_specs = _parse_shots_list(args.shots_list)
     if args.signal_f is None:
         f_vals, g_vals = STANDARD_TEST_PAIR
         signal_desc = "built-in"
@@ -341,15 +360,6 @@ def _cmd_shot_sweep(args) -> int:
     chunk_g = SignalChunk.from_values(g_vals)
     product = pointwise_multiply_state(chunk_f, chunk_g)
     ideal00 = np.abs(extract_component(product, (0, 0)))
-    if args.num_seeds < 1:
-        raise ShapeError(f"num-seeds must be >= 1, got {args.num_seeds}")
-
-    shot_specs = []
-    for token in args.shots_list.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        shot_specs.append(None if token == "exact" else int(token))
 
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")

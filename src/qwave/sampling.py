@@ -15,7 +15,8 @@ import numpy as np
 from .errors import ShapeError, StateError
 from .statevector import Statevector
 
-# Draws per batch when sampling; bounds peak memory at ~32 MB of uniforms.
+# Uniforms drawn per batch when sampling: the float64 batch (~32 MB) is the
+# only shot-sized array, so it bounds peak memory.
 _BATCH = 4_000_000
 
 # Smooth positive 8-sample pair used as the default sweep input. Amplitudes
@@ -57,15 +58,22 @@ class ShotCounts:
 def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
     """Draw `shots` independent basis-state samples from |amplitude|^2.
 
-    The state must be unit-norm to 1e-6; the probability vector is then
-    renormalized exactly before inverting its CDF against iid uniforms.
-    Identical (state, shots, seed) always produce identical counts.
+    The state must be unit-norm to 1e-6 (a NaN or infinite norm is
+    rejected); the probability vector is then renormalized exactly and its
+    CDF closed with cdf[-1] = 1. Sampling rule: shot j takes the j-th
+    uniform u of the Philox stream, drawn in batches of at most _BATCH, and
+    lands on the first basis state k with u < cdf[k], i.e.
+    searchsorted(cdf, u, side="right"). Counting sorts each batch once and
+    takes differences of searchsorted(u, cdf, side="left"), the number of
+    draws below each cdf[k]; that assigns every draw to the same k, so the
+    counts equal those of the rule draw for draw. Identical (state, shots,
+    seed) always produce identical counts.
     """
     if shots < 1:
         raise ShapeError(f"shots must be >= 1, got {shots}")
     probs = state.probabilities()
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise StateError(f"state norm^2 = {total}, not 1 within 1e-6")
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0
@@ -74,8 +82,9 @@ def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
     remaining = int(shots)
     while remaining > 0:
         batch = min(remaining, _BATCH)
-        draws = np.searchsorted(cdf, rng.random(batch), side="right")
-        counts += np.bincount(draws, minlength=state.dim)
+        u = rng.random(batch)
+        u.sort()
+        counts += np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
         remaining -= batch
     return ShotCounts(state.num_qubits, int(shots), seed, counts)
 

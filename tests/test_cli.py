@@ -181,6 +181,21 @@ def test_shot_sweep_default_pair(tmp_path, capsys):
     assert "shots=100" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--shots-list", "10,abc"], "--shots-list: shots must be a positive integer or 'exact', got 'abc'"),
+    (["--shots-list", "0"], "--shots-list: shots must be >= 1, got 0"),
+    (["--shots-list", " , "], "--shots-list names no shot counts"),
+    (["--num-seeds", "0"], "num-seeds must be >= 1, got 0"),
+], ids=["non-integer", "zero", "empty", "num-seeds-zero"])
+def test_shot_sweep_rejects_bad_arguments_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    assert main(["shot-sweep", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

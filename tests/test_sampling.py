@@ -1,7 +1,11 @@
 """Shot sampling determinism, decoding, and metric definitions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qwave.sampling as sampling
 from qwave import (
@@ -27,6 +31,27 @@ def two_qubit_state():
     return Statevector(2, amps)
 
 
+def reference_counts(state, shots, seed):
+    """The sampling rule draw by draw: inverse CDF, then one bincount."""
+    probs = state.probabilities()
+    cdf = np.cumsum(probs / probs.sum())
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, make_rng(seed).random(shots), side="right")
+    return np.bincount(draws, minlength=state.dim)
+
+
+def overshooting_state():
+    """A 3-qubit state with a zero last amplitude whose cdf[-2] rounds above 1."""
+    rng = np.random.default_rng(11)
+    while True:
+        mags = np.append(rng.uniform(0.0, 1.0, 7), 0.0)
+        mags[rng.integers(0, 7)] = 0.0
+        state = Statevector(3, (mags / np.linalg.norm(mags)).astype(np.complex128))
+        probs = state.probabilities()
+        if np.cumsum(probs / probs.sum())[-2] > 1.0:
+            return state
+
+
 def test_make_rng_deterministic():
     a = make_rng(123).random(5)
     b = make_rng(123).random(5)
@@ -45,6 +70,59 @@ def test_sample_counts_reproducible():
     assert not np.array_equal(first.counts, other.counts)
 
 
+def test_sample_counts_pinned():
+    # recorded from the searchsorted(cdf, u) + bincount sampler
+    counts = sample_counts(two_qubit_state(), 10_000, seed=42)
+    assert counts.counts.tolist() == [4010, 3042, 1945, 1003]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_qubits=st.integers(1, 5),
+    shots=st.integers(1, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sample_counts_matches_reference_rule(num_qubits, shots, seed, data):
+    dim = 1 << num_qubits
+    mags = np.array(data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=dim, max_size=dim)))
+    if not mags.any():
+        mags[-1] = 1.0
+    phases = np.exp(1j * np.array(data.draw(st.lists(
+        st.floats(0.0, 2 * np.pi), min_size=dim, max_size=dim))))
+    state = Statevector(num_qubits, mags / np.linalg.norm(mags) * phases)
+    got = sample_counts(state, shots, seed).counts
+    assert np.array_equal(got, reference_counts(state, shots, seed))
+
+
+@pytest.mark.parametrize("shots", [1, 2, 777, 5_000, 20_000])
+def test_sample_counts_cdf_overshoot_matches_reference(shots):
+    state = overshooting_state()
+    got = sample_counts(state, shots, seed=shots).counts
+    assert np.array_equal(got, reference_counts(state, shots, shots))
+    assert got[-1] == 0
+
+
+@pytest.mark.parametrize("state", [two_qubit_state(), overshooting_state()],
+                         ids=["two-qubit", "overshoot"])
+def test_sample_counts_batched_matches_reference(monkeypatch, state):
+    monkeypatch.setattr(sampling, "_BATCH", 777)
+    got = sample_counts(state, 5_000, seed=9).counts
+    assert np.array_equal(got, reference_counts(state, 5_000, 9))
+
+
+def test_sample_counts_peak_memory_under_cap():
+    state = Statevector(5, np.full(32, 32 ** -0.5, dtype=np.complex128))
+    tracemalloc.start()
+    try:
+        sample_counts(state, sampling._BATCH, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_sample_counts_batching_matches_single_pass(monkeypatch):
     state = two_qubit_state()
     whole = sample_counts(state, 5_000, seed=7)
@@ -59,6 +137,18 @@ def test_sample_counts_requires_unit_norm():
         sample_counts(bad, 10, seed=0)
     with pytest.raises(ShapeError):
         sample_counts(two_qubit_state(), 0, seed=0)
+
+
+@pytest.mark.parametrize("amps", [
+    [np.nan, 0.0],
+    [1.0, np.nan],
+    [np.inf, 0.0],
+    [np.inf, -np.inf],
+])
+def test_sample_counts_rejects_non_finite_norm(amps):
+    bad = Statevector(1, np.array(amps, dtype=np.complex128))
+    with pytest.raises(StateError):
+        sample_counts(bad, 10, seed=0)
 
 
 def test_sampled_frequencies_approach_probabilities():
