@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -75,9 +76,14 @@ def _load_signal(path, sample_rate: int) -> AudioBuffer:
     """WAV by extension, otherwise a whitespace-separated numeric text file."""
     if str(path).lower().endswith(".wav"):
         return load_wav(path)
-    values = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    with warnings.catch_warnings():
+        # an empty file is reported below as a ShapeError naming the path
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(path, dtype=np.float64, ndmin=1)
     if values.ndim != 1:
         raise ShapeError(f"{path}: expected a single column of samples")
+    if values.size == 0:
+        raise ShapeError(f"{path}: contains no samples")
     if not np.all(np.isfinite(values)):
         raise ShapeError(f"{path}: samples must be finite")
     if np.abs(values).max() > 1.0:
@@ -271,6 +277,12 @@ def _cmd_convolve(args) -> int:
         raise ShapeError(
             "convolve runs on the exact statevector; --shots exact is the only mode"
         )
+    # convolve runs its chunks serially and draws nothing at random, so a
+    # recorded worker count or seed would describe a run that did not happen
+    if args.workers != 1:
+        raise ShapeError(f"convolve runs serially; --workers must be 1, got {args.workers}")
+    if args.seed != 0:
+        raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
     _check_chunk_size(args.chunk_size)
     buf = _load_signal(args.signal_f, args.sample_rate)
     padded_len = 2 * args.chunk_size

@@ -24,31 +24,36 @@ EPSILON = 1e-9
 _BOUND_SLACK = 1e-12
 
 
-def magnitude_angle(value: complex) -> float:
-    """arccos of |value|, in [0, pi/2]. Magnitude above 1 is an error."""
-    mag = abs(value)
-    if mag > 1.0 + 1e-12:
-        raise NormalizationError(f"|value| = {mag} exceeds 1")
-    return float(np.arccos(min(mag, 1.0)))
+def magnitude_angle(values):
+    """arccos|value| in [0, pi/2], elementwise. Magnitude above 1 is an error."""
+    # np.hypot is the scalar abs() bit for bit; np.abs on a complex array can
+    # take a SIMD path one ulp off, which arccos amplifies near |v| = 1
+    mag = np.hypot(np.real(values), np.imag(values))
+    if np.any(mag > 1.0 + 1e-12):
+        raise NormalizationError(f"|value| = {np.nanmax(mag)} exceeds 1")
+    return np.arccos(np.minimum(mag, 1.0))
 
 
-def build_mu(value: complex) -> np.ndarray:
-    """Y-rotation placing |value| on the |0> amplitude: R_y(2*arccos|value|)."""
-    theta = magnitude_angle(value)
+def build_mu(values) -> np.ndarray:
+    """Y-rotations R_y(2*arccos|value|) placing |value| on |0>, shape (..., 2, 2)."""
+    theta = magnitude_angle(values)
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    mu = np.stack([c, -s, s, c], axis=-1).astype(np.complex128)
+    return mu.reshape(theta.shape + (2, 2))
 
 
-def build_phi(value: complex) -> np.ndarray:
-    """Phase of `value` applied to |0>, identity on |1>. arg(0) is taken as 0."""
-    magnitude_angle(value)  # same domain check as the rotation half
-    phase = np.exp(1j * np.angle(value))
-    return np.array([[phase, 0.0], [0.0, 1.0]], dtype=np.complex128)
+def build_phi(values) -> np.ndarray:
+    """Phase of value on |0>, identity on |1>, shape (..., 2, 2). arg(0) is 0."""
+    magnitude_angle(values)  # same domain check as the rotation half
+    phase = np.exp(1j * np.angle(values))
+    zero = np.zeros_like(phase)
+    phi = np.stack([phase, zero, zero, zero + 1.0], axis=-1)
+    return phi.reshape(zero.shape + (2, 2))
 
 
-def build_rho(value: complex) -> np.ndarray:
-    """Fused encoder phi(value) @ mu(value); rho[0, 0] equals value exactly."""
-    return build_phi(value) @ build_mu(value)
+def build_rho(values) -> np.ndarray:
+    """phi(value) @ mu(value), shape (..., 2, 2); [..., 0, 0] is value to roundoff."""
+    return build_phi(values) @ build_mu(values)
 
 
 @dataclass(frozen=True)
@@ -142,5 +147,5 @@ def encode_function(
         )
     if layout.num_qubits > state.num_qubits:
         raise ShapeError("layout does not fit in the state")
-    rhos = np.array([build_rho(v) for v in signal.values])
+    rhos = build_rho(signal.values)
     return apply_uniformly_controlled(state, layout.index_register, ancilla, rhos)

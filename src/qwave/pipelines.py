@@ -81,6 +81,18 @@ def postselect_probability(product: ProductState, component=(0, 0)) -> float:
     return float(np.sum(np.abs(slice_) ** 2))
 
 
+# Terms per block in _sum_rows: a few MiB at any M, where one (M, M) block
+# would take 32 * M**2 bytes (2 GiB at M = 8192).
+_REFERENCE_BLOCK = 1 << 18
+
+
+def _sum_rows(terms, m: int) -> np.ndarray:
+    """np.sum(terms(rows), axis=1) over the row column 0..m-1, in blocks of rows."""
+    rows, step = np.arange(m)[:, None], max(1, _REFERENCE_BLOCK // m)
+    return np.concatenate([np.sum(terms(rows[i : i + step]), axis=1)
+                           for i in range(0, m, step)])
+
+
 def classical_dft(values, inverse: bool = False) -> np.ndarray:
     """Direct O(M^2) discrete Fourier transform, kernel exp(-2j*pi*x*y/M).
 
@@ -95,9 +107,7 @@ def classical_dft(values, inverse: bool = False) -> np.ndarray:
     m = v.size
     sign = 1.0 if inverse else -1.0
     ys = np.arange(m)
-    out = np.empty(m, dtype=np.complex128)
-    for x in range(m):
-        out[x] = np.sum(v * np.exp(sign * 2j * np.pi * x * ys / m))
+    out = _sum_rows(lambda xs: v * np.exp(sign * 2j * np.pi * xs * ys / m), m)
     if inverse:
         out /= m
     return out
@@ -110,11 +120,9 @@ def classical_circular_convolution(f, g) -> np.ndarray:
     if f.shape != g.shape or f.ndim != 1:
         raise ShapeError(f"need equal-length 1-D arrays, got {f.shape} and {g.shape}")
     m = f.size
-    out = np.empty(m, dtype=np.complex128)
     idx = np.arange(m)
-    for k in range(m):
-        out[k] = np.sum(f * g[(k - idx) % m])
-    return out
+    # f as a (1, M) row: at M = 1, (1,) * (1, 1) rounds unlike (1,) * (1,)
+    return _sum_rows(lambda ks: f[None, :] * g[(ks - idx) % m], m)
 
 
 def zero_pad(chunk: SignalChunk, target_len: int) -> SignalChunk:

@@ -151,6 +151,43 @@ def test_convolve_rejects_long_kernel(tmp_path, capsys):
     assert "exceeds chunk size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--workers", "3"], "convolve runs serially; --workers must be 1, got 3"),
+    (["--seed", "9"], "convolve draws no samples; --seed must be 0, got 9"),
+    (["--workers", "3", "--seed", "9"], "convolve runs serially"),
+], ids=["workers", "seed", "both"])
+def test_convolve_rejects_workers_and_seed_before_loading(tmp_path, capsys, flags, message):
+    # the input does not exist: the flag check must fire before anything is read
+    code = main(["convolve", str(tmp_path / "missing.txt"), "--kernel", "identity",
+                 *flags, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_convolve_accepts_explicit_defaults_with_same_manifest(tmp_path):
+    tone_wav(tmp_path / "f.wav")
+    base = ["convolve", str(tmp_path / "f.wav"), "--kernel", "identity"]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--workers", "1", "--seed", "0", "--out", str(tmp_path / "b")]) == 0
+    manifest = (tmp_path / "a" / "manifest.txt").read_bytes()
+    assert manifest == (tmp_path / "b" / "manifest.txt").read_bytes()
+    assert b"\nseed = 0\nworkers = 1\n" in manifest
+
+
+@pytest.mark.parametrize("content", ["", "  \n\n"], ids=["empty", "blank-lines"])
+def test_empty_text_input_is_a_shape_error(tmp_path, capsys, content):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(content)
+    code = main(["multiply", str(empty), str(empty), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {empty}: contains no samples\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_specs():
     kernel, domain = build_kernel("shift-3", 8, 16)
     assert domain == "time"

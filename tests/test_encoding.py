@@ -120,6 +120,91 @@ def test_encoder_bitwise_property(values, scattered):
     assert_encoder_matches_reference(state, layout, chunk)
 
 
+def reference_magnitude_angle(value):
+    """The scalar encoder's angle: abs(), i.e. hypot, then arccos."""
+    mag = abs(value)
+    if mag > 1.0 + 1e-12:
+        raise NormalizationError(f"|value| = {mag} exceeds 1")
+    return float(np.arccos(min(mag, 1.0)))
+
+
+def reference_mu(value):
+    theta = reference_magnitude_angle(value)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def reference_phi(value):
+    reference_magnitude_angle(value)
+    phase = np.exp(1j * np.angle(value))
+    return np.array([[phase, 0.0], [0.0, 1.0]], dtype=np.complex128)
+
+
+def reference_rho(value):
+    return reference_phi(value) @ reference_mu(value)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+_ENCODER_PAIRS = ((build_mu, reference_mu), (build_phi, reference_phi),
+                  (build_rho, reference_rho))
+
+_NEAR_ONE = st.tuples(st.floats(0.0, 1e-6), st.floats(-np.pi, np.pi)).map(
+    lambda p: (1.0 - EPSILON - p[0]) * np.exp(1j * p[1])
+)
+_ENCODABLE = st.one_of(
+    _BOUNDED_COMPLEX,
+    _NEAR_ONE,
+    st.floats(-(1.0 - EPSILON), 1.0 - EPSILON).map(complex),
+    st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0), -(1.0 - EPSILON) + 0j]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ENCODABLE, min_size=1, max_size=64))
+def test_array_builders_bitwise_equal_scalar_reference(values):
+    values = np.array(values, dtype=np.complex128)
+    for build, reference in _ENCODER_PAIRS:
+        assert_bitwise_equal(build(values), np.array([reference(v) for v in values]))
+
+
+def test_array_builders_bitwise_equal_scalar_reference_in_bulk():
+    # a fixed draw big enough that a one-ulp magnitude error always shows;
+    # within 1e-6 of the bound is where an ulp in |v| moves arccos the most
+    near_one = (1.0 - EPSILON - RNG.uniform(0.0, 1e-6, 2000)) * np.exp(
+        1j * RNG.uniform(-np.pi, np.pi, 2000))
+    values = np.concatenate([random_bounded_complex(4000, max_mag=1.0 - EPSILON),
+                             near_one, [0.0, 1.0 - EPSILON, -0.5, 0.5j]])
+    for build, reference in _ENCODER_PAIRS:
+        assert_bitwise_equal(build(values), np.array([reference(v) for v in values]))
+
+
+def test_builder_shapes_broadcast():
+    values = random_bounded_complex(6)
+    assert np.shape(magnitude_angle(values[0])) == ()
+    assert magnitude_angle(values.reshape(2, 3)).shape == (2, 3)
+    for build, reference in _ENCODER_PAIRS:
+        assert_bitwise_equal(build(values[0]), reference(values[0]))
+        assert build(values).shape == (6, 2, 2)
+        assert_bitwise_equal(build(values.reshape(2, 3)), build(values).reshape(2, 3, 2, 2))
+        assert build(values[:0]).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("where", [0, 5, 11])
+def test_builders_reject_any_out_of_range_element(where):
+    values = random_bounded_complex(12)
+    values[where] = 0.8 + 0.8j
+    for build in (magnitude_angle, build_mu, build_phi, build_rho):
+        with pytest.raises(NormalizationError):
+            build(values)
+        with pytest.raises(NormalizationError):
+            build(values.reshape(3, 4))
+
+
 def test_magnitude_angle_endpoints():
     assert magnitude_angle(0.0) == pytest.approx(np.pi / 2)
     assert magnitude_angle(1.0) == pytest.approx(0.0)

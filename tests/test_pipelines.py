@@ -1,8 +1,11 @@
 """Product and convolution pipelines against brute-force references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qwave import pipelines
 from qwave import (
     COMPONENTS,
     ShapeError,
@@ -86,6 +89,81 @@ def test_circular_convolution_frozen_and_symmetric():
     ).max() < 1e-12
     with pytest.raises(ShapeError):
         classical_circular_convolution([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def loop_dft(values, inverse=False):
+    """One row per Python iteration, the sums the references must reproduce bit for bit."""
+    v = np.asarray(values, dtype=np.complex128)
+    m = v.size
+    sign = 1.0 if inverse else -1.0
+    ys = np.arange(m)
+    out = np.empty(m, dtype=np.complex128)
+    for x in range(m):
+        out[x] = np.sum(v * np.exp(sign * 2j * np.pi * x * ys / m))
+    if inverse:
+        out /= m
+    return out
+
+
+def loop_circular_convolution(f, g):
+    f = np.asarray(f, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    m = f.size
+    out = np.empty(m, dtype=np.complex128)
+    idx = np.arange(m)
+    for k in range(m):
+        out[k] = np.sum(f * g[(k - idx) % m])
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def check_references_against_loops(m):
+    f = RNG.normal(size=m) + 1j * RNG.normal(size=m)
+    g = RNG.normal(size=m) + 1j * RNG.normal(size=m)
+    real = RNG.normal(size=m)
+    for values in (f, real):
+        assert_same_bits(classical_dft(values), loop_dft(values))
+        assert_same_bits(classical_dft(values, inverse=True), loop_dft(values, inverse=True))
+    assert_same_bits(classical_circular_convolution(f, g), loop_circular_convolution(f, g))
+    assert_same_bits(classical_circular_convolution(real, g),
+                     loop_circular_convolution(real, g))
+
+
+def test_references_bitwise_equal_row_loops():
+    # several draws per M: a wrongly broadcast product is off by an ulp on
+    # only about half of random inputs
+    for m in range(1, 65):
+        for _ in range(6):
+            check_references_against_loops(m)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_references_bitwise_equal_row_loops_across_row_blocks(monkeypatch, block):
+    # blocks of 1 row, of rows that leave a short last block, and of one row
+    # for M above the block size all sum each row the same way
+    monkeypatch.setattr(pipelines, "_REFERENCE_BLOCK", block)
+    for m in (1, 2, 3, 7, 16, 33, 100):
+        check_references_against_loops(m)
+
+
+def test_references_memory_stays_bounded():
+    # one (M, M) block of complex terms would be 64 MiB here, with two alive
+    m = 2048
+    values = RNG.normal(size=m) + 1j * RNG.normal(size=m)
+    for run in (lambda: classical_dft(values),
+                lambda: classical_circular_convolution(values, values)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 def test_convolution_theorem_identity_for_oracles():
