@@ -47,11 +47,13 @@ from .pipelines import (
     ProductState,
     classical_circular_convolution,
     classical_dft,
+    convolve_chunks,
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
     pointwise_multiply_state,
     postselect_probability,
+    product_blocks,
     zero_pad,
 )
 from .sampling import (
@@ -89,9 +91,9 @@ __all__ = [
     "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",
-    "classical_dft", "convolve_optimized", "convolve_via_theorem",
-    "extract_component", "pointwise_multiply_state", "postselect_probability",
-    "zero_pad",
+    "classical_dft", "convolve_chunks", "convolve_optimized",
+    "convolve_via_theorem", "extract_component", "pointwise_multiply_state",
+    "postselect_probability", "product_blocks", "zero_pad",
     "METRICS_CSV_HEADER", "STANDARD_TEST_PAIR", "MetricsReport", "ShotCounts",
     "decode_component", "fidelity_percent", "make_rng", "rmsd_percent",
     "sample_counts",

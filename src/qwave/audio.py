@@ -2,9 +2,10 @@
 
 Audio flows through as float64 in [-1, 1). 16-bit PCM reads divide by 32768
 (so -32768 maps to -1.0 and 16384 to 0.5); writes round to int16 and clip the
-top code. Positive-domain signals are chunked into power-of-two blocks, each
-block runs through the two-ancilla product pipeline (exactly or with shot
-sampling), and the four decoded channels are stitched back in chunk order.
+top code. Positive-domain signals are split into power-of-two chunks, held as
+the rows of one array; the chunks run through the two-ancilla product
+pipeline together (exactly or with shot sampling), and the four decoded
+channels are stitched back in chunk order.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .encoding import SignalChunk
+from .encoding import EPSILON
 from .errors import DomainError, FormatError, ShapeError
-from .pipelines import (
-    COMPONENTS,
-    extract_component,
-    pointwise_multiply_state,
-    postselect_probability,
-)
+from .pipelines import COMPONENTS, product_blocks
 from .sampling import (
     METRICS_CSV_HEADER,
     MetricsReport,
@@ -33,6 +29,7 @@ from .sampling import (
     rmsd_percent,
     sample_counts,
 )
+from .statevector import Statevector
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
@@ -65,6 +62,8 @@ class AudioBuffer:
 def load_wav(path) -> AudioBuffer:
     """Read a 16-bit PCM or 32-bit float WAV; stereo is averaged to mono."""
     rate, data = wavfile.read(path)
+    if data.shape[0] == 0:
+        raise ShapeError(f"{path}: contains no samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM_FULL_SCALE
     elif data.dtype == np.float32:
@@ -122,27 +121,34 @@ def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    """Disjoint power-of-two chunks covering a signal, tail zero-padded."""
+    """Disjoint power-of-two chunks covering a signal, tail zero-padded.
+
+    `values` is a (num_chunks, chunk_size) complex array with one chunk per
+    row, each inside the SignalChunk magnitude bound; `scales[i]` is the
+    factor row i was multiplied by (1.0 unless its peak was above the bound).
+    Row i and scales[i] equal SignalChunk.from_values of that chunk's samples.
+    """
 
     chunk_size: int
     total_samples: int
-    chunks: tuple
+    values: np.ndarray
+    scales: np.ndarray
 
     @property
     def num_chunks(self) -> int:
-        return len(self.chunks)
+        return len(self.values)
 
     @property
     def tail_padding(self) -> int:
         return self.num_chunks * self.chunk_size - self.total_samples
 
-    @property
-    def scale_factors(self) -> tuple:
-        return tuple(c.scale for c in self.chunks)
-
 
 def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
-    """Split into consecutive chunk_size blocks, zero-padding the last."""
+    """Split into consecutive chunk_size blocks, zero-padding the last.
+
+    A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled as
+    SignalChunk.from_values does it, with the same bits.
+    """
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ShapeError(f"expected a non-empty 1-D signal, got shape {values.shape}")
@@ -150,13 +156,14 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
         raise ShapeError(f"chunk_size must be a power of two >= 2, got {chunk_size}")
     total = values.size
     num_chunks = -(-total // chunk_size)
-    padded = np.zeros(num_chunks * chunk_size, dtype=np.complex128)
-    padded[:total] = values
-    chunks = tuple(
-        SignalChunk.from_values(padded[i * chunk_size : (i + 1) * chunk_size])
-        for i in range(num_chunks)
-    )
-    return ChunkPlan(chunk_size, total, chunks)
+    rows = np.zeros((num_chunks, chunk_size), dtype=np.complex128)
+    rows.reshape(-1)[:total] = values
+    peaks = np.abs(rows).max(axis=1)
+    hot = peaks > 1.0 - EPSILON
+    scales = np.ones(num_chunks)
+    scales[hot] = (1.0 - EPSILON) / peaks[hot]
+    rows[hot] *= scales[hot, None]
+    return ChunkPlan(chunk_size, total, rows, scales)
 
 
 @dataclass(frozen=True)
@@ -171,31 +178,44 @@ def _component_key(component) -> str:
     return f"{component[0]}{component[1]}"
 
 
-def _run_chunk(args):
-    """Process one chunk pair; module-level so worker pools can pickle it."""
-    index, chunk_f, chunk_g, shots, base_seed = args
-    product = pointwise_multiply_state(chunk_f, chunk_g)
-    prob00 = postselect_probability(product, (0, 0))
-    ideal = {c: np.abs(extract_component(product, c)) for c in COMPONENTS}
-    if shots is None:
-        report = MetricsReport(
-            index, "exact", base_seed, 0.0, 100.0, prob00,
-            chunk_f.scale, chunk_g.scale,
-        )
-        return index, ideal, report
-    counts = sample_counts(product.state, shots, [base_seed, index])
-    decoded = {c: decode_component(counts, c) for c in COMPONENTS}
-    report = MetricsReport(
-        index,
-        shots,
-        base_seed,
-        rmsd_percent(decoded[(0, 0)], ideal[(0, 0)]),
-        fidelity_percent(counts, product.state),
-        prob00,
-        chunk_f.scale,
-        chunk_g.scale,
-    )
-    return index, decoded, report
+def _run_range(job):
+    """Process one contiguous range of chunk pairs; module-level so pools can pickle it.
+
+    Returns the four decoded channels over the range and its metrics rows.
+    """
+    first, values_f, values_g, scales_f, scales_g, shots, base_seed = job
+    num_chunks, big_n = values_f.shape
+    num_qubits = big_n.bit_length() + 1  # index register plus two ancillae
+    channels = {c: np.empty((num_chunks, big_n)) for c in COMPONENTS}
+    reports = []
+    for lo, states in product_blocks(values_f, values_g):
+        ideal = {(bf, bg): np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
+                 for bf, bg in COMPONENTS}
+        prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+        if shots is None:
+            for c in COMPONENTS:
+                channels[c][lo : lo + len(states)] = ideal[c]
+        for k, state_k in enumerate(states):
+            i = lo + k
+            rmsd, fidelity = 0.0, 100.0
+            if shots is not None:
+                state = Statevector(num_qubits, state_k.reshape(-1))
+                counts = sample_counts(state, shots, [base_seed, first + i])
+                for c in COMPONENTS:
+                    channels[c][i] = decode_component(counts, c)
+                rmsd = rmsd_percent(channels[(0, 0)][i], ideal[(0, 0)][k])
+                fidelity = fidelity_percent(counts, state)
+            reports.append(MetricsReport(
+                first + i,
+                "exact" if shots is None else shots,
+                base_seed,
+                rmsd,
+                fidelity,
+                float(prob00[k]),
+                float(scales_f[i]),
+                float(scales_g[i]),
+            ))
+    return {c: channels[c].reshape(-1) for c in COMPONENTS}, reports
 
 
 def process_chunks(
@@ -209,7 +229,9 @@ def process_chunks(
 
     shots=None computes components exactly from the statevector; an integer
     samples that many shots with a per-chunk stream derived from (seed,
-    chunk_index), so results are byte-identical for any worker count.
+    chunk_index), so results are byte-identical for any worker count. The
+    chunks are split into at most `workers` contiguous ranges, one per pool
+    worker; a single range runs in this process.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -221,22 +243,22 @@ def process_chunks(
         raise ShapeError(f"workers must be >= 1, got {workers}")
     if shots is not None and shots < 1:
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
+    step = -(-plan_f.num_chunks // workers)
     jobs = [
-        (i, plan_f.chunks[i], plan_g.chunks[i], shots, seed)
-        for i in range(plan_f.num_chunks)
+        (lo, plan_f.values[lo : lo + step], plan_g.values[lo : lo + step],
+         plan_f.scales[lo : lo + step], plan_g.scales[lo : lo + step], shots, seed)
+        for lo in range(0, plan_f.num_chunks, step)
     ]
-    if workers == 1:
-        results = [_run_chunk(job) for job in jobs]
+    if len(jobs) == 1:
+        results = [_run_range(jobs[0])]
     else:
-        pool_chunksize = max(1, -(-len(jobs) // workers))
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_run_chunk, jobs, chunksize=pool_chunksize)
-    results.sort(key=lambda r: r[0])
+        with multiprocessing.Pool(len(jobs)) as pool:
+            results = pool.map(_run_range, jobs)
     components = {
-        _component_key(c): np.concatenate([r[1][c] for r in results])
+        _component_key(c): np.concatenate([r[0][c] for r in results])
         for c in COMPONENTS
     }
-    return QuadOutput(components, tuple(r[2] for r in results))
+    return QuadOutput(components, tuple(m for r in results for m in r[1]))
 
 
 def stitch_and_write(

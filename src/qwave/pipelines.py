@@ -7,6 +7,10 @@ The two-ancilla product state over N = 2**n indices is
 with h~ = sqrt(1-|h|^2), so the |00> slice times sqrt(N) is the pointwise
 product. Circular convolution reuses the same state on Fourier coefficients,
 then undoes the transform on the index register.
+
+`pointwise_multiply_state` and `convolve_optimized` build one chunk's state
+gate by gate. `product_blocks` and `convolve_chunks` run the same gates on
+many chunks at once, with a leading chunk axis, and give the same bits.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, encode_function
+from .encoding import SignalChunk, build_rho, encode_function
 from .errors import ShapeError
 from .statevector import (
     QubitLayout,
     Statevector,
+    _hadamard_axes,
+    _rotate_pairs,
     apply_hadamard_layer,
     apply_qft,
     init_state,
@@ -79,6 +85,50 @@ def postselect_probability(product: ProductState, component=(0, 0)) -> float:
     offset = _component_offset(component)
     slice_ = product.state.amplitudes[offset::4]
     return float(np.sum(np.abs(slice_) ** 2))
+
+
+# Amplitudes per block of chunks in product_blocks and convolve_chunks. A
+# block's states and rho blocks are the only transients that grow with the
+# number of chunks, so this holds them to a few MiB (at least one chunk).
+_CHUNK_BLOCK = 1 << 16
+
+
+def _chunk_blocks(num_chunks: int, amplitudes_per_chunk: int) -> list:
+    """Consecutive (lo, hi) row ranges of at most _CHUNK_BLOCK amplitudes, one row at least."""
+    step = max(1, _CHUNK_BLOCK // amplitudes_per_chunk)
+    return [(lo, min(lo + step, num_chunks)) for lo in range(0, num_chunks, step)]
+
+
+def _chunk_rows(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2 or values.shape[1] < 2 or values.shape[1] & (values.shape[1] - 1):
+        raise ShapeError(
+            f"expected (chunks, 2**n) rows with n >= 1, got shape {values.shape}")
+    return values
+
+
+def product_blocks(f, g):
+    """Two-ancilla product states for every row pair of f and g, a block of rows at a time.
+
+    f and g are (C, N) arrays whose rows are encodable chunks (ChunkPlan.values).
+    Yields (lo, states) with states of shape (rows, N, 2, 2), indexed
+    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... Each row runs the gates of
+    pointwise_multiply_state in the same order, so states[i] is bit for bit
+    that function's amplitudes for row lo + i.
+    """
+    f, g = _chunk_rows(f), _chunk_rows(g)
+    if f.shape != g.shape:
+        raise ShapeError(f"chunk rows differ in shape: {f.shape} vs {g.shape}")
+    num_chunks, big_n = f.shape
+    n = big_n.bit_length() - 1
+    rows = (slice(None), slice(None))
+    for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
+        states = np.zeros((hi - lo, big_n, 2, 2), dtype=np.complex128)
+        states[:, 0, 0, 0] = 1.0
+        _hadamard_axes(states.reshape((hi - lo,) + (2,) * (n + 2)), range(1, n + 1))
+        _rotate_pairs(states, rows, build_rho(f[lo:hi])[:, :, None])
+        _rotate_pairs(states.swapaxes(2, 3), rows, build_rho(g[lo:hi])[:, :, None])
+        yield lo, states
 
 
 # Terms per block in _sum_rows: a few MiB at any M, where one (M, M) block
@@ -207,3 +257,38 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     register_state = Statevector(m, kept)
     apply_qft(register_state, range(m - 1, -1, -1), inverse=True)
     return register_state.amplitudes * np.sqrt(big_m) / ghat.scale
+
+
+def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
+    """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
+
+    Returns shape (C, pad_to). The kernel's Fourier coefficients, their
+    full-scale factor and their rho blocks are computed once for all rows.
+    Each row runs the gates of convolve_optimized in the same order, so row c
+    is bit for bit convolve_optimized(SignalChunk(values[c]), g_kernel, pad_to).
+    """
+    values = _chunk_rows(values)
+    num_chunks, big_n = values.shape
+    if pad_to < big_n or pad_to & (pad_to - 1):
+        raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
+    m = pad_to.bit_length() - 1
+    ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, pad_to)))
+    rho_g = build_rho(ghat.values)
+    rows = (slice(None), slice(None))
+    out = np.empty((num_chunks, pad_to), dtype=np.complex128)
+    for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
+        # stage 1: |f> on the register, the encoding ancilla spent and dropped
+        prep = np.zeros((hi - lo, pad_to, 2), dtype=np.complex128)
+        prep[:, 0, 0] = 1.0
+        _hadamard_axes(prep.reshape((hi - lo,) + (2,) * (m + 1)), range(1, m + 1))
+        fpad = np.zeros((hi - lo, pad_to), dtype=np.complex128)
+        fpad[:, :big_n] = values[lo:hi]
+        _rotate_pairs(prep, rows, build_rho(fpad))
+        # stage 2: register QFT, kernel on a fresh ancilla, inverse QFT on its 0 slice
+        state = np.zeros_like(prep)
+        state[:, :, 0] = prep[:, :, 0]
+        state = np.fft.fft(state, axis=1, norm="ortho")
+        _rotate_pairs(state, rows, rho_g)
+        kept = np.fft.ifft(state[:, :, 0], axis=1, norm="ortho")
+        out[lo:hi] = kept * np.sqrt(pad_to) / ghat.scale
+    return out

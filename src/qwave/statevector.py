@@ -133,15 +133,19 @@ def apply_single_qubit(state: Statevector, qubit: int, u: np.ndarray) -> Stateve
 def apply_hadamard_layer(state: Statevector, qubits) -> Statevector:
     """Hadamard on each listed qubit (order irrelevant, they commute)."""
     qubits = list(qubits)
-    psi = _axes_first(state, qubits)
+    _hadamard_axes(_axes_first(state, qubits), range(len(qubits)))
+    return state
+
+
+def _hadamard_axes(psi: np.ndarray, axes) -> None:
+    """Hadamard on each listed axis (of length 2) of psi, in order, writing through psi."""
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(len(qubits)):
+    for k in axes:
         lead = (slice(None),) * k
         a0, a1 = psi[lead + (0, ...)], psi[lead + (1, ...)]
         new0 = (a0 + a1) * inv_sqrt2
         a1[...] = (a0 - a1) * inv_sqrt2
         a0[...] = new0
-    return state
 
 
 def _check_unitary(u: np.ndarray, shape=(2, 2)) -> np.ndarray:

@@ -1,19 +1,32 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 from qwave import (
+    COMPONENTS,
     AudioBuffer,
     DomainError,
     FormatError,
     METRICS_CSV_HEADER,
+    MetricsReport,
     ShapeError,
+    SignalChunk,
+    decode_component,
+    extract_component,
+    fidelity_percent,
     load_wav,
     make_chunks,
     normalize_for_encoding,
+    pipelines,
+    pointwise_multiply_state,
+    postselect_probability,
     process_chunks,
+    rmsd_percent,
+    sample_counts,
     stitch_and_write,
     write_wav,
 )
@@ -103,8 +116,8 @@ def test_make_chunks_padding_and_scales():
     assert plan.num_chunks == 3
     assert plan.tail_padding == 4
     assert plan.total_samples == 20
-    assert plan.scale_factors == (1.0, 1.0, 1.0)
-    assert np.abs(plan.chunks[2].values[4:]).max() == 0.0
+    assert plan.scales.tolist() == [1.0, 1.0, 1.0]
+    assert np.abs(plan.values[2, 4:]).max() == 0.0
     with pytest.raises(ShapeError):
         make_chunks(positive_signal(20), chunk_size=6)
 
@@ -113,8 +126,92 @@ def test_make_chunks_rescales_hot_chunk():
     samples = np.full(8, 0.5)
     samples[3] = 1.0 - 1e-12  # above the encoding bound, below full scale
     plan = make_chunks(samples, chunk_size=8)
-    assert plan.scale_factors[0] < 1.0
-    assert np.abs(plan.chunks[0].values).max() <= 1 - 1e-9 + 1e-15
+    assert plan.scales[0] < 1.0
+    assert np.abs(plan.values[0]).max() <= 1 - 1e-9 + 1e-15
+
+
+def test_make_chunks_rows_equal_from_values():
+    rng = np.random.default_rng(17)
+    samples = rng.uniform(0.0, 0.9, 8 * 6 + 3) * np.exp(1j * rng.uniform(-3, 3, 8 * 6 + 3))
+    samples[19] = 1.0  # hot chunk 2 among cool ones
+    samples[40] = -1.0 + 1e-12j  # hot chunk 5
+    samples[50] = 0.999  # the zero-padded tail chunk, cool
+    plan = make_chunks(samples, chunk_size=8)
+    assert plan.values.shape == (7, 8) and plan.values.dtype == np.complex128
+    assert plan.scales.shape == (7,)
+    padded = np.concatenate([samples, np.zeros(5)])
+    for i in range(7):
+        chunk = SignalChunk.from_values(padded[8 * i : 8 * (i + 1)])
+        assert np.array_equal(plan.values[i], chunk.values)
+        assert plan.scales[i] == chunk.scale
+    assert [i for i in range(7) if plan.scales[i] != 1.0] == [2, 5]
+
+
+def reference_quad(f, g, chunk_size, shots, seed):
+    """process_chunks built the one-chunk way: one product state per chunk."""
+    channels = {c: [] for c in COMPONENTS}
+    rows = []
+    num_chunks = -(-f.size // chunk_size)
+    padded_f, padded_g = np.zeros((2, num_chunks * chunk_size))
+    padded_f[: f.size], padded_g[: g.size] = f, g
+    for i in range(num_chunks):
+        cut = slice(i * chunk_size, (i + 1) * chunk_size)
+        chunk_f = SignalChunk.from_values(padded_f[cut])
+        chunk_g = SignalChunk.from_values(padded_g[cut])
+        product = pointwise_multiply_state(chunk_f, chunk_g)
+        ideal = {c: np.abs(extract_component(product, c)) for c in COMPONENTS}
+        prob00 = postselect_probability(product, (0, 0))
+        if shots is None:
+            decoded, rmsd, fidelity = ideal, 0.0, 100.0
+        else:
+            counts = sample_counts(product.state, shots, [seed, i])
+            decoded = {c: decode_component(counts, c) for c in COMPONENTS}
+            rmsd = rmsd_percent(decoded[(0, 0)], ideal[(0, 0)])
+            fidelity = fidelity_percent(counts, product.state)
+        for c in COMPONENTS:
+            channels[c].append(decoded[c])
+        rows.append(MetricsReport(i, "exact" if shots is None else shots, seed, rmsd,
+                                  fidelity, prob00, chunk_f.scale, chunk_g.scale).csv_row())
+    return {f"{bf}{bg}": np.concatenate(channels[(bf, bg)]) for bf, bg in COMPONENTS}, rows
+
+
+@pytest.mark.parametrize("shots", [None, 3000], ids=["exact", "shots"])
+@pytest.mark.parametrize("num_chunks,workers", [(5, 1), (5, 2), (5, 3), (2, 3)])
+def test_process_chunks_equals_one_chunk_reference(shots, num_chunks, workers):
+    rng = np.random.default_rng(num_chunks * 10 + workers)
+    f = rng.uniform(0.0, 0.99, 8 * num_chunks - 3)
+    g = rng.uniform(0.0, 0.99, 8 * num_chunks - 3)
+    quad = process_chunks(make_chunks(f, 8), make_chunks(g, 8), shots=shots, seed=11,
+                          workers=workers)
+    channels, rows = reference_quad(f, g, 8, shots, 11)
+    assert sorted(quad.components) == sorted(channels)
+    for key, values in channels.items():
+        assert np.array_equal(quad.components[key], values)
+    assert [m.csv_row() for m in quad.metrics] == rows
+
+
+def test_process_chunks_memory_bounded_by_block():
+    """Peak memory is the outputs plus one block of chunks, not the whole signal."""
+    samples, chunk_size = 2**17, 8
+    num_chunks = samples // chunk_size
+    # the signal's states hold 4 * samples amplitudes, 8x the block
+    assert 8 * pipelines._CHUNK_BLOCK <= 4 * samples
+    rng = np.random.default_rng(5)
+    plan_f = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
+    plan_g = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
+    # four float64 channels, built per range then concatenated; one metrics
+    # row (~260 bytes) per chunk; a block's states, rho blocks and their
+    # temporaries at 64 bytes per amplitude. Batching all chunks at once peaks
+    # at 36 MiB here.
+    bound = 2 * 4 * 8 * samples + 320 * num_chunks + 64 * pipelines._CHUNK_BLOCK
+    tracemalloc.start()
+    try:
+        quad = process_chunks(plan_f, plan_g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert quad.components["00"].size == samples
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 def test_process_chunks_exact_recovers_products():

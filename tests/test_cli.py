@@ -1,9 +1,23 @@
 """End-to-end runs of the command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from qwave import MAX_QUBITS, AudioBuffer, load_wav, pipelines, run_selftest, write_wav
+from qwave import (
+    MAX_QUBITS,
+    AudioBuffer,
+    SignalChunk,
+    classical_circular_convolution,
+    convolve_optimized,
+    load_wav,
+    pipelines,
+    run_selftest,
+    write_wav,
+    zero_pad,
+)
 from qwave.cli import build_kernel, main
 
 RNG = np.random.default_rng(662)
@@ -186,6 +200,73 @@ def test_empty_text_input_is_a_shape_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err == f"error: {empty}: contains no samples\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_kernel_file_names_the_flag_and_file(tmp_path, capsys):
+    tone_wav(tmp_path / "f.wav")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's loadtxt warning must not surface
+        code = main(["convolve", str(tmp_path / "f.wav"), "--kernel", str(empty),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --kernel {empty}: contains no samples\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["multiply", "convolve"])
+@pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
+def test_zero_frame_wav_names_the_file(tmp_path, capsys, command, channels):
+    empty = tmp_path / "empty.wav"
+    wavfile.write(empty, 8000, np.zeros((0, channels) if channels > 1 else 0, np.int16))
+    inputs = [str(empty)] * 2 if command == "multiply" else [str(empty), "--kernel", "identity"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no stereo-averaging warning first
+        code = main([command, *inputs, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {empty}: contains no samples\n"
+    assert not (tmp_path / "out").exists()
+
+
+def one_chunk_convolve(samples, kernel, chunk_size):
+    """convolved samples and metrics.csv text of convolve, one chunk at a time."""
+    padded_len = 2 * chunk_size
+    num_chunks = -(-samples.size // chunk_size)
+    padded = np.zeros(num_chunks * chunk_size)
+    padded[: samples.size] = samples
+    pieces, lines = [], ["chunk_index,rel_l2_vs_oracle"]
+    for i in range(num_chunks):
+        chunk = SignalChunk.from_values(padded[i * chunk_size : (i + 1) * chunk_size])
+        result = convolve_optimized(chunk, kernel, padded_len)
+        reference = classical_circular_convolution(
+            zero_pad(chunk, padded_len).values,
+            np.concatenate([kernel, np.zeros(padded_len - kernel.size)]),
+        )
+        denom = float(np.linalg.norm(reference))
+        rel = float(np.linalg.norm(result - reference)) / denom if denom else 0.0
+        lines.append(f"{i},{rel:.10g}")
+        pieces.append(result[:chunk_size].real / chunk.scale)
+    return np.concatenate(pieces)[: samples.size], lines
+
+
+@pytest.mark.parametrize("chunk_size", [2, 8, 32])
+@pytest.mark.parametrize("spec", ["identity", "moving-average-2", "shift-1", "low-pass-1",
+                                  "file"])
+def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
+    buf = tone_wav(tmp_path / "f.wav", seconds=0.0123)
+    if spec == "file":
+        spec = str(tmp_path / "k.txt")
+        np.savetxt(spec, RNG.uniform(-1, 1, chunk_size))
+    kernel, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    out = tmp_path / "out"
+    assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", spec,
+                 "--chunk-size", str(chunk_size), "--out", str(out)]) == 0
+    convolved, lines = one_chunk_convolve(buf.samples, kernel, chunk_size)
+    assert read_lines(out / "metrics.csv") == lines
+    expected = tmp_path / "expected.wav"
+    write_wav(expected, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
+    assert (out / "convolved.wav").read_bytes() == expected.read_bytes()
 
 
 def test_kernel_specs():

@@ -4,19 +4,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwave import pipelines
 from qwave import (
     COMPONENTS,
+    EPSILON,
     ShapeError,
     SignalChunk,
     classical_circular_convolution,
     classical_dft,
+    convolve_chunks,
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
     pointwise_multiply_state,
     postselect_probability,
+    product_blocks,
     zero_pad,
 )
 
@@ -327,3 +332,79 @@ def test_convolve_kernel_too_long():
     f = random_chunk(4)
     with pytest.raises(ShapeError):
         convolve_optimized(f, np.ones(9), 8)
+
+
+def chunk_rows(seed, n, num_chunks, phases):
+    """(C, 2**n) encodable rows with zeros and magnitudes of exactly 1 - EPSILON mixed in."""
+    rng = np.random.default_rng(seed)
+    shape = (num_chunks, 1 << n)
+    rows = rng.uniform(0.0, 1.0 - EPSILON, shape).astype(np.complex128)
+    if phases:
+        rows *= np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    special = rng.random(shape)
+    rows[special < 0.1] = 0.0
+    edge = (special >= 0.1) & (special < 0.15)
+    rows[edge] = (1.0 - EPSILON) * np.exp(1j * rng.uniform(-np.pi, np.pi, edge.sum()))
+    return rows
+
+
+def assert_batch_matches_chunks(f, g, kernel, pad_to):
+    """product_blocks and convolve_chunks against the one-chunk API, row by row."""
+    states = np.concatenate([s for _, s in product_blocks(f, g)])
+    big_n = f.shape[1]
+    prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+    convolved = convolve_chunks(f, kernel, pad_to)
+    for c in range(len(f)):
+        product = pointwise_multiply_state(SignalChunk(f[c]), SignalChunk(g[c]))
+        assert np.array_equal(states[c].reshape(-1), product.state.amplitudes)
+        for bf, bg in COMPONENTS:
+            assert np.array_equal(np.abs(states[c, :, bf, bg] * np.sqrt(big_n)),
+                                  np.abs(extract_component(product, (bf, bg))))
+        assert float(prob00[c]) == postselect_probability(product)
+        assert np.array_equal(convolved[c],
+                              convolve_optimized(SignalChunk(f[c]), kernel, pad_to))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    num_chunks=st.integers(1, 40),
+    phases=st.booleans(),
+    pad_doublings=st.integers(0, 1),
+)
+def test_batched_engines_bitwise_equal_one_chunk_api(seed, n, num_chunks, phases,
+                                                      pad_doublings):
+    f = chunk_rows(seed, n, num_chunks, phases)
+    g = chunk_rows(seed + 1, n, num_chunks, phases)
+    rng = np.random.default_rng(seed)
+    kernel = rng.uniform(-1.0, 1.0, int(rng.integers(1, (1 << n) + 1)))
+    if phases:
+        kernel = kernel * np.exp(1j * rng.uniform(-np.pi, np.pi, kernel.size))
+    assert_batch_matches_chunks(f, g, kernel, (1 << n) << pad_doublings)
+
+
+@pytest.mark.parametrize("block_chunks", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_batched_engines_bitwise_equal_across_blocks(monkeypatch, block_chunks, n):
+    f = chunk_rows(n, n, 7, True)
+    g = chunk_rows(n + 100, n, 7, True)
+    kernel = np.full(min(4, 1 << n), 0.25)
+    # product states hold 4 amplitudes per sample, convolve states 2 per padded one
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", block_chunks * 4 << n)
+    starts = [lo for lo, _ in product_blocks(f, g)]
+    assert starts == list(range(0, 7, block_chunks))
+    assert_batch_matches_chunks(f, g, kernel, 2 << n)
+
+
+def test_batched_engines_reject_bad_rows():
+    with pytest.raises(ShapeError):
+        next(product_blocks(np.zeros((2, 6)), np.zeros((2, 6))))
+    with pytest.raises(ShapeError):
+        next(product_blocks(np.zeros((2, 8)), np.zeros((3, 8))))
+    with pytest.raises(ShapeError):
+        convolve_chunks(np.zeros(8), np.ones(2), 16)
+    with pytest.raises(ShapeError):
+        convolve_chunks(np.zeros((2, 8)), np.ones(2), 4)
+    with pytest.raises(ShapeError):
+        convolve_chunks(np.zeros((2, 4)), np.ones(9), 8)
