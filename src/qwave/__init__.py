@@ -27,8 +27,6 @@ from .audio import (
 from .encoding import (
     EPSILON,
     SignalChunk,
-    build_mu,
-    build_phi,
     build_rho,
     encode_function,
     magnitude_angle,
@@ -72,13 +70,10 @@ from .statevector import (
     MAX_QUBITS,
     QubitLayout,
     Statevector,
-    apply_controlled_unitary,
     apply_hadamard_layer,
     apply_qft,
-    apply_single_qubit,
     apply_uniformly_controlled,
     init_state,
-    inner_product,
 )
 
 __all__ = [
@@ -86,8 +81,8 @@ __all__ = [
     "AudioBuffer", "ChunkPlan", "NormalizationRecord", "QuadOutput",
     "load_wav", "make_chunks", "normalize_for_encoding", "process_chunks",
     "stitch_and_write", "write_wav",
-    "EPSILON", "SignalChunk", "build_mu", "build_phi", "build_rho",
-    "encode_function", "magnitude_angle",
+    "EPSILON", "SignalChunk", "build_rho", "encode_function",
+    "magnitude_angle",
     "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",
@@ -98,7 +93,6 @@ __all__ = [
     "decode_component", "fidelity_percent", "make_rng", "rmsd_percent",
     "sample_counts",
     "run_selftest",
-    "MAX_QUBITS", "QubitLayout", "Statevector", "apply_controlled_unitary",
-    "apply_hadamard_layer", "apply_qft", "apply_single_qubit",
-    "apply_uniformly_controlled", "init_state", "inner_product",
+    "MAX_QUBITS", "QubitLayout", "Statevector", "apply_hadamard_layer",
+    "apply_qft", "apply_uniformly_controlled", "init_state",
 ]

@@ -147,7 +147,8 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     """Split into consecutive chunk_size blocks, zero-padding the last.
 
     A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled as
-    SignalChunk.from_values does it, with the same bits.
+    SignalChunk.from_values does it, with the same bits. A NaN or infinite
+    sample is a DomainError naming its index.
     """
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
@@ -159,6 +160,9 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     rows = np.zeros((num_chunks, chunk_size), dtype=np.complex128)
     rows.reshape(-1)[:total] = values
     peaks = np.abs(rows).max(axis=1)
+    if not np.isfinite(peaks).all():
+        i = int(np.argmin(np.isfinite(np.abs(rows.reshape(-1)))))
+        raise DomainError(f"sample {i} is not finite ({values[i]})")
     hot = peaks > 1.0 - EPSILON
     scales = np.ones(num_chunks)
     scales[hot] = (1.0 - EPSILON) / peaks[hot]

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .audio import (
+    _MAX_FLOAT_SAMPLE,
     AudioBuffer,
     load_wav,
     make_chunks,
@@ -45,8 +46,6 @@ from .sampling import (
 )
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
-
-_MAX_TEXT_SAMPLE = 1.0 - 2.0 ** -15
 
 MANIFEST_VERSION = 1
 
@@ -91,7 +90,7 @@ def _load_signal(path, sample_rate: int) -> AudioBuffer:
         raise ShapeError(f"{path}: samples must be finite")
     if np.abs(values).max() > 1.0:
         raise ShapeError(f"{path}: samples must lie in [-1, 1]")
-    return AudioBuffer(np.clip(values, -1.0, _MAX_TEXT_SAMPLE), sample_rate)
+    return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate)
 
 
 def _write_manifest(out_dir, entries) -> str:
@@ -359,6 +358,17 @@ def _parse_shots_list(text: str) -> list:
     return specs
 
 
+def _sweep_chunk(flag: str, path) -> SignalChunk:
+    """A shot-sweep input file as one chunk; its errors name the flag and the file."""
+    samples = _load_signal(path, 8000).samples
+    if np.any(samples < 0):
+        raise ShapeError(f"{flag} {path}: sweep signals must be non-negative")
+    try:
+        return SignalChunk.from_values(samples)
+    except ShapeError as exc:
+        raise ShapeError(f"{flag} {path}: {exc}") from None
+
+
 def _cmd_shot_sweep(args) -> int:
     if (args.signal_f is None) != (args.signal_g is None):
         raise ShapeError("provide both --signal-f and --signal-g, or neither")
@@ -366,16 +376,12 @@ def _cmd_shot_sweep(args) -> int:
         raise ShapeError(f"num-seeds must be >= 1, got {args.num_seeds}")
     shot_specs = _parse_shots_list(args.shots_list)
     if args.signal_f is None:
-        f_vals, g_vals = STANDARD_TEST_PAIR
+        chunk_f, chunk_g = (SignalChunk.from_values(v) for v in STANDARD_TEST_PAIR)
         signal_desc = "built-in"
     else:
-        f_vals = _load_signal(args.signal_f, 8000).samples
-        g_vals = _load_signal(args.signal_g, 8000).samples
+        chunk_f = _sweep_chunk("--signal-f", args.signal_f)
+        chunk_g = _sweep_chunk("--signal-g", args.signal_g)
         signal_desc = f"{args.signal_f} {args.signal_g}"
-    if np.any(f_vals < 0) or np.any(g_vals < 0):
-        raise ShapeError("sweep signals must be non-negative")
-    chunk_f = SignalChunk.from_values(f_vals)
-    chunk_g = SignalChunk.from_values(g_vals)
     product = pointwise_multiply_state(chunk_f, chunk_g)
     ideal00 = np.abs(extract_component(product, (0, 0)))
 

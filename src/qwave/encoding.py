@@ -34,26 +34,23 @@ def magnitude_angle(values):
     return np.arccos(np.minimum(mag, 1.0))
 
 
-def build_mu(values) -> np.ndarray:
-    """Y-rotations R_y(2*arccos|value|) placing |value| on |0>, shape (..., 2, 2)."""
+def build_rho(values) -> np.ndarray:
+    """phi(value) @ mu(value), shape (..., 2, 2); [..., 0, 0] is value to roundoff.
+
+    mu = R_y(2*arccos|value|) places |value| on |0> and phi puts the phase of
+    value on |0> (arg(0) is 0), so rho = [[phase*c, -phase*s], [s, c]] with
+    c, s the cosine and sine of arccos|value|. The entries are written
+    directly; they equal the matrix product bit for bit.
+    """
     theta = magnitude_angle(values)
     c, s = np.cos(theta), np.sin(theta)
-    mu = np.stack([c, -s, s, c], axis=-1).astype(np.complex128)
-    return mu.reshape(theta.shape + (2, 2))
-
-
-def build_phi(values) -> np.ndarray:
-    """Phase of value on |0>, identity on |1>, shape (..., 2, 2). arg(0) is 0."""
-    magnitude_angle(values)  # same domain check as the rotation half
     phase = np.exp(1j * np.angle(values))
-    zero = np.zeros_like(phase)
-    phi = np.stack([phase, zero, zero, zero + 1.0], axis=-1)
-    return phi.reshape(zero.shape + (2, 2))
-
-
-def build_rho(values) -> np.ndarray:
-    """phi(value) @ mu(value), shape (..., 2, 2); [..., 0, 0] is value to roundoff."""
-    return build_phi(values) @ build_mu(values)
+    rho = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    rho[..., 0, 0] = phase * c
+    rho[..., 0, 1] = phase * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
+    rho[..., 1, 0] = s
+    rho[..., 1, 1] = c
+    return rho
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,10 @@ def _component_offset(component) -> int:
 
 @dataclass(frozen=True)
 class ProductState:
-    """Prepared two-ancilla state plus the ingestion scales of its inputs."""
+    """Prepared two-ancilla state and the layout of its qubits."""
 
     state: Statevector
     layout: QubitLayout
-    scale_f: float = 1.0
-    scale_g: float = 1.0
 
     @property
     def n(self) -> int:
@@ -66,7 +64,7 @@ def pointwise_multiply_state(f: SignalChunk, g: SignalChunk) -> ProductState:
     t_f, t_g = layout.ancillae
     encode_function(state, layout, f, t_f)
     encode_function(state, layout, g, t_g)
-    return ProductState(state, layout, f.scale, g.scale)
+    return ProductState(state, layout)
 
 
 def extract_component(product: ProductState, component=(0, 0)) -> np.ndarray:
@@ -183,10 +181,7 @@ def zero_pad(chunk: SignalChunk, target_len: int) -> SignalChunk:
         )
     if target_len == len(chunk):
         return chunk
-    padded = np.concatenate(
-        [chunk.values, np.zeros(target_len - len(chunk), dtype=np.complex128)]
-    )
-    return SignalChunk(padded, chunk.scale)
+    return SignalChunk(_pad_array(chunk.values, target_len), chunk.scale)
 
 
 def _pad_array(values, target_len: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StateError
+from .pipelines import _component_offset
 from .statevector import Statevector
 
 # Uniforms drawn per batch when sampling: the float64 batch (~32 MB) is the
@@ -96,14 +97,12 @@ def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:
     c(x) hits on the requested pattern, the estimate is sqrt(c(x)/T(x));
     an index never observed at all decodes to 0.
     """
-    bf, bg = component
-    if bf not in (0, 1) or bg not in (0, 1):
-        raise ShapeError(f"component must be a pair of bits, got {component}")
+    offset = _component_offset(component)
     if counts.num_qubits < 3:
         raise ShapeError("need an index register plus two ancillae")
     table = counts.counts.reshape(-1, 4)
     totals = table.sum(axis=1)
-    hits = table[:, 2 * bf + bg]
+    hits = table[:, offset]
     safe = np.where(totals > 0, totals, 1)
     est = np.sqrt(hits / safe)
     est[totals == 0] = 0.0

@@ -97,12 +97,6 @@ class QubitLayout:
     def num_qubits(self) -> int:
         return len(self.index_register) + len(self.ancillae)
 
-    def controls_for_index(self, x: int) -> list[tuple[int, int]]:
-        """Control pattern selecting basis states whose register value is x."""
-        n = self.n
-        if not 0 <= x < (1 << n):
-            raise ShapeError(f"index {x} out of range for {n} register qubits")
-        return [(self.index_register[n - 1 - j], (x >> j) & 1) for j in range(n)]
 
 
 def init_state(num_qubits: int) -> Statevector:
@@ -124,10 +118,6 @@ def _axes_first(state: Statevector, positions) -> np.ndarray:
         raise ShapeError(f"qubit positions {positions} repeat")
     psi = state.amplitudes.reshape((2,) * nq)
     return np.moveaxis(psi, [nq - 1 - p for p in positions], range(len(positions)))
-
-
-def apply_single_qubit(state: Statevector, qubit: int, u: np.ndarray) -> Statevector:
-    return apply_controlled_unitary(state, [], qubit, u)
 
 
 def apply_hadamard_layer(state: Statevector, qubits) -> Statevector:
@@ -167,25 +157,12 @@ def _rotate_pairs(psi: np.ndarray, lead: tuple, u: np.ndarray) -> None:
     a0[...] = new0
 
 
-def apply_controlled_unitary(state: Statevector, controls, target: int, u: np.ndarray) -> Statevector:
-    """Apply u to `target` on the subspace where every (qubit, bit) control matches.
-
-    controls: iterable of (qubit_position, required_bit). An empty list gives
-    an ordinary single-qubit gate. Anti-controls are just bit=0 entries.
-    """
-    controls = [(int(p), int(b)) for p, b in controls]
-    if any(b not in (0, 1) for _, b in controls):
-        raise ShapeError(f"control bits must be 0 or 1, got {controls}")
-    psi = _axes_first(state, [p for p, _ in controls] + [target])
-    _rotate_pairs(psi, tuple(b for _, b in controls), _check_unitary(u))
-    return state
-
-
 def apply_uniformly_controlled(state: Statevector, register, target: int, us: np.ndarray) -> Statevector:
     """Apply us[x] to `target` where the register (most significant bit first) reads x.
 
-    `us` has shape (2**len(register), 2, 2). Equal to one
-    apply_controlled_unitary per x, in a single pass over the state.
+    `us` has shape (2**len(register), 2, 2). Equal to one gate us[x]
+    controlled on the register reading x, for every x, in a single pass over
+    the state.
     """
     register = list(register)
     psi = _axes_first(state, register + [target])
@@ -214,12 +191,3 @@ def apply_qft(state: Statevector, register, inverse: bool = False) -> Statevecto
     transform = np.fft.ifft if inverse else np.fft.fft
     psi[...] = transform(flat, axis=0, norm="ortho").reshape(psi.shape)
     return state
-
-
-def inner_product(a: Statevector, b: Statevector) -> complex:
-    """<a|b> with the conjugate on the first argument."""
-    if a.num_qubits != b.num_qubits:
-        raise ShapeError(
-            f"states have different sizes: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

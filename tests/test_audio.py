@@ -147,6 +147,15 @@ def test_make_chunks_rows_equal_from_values():
     assert [i for i in range(7) if plan.scales[i] != 1.0] == [2, 5]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_make_chunks_rejects_non_finite_samples(bad):
+    samples = np.full(24, 0.5, dtype=type(bad))
+    samples[13] = bad  # chunk 1 of 3
+    samples[21] = np.nan  # a later bad sample is not the one reported
+    with pytest.raises(DomainError, match=r"sample 13 is not finite"):
+        make_chunks(samples, chunk_size=8)
+
+
 def reference_quad(f, g, chunk_size, shots, seed):
     """process_chunks built the one-chunk way: one product state per chunk."""
     channels = {c: [] for c in COMPONENTS}

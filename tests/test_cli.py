@@ -314,6 +314,20 @@ def test_shot_sweep_rejects_bad_arguments_before_writing(tmp_path, capsys, flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--signal-f", "--signal-g"])
+def test_shot_sweep_names_the_file_of_a_wrong_length(tmp_path, capsys, flag):
+    good, bad = tmp_path / "f4.txt", tmp_path / "f3.txt"
+    np.savetxt(good, [0.5, 0.6, 0.7, 0.8])
+    np.savetxt(bad, [0.5, 0.6, 0.7])
+    inputs = {"--signal-f": str(good), "--signal-g": str(good), flag: str(bad)}
+    out = tmp_path / "sweep"
+    assert main(["shot-sweep", *[x for kv in inputs.items() for x in kv],
+                 "--shots-list", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} {bad}: chunk length must be a power of two >= 2, got 3\n")
+    assert not out.exists()
+
+
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

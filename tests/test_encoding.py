@@ -12,15 +12,13 @@ from qwave import (
     ShapeError,
     SignalChunk,
     Statevector,
-    apply_controlled_unitary,
     apply_hadamard_layer,
-    build_mu,
-    build_phi,
     build_rho,
     encode_function,
     init_state,
     magnitude_angle,
 )
+from reference import apply_controlled_unitary, controls_for_index
 
 RNG = np.random.default_rng(51423)
 
@@ -59,7 +57,7 @@ def random_state(num_qubits, rng=RNG):
 def encode_reference(state, layout, chunk, ancilla):
     """One controlled rho per index value, the gate-by-gate form of the encoder."""
     for x, v in enumerate(chunk.values):
-        apply_controlled_unitary(state, layout.controls_for_index(x), ancilla, build_rho(v))
+        apply_controlled_unitary(state, controls_for_index(layout, x), ancilla, build_rho(v))
     return state
 
 
@@ -150,9 +148,6 @@ def assert_bitwise_equal(got, want):
     assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
 
 
-_ENCODER_PAIRS = ((build_mu, reference_mu), (build_phi, reference_phi),
-                  (build_rho, reference_rho))
-
 _NEAR_ONE = st.tuples(st.floats(0.0, 1e-6), st.floats(-np.pi, np.pi)).map(
     lambda p: (1.0 - EPSILON - p[0]) * np.exp(1j * p[1])
 )
@@ -168,8 +163,7 @@ _ENCODABLE = st.one_of(
 @given(st.lists(_ENCODABLE, min_size=1, max_size=64))
 def test_array_builders_bitwise_equal_scalar_reference(values):
     values = np.array(values, dtype=np.complex128)
-    for build, reference in _ENCODER_PAIRS:
-        assert_bitwise_equal(build(values), np.array([reference(v) for v in values]))
+    assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
 
 
 def test_array_builders_bitwise_equal_scalar_reference_in_bulk():
@@ -177,28 +171,29 @@ def test_array_builders_bitwise_equal_scalar_reference_in_bulk():
     # within 1e-6 of the bound is where an ulp in |v| moves arccos the most
     near_one = (1.0 - EPSILON - RNG.uniform(0.0, 1e-6, 2000)) * np.exp(
         1j * RNG.uniform(-np.pi, np.pi, 2000))
+    # |v| = 1 gives sin = 0, where the product's signed zeros are easiest to miss
     values = np.concatenate([random_bounded_complex(4000, max_mag=1.0 - EPSILON),
-                             near_one, [0.0, 1.0 - EPSILON, -0.5, 0.5j]])
-    for build, reference in _ENCODER_PAIRS:
-        assert_bitwise_equal(build(values), np.array([reference(v) for v in values]))
+                             near_one, [0.0, 1.0 - EPSILON, -0.5, 0.5j],
+                             [1.0, -1.0, 1j, -1j, complex(1.0, -0.0)]])
+    assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
 
 
 def test_builder_shapes_broadcast():
     values = random_bounded_complex(6)
     assert np.shape(magnitude_angle(values[0])) == ()
     assert magnitude_angle(values.reshape(2, 3)).shape == (2, 3)
-    for build, reference in _ENCODER_PAIRS:
-        assert_bitwise_equal(build(values[0]), reference(values[0]))
-        assert build(values).shape == (6, 2, 2)
-        assert_bitwise_equal(build(values.reshape(2, 3)), build(values).reshape(2, 3, 2, 2))
-        assert build(values[:0]).shape == (0, 2, 2)
+    assert_bitwise_equal(build_rho(values[0]), reference_rho(values[0]))
+    assert build_rho(values).shape == (6, 2, 2)
+    assert_bitwise_equal(build_rho(values.reshape(2, 3)),
+                         build_rho(values).reshape(2, 3, 2, 2))
+    assert build_rho(values[:0]).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("where", [0, 5, 11])
 def test_builders_reject_any_out_of_range_element(where):
     values = random_bounded_complex(12)
     values[where] = 0.8 + 0.8j
-    for build in (magnitude_angle, build_mu, build_phi, build_rho):
+    for build in (magnitude_angle, build_rho):
         with pytest.raises(NormalizationError):
             build(values)
         with pytest.raises(NormalizationError):
@@ -215,20 +210,17 @@ def test_magnitude_angle_endpoints():
         magnitude_angle(0.9 + 0.9j)
 
 
-def test_build_mu_frozen():
-    assert np.abs(build_mu(0.0) - np.array([[0, -1], [1, 0]])).max() < 1e-15
-    assert np.abs(build_mu(1.0) - np.eye(2)).max() < 1e-15
-    assert np.abs(build_mu(0.6) - np.array([[0.6, -0.8], [0.8, 0.6]])).max() < 1e-15
-
-
-def test_build_phi():
-    assert np.abs(build_phi(0.0) - np.eye(2)).max() == 0.0  # arg(0) taken as 0
-    phi = build_phi(0.5j)
-    assert np.abs(phi - np.diag([1j, 1.0])).max() < 1e-15
-
-
 def test_build_rho_frozen():
+    # mu(0) is a quarter turn and phi(0) the identity: arg(0) is taken as 0,
+    # so the top row is exactly (cos, -sin), with no phase on it
+    rho0 = build_rho(0.0)
+    assert np.abs(rho0 - np.array([[0, -1], [1, 0]])).max() < 1e-15
+    assert np.array_equal(rho0[0], [rho0[1, 1], -rho0[1, 0]])
+    assert np.abs(build_rho(1.0) - np.eye(2)).max() < 1e-15
     assert np.abs(build_rho(0.6) - np.array([[0.6, -0.8], [0.8, 0.6]])).max() < 1e-15
+    # phi(0.5j) = diag(1j, 1) on top of mu(0.5)
+    c, s = 0.5, np.sqrt(0.75)
+    assert np.abs(build_rho(0.5j) - np.array([[1j * c, -1j * s], [s, c]])).max() < 1e-15
     v = 0.6 * np.exp(1j * np.pi / 4)
     rho = build_rho(v)
     assert abs(rho[0, 0] - v) < 1e-15
@@ -280,11 +272,11 @@ def test_separate_mu_phi_layers_equal_fused_rho():
     apply_hadamard_layer(layered, layout.index_register)
     for x in range(8):
         apply_controlled_unitary(
-            layered, layout.controls_for_index(x), ancilla, build_mu(values[x])
+            layered, controls_for_index(layout, x), ancilla, reference_mu(values[x])
         )
     for x in range(8):
         apply_controlled_unitary(
-            layered, layout.controls_for_index(x), ancilla, build_phi(values[x])
+            layered, controls_for_index(layout, x), ancilla, reference_phi(values[x])
         )
     assert np.abs(layered.amplitudes - fused.amplitudes).max() < 1e-12
     assert chunk.n == 3

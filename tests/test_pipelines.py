@@ -220,7 +220,7 @@ def test_extract_all_components():
     assert np.abs(extract_component(product, (0, 1)) - f.values * g.complement()).max() < 1e-12
     assert np.abs(extract_component(product, (1, 0)) - f.complement() * g.values).max() < 1e-12
     assert np.abs(extract_component(product, (1, 1)) - f.complement() * g.complement()).max() < 1e-12
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"component must be a pair of bits, got \(0, 2\)"):
         extract_component(product, (0, 2))
 
 

@@ -169,6 +169,10 @@ def test_decode_component_count_ratio():
     assert est01 == pytest.approx([0.8, 0.0])
     with pytest.raises(ShapeError):
         decode_component(ShotCounts(2, 1, 0, np.array([1, 0, 0, 0])), (0, 0))
+    # the same component check, and message, as extract_component
+    for bad in ((0, 2), (-1, 0), (1, 1.5)):
+        with pytest.raises(ShapeError, match=r"component must be a pair of bits"):
+            decode_component(counts, bad)
 
 
 def test_rmsd_percent():
