@@ -210,17 +210,24 @@ def test_magnitude_angle_endpoints():
         magnitude_angle(0.9 + 0.9j)
 
 
-def test_build_rho_frozen():
-    # mu(0) is a quarter turn and phi(0) the identity: arg(0) is taken as 0,
-    # so the top row is exactly (cos, -sin), with no phase on it
-    rho0 = build_rho(0.0)
-    assert np.abs(rho0 - np.array([[0, -1], [1, 0]])).max() < 1e-15
-    assert np.array_equal(rho0[0], [rho0[1, 1], -rho0[1, 0]])
+def test_build_mu_frozen():
+    # phi is the identity for real v >= 0, so rho is the bare rotation mu
+    assert np.abs(build_rho(0.0) - np.array([[0, -1], [1, 0]])).max() < 1e-15
     assert np.abs(build_rho(1.0) - np.eye(2)).max() < 1e-15
     assert np.abs(build_rho(0.6) - np.array([[0.6, -0.8], [0.8, 0.6]])).max() < 1e-15
+
+
+def test_build_phi():
+    # arg(0) is taken as 0, so phi(0) puts no phase on the top row of mu(0)
+    rho0 = build_rho(0.0)
+    assert np.array_equal(rho0[0], [rho0[1, 1], -rho0[1, 0]])
     # phi(0.5j) = diag(1j, 1) on top of mu(0.5)
     c, s = 0.5, np.sqrt(0.75)
     assert np.abs(build_rho(0.5j) - np.array([[1j * c, -1j * s], [s, c]])).max() < 1e-15
+
+
+def test_build_rho_frozen():
+    assert np.abs(build_rho(0.6) - np.array([[0.6, -0.8], [0.8, 0.6]])).max() < 1e-15
     v = 0.6 * np.exp(1j * np.pi / 4)
     rho = build_rho(v)
     assert abs(rho[0, 0] - v) < 1e-15
