@@ -60,17 +60,25 @@ class AudioBuffer:
 
 
 def load_wav(path) -> AudioBuffer:
-    """Read a 16-bit PCM or 32-bit float WAV; stereo is averaged to mono."""
+    """Read a 16-bit PCM or 32-bit float WAV; stereo is averaged to mono.
+
+    Float samples clip into [-1, 1); a NaN or infinite one is an error naming
+    the file and the frame.
+    """
     rate, data = wavfile.read(path)
     if data.shape[0] == 0:
         raise ShapeError(f"{path}: contains no samples")
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / _PCM_FULL_SCALE
     elif data.dtype == np.float32:
+        finite = np.isfinite(data)
+        if not finite.all():
+            first = tuple(np.argwhere(~finite)[0])  # (frame,) or (frame, channel)
+            raise DomainError(f"{path}: sample {first[0]} is not finite ({data[first]})")
         samples = np.clip(data.astype(np.float64), -1.0, _MAX_FLOAT_SAMPLE)
     else:
         raise FormatError(
-            f"unsupported WAV sample format {data.dtype}; need int16 PCM or float32"
+            f"{path}: unsupported WAV sample format {data.dtype}; need int16 PCM or float32"
         )
     if samples.ndim == 2:
         warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")

@@ -1,9 +1,12 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from qwave import (
@@ -47,6 +50,29 @@ def test_wav_int16_roundtrip(tmp_path):
     assert back.sample_rate == 8000
     assert np.array_equal(np.round(back.samples * 32768).astype(np.int16), pcm)
     assert np.abs(back.samples - buffer.samples).max() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=st.lists(st.integers(-32768, 32767), min_size=1, max_size=64))
+def test_wav_int16_codes_roundtrip_to_the_same_bytes(codes):
+    original = io.BytesIO()
+    wavfile.write(original, 8000, np.array(codes, dtype=np.int16))
+    original.seek(0)
+    again = io.BytesIO()
+    write_wav(again, load_wav(original))
+    assert again.getvalue() == original.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+def test_wav_float_roundtrip_lands_on_the_clipped_int16_code(samples):
+    samples = np.array(samples)
+    written = io.BytesIO()
+    write_wav(written, AudioBuffer(samples, 8000))
+    written.seek(0)
+    code = np.clip(np.round(samples * 32768), -32768, 32767) / 32768
+    # equal as values: int16 has no -0, so -0.0 comes back as 0.0
+    assert np.array_equal(load_wav(written).samples, code)
 
 
 def test_wav_halfscale_codes():

@@ -229,6 +229,55 @@ def test_zero_frame_wav_names_the_file(tmp_path, capsys, command, channels):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_float_wav_names_the_file_and_sample(tmp_path, capsys, bad):
+    path = tmp_path / "f.wav"
+    wavfile.write(path, 8000, np.array([0.5, bad, 0.25], dtype=np.float32))
+    code = main(["multiply", str(path), str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: sample 1 is not finite ({bad})\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unsupported_wav_format_names_the_file(tmp_path, capsys):
+    path = tmp_path / "u8.wav"
+    wavfile.write(path, 8000, np.full(16, 128, dtype=np.uint8))
+    code = main(["convolve", str(path), "--kernel", "identity", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: unsupported WAV sample format uint8; need int16 PCM or float32\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kernel, domain, own", [
+    ("identity", "fourier", "time"),
+    ("shift-1", "fourier", "time"),
+    ("moving-average-2", "fourier", "time"),
+    ("low-pass-1", "time", "fourier"),
+])
+def test_kernel_domain_contradicting_a_builtin_fails_before_loading(tmp_path, capsys, kernel,
+                                                                    domain, own):
+    # the input does not exist: the contradiction must fire before anything is read
+    code = main(["convolve", str(tmp_path / "missing.wav"), "--kernel", kernel,
+                 "--kernel-domain", domain, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --kernel-domain {domain} contradicts --kernel {kernel}, "
+        f"a {own}-domain built-in\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kernel, own", [("moving-average-2", "time"), ("low-pass-1", "fourier")])
+def test_kernel_domain_matching_a_builtin_keeps_the_outputs(tmp_path, kernel, own):
+    tone_wav(tmp_path / "f.wav")
+    base = ["convolve", str(tmp_path / "f.wav"), "--kernel", kernel]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--kernel-domain", own, "--out", str(tmp_path / "b")]) == 0
+    for name in ("convolved.wav", "metrics.csv", "manifest.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert f"\nkernel_domain = {own}\n" in (tmp_path / "a" / "manifest.txt").read_text()
+
+
 def one_chunk_convolve(samples, kernel, chunk_size):
     """convolved samples and metrics.csv text of convolve, one chunk at a time."""
     padded_len = 2 * chunk_size
@@ -267,6 +316,16 @@ def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
     expected = tmp_path / "expected.wav"
     write_wav(expected, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
     assert (out / "convolved.wav").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_size", [8, 32])
+@pytest.mark.parametrize("spec", ["moving-average-2", "low-pass-1", "file"])
+def test_convolve_outputs_equal_one_chunk_formula_in_row_blocks(tmp_path, monkeypatch,
+                                                                chunk_size, spec):
+    # 80 terms per block is below M**2 (256 and 4096 here), so the batched
+    # oracle sums a few rows of one chunk per block, with a short last block
+    monkeypatch.setattr(pipelines, "_REFERENCE_BLOCK", 80)
+    test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec)
 
 
 def test_kernel_specs():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwave import pipelines
@@ -24,6 +24,7 @@ from qwave import (
     product_blocks,
     zero_pad,
 )
+from qwave.cli import _row_norms
 
 RNG = np.random.default_rng(90210)
 
@@ -171,6 +172,54 @@ def test_references_memory_stays_bounded():
         assert peak < 16 * 2 ** 20
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_chunks=st.integers(1, 40),
+    m=st.integers(1, 64),
+    phases=st.booleans(),
+)
+def test_batched_oracle_bitwise_equal_stacked_rows(seed, num_chunks, m, phases):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(num_chunks, m)).astype(np.complex128)
+    g = rng.normal(size=m).astype(np.complex128)
+    if phases:
+        f *= np.exp(1j * rng.uniform(-np.pi, np.pi, f.shape))
+        g *= np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+    f[rng.random(f.shape) < 0.2] = 0.0
+    f[rng.integers(num_chunks)] = 0.0  # an all-zero row
+    g[rng.random(m) < 0.2] = 0.0
+    got = classical_circular_convolution(f, g)
+    assert got.shape == (num_chunks, m)
+    for one_row in (classical_circular_convolution, loop_circular_convolution):
+        assert got.tobytes() == np.stack([one_row(row, g) for row in f]).tobytes()
+    for x in (got, f):
+        assert _row_norms(x).tobytes() == np.array([np.linalg.norm(row) for row in x]).tobytes()
+
+
+def test_batched_oracle_memory_stays_bounded():
+    # 5 chunks at M = 2048 sum in blocks of rows within a chunk, 2000 chunks at
+    # M = 64 in blocks of whole chunks; one block of everything would take
+    # 320 MiB and 125 MiB of terms
+    for num_chunks, m in ((5, 2048), (2000, 64)):
+        values = RNG.normal(size=(num_chunks, m)) + 1j * RNG.normal(size=(num_chunks, m))
+        kernel = RNG.normal(size=m) + 1j * RNG.normal(size=m)
+        tracemalloc.start()
+        try:
+            classical_circular_convolution(values, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+def test_batched_oracle_rejects_bad_shapes():
+    for f, g in ((np.ones((2, 4)), np.ones(3)), (np.ones((2, 2, 4)), np.ones(4)),
+                 (np.ones((2, 4)), np.ones((1, 4))), (np.ones(0), np.ones(0))):
+        with pytest.raises(ShapeError):
+            classical_circular_convolution(f, g)
+
+
 def test_convolution_theorem_identity_for_oracles():
     """DFT of the circular convolution equals the product of DFTs."""
     f = RNG.normal(size=8) + 1j * RNG.normal(size=8)
@@ -283,6 +332,25 @@ def test_convolve_optimized_matches_oracle(n, pad):
         )
         denom = np.linalg.norm(expected)
         assert np.linalg.norm(got - expected) / denom < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    pad_doublings=st.integers(0, 2),
+    phases=st.booleans(),
+)
+def test_convolution_routes_match_oracle_property(seed, n, pad_doublings, phases):
+    # criterion 4's bound, rel l2 < 1e-9, with no fitted scale
+    f_row, g_row = chunk_rows(seed, n, 2, phases)
+    f, g = SignalChunk(f_row), SignalChunk(g_row)
+    pad = (1 << n) << pad_doublings
+    oracle = classical_circular_convolution(zero_pad(f, pad).values, zero_pad(g, pad).values)
+    denom = np.linalg.norm(oracle)
+    assume(denom > 0)  # zero rows leave no relative error to bound
+    for route in (convolve_via_theorem(f, g, pad), convolve_optimized(f, g.values, pad)):
+        assert np.linalg.norm(route - oracle) / denom < 1e-9
 
 
 def test_both_convolution_routes_agree():

@@ -1,0 +1,80 @@
+"""sha256 of every output of a fixed set of CLI calls, to compare source trees.
+
+The calls: the four benchmark workloads' argv on seeds 1 and 2 (inputs from
+perfbench.bench_workloads.make_inputs), a low-pass-3 convolve at chunk size
+16, a moving-average-5 convolve at chunk size 256, a convolve with a kernel
+file, and selftest. They run in-process inside a temporary directory with
+relative paths, so the manifests, which record input paths, compare across
+trees. Each output file prints as `sha256  path`, and each call's stdout as
+`sha256  <call>/stdout (exit <code>)`. The qwave package used is named on
+stderr, so stdout diffs clean between two trees:
+
+    PYTHONPATH=src python tools/output_digest.py > change.txt
+    PYTHONPATH=/path/to/parent/src python tools/output_digest.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import qwave  # noqa: E402
+from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
+from qwave.cli import main as qwave_main  # noqa: E402
+
+
+def calls() -> list:
+    """(name, argv) of every call, after writing their inputs to the current directory."""
+    out = []
+    for seed in (1, 2):
+        for name, workload in sorted(WORKLOADS.items()):
+            label = f"{name}-s{seed}"
+            os.makedirs(f"in/{label}")
+            paths, _ = make_inputs(workload, seed, f"in/{label}")
+            out.append((label, workload.argv(paths, f"out/{label}")))
+    signal = "in/conv-ma4-c8-s1/input_0.wav"
+    np.savetxt("in/kernel.txt", np.random.default_rng(0).uniform(-1.0, 1.0, 8))
+    for label, kernel, chunk_size in (("conv-lp3-c16", "low-pass-3", 16),
+                                      ("conv-ma5-c256", "moving-average-5", 256),
+                                      ("conv-file-c8", "in/kernel.txt", 8)):
+        out.append((label, ["convolve", signal, "--kernel", kernel,
+                            "--chunk-size", str(chunk_size), "--out", f"out/{label}"]))
+    out.append(("selftest", ["selftest"]))
+    return out
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    print(f"qwave from {os.path.dirname(qwave.__file__)}", file=sys.stderr)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for label, argv in calls():
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = qwave_main(argv)
+                print(f"{sha256(stdout.getvalue().encode())}  {label}/stdout (exit {code})")
+                out_dir = f"out/{label}"
+                for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else ():
+                    with open(os.path.join(out_dir, name), "rb") as fh:
+                        print(f"{sha256(fh.read())}  {out_dir}/{name}")
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
