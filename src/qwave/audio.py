@@ -193,41 +193,34 @@ def _component_key(component) -> str:
 def _run_range(job):
     """Process one contiguous range of chunk pairs; module-level so pools can pickle it.
 
-    Returns the four decoded channels over the range and its metrics rows.
+    Returns the range's decoded channels, shape (4, rows, N) in COMPONENTS
+    order, and its (3, rows) rmsd, fidelity and prob00 columns. Exact mode
+    reads all of them off each block of states; shot mode samples, decodes
+    and scores one chunk at a time.
     """
-    first, values_f, values_g, scales_f, scales_g, shots, base_seed = job
+    first, values_f, values_g, shots, base_seed = job
     num_chunks, big_n = values_f.shape
     num_qubits = big_n.bit_length() + 1  # index register plus two ancillae
-    channels = {c: np.empty((num_chunks, big_n)) for c in COMPONENTS}
-    reports = []
+    channels = np.empty((len(COMPONENTS), num_chunks, big_n))
+    scores = np.empty((3, num_chunks))
+    scores[0], scores[1] = 0.0, 100.0
     for lo, states in product_blocks(values_f, values_g):
-        ideal = {(bf, bg): np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
-                 for bf, bg in COMPONENTS}
-        prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+        rows = slice(lo, lo + len(states))
+        scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
         if shots is None:
-            for c in COMPONENTS:
-                channels[c][lo : lo + len(states)] = ideal[c]
+            for j, (bf, bg) in enumerate(COMPONENTS):
+                channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
+            continue
+        ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(big_n))
         for k, state_k in enumerate(states):
             i = lo + k
-            rmsd, fidelity = 0.0, 100.0
-            if shots is not None:
-                state = Statevector(num_qubits, state_k.reshape(-1))
-                counts = sample_counts(state, shots, [base_seed, first + i])
-                for c in COMPONENTS:
-                    channels[c][i] = decode_component(counts, c)
-                rmsd = rmsd_percent(channels[(0, 0)][i], ideal[(0, 0)][k])
-                fidelity = fidelity_percent(counts, state)
-            reports.append(MetricsReport(
-                first + i,
-                "exact" if shots is None else shots,
-                base_seed,
-                rmsd,
-                fidelity,
-                float(prob00[k]),
-                float(scales_f[i]),
-                float(scales_g[i]),
-            ))
-    return {c: channels[c].reshape(-1) for c in COMPONENTS}, reports
+            state = Statevector(num_qubits, state_k.reshape(-1))
+            counts = sample_counts(state, shots, [base_seed, first + i])
+            for j, c in enumerate(COMPONENTS):
+                channels[j, i] = decode_component(counts, c)
+            scores[0, i] = rmsd_percent(channels[0, i], ideal00[k])
+            scores[1, i] = fidelity_percent(counts, state)
+    return channels, scores
 
 
 def process_chunks(
@@ -255,10 +248,11 @@ def process_chunks(
         raise ShapeError(f"workers must be >= 1, got {workers}")
     if shots is not None and shots < 1:
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
     step = -(-plan_f.num_chunks // workers)
     jobs = [
-        (lo, plan_f.values[lo : lo + step], plan_g.values[lo : lo + step],
-         plan_f.scales[lo : lo + step], plan_g.scales[lo : lo + step], shots, seed)
+        (lo, plan_f.values[lo : lo + step], plan_g.values[lo : lo + step], shots, seed)
         for lo in range(0, plan_f.num_chunks, step)
     ]
     if len(jobs) == 1:
@@ -266,11 +260,15 @@ def process_chunks(
     else:
         with multiprocessing.Pool(len(jobs)) as pool:
             results = pool.map(_run_range, jobs)
-    components = {
-        _component_key(c): np.concatenate([r[0][c] for r in results])
-        for c in COMPONENTS
-    }
-    return QuadOutput(components, tuple(m for r in results for m in r[1]))
+    channels = np.concatenate([r[0] for r in results], axis=1).reshape(len(COMPONENTS), -1)
+    columns = np.concatenate([r[1] for r in results], axis=1).tolist()
+    label = "exact" if shots is None else shots
+    metrics = tuple(
+        MetricsReport(i, label, seed, *row)
+        for i, row in enumerate(zip(*columns, plan_f.scales.tolist(), plan_g.scales.tolist()))
+    )
+    components = {_component_key(c): channels[j] for j, c in enumerate(COMPONENTS)}
+    return QuadOutput(components, metrics)
 
 
 def stitch_and_write(

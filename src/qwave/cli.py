@@ -10,6 +10,7 @@ configuration so it can be reproduced bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -198,7 +199,9 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The qwave parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qwave",
         description="Amplitude-encoded signal processing on a statevector simulator.",
@@ -239,6 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_chunk_size(chunk_size: int) -> None:
+    if chunk_size < 2 or chunk_size & (chunk_size - 1):
+        raise ShapeError(f"--chunk-size must be a power of two >= 2, got {chunk_size}")
     # multiply and convolve both hold a chunk of 2**n samples in n + 2 qubits
     limit = 1 << (MAX_QUBITS - 2)
     if chunk_size > limit:
@@ -247,8 +252,15 @@ def _check_chunk_size(chunk_size: int) -> None:
             f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
 
 
+def _check_seed(seed: int) -> None:
+    # numpy.random.SeedSequence takes non-negative integers only
+    if seed < 0:
+        raise ShapeError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_multiply(args) -> int:
     _check_chunk_size(args.chunk_size)
+    _check_seed(args.seed)
     buf_f = _load_signal(args.signal_f, args.sample_rate)
     buf_g = _load_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
@@ -393,6 +405,7 @@ def _cmd_shot_sweep(args) -> int:
         raise ShapeError("provide both --signal-f and --signal-g, or neither")
     if args.num_seeds < 1:
         raise ShapeError(f"num-seeds must be >= 1, got {args.num_seeds}")
+    _check_seed(args.seed)
     shot_specs = _parse_shots_list(args.shots_list)
     if args.signal_f is None:
         chunk_f, chunk_g = (SignalChunk.from_values(v) for v in STANDARD_TEST_PAIR)

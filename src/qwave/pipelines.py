@@ -8,9 +8,10 @@ with h~ = sqrt(1-|h|^2), so the |00> slice times sqrt(N) is the pointwise
 product. Circular convolution reuses the same state on Fourier coefficients,
 then undoes the transform on the index register.
 
-`pointwise_multiply_state` and `convolve_optimized` build one chunk's state
-gate by gate. `product_blocks` and `convolve_chunks` run the same gates on
-many chunks at once, with a leading chunk axis, and give the same bits.
+`product_blocks` and `convolve_chunks` run each circuit on many chunks at
+once, with a leading chunk axis. `pointwise_multiply_state` and
+`convolve_optimized` are the one-chunk API: the same engines at one chunk.
+The gate-by-gate forms they are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, build_rho, encode_function
+from .encoding import SignalChunk, build_rho
 from .errors import ShapeError
 from .statevector import (
     QubitLayout,
     Statevector,
+    _check_num_qubits,
     _hadamard_axes,
     _rotate_pairs,
-    apply_hadamard_layer,
     apply_qft,
-    init_state,
 )
 
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -57,14 +57,9 @@ def pointwise_multiply_state(f: SignalChunk, g: SignalChunk) -> ProductState:
     """Encode f on ancilla t_f and g on t_g over a uniform index register."""
     if len(f) != len(g):
         raise ShapeError(f"signals differ in length: {len(f)} vs {len(g)}")
-    n = f.n
-    layout = QubitLayout.standard(n, num_ancillae=2)
-    state = init_state(n + 2)
-    apply_hadamard_layer(state, layout.index_register)
-    t_f, t_g = layout.ancillae
-    encode_function(state, layout, f, t_f)
-    encode_function(state, layout, g, t_g)
-    return ProductState(state, layout)
+    _, states = next(product_blocks(f.values[None], g.values[None]))
+    return ProductState(Statevector(f.n + 2, states[0].reshape(-1)),
+                        QubitLayout.standard(f.n, num_ancillae=2))
 
 
 def extract_component(product: ProductState, component=(0, 0)) -> np.ndarray:
@@ -110,15 +105,15 @@ def product_blocks(f, g):
 
     f and g are (C, N) arrays whose rows are encodable chunks (ChunkPlan.values).
     Yields (lo, states) with states of shape (rows, N, 2, 2), indexed
-    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... Each row runs the gates of
-    pointwise_multiply_state in the same order, so states[i] is bit for bit
-    that function's amplitudes for row lo + i.
+    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... A state above MAX_QUBITS
+    is refused before any is allocated.
     """
     f, g = _chunk_rows(f), _chunk_rows(g)
     if f.shape != g.shape:
         raise ShapeError(f"chunk rows differ in shape: {f.shape} vs {g.shape}")
     num_chunks, big_n = f.shape
     n = big_n.bit_length() - 1
+    _check_num_qubits(n + 2)
     rows = (slice(None), slice(None))
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
         states = np.zeros((hi - lo, big_n, 2, 2), dtype=np.complex128)
@@ -250,29 +245,7 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     returned with the renormalization and superposition weights divided out.
     `g_kernel` is a plain time-domain array of length <= pad_to.
     """
-    fpad = zero_pad(f, pad_to)
-    m = fpad.n
-    big_m = pad_to
-    layout = QubitLayout.standard(m, num_ancillae=1)
-
-    # stage 1: |f> on the register, encoding ancilla spent and dropped
-    prep = init_state(m + 1)
-    apply_hadamard_layer(prep, layout.index_register)
-    encode_function(prep, layout, fpad, layout.ancillae[0])
-    f_slice = prep.amplitudes[0::2].copy()  # ancilla 0, amplitude f(x)/sqrt(M)
-
-    # stage 2: same shape of state, ancilla now holds the kernel
-    state = Statevector(m + 1, np.zeros(2 * big_m, dtype=np.complex128))
-    state.amplitudes[0::2] = f_slice
-    apply_qft(state, layout.index_register)
-
-    ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, big_m)))
-    encode_function(state, layout, ghat, layout.ancillae[0])
-
-    kept = state.amplitudes[0::2].copy()
-    register_state = Statevector(m, kept)
-    apply_qft(register_state, range(m - 1, -1, -1), inverse=True)
-    return register_state.amplitudes * np.sqrt(big_m) / ghat.scale
+    return convolve_chunks(f.values[None], g_kernel, pad_to)[0]
 
 
 def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
@@ -280,14 +253,14 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
 
     Returns shape (C, pad_to). The kernel's Fourier coefficients, their
     full-scale factor and their rho blocks are computed once for all rows.
-    Each row runs the gates of convolve_optimized in the same order, so row c
-    is bit for bit convolve_optimized(SignalChunk(values[c]), g_kernel, pad_to).
+    A state above MAX_QUBITS is refused before any is allocated.
     """
     values = _chunk_rows(values)
     num_chunks, big_n = values.shape
     if pad_to < big_n or pad_to & (pad_to - 1):
         raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
-    m = pad_to.bit_length() - 1
+    m = int(pad_to).bit_length() - 1
+    _check_num_qubits(m + 1)
     ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, pad_to)))
     rho_g = build_rho(ghat.values)
     rows = (slice(None), slice(None))

@@ -22,6 +22,12 @@ from .errors import ResourceLimitError, ShapeError, StateError
 MAX_QUBITS = 26
 
 
+def _check_num_qubits(num_qubits: int) -> None:
+    """ResourceLimitError unless 1 <= num_qubits <= MAX_QUBITS; allocates nothing."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ResourceLimitError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+
+
 @dataclass
 class Statevector:
     num_qubits: int
@@ -30,10 +36,7 @@ class Statevector:
     def __post_init__(self):
         if not isinstance(self.num_qubits, (int, np.integer)):
             raise TypeError("num_qubits must be an integer")
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ResourceLimitError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        _check_num_qubits(self.num_qubits)
         if self.amplitudes is None:
             amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
             amps[0] = 1.0

@@ -1,14 +1,28 @@
 """Gate-by-gate statevector helpers that tests use as references.
 
 The package applies a different 2x2 block for every register value in one
-pass (`apply_uniformly_controlled`). These helpers apply one multi-controlled
-gate at a time, the textbook form those passes are checked against, and live
-here because no production path calls them.
+pass (`apply_uniformly_controlled`), and runs each circuit on many chunks at
+once (`product_blocks`, `convolve_chunks`). These helpers apply one gate at a
+time to one chunk's state, the textbook form those passes are checked
+against, and live here because no production path calls them.
 """
 
 import numpy as np
 
-from qwave import QubitLayout, ShapeError, Statevector
+from qwave import (
+    ProductState,
+    QubitLayout,
+    ShapeError,
+    SignalChunk,
+    Statevector,
+    apply_hadamard_layer,
+    apply_qft,
+    classical_dft,
+    encode_function,
+    init_state,
+    zero_pad,
+)
+from qwave.pipelines import _pad_array
 from qwave.statevector import _axes_first, _check_unitary, _rotate_pairs
 
 
@@ -45,3 +59,44 @@ def inner_product(a: Statevector, b: Statevector) -> complex:
             f"states have different sizes: {a.num_qubits} vs {b.num_qubits} qubits"
         )
     return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def product_state_by_gates(f: SignalChunk, g: SignalChunk) -> ProductState:
+    """Encode f on ancilla t_f and g on t_g over a uniform index register."""
+    if len(f) != len(g):
+        raise ShapeError(f"signals differ in length: {len(f)} vs {len(g)}")
+    n = f.n
+    layout = QubitLayout.standard(n, num_ancillae=2)
+    state = init_state(n + 2)
+    apply_hadamard_layer(state, layout.index_register)
+    t_f, t_g = layout.ancillae
+    encode_function(state, layout, f, t_f)
+    encode_function(state, layout, g, t_g)
+    return ProductState(state, layout)
+
+
+def convolve_by_gates(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
+    """Circular convolution with f kept in superposition, one chunk's state at a time."""
+    fpad = zero_pad(f, pad_to)
+    m = fpad.n
+    big_m = pad_to
+    layout = QubitLayout.standard(m, num_ancillae=1)
+
+    # stage 1: |f> on the register, encoding ancilla spent and dropped
+    prep = init_state(m + 1)
+    apply_hadamard_layer(prep, layout.index_register)
+    encode_function(prep, layout, fpad, layout.ancillae[0])
+    f_slice = prep.amplitudes[0::2].copy()  # ancilla 0, amplitude f(x)/sqrt(M)
+
+    # stage 2: same shape of state, ancilla now holds the kernel
+    state = Statevector(m + 1, np.zeros(2 * big_m, dtype=np.complex128))
+    state.amplitudes[0::2] = f_slice
+    apply_qft(state, layout.index_register)
+
+    ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, big_m)))
+    encode_function(state, layout, ghat, layout.ancillae[0])
+
+    kept = state.amplitudes[0::2].copy()
+    register_state = Statevector(m, kept)
+    apply_qft(register_state, range(m - 1, -1, -1), inverse=True)
+    return register_state.amplitudes * np.sqrt(big_m) / ghat.scale

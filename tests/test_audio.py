@@ -25,7 +25,6 @@ from qwave import (
     make_chunks,
     normalize_for_encoding,
     pipelines,
-    pointwise_multiply_state,
     postselect_probability,
     process_chunks,
     rmsd_percent,
@@ -33,6 +32,7 @@ from qwave import (
     stitch_and_write,
     write_wav,
 )
+from reference import product_state_by_gates
 
 RNG = np.random.default_rng(3141)
 
@@ -183,7 +183,7 @@ def test_make_chunks_rejects_non_finite_samples(bad):
 
 
 def reference_quad(f, g, chunk_size, shots, seed):
-    """process_chunks built the one-chunk way: one product state per chunk."""
+    """process_chunks built the one-chunk way: one gate-by-gate product state per chunk."""
     channels = {c: [] for c in COMPONENTS}
     rows = []
     num_chunks = -(-f.size // chunk_size)
@@ -193,7 +193,7 @@ def reference_quad(f, g, chunk_size, shots, seed):
         cut = slice(i * chunk_size, (i + 1) * chunk_size)
         chunk_f = SignalChunk.from_values(padded_f[cut])
         chunk_g = SignalChunk.from_values(padded_g[cut])
-        product = pointwise_multiply_state(chunk_f, chunk_g)
+        product = product_state_by_gates(chunk_f, chunk_g)
         ideal = {c: np.abs(extract_component(product, c)) for c in COMPONENTS}
         prob00 = postselect_probability(product, (0, 0))
         if shots is None:
@@ -301,6 +301,8 @@ def test_process_chunks_validates():
         process_chunks(f, g16, workers=0)
     with pytest.raises(ShapeError):
         process_chunks(f, g16, shots=0)
+    with pytest.raises(ShapeError, match="seed must be >= 0, got -1"):
+        process_chunks(f, g16, shots=10, seed=-1)
 
 
 def test_stitch_and_write(tmp_path):

@@ -11,7 +11,6 @@ from qwave import (
     AudioBuffer,
     SignalChunk,
     classical_circular_convolution,
-    convolve_optimized,
     load_wav,
     pipelines,
     run_selftest,
@@ -19,6 +18,7 @@ from qwave import (
     zero_pad,
 )
 from qwave.cli import build_kernel, main
+from reference import convolve_by_gates
 
 RNG = np.random.default_rng(662)
 
@@ -279,7 +279,7 @@ def test_kernel_domain_matching_a_builtin_keeps_the_outputs(tmp_path, kernel, ow
 
 
 def one_chunk_convolve(samples, kernel, chunk_size):
-    """convolved samples and metrics.csv text of convolve, one chunk at a time."""
+    """convolved samples and metrics.csv text of convolve, one chunk's gates at a time."""
     padded_len = 2 * chunk_size
     num_chunks = -(-samples.size // chunk_size)
     padded = np.zeros(num_chunks * chunk_size)
@@ -287,7 +287,7 @@ def one_chunk_convolve(samples, kernel, chunk_size):
     pieces, lines = [], ["chunk_index,rel_l2_vs_oracle"]
     for i in range(num_chunks):
         chunk = SignalChunk.from_values(padded[i * chunk_size : (i + 1) * chunk_size])
-        result = convolve_optimized(chunk, kernel, padded_len)
+        result = convolve_by_gates(chunk, kernel, padded_len)
         reference = classical_circular_convolution(
             zero_pad(chunk, padded_len).values,
             np.concatenate([kernel, np.zeros(padded_len - kernel.size)]),
@@ -421,6 +421,51 @@ def test_chunk_size_above_qubit_limit_rejected_before_loading(tmp_path, capsys, 
     assert "--chunk-size 33554432" in err
     assert f"MAX_QUBITS is {MAX_QUBITS}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["multiply", "missing_f.wav", "missing_g.wav"],
+    ["convolve", "missing_f.wav", "--kernel", "low-pass-0"],
+    ["convolve", "missing_f.wav", "--kernel", "shift-0"],
+], ids=["multiply", "convolve-low-pass", "convolve-shift"])
+@pytest.mark.parametrize("chunk_size", [0, -8, 3])
+def test_bad_chunk_size_rejected_before_loading(tmp_path, capsys, command, chunk_size):
+    # the inputs do not exist and the kernels are valid at any power-of-two
+    # size: the error must come from the size check, before anything else
+    code = main(command + ["--chunk-size", str(chunk_size), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --chunk-size must be a power of two >= 2, got {chunk_size}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["multiply", "missing_f.wav", "missing_g.wav", "--shots", "10"],
+    ["shot-sweep", "--signal-f", "missing_f.txt", "--signal-g", "missing_g.txt"],
+    ["shot-sweep"],
+], ids=["multiply", "shot-sweep-files", "shot-sweep-default"])
+def test_negative_seed_rejected_before_loading(tmp_path, capsys, command):
+    code = main(command + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_calls_in_one_process_share_no_values(tmp_path):
+    # main() reuses one parser; each call must still start from the defaults
+    tone_wav(tmp_path / "f.wav")
+    tone_wav(tmp_path / "g.wav", freq=660)
+    inputs = [str(tmp_path / "f.wav"), str(tmp_path / "g.wav")]
+    assert main(["multiply", *inputs, "--shots", "50", "--seed", "3",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["convolve", inputs[0], "--kernel", "identity", "--out", str(tmp_path / "b")]) == 0
+    assert main(["multiply", *inputs, "--out", str(tmp_path / "c")]) == 0
+    manifests = [dict(line.split(" = ", 1) for line in read_lines(tmp_path / d / "manifest.txt"))
+                 for d in "abc"]
+    assert (manifests[0]["shots"], manifests[0]["seed"]) == ("50", "3")
+    assert (manifests[1]["shots"], manifests[1]["seed"]) == ("exact", "0")
+    assert (manifests[2]["shots"], manifests[2]["seed"]) == ("exact", "0")
+    assert manifests[2]["chunk_size"] == "8"
 
 
 def test_version(capsys):

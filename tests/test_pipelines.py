@@ -1,5 +1,6 @@
 """Product and convolution pipelines against brute-force references."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qwave import pipelines
+from qwave import pipelines, statevector
 from qwave import (
     COMPONENTS,
     EPSILON,
+    ResourceLimitError,
     ShapeError,
     SignalChunk,
     classical_circular_convolution,
@@ -25,6 +27,7 @@ from qwave import (
     zero_pad,
 )
 from qwave.cli import _row_norms
+from reference import convolve_by_gates, product_state_by_gates
 
 RNG = np.random.default_rng(90210)
 
@@ -379,6 +382,8 @@ def test_identity_and_shift_kernels():
     padded = zero_pad(f, 16).values
     out = convolve_optimized(f, np.array([1.0]), 16)
     assert np.abs(out - padded).max() < 1e-10
+    # a numpy integer length, as zero_pad accepts one
+    assert convolve_optimized(f, np.array([1.0]), np.int64(16)).tobytes() == out.tobytes()
     shift = np.zeros(3)
     shift[2] = 1.0
     out = convolve_optimized(f, shift, 16)
@@ -402,6 +407,33 @@ def test_convolve_kernel_too_long():
         convolve_optimized(f, np.ones(9), 8)
 
 
+@pytest.mark.parametrize("kernel, pad", [(np.ones(2), 4), (np.ones(2), 12), (np.ones(17), 16)],
+                         ids=["pad-short", "pad-not-power-of-two", "kernel-long"])
+def test_convolve_optimized_errors_match_reference(kernel, pad):
+    f = random_chunk(8)
+    with pytest.raises(ShapeError) as want:
+        convolve_by_gates(f, kernel, pad)
+    with pytest.raises(ShapeError, match=f"^{re.escape(str(want.value))}$"):
+        convolve_optimized(f, kernel, pad)
+
+
+def test_one_chunk_api_refuses_states_above_max_qubits_before_allocating(monkeypatch):
+    # 2**18 samples need 20 qubits for the product and for convolve at pad
+    # 2**19; with the limit at 19, neither 16 MiB state may be allocated
+    monkeypatch.setattr(statevector, "MAX_QUBITS", 19)
+    chunk = SignalChunk(np.full(1 << 18, 0.5))
+    for run in (lambda: pointwise_multiply_state(chunk, chunk),
+                lambda: convolve_optimized(chunk, np.ones(4), 1 << 19)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="num_qubits must be in"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 def chunk_rows(seed, n, num_chunks, phases):
     """(C, 2**n) encodable rows with zeros and magnitudes of exactly 1 - EPSILON mixed in."""
     rng = np.random.default_rng(seed)
@@ -417,20 +449,26 @@ def chunk_rows(seed, n, num_chunks, phases):
 
 
 def assert_batch_matches_chunks(f, g, kernel, pad_to):
-    """product_blocks and convolve_chunks against the one-chunk API, row by row."""
+    """The batched engines, and the one-chunk API on each row, against the gate-by-gate references."""
     states = np.concatenate([s for _, s in product_blocks(f, g)])
     big_n = f.shape[1]
     prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
     convolved = convolve_chunks(f, kernel, pad_to)
     for c in range(len(f)):
-        product = pointwise_multiply_state(SignalChunk(f[c]), SignalChunk(g[c]))
-        assert np.array_equal(states[c].reshape(-1), product.state.amplitudes)
+        chunk_f, chunk_g = SignalChunk(f[c]), SignalChunk(g[c])
+        product = product_state_by_gates(chunk_f, chunk_g)
+        want = product.state.amplitudes.tobytes()
+        assert states[c].tobytes() == want
+        one_chunk = pointwise_multiply_state(chunk_f, chunk_g)
+        assert one_chunk.state.amplitudes.tobytes() == want
+        assert one_chunk.layout == product.layout
         for bf, bg in COMPONENTS:
             assert np.array_equal(np.abs(states[c, :, bf, bg] * np.sqrt(big_n)),
                                   np.abs(extract_component(product, (bf, bg))))
         assert float(prob00[c]) == postselect_probability(product)
-        assert np.array_equal(convolved[c],
-                              convolve_optimized(SignalChunk(f[c]), kernel, pad_to))
+        want = convolve_by_gates(chunk_f, kernel, pad_to).tobytes()
+        assert convolved[c].tobytes() == want
+        assert convolve_optimized(chunk_f, kernel, pad_to).tobytes() == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,6 +501,20 @@ def test_batched_engines_bitwise_equal_across_blocks(monkeypatch, block_chunks, 
     starts = [lo for lo, _ in product_blocks(f, g)]
     assert starts == list(range(0, 7, block_chunks))
     assert_batch_matches_chunks(f, g, kernel, 2 << n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("fill_f, fill_g", [("zeros", "zeros"), ("zeros", "bound"),
+                                            ("bound", "zeros"), ("bound", "bound")])
+def test_one_chunk_api_bitwise_equal_references_at_edges(n, fill_f, fill_g):
+    # whole chunks of zeros or of magnitude exactly 1 - EPSILON; g's row is
+    # also the kernel, so an all-zero spectrum runs through convolve too
+    rng = np.random.default_rng(n)
+    rows = {"zeros": np.zeros((1, 1 << n), dtype=np.complex128),
+            "bound": (1.0 - EPSILON) * np.exp(1j * rng.uniform(-np.pi, np.pi, (1, 1 << n)))}
+    f, g = rows[fill_f], rows[fill_g]
+    for pad_to in (1 << n, 2 << n):
+        assert_batch_matches_chunks(f, g, g[0], pad_to)
 
 
 def test_batched_engines_reject_bad_rows():

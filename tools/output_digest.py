@@ -3,7 +3,8 @@
 The calls: the four benchmark workloads' argv on seeds 1 and 2 (inputs from
 perfbench.bench_workloads.make_inputs), a low-pass-3 convolve at chunk size
 16, a moving-average-5 convolve at chunk size 256, a convolve with a kernel
-file, and selftest. They run in-process inside a temporary directory with
+file, selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
+workers, 1000 shots, seed 5) and a shift-scale multiply. They run in-process inside a temporary directory with
 relative paths, so the manifests, which record input paths, compare across
 trees. Each output file prints as `sha256  path`, and each call's stdout as
 `sha256  <call>/stdout (exit <code>)`. The qwave package used is named on
@@ -49,6 +50,14 @@ def calls() -> list:
         out.append((label, ["convolve", signal, "--kernel", kernel,
                             "--chunk-size", str(chunk_size), "--out", f"out/{label}"]))
     out.append(("selftest", ["selftest"]))
+    out.append(("shot-sweep", ["shot-sweep", "--num-seeds", "3",
+                               "--shots-list", "10,1000,exact", "--out", "out/shot-sweep"]))
+    for label, inputs, flags in (
+            ("mul-pooled-shots-c8", "mul-shots-c8-s1",
+             ["--workers", "2", "--shots", "1000", "--seed", "5"]),
+            ("mul-shift-scale-c8", "mul-exact-c8-s1", ["--normalization", "shift-scale"])):
+        out.append((label, ["multiply", f"in/{inputs}/input_0.wav", f"in/{inputs}/input_1.wav",
+                            *flags, "--out", f"out/{label}"]))
     return out
 
 
