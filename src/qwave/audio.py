@@ -2,37 +2,52 @@
 
 Audio flows through as float64 in [-1, 1). 16-bit PCM reads divide by 32768
 (so -32768 maps to -1.0 and 16384 to 0.5); writes round to int16 and clip the
-top code. Positive-domain signals are split into power-of-two chunks, held as
-the rows of one array; the chunks run through the two-ancilla product
-pipeline together (exactly or with shot sampling), and the four decoded
-channels are stitched back in chunk order.
+top code. The RIFF codec is this module's own: it reads 16-bit PCM and
+32-bit float WAVs (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and
+writes mono 16-bit PCM. Positive-domain signals are split into power-of-two
+chunks, held as the rows of one array; the chunks run through the
+two-ancilla product pipeline together (exactly or with shot sampling), and
+the four decoded channels are stitched back in chunk order.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+import struct
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.io import wavfile
 
 from .encoding import EPSILON
 from .errors import DomainError, FormatError, ShapeError
-from .pipelines import COMPONENTS, product_blocks
+from .pipelines import COMPONENTS, _component_offset, product_blocks
 from .sampling import (
     METRICS_CSV_HEADER,
+    METRICS_CSV_ROW,
     MetricsReport,
-    decode_component,
-    fidelity_percent,
-    rmsd_percent,
-    sample_counts,
+    count_draws,
+    decode_rows,
+    fidelity_rows,
+    rmsd_rows,
+    sampling_cdf,
 )
-from .statevector import Statevector
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
+
+# WAVE format tags, and the GUID tail that marks a WAVE_FORMAT_EXTENSIBLE
+# subformat as one of them (the tag sits in the GUID's first four bytes)
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 1, 3, 0xFFFE
+_KSDATAFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# RIFF header, fmt chunk (PCM tag, mono, rate, byte rate, block align,
+# bits) and data chunk header of a mono 16-bit PCM file: 44 bytes
+_PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+# the sample formats load_wav reads, with their little-endian numpy dtypes
+_READ_DTYPES = {"int16": "<i2", "float32": "<f4"}
 
 
 @dataclass(frozen=True)
@@ -62,35 +77,107 @@ class AudioBuffer:
 def load_wav(path) -> AudioBuffer:
     """Read a 16-bit PCM or 32-bit float WAV; stereo is averaged to mono.
 
-    Float samples clip into [-1, 1); a NaN or infinite one is an error naming
-    the file and the frame.
+    `path` is a file name or a binary file object. Float samples clip into
+    [-1, 1); a NaN or infinite one is an error naming the file and the
+    frame. A file that is not little-endian RIFF WAVE, lacks its fmt or data
+    chunk, has an unknown format tag or a data chunk shorter than its header
+    says is a FormatError naming the file.
     """
-    rate, data = wavfile.read(path)
-    if data.shape[0] == 0:
+    if hasattr(path, "read"):
+        blob = path.read()
+    else:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    sample_format, channels, rate, frames, data = _parse_wav(path, blob)
+    if frames == 0:
         raise ShapeError(f"{path}: contains no samples")
-    if data.dtype == np.int16:
+    if sample_format not in _READ_DTYPES:
+        raise FormatError(
+            f"{path}: unsupported WAV sample format {sample_format}; need int16 PCM or float32"
+        )
+    data = np.frombuffer(data, _READ_DTYPES[sample_format], count=frames * channels)
+    if channels > 1:
+        data = data.reshape(frames, channels)
+    if sample_format == "int16":
         samples = data.astype(np.float64) / _PCM_FULL_SCALE
-    elif data.dtype == np.float32:
+    else:
         finite = np.isfinite(data)
         if not finite.all():
             first = tuple(np.argwhere(~finite)[0])  # (frame,) or (frame, channel)
             raise DomainError(f"{path}: sample {first[0]} is not finite ({data[first]})")
         samples = np.clip(data.astype(np.float64), -1.0, _MAX_FLOAT_SAMPLE)
-    else:
-        raise FormatError(
-            f"{path}: unsupported WAV sample format {data.dtype}; need int16 PCM or float32"
-        )
     if samples.ndim == 2:
         warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
         samples = samples.mean(axis=1)
-    return AudioBuffer(samples, int(rate))
+    return AudioBuffer(samples, rate)
+
+
+def _parse_wav(path, blob: bytes):
+    """(sample format, channels, rate, frames, data bytes) of a RIFF WAVE file.
+
+    Chunks other than fmt and data (LIST, fact, ...) are skipped, with the
+    pad byte after an odd-sized one. The sample format is numpy's name for
+    the samples as scipy.io.wavfile reads them: uint8 up to 8 bits, int16,
+    int32 or int64 by container width above that, floatNN for IEEE float.
+    """
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise FormatError(f"{path}: not a little-endian RIFF WAVE file "
+                          f"(it starts {blob[:12]!r}; RIFX and RF64 are not read)")
+    fmt = data = None
+    pos = 12
+    while pos + 8 <= len(blob) and (fmt is None or data is None):
+        chunk_id, size = struct.unpack_from("<4sI", blob, pos)
+        pos += 8
+        if chunk_id == b"fmt " and fmt is None:
+            fmt = blob[pos : pos + size]
+        elif chunk_id == b"data" and data is None:
+            data = blob[pos : pos + size]
+            if len(data) < size:
+                raise FormatError(f"{path}: data chunk is truncated: its header says "
+                                  f"{size} bytes, the file holds {len(data)}")
+        pos += size + (size & 1)
+    if fmt is None:
+        raise FormatError(f"{path}: no 'fmt ' chunk")
+    if data is None:
+        raise FormatError(f"{path}: no 'data' chunk")
+    if len(fmt) < 16:
+        raise FormatError(f"{path}: 'fmt ' chunk holds {len(fmt)} bytes, need 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _WAVE_EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _KSDATAFORMAT_TAIL:
+        tag = int.from_bytes(fmt[24:28], "little")
+    width = block_align // channels if channels else 0
+    if width == 0:
+        raise FormatError(f"{path}: 'fmt ' chunk gives {channels} channels "
+                          f"in {block_align}-byte frames")
+    if tag == _WAVE_PCM:
+        sample_format = "uint8" if bits <= 8 else {2: "int16", 3: "int32", 4: "int32"}.get(
+            width, "int64")
+    elif tag == _WAVE_FLOAT:
+        sample_format = f"float{8 * width}"
+    else:
+        raise FormatError(f"{path}: unsupported WAV format tag {tag:#06x}; "
+                          f"need PCM (1) or IEEE float (3)")
+    return sample_format, channels, rate, len(data) // (width * channels), data
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:
-    """Write 16-bit PCM; values at or above full scale clip to the top code."""
+    """Write mono 16-bit PCM to a file name or binary file object.
+
+    Values at or above full scale clip to the top code. The bytes equal
+    scipy.io.wavfile.write's for the same int16 codes and rate; header and
+    samples go out in one write.
+    """
     scaled = np.round(buffer.samples * _PCM_FULL_SCALE)
-    pcm = np.clip(scaled, -32768, 32767).astype(np.int16)
-    wavfile.write(path, buffer.sample_rate, pcm)
+    pcm = np.clip(scaled, -32768, 32767).astype("<i2")
+    rate = buffer.sample_rate
+    header = _PCM16_HEADER.pack(b"RIFF", 36 + pcm.nbytes, b"WAVE", b"fmt ", 16, _WAVE_PCM,
+                                1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes)
+    blob = header + pcm.tobytes()
+    if hasattr(path, "write"):
+        path.write(blob)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(blob)
 
 
 @dataclass(frozen=True)
@@ -180,10 +267,32 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
 
 @dataclass(frozen=True)
 class QuadOutput:
-    """The four decoded channels, concatenated over chunks, plus metrics."""
+    """The four decoded channels, concatenated over chunks, plus metrics columns.
+
+    `columns` is a (5, num_chunks) float array holding metrics.csv's rmsd,
+    fidelity, post-selection probability, scale_f and scale_g columns;
+    `shots` is the shot count or "exact". `metrics` builds the equivalent
+    MetricsReport rows on first access.
+    """
 
     components: dict
-    metrics: tuple
+    shots: object
+    seed: int
+    columns: np.ndarray
+
+    @functools.cached_property
+    def metrics(self) -> tuple:
+        return tuple(
+            MetricsReport(i, self.shots, self.seed, *row)
+            for i, row in enumerate(zip(*self.columns.tolist()))
+        )
+
+    def metrics_csv(self) -> str:
+        """metrics.csv's text, header and one row per chunk, in one formatted pass."""
+        num_chunks = self.columns.shape[1]
+        rows = map((METRICS_CSV_ROW + "\n").format, range(num_chunks), repeat(self.shots),
+                   repeat(self.seed), *self.columns.tolist())
+        return METRICS_CSV_HEADER + "\n" + "".join(rows)
 
 
 def _component_key(component) -> str:
@@ -194,13 +303,12 @@ def _run_range(job):
     """Process one contiguous range of chunk pairs; module-level so pools can pickle it.
 
     Returns the range's decoded channels, shape (4, rows, N) in COMPONENTS
-    order, and its (3, rows) rmsd, fidelity and prob00 columns. Exact mode
-    reads all of them off each block of states; shot mode samples, decodes
-    and scores one chunk at a time.
+    order, and its (3, rows) rmsd, fidelity and prob00 columns, all read off
+    each block of states at once. Shot mode draws each chunk's counts from
+    its own (seed, chunk index) stream, the one step taken chunk by chunk.
     """
     first, values_f, values_g, shots, base_seed = job
     num_chunks, big_n = values_f.shape
-    num_qubits = big_n.bit_length() + 1  # index register plus two ancillae
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
     scores = np.empty((3, num_chunks))
     scores[0], scores[1] = 0.0, 100.0
@@ -212,14 +320,15 @@ def _run_range(job):
                 channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
             continue
         ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(big_n))
-        for k, state_k in enumerate(states):
-            i = lo + k
-            state = Statevector(num_qubits, state_k.reshape(-1))
-            counts = sample_counts(state, shots, [base_seed, first + i])
-            for j, c in enumerate(COMPONENTS):
-                channels[j, i] = decode_component(counts, c)
-            scores[0, i] = rmsd_percent(channels[0, i], ideal00[k])
-            scores[1, i] = fidelity_percent(counts, state)
+        probs = np.abs(states.reshape(len(states), -1)) ** 2
+        cdf = sampling_cdf(probs)
+        counts = np.empty(probs.shape, dtype=np.int64)
+        for k in range(len(states)):
+            counts[k] = count_draws(cdf[k], shots, [base_seed, first + lo + k])
+        for j, c in enumerate(COMPONENTS):
+            channels[j, rows] = decode_rows(counts, _component_offset(c))
+        scores[0, rows] = rmsd_rows(channels[0, rows], ideal00)
+        scores[1, rows] = fidelity_rows(probs, counts / shots)
     return channels, scores
 
 
@@ -235,8 +344,9 @@ def process_chunks(
     shots=None computes components exactly from the statevector; an integer
     samples that many shots with a per-chunk stream derived from (seed,
     chunk_index), so results are byte-identical for any worker count. The
-    chunks are split into at most `workers` contiguous ranges, one per pool
-    worker; a single range runs in this process.
+    chunks are split into at most `workers` contiguous ranges, run by a pool
+    of at most os.cpu_count() processes; with one process they run in this
+    one.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -255,20 +365,17 @@ def process_chunks(
         (lo, plan_f.values[lo : lo + step], plan_g.values[lo : lo + step], shots, seed)
         for lo in range(0, plan_f.num_chunks, step)
     ]
-    if len(jobs) == 1:
-        results = [_run_range(jobs[0])]
+    processes = min(len(jobs), os.cpu_count() or 1)
+    if processes == 1:
+        results = [_run_range(job) for job in jobs]
     else:
-        with multiprocessing.Pool(len(jobs)) as pool:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.map(_run_range, jobs)
     channels = np.concatenate([r[0] for r in results], axis=1).reshape(len(COMPONENTS), -1)
-    columns = np.concatenate([r[1] for r in results], axis=1).tolist()
-    label = "exact" if shots is None else shots
-    metrics = tuple(
-        MetricsReport(i, label, seed, *row)
-        for i, row in enumerate(zip(*columns, plan_f.scales.tolist(), plan_g.scales.tolist()))
-    )
+    scores = np.concatenate([r[1] for r in results], axis=1)
+    columns = np.vstack([scores, plan_f.scales, plan_g.scales])
     components = {_component_key(c): channels[j] for j, c in enumerate(COMPONENTS)}
-    return QuadOutput(components, metrics)
+    return QuadOutput(components, "exact" if shots is None else shots, seed, columns)
 
 
 def stitch_and_write(
@@ -296,8 +403,6 @@ def stitch_and_write(
         paths[key] = path
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", newline="") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for report in quad.metrics:
-            fh.write(report.csv_row() + "\n")
+        fh.write(quad.metrics_csv())
     paths["metrics"] = metrics_path
     return paths

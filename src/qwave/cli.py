@@ -345,10 +345,9 @@ def _cmd_convolve(args) -> int:
     out_wav = os.path.join(args.out, "convolved.wav")
     write_wav(out_wav, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
     metrics_path = os.path.join(args.out, "metrics.csv")
+    rows = map("{},{:.10g}\n".format, range(len(rel)), rel)
     with open(metrics_path, "w") as fh:
-        fh.write("chunk_index,rel_l2_vs_oracle\n")
-        for i, r in enumerate(rel):
-            fh.write(f"{i},{r:.10g}\n")
+        fh.write("chunk_index,rel_l2_vs_oracle\n" + "".join(rows))
     _write_manifest(args.out, [
         ("command", "convolve"),
         ("input_f", args.signal_f),

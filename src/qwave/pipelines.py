@@ -26,7 +26,6 @@ from .statevector import (
     QubitLayout,
     Statevector,
     _check_num_qubits,
-    _hadamard_axes,
     _rotate_pairs,
     apply_qft,
 )
@@ -92,6 +91,20 @@ def _chunk_blocks(num_chunks: int, amplitudes_per_chunk: int) -> list:
     return [(lo, min(lo + step, num_chunks)) for lo in range(0, num_chunks, step)]
 
 
+def _hadamard_amplitude(n: int) -> float:
+    """Each amplitude of n Hadamards on |0...0>, bit for bit as the gate layer writes it.
+
+    Every amplitude takes the same n products with 1/sqrt(2), so the
+    engines fill the register with this value instead of making n passes
+    (and their temporaries) over the state.
+    """
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    amp = 1.0
+    for _ in range(n):
+        amp = amp * inv_sqrt2
+    return amp
+
+
 def _chunk_rows(values) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2 or values.shape[1] < 2 or values.shape[1] & (values.shape[1] - 1):
@@ -117,8 +130,7 @@ def product_blocks(f, g):
     rows = (slice(None), slice(None))
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
         states = np.zeros((hi - lo, big_n, 2, 2), dtype=np.complex128)
-        states[:, 0, 0, 0] = 1.0
-        _hadamard_axes(states.reshape((hi - lo,) + (2,) * (n + 2)), range(1, n + 1))
+        states[:, :, 0, 0] = _hadamard_amplitude(n)
         _rotate_pairs(states, rows, build_rho(f[lo:hi])[:, :, None])
         _rotate_pairs(states.swapaxes(2, 3), rows, build_rho(g[lo:hi])[:, :, None])
         yield lo, states
@@ -268,8 +280,7 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # stage 1: |f> on the register, the encoding ancilla spent and dropped
         prep = np.zeros((hi - lo, pad_to, 2), dtype=np.complex128)
-        prep[:, 0, 0] = 1.0
-        _hadamard_axes(prep.reshape((hi - lo,) + (2,) * (m + 1)), range(1, m + 1))
+        prep[:, :, 0] = _hadamard_amplitude(m)
         fpad = np.zeros((hi - lo, pad_to), dtype=np.complex128)
         fpad[:, :big_n] = values[lo:hi]
         _rotate_pairs(prep, rows, build_rho(fpad))

@@ -72,14 +72,34 @@ def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
     """
     if shots < 1:
         raise ShapeError(f"shots must be >= 1, got {shots}")
-    probs = state.probabilities()
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-6:
-        raise StateError(f"state norm^2 = {total}, not 1 within 1e-6")
-    cdf = np.cumsum(probs / total)
-    cdf[-1] = 1.0
+    counts = count_draws(sampling_cdf(state.probabilities()), shots, seed)
+    return ShotCounts(state.num_qubits, int(shots), seed, counts)
+
+
+def sampling_cdf(probs) -> np.ndarray:
+    """The closed CDF of each row of (..., D) probabilities, as sample_counts uses it.
+
+    Each row must sum to 1 within 1e-6; it is divided by its sum, cumulated,
+    and its last entry set to exactly 1. Rows are independent, so a (C, D)
+    table gives the same bits as C separate calls.
+    """
+    totals = probs.sum(axis=-1)
+    bad = ~(np.abs(totals - 1.0) <= 1e-6)
+    if bad.any():
+        raise StateError(f"state norm^2 = {float(totals[bad].flat[0])}, not 1 within 1e-6")
+    cdf = np.cumsum(probs / totals[..., None], axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def count_draws(cdf, shots: int, seed) -> np.ndarray:
+    """Counts per basis state of `shots` Philox draws against one closed CDF.
+
+    The draw-and-count half of sample_counts' sampling rule, for callers
+    that hold the CDF already.
+    """
     rng = make_rng(seed)
-    counts = np.zeros(state.dim, dtype=np.int64)
+    counts = np.zeros(cdf.size, dtype=np.int64)
     remaining = int(shots)
     while remaining > 0:
         batch = min(remaining, _BATCH)
@@ -87,7 +107,7 @@ def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
         u.sort()
         counts += np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
         remaining -= batch
-    return ShotCounts(state.num_qubits, int(shots), seed, counts)
+    return counts
 
 
 def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:
@@ -100,9 +120,14 @@ def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:
     offset = _component_offset(component)
     if counts.num_qubits < 3:
         raise ShapeError("need an index register plus two ancillae")
-    table = counts.counts.reshape(-1, 4)
-    totals = table.sum(axis=1)
-    hits = table[:, offset]
+    return decode_rows(counts.counts, offset)
+
+
+def decode_rows(counts, offset: int) -> np.ndarray:
+    """decode_component on each row of a (..., 4N) counts table, at ancilla offset 2*bf + bg."""
+    table = counts.reshape(*counts.shape[:-1], -1, 4)
+    totals = table.sum(axis=-1)
+    hits = table[..., offset]
     safe = np.where(totals > 0, totals, 1)
     est = np.sqrt(hits / safe)
     est[totals == 0] = 0.0
@@ -115,7 +140,12 @@ def rmsd_percent(estimate, ideal) -> float:
     ideal = np.asarray(ideal, dtype=np.float64)
     if estimate.shape != ideal.shape:
         raise ShapeError(f"shape mismatch: {estimate.shape} vs {ideal.shape}")
-    return float(100.0 * np.sqrt(np.mean((estimate - ideal) ** 2)))
+    return float(rmsd_rows(estimate.ravel(), ideal.ravel()))
+
+
+def rmsd_rows(estimate, ideal) -> np.ndarray:
+    """rmsd_percent of each row of two (..., N) float arrays."""
+    return 100.0 * np.sqrt(np.mean((estimate - ideal) ** 2, axis=-1))
 
 
 def fidelity_percent(counts: ShotCounts, ideal) -> float:
@@ -131,8 +161,12 @@ def fidelity_percent(counts: ShotCounts, ideal) -> float:
         p = np.asarray(ideal, dtype=np.float64)
     if p.shape != counts.counts.shape:
         raise ShapeError(f"shape mismatch: {p.shape} vs {counts.counts.shape}")
-    q = counts.frequencies()
-    overlap = float(np.sum(np.sqrt(p * q)))
+    return float(fidelity_rows(p, counts.frequencies()))
+
+
+def fidelity_rows(p, q) -> np.ndarray:
+    """fidelity_percent of each row of (..., D) ideal probabilities p and frequencies q."""
+    overlap = np.sum(np.sqrt(p * q), axis=-1)
     return 100.0 * overlap * overlap
 
 
@@ -140,6 +174,9 @@ METRICS_CSV_HEADER = (
     "chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
     "postselect_probability,scale_f,scale_g"
 )
+# One metrics.csv row, shared by MetricsReport.csv_row and the one-pass writer
+# in qwave.audio: chunk_index, shots, seed, then the five float columns.
+METRICS_CSV_ROW = "{},{},{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}"
 
 
 @dataclass(frozen=True)
@@ -156,15 +193,7 @@ class MetricsReport:
     scale_g: float
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.chunk_index),
-                str(self.shots),
-                str(self.seed),
-                f"{self.rmsd_percent:.10g}",
-                f"{self.fidelity_percent:.10g}",
-                f"{self.postselect_probability:.10g}",
-                f"{self.scale_f:.10g}",
-                f"{self.scale_g:.10g}",
-            ]
+        return METRICS_CSV_ROW.format(
+            self.chunk_index, self.shots, self.seed, self.rmsd_percent,
+            self.fidelity_percent, self.postselect_probability, self.scale_f, self.scale_g,
         )

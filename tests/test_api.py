@@ -1,5 +1,9 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import qwave
@@ -22,3 +26,15 @@ def test_reference_only_helpers_are_not_in_the_package(name):
 
 def test_layout_has_no_per_index_control_helper():
     assert not hasattr(qwave.QubitLayout, "controls_for_index")
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: a fresh `import qwave.cli`, which every
+    # CLI run pays, must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, qwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,10 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
 import io
+import re
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from qwave import (
     stitch_and_write,
     write_wav,
 )
+import qwave.audio
 from reference import product_state_by_gates
 
 RNG = np.random.default_rng(3141)
@@ -73,6 +77,145 @@ def test_wav_float_roundtrip_lands_on_the_clipped_int16_code(samples):
     code = np.clip(np.round(samples * 32768), -32768, 32767) / 32768
     # equal as values: int16 has no -0, so -0.0 comes back as 0.0
     assert np.array_equal(load_wav(written).samples, code)
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes=st.lists(st.integers(-32768, 32767), min_size=1, max_size=300),
+       rate=st.sampled_from([8000, 44100, 96000]))
+def test_write_wav_bytes_equal_scipy(codes, rate):
+    pcm = np.array(codes, dtype=np.int16)
+    expected = io.BytesIO()
+    wavfile.write(expected, rate, pcm)
+    written = io.BytesIO()
+    write_wav(written, AudioBuffer(pcm / 32768.0, rate))
+    assert written.getvalue() == expected.getvalue()
+
+
+def scipy_load(path):
+    """(rate, samples) the way load_wav read WAVs through scipy.io.wavfile."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # chunks scipy skips
+        rate, data = wavfile.read(path)
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    else:
+        samples = np.clip(data.astype(np.float64), -1.0, 1.0 - 2.0 ** -15)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return rate, samples
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_load_wav_equals_scipy_read(tmp_path, dtype, channels):
+    rng = np.random.default_rng(channels)
+    shape = (37,) if channels == 1 else (37, channels)
+    if dtype == np.int16:
+        data = rng.integers(-32768, 32768, size=shape).astype(np.int16)
+    else:
+        data = rng.uniform(-1.2, 1.2, size=shape).astype(np.float32)  # some clip
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 22050, data)
+    if channels == 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            buffer = load_wav(path)
+    else:
+        with pytest.warns(UserWarning, match=f"averaging {channels} channels to mono"):
+            buffer = load_wav(path)
+    rate, samples = scipy_load(path)
+    assert buffer.sample_rate == rate
+    assert buffer.samples.tobytes() == samples.tobytes()
+
+
+def riff(*chunks, form=b"WAVE"):
+    """A RIFF file from (id, body) chunks, each odd-sized body followed by its pad byte."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + form + body
+
+
+def fmt_chunk(tag=1, channels=1, rate=8000, bits=16, extra=b""):
+    block_align = channels * (-(-bits // 8))
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block_align,
+                                block_align, bits) + extra
+
+
+# WAVE_FORMAT_EXTENSIBLE tail: cbSize 22, valid bits, channel mask, then the
+# subformat GUID {tag-0000-0010-8000-00AA00389B71}
+def extensible(tag, bits, channels=1, rate=8000):
+    guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return fmt_chunk(0xFFFE, channels, rate, bits,
+                     struct.pack("<HHI", 22, bits, (1 << channels) - 1) + guid)
+
+
+PCM = np.array([0, 1, -1, 16384, -32768, 32767, 123], dtype="<i2")
+FLOATS = np.array([0.0, 0.5, -0.25, 1.5, -1.0], dtype="<f4")
+
+
+@pytest.mark.parametrize("blob, expected", [
+    (riff(fmt_chunk(), (b"data", PCM.tobytes())), PCM / 32768.0),
+    (riff(fmt_chunk(extra=b"\0\0"), (b"data", PCM.tobytes())), PCM / 32768.0),
+    (riff(extensible(1, 16), (b"data", PCM.tobytes())), PCM / 32768.0),
+    (riff(extensible(3, 32), (b"fact", struct.pack("<I", 5)), (b"data", FLOATS.tobytes())),
+     np.clip(FLOATS.astype(np.float64), -1.0, 1.0 - 2.0 ** -15)),
+    (riff(fmt_chunk(), (b"LIST", b"INFOISFT\x05\0\0\0qwav\0"), (b"data", PCM.tobytes())),
+     PCM / 32768.0),
+    (riff((b"junk", b"abc"), fmt_chunk(), (b"data", PCM.tobytes())), PCM / 32768.0),
+    (riff(fmt_chunk(), (b"data", PCM.tobytes()), (b"LIST", b"xyz")), PCM / 32768.0),
+], ids=["plain", "fmt-18", "extensible-pcm", "extensible-float", "list-before-data",
+        "odd-chunk-padded", "chunk-after-data"])
+def test_load_wav_hand_built_files(tmp_path, blob, expected):
+    path = tmp_path / "x.wav"
+    path.write_bytes(blob)
+    buffer = load_wav(path)
+    assert buffer.sample_rate == 8000
+    assert buffer.samples.tobytes() == expected.tobytes()
+    # the reader from a file object takes the same bytes
+    assert load_wav(io.BytesIO(blob)).samples.tobytes() == expected.tobytes()
+    # and scipy reads these files the same way
+    assert scipy_load(path)[1].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("blob", [
+    riff(fmt_chunk(bits=8), (b"data", bytes(range(100, 116)))),
+    riff(fmt_chunk(bits=24), (b"data", bytes(48))),
+    riff(fmt_chunk(bits=32), (b"data", bytes(64))),
+    riff(fmt_chunk(tag=3, bits=64), (b"data", bytes(128))),
+    riff(extensible(1, 24), (b"data", bytes(48))),
+], ids=["u8", "int24", "int32", "float64", "extensible-int24"])
+def test_unsupported_sample_format_is_named_as_scipy_reads_it(tmp_path, blob):
+    path = tmp_path / "u.wav"
+    path.write_bytes(blob)
+    name = wavfile.read(path)[1].dtype.name
+    message = f"{path}: unsupported WAV sample format {name}; need int16 PCM or float32"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"not a wav file at all", "not a little-endian RIFF WAVE file"),
+    (b"", "not a little-endian RIFF WAVE file"),
+    (riff(fmt_chunk(), (b"data", PCM.tobytes()))[:8] + b"AVI " + bytes(8),
+     "not a little-endian RIFF WAVE file"),
+    (b"RIFX" + riff(fmt_chunk(), (b"data", PCM.tobytes()))[4:], "RIFX and RF64 are not read"),
+    (b"RF64" + riff(fmt_chunk(), (b"data", PCM.tobytes()))[4:], "RIFX and RF64 are not read"),
+    (riff((b"data", PCM.tobytes())), "no 'fmt ' chunk"),
+    (riff(fmt_chunk(), (b"LIST", b"abcd")), "no 'data' chunk"),
+    (riff(fmt_chunk(tag=6, bits=8), (b"data", bytes(16))),
+     "unsupported WAV format tag 0x0006; need PCM (1) or IEEE float (3)"),
+    (riff(extensible(6, 8), (b"data", bytes(16))), "unsupported WAV format tag 0x0006"),
+    (riff(fmt_chunk(), (b"data", PCM.tobytes()))[:-3],
+     "data chunk is truncated: its header says 14 bytes, the file holds 11"),
+    (riff((b"fmt ", bytes(12)), (b"data", PCM.tobytes())), "'fmt ' chunk holds 12 bytes"),
+    (riff(fmt_chunk(channels=0), (b"data", PCM.tobytes())), "gives 0 channels"),
+], ids=["text", "empty", "avi", "rifx", "rf64", "no-fmt", "no-data", "alaw",
+        "extensible-alaw", "truncated", "short-fmt", "no-channels"])
+def test_load_wav_rejects_malformed_files(tmp_path, blob, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        load_wav(path)
 
 
 def test_wav_halfscale_codes():
@@ -234,11 +377,12 @@ def test_process_chunks_memory_bounded_by_block():
     rng = np.random.default_rng(5)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
-    # four float64 channels, built per range then concatenated; one metrics
-    # row (~260 bytes) per chunk; a block's states, rho blocks and their
+    # four float64 channels, built per range then concatenated; the metrics
+    # columns, five float64 per chunk stacked from the three score rows (88
+    # bytes per chunk at the peak); a block's states, rho blocks and their
     # temporaries at 64 bytes per amplitude. Batching all chunks at once peaks
     # at 36 MiB here.
-    bound = 2 * 4 * 8 * samples + 320 * num_chunks + 64 * pipelines._CHUNK_BLOCK
+    bound = 2 * 4 * 8 * samples + 128 * num_chunks + 64 * pipelines._CHUNK_BLOCK
     tracemalloc.start()
     try:
         quad = process_chunks(plan_f, plan_g)
@@ -291,6 +435,78 @@ def test_process_chunks_identical_across_worker_counts():
     assert [m.csv_row() for m in serial.metrics] == [m.csv_row() for m in pooled.metrics]
 
 
+class RecordingPool:
+    """multiprocessing.Pool stand-in: records its size and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize("cpus, workers, started", [(3, 1000, [3]), (3, 2, [2]), (1, 8, []),
+                                                    (None, 8, [])])
+def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(qwave.audio.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: cpus)
+    rng = np.random.default_rng(workers)
+    plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
+    plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
+    pooled = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=workers)
+    assert RecordingPool.sizes == started
+    monkeypatch.undo()
+    serial = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=1)
+    for key in serial.components:
+        assert np.array_equal(serial.components[key], pooled.components[key])
+    assert pooled.columns.tobytes() == serial.columns.tobytes()
+
+
+@pytest.mark.parametrize("chunk_size", [2, 8, 32])
+def test_shot_columns_equal_per_chunk_calls_bit_for_bit(chunk_size):
+    """Row-wise decode, rmsd and fidelity give each chunk's one-chunk values exactly."""
+    rng = np.random.default_rng(chunk_size)
+    f = rng.uniform(0.0, 0.99, 5 * chunk_size)
+    g = rng.uniform(0.0, 0.99, 5 * chunk_size)
+    plan_f, plan_g = make_chunks(f, chunk_size), make_chunks(g, chunk_size)
+    quad = process_chunks(plan_f, plan_g, shots=777, seed=5)
+    for i in range(plan_f.num_chunks):
+        product = product_state_by_gates(SignalChunk(plan_f.values[i]),
+                                         SignalChunk(plan_g.values[i]))
+        counts = sample_counts(product.state, 777, [5, i])
+        decoded = decode_component(counts, (0, 0))
+        ideal = np.abs(extract_component(product, (0, 0)))
+        cut = slice(i * chunk_size, (i + 1) * chunk_size)
+        for bf, bg in COMPONENTS:
+            assert np.array_equal(quad.components[f"{bf}{bg}"][cut],
+                                  decode_component(counts, (bf, bg)))
+        assert quad.columns[0, i] == rmsd_percent(decoded, ideal)
+        assert quad.columns[1, i] == fidelity_percent(counts, product.state)
+        assert quad.columns[2, i] == postselect_probability(product, (0, 0))
+
+
+def test_metrics_rows_are_built_on_access_and_match_the_csv(tmp_path):
+    plan_f = make_chunks(positive_signal(40), 8)
+    plan_g = make_chunks(positive_signal(40), 8)
+    quad = process_chunks(plan_f, plan_g, shots=200, seed=6)
+    assert "metrics" not in vars(quad)
+    rows = [m.csv_row() for m in quad.metrics]
+    assert quad.metrics is quad.metrics
+    assert quad.metrics_csv() == "".join(line + "\n" for line in [METRICS_CSV_HEADER, *rows])
+    assert [(m.chunk_index, m.shots, m.seed) for m in quad.metrics] == [
+        (i, 200, 6) for i in range(5)]
+    assert [m.scale_f for m in quad.metrics] == plan_f.scales.tolist()
+
+
 def test_process_chunks_validates():
     f = make_chunks(positive_signal(16), 8)
     g = make_chunks(positive_signal(24), 8)
@@ -325,7 +541,7 @@ def test_stitch_and_write(tmp_path):
 def test_stitch_shift_scale_remap(tmp_path):
     from qwave import NormalizationRecord, QuadOutput
 
-    quad = QuadOutput({"00": np.array([0.0, 0.5, 1.0])}, ())
+    quad = QuadOutput({"00": np.array([0.0, 0.5, 1.0])}, "exact", 0, np.empty((5, 0)))
     plan = make_chunks(np.full(3, 0.1), 2)
     paths = stitch_and_write(
         quad, plan, 8000, tmp_path, NormalizationRecord("shift-scale", 1.0, 0.5)

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import qwave.audio
 from qwave import (
     MAX_QUBITS,
+    METRICS_CSV_HEADER,
     AudioBuffer,
     SignalChunk,
     classical_circular_convolution,
     load_wav,
+    make_chunks,
     pipelines,
+    process_chunks,
     run_selftest,
     write_wav,
     zero_pad,
@@ -247,6 +251,47 @@ def test_unsupported_wav_format_names_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}: unsupported WAV sample format uint8; need int16 PCM or float32\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"not a wav file\n", "not a little-endian RIFF WAVE file"),
+    (b"RIFX" + bytes(4) + b"WAVE", "RIFX and RF64 are not read"),
+    (b"RF64" + bytes(4) + b"WAVE", "RIFX and RF64 are not read"),
+    (b"RIFF" + bytes(4) + b"WAVEdata" + bytes(4), "no 'fmt ' chunk"),
+    (b"RIFF" + bytes(4) + b"WAVEfmt \x10\0\0\0\x01\0\x01\0@\x1f\0\0\x80>\0\0\x02\0\x10\0",
+     "no 'data' chunk"),
+    (b"RIFF" + bytes(4) + b"WAVEfmt \x10\0\0\0\x06\0\x01\0@\x1f\0\0@\x1f\0\0\x01\0\x08\0"
+     b"data\x04\0\0\0abcd", "unsupported WAV format tag 0x0006"),
+    (b"RIFF" + bytes(4) + b"WAVEfmt \x10\0\0\0\x01\0\x01\0@\x1f\0\0\x80>\0\0\x02\0\x10\0"
+     b"data\x10\0\0\0abcd", "data chunk is truncated: its header says 16 bytes, "
+                             "the file holds 4"),
+], ids=["text", "rifx", "rf64", "no-fmt", "no-data", "alaw", "truncated"])
+def test_malformed_wav_is_one_error_line(tmp_path, capsys, blob, message):
+    path = tmp_path / "junk.wav"
+    path.write_bytes(blob)
+    code = main(["multiply", str(path), str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_multiply_writes_metrics_csv_without_metrics_rows(tmp_path, monkeypatch):
+    tone_wav(tmp_path / "f.wav")
+    tone_wav(tmp_path / "g.wav", freq=660)
+    inputs = [str(tmp_path / "f.wav"), str(tmp_path / "g.wav")]
+    plan_f, plan_g = (make_chunks(load_wav(p).samples, 8) for p in inputs)
+    expected = [METRICS_CSV_HEADER] + [
+        m.csv_row() for m in process_chunks(plan_f, plan_g, shots=500, seed=3).metrics]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("metrics.csv must be written from the columns")
+
+    monkeypatch.setattr(qwave.audio, "MetricsReport", refuse)
+    assert main(["multiply", *inputs, "--shots", "500", "--seed", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert read_lines(tmp_path / "out" / "metrics.csv") == expected
 
 
 @pytest.mark.parametrize("kernel, domain, own", [

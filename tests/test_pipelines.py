@@ -517,6 +517,19 @@ def test_one_chunk_api_bitwise_equal_references_at_edges(n, fill_f, fill_g):
         assert_batch_matches_chunks(f, g, g[0], pad_to)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 14])
+def test_hadamard_fill_equals_the_gate_layer(n):
+    state = statevector.apply_hadamard_layer(statevector.init_state(n), range(n))
+    want = np.full(1 << n, pipelines._hadamard_amplitude(n), dtype=np.complex128)
+    assert state.amplitudes.tobytes() == want.tobytes()
+
+
+def test_batched_engines_bitwise_equal_one_chunk_references_at_ten_qubits():
+    f = chunk_rows(10, 10, 2, True)
+    g = chunk_rows(11, 10, 2, True)
+    assert_batch_matches_chunks(f, g, np.full(4, 0.25), 2 << 10)
+
+
 def test_batched_engines_reject_bad_rows():
     with pytest.raises(ShapeError):
         next(product_blocks(np.zeros((2, 6)), np.zeros((2, 6))))

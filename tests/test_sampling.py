@@ -151,6 +151,38 @@ def test_sample_counts_rejects_non_finite_norm(amps):
         sample_counts(bad, 10, seed=0)
 
 
+@pytest.mark.parametrize("dim", [8, 32, 64, 4096])
+def test_row_helpers_equal_one_row_calls(dim):
+    """The (C, D) forms that process_chunks uses give each row's one-state values exactly."""
+    rng = np.random.default_rng(dim)
+    amps = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps[2, ::3] = 0.0  # unseen indices decode to 0
+    amps[2] /= np.linalg.norm(amps[2])
+    probs = np.abs(amps) ** 2
+    cdf = sampling.sampling_cdf(probs)
+    ideal = rng.uniform(0.0, 1.0, (6, dim // 4))
+    counts = np.array([sampling.count_draws(cdf[k], 300, [7, k]) for k in range(6)])
+    rmsd = sampling.rmsd_rows(sampling.decode_rows(counts, 2), ideal)
+    fidelity = sampling.fidelity_rows(probs, counts / 300)
+    for k in range(6):
+        state = Statevector(dim.bit_length() - 1, amps[k])
+        one = sample_counts(state, 300, [7, k])
+        assert np.array_equal(one.counts, counts[k])
+        assert np.array_equal(decode_component(one, (1, 0)),
+                              sampling.decode_rows(counts, 2)[k])
+        assert rmsd[k] == rmsd_percent(decode_component(one, (1, 0)), ideal[k])
+        assert fidelity[k] == fidelity_percent(one, state)
+
+
+def test_sampling_cdf_names_the_first_bad_row():
+    probs = np.full((3, 4), 0.25)
+    probs[1] *= 2.0
+    probs[2, 0] = np.nan
+    with pytest.raises(StateError, match=r"^state norm\^2 = 2.0, not 1 within 1e-6$"):
+        sampling.sampling_cdf(probs)
+
+
 def test_sampled_frequencies_approach_probabilities():
     state = two_qubit_state()
     counts = sample_counts(state, 1_000_000, seed=2024)
