@@ -34,6 +34,7 @@ from .encoding import (
 from .errors import (
     DomainError,
     FormatError,
+    MissingFileError,
     NormalizationError,
     QwaveError,
     ResourceLimitError,
@@ -83,7 +84,7 @@ __all__ = [
     "stitch_and_write", "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
     "magnitude_angle",
-    "DomainError", "FormatError", "NormalizationError", "QwaveError",
+    "DomainError", "FormatError", "MissingFileError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",
     "classical_dft", "convolve_chunks", "convolve_optimized",

@@ -13,7 +13,6 @@ the four decoded channels are stitched back in chunk order.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import struct
 import warnings
@@ -29,8 +28,8 @@ from .sampling import (
     METRICS_CSV_HEADER,
     METRICS_CSV_ROW,
     MetricsReport,
-    count_draws,
     decode_rows,
+    draw_counts,
     fidelity_rows,
     rmsd_rows,
     sampling_cdf,
@@ -46,6 +45,8 @@ _KSDATAFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # RIFF header, fmt chunk (PCM tag, mono, rate, byte rate, block align,
 # bits) and data chunk header of a mono 16-bit PCM file: 44 bytes
 _PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+# the largest sample rate whose byte rate (2 * rate) fits the header's uint32
+_MAX_SAMPLE_RATE = 2**31 - 1
 # the sample formats load_wav reads, with their little-endian numpy dtypes
 _READ_DTYPES = {"int16": "<i2", "float32": "<f4"}
 
@@ -66,8 +67,9 @@ class AudioBuffer:
         peak = float(np.abs(samples).max())
         if peak > 1.0:
             raise DomainError(f"samples exceed full scale (peak {peak})")
-        if self.sample_rate <= 0:
-            raise ShapeError(f"sample rate must be positive, got {self.sample_rate}")
+        if not 1 <= self.sample_rate <= _MAX_SAMPLE_RATE:
+            raise ShapeError(
+                f"sample rate must be in [1, {_MAX_SAMPLE_RATE}], got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -299,39 +301,6 @@ def _component_key(component) -> str:
     return f"{component[0]}{component[1]}"
 
 
-def _run_range(job):
-    """Process one contiguous range of chunk pairs; module-level so pools can pickle it.
-
-    Returns the range's decoded channels, shape (4, rows, N) in COMPONENTS
-    order, and its (3, rows) rmsd, fidelity and prob00 columns, all read off
-    each block of states at once. Shot mode draws each chunk's counts from
-    its own (seed, chunk index) stream, the one step taken chunk by chunk.
-    """
-    first, values_f, values_g, shots, base_seed = job
-    num_chunks, big_n = values_f.shape
-    channels = np.empty((len(COMPONENTS), num_chunks, big_n))
-    scores = np.empty((3, num_chunks))
-    scores[0], scores[1] = 0.0, 100.0
-    for lo, states in product_blocks(values_f, values_g):
-        rows = slice(lo, lo + len(states))
-        scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
-        if shots is None:
-            for j, (bf, bg) in enumerate(COMPONENTS):
-                channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
-            continue
-        ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(big_n))
-        probs = np.abs(states.reshape(len(states), -1)) ** 2
-        cdf = sampling_cdf(probs)
-        counts = np.empty(probs.shape, dtype=np.int64)
-        for k in range(len(states)):
-            counts[k] = count_draws(cdf[k], shots, [base_seed, first + lo + k])
-        for j, c in enumerate(COMPONENTS):
-            channels[j, rows] = decode_rows(counts, _component_offset(c))
-        scores[0, rows] = rmsd_rows(channels[0, rows], ideal00)
-        scores[1, rows] = fidelity_rows(probs, counts / shots)
-    return channels, scores
-
-
 def process_chunks(
     plan_f: ChunkPlan,
     plan_g: ChunkPlan,
@@ -344,9 +313,10 @@ def process_chunks(
     shots=None computes components exactly from the statevector; an integer
     samples that many shots with a per-chunk stream derived from (seed,
     chunk_index), so results are byte-identical for any worker count. The
-    chunks are split into at most `workers` contiguous ranges, run by a pool
-    of at most os.cpu_count() processes; with one process they run in this
-    one.
+    decoded channels and the rmsd, fidelity and prob00 columns are read off
+    each block of states at once. Shot mode draws each chunk's counts on up
+    to min(workers, os.cpu_count()) threads, so peak memory grows by one
+    sampling batch (about 32 MB) per thread; exact mode draws nothing.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -360,20 +330,28 @@ def process_chunks(
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
     if seed < 0:
         raise ShapeError(f"seed must be >= 0, got {seed}")
-    step = -(-plan_f.num_chunks // workers)
-    jobs = [
-        (lo, plan_f.values[lo : lo + step], plan_g.values[lo : lo + step], shots, seed)
-        for lo in range(0, plan_f.num_chunks, step)
-    ]
-    processes = min(len(jobs), os.cpu_count() or 1)
-    if processes == 1:
-        results = [_run_range(job) for job in jobs]
-    else:
-        with multiprocessing.Pool(processes) as pool:
-            results = pool.map(_run_range, jobs)
-    channels = np.concatenate([r[0] for r in results], axis=1).reshape(len(COMPONENTS), -1)
-    scores = np.concatenate([r[1] for r in results], axis=1)
+    threads = min(workers, os.cpu_count() or 1)
+    num_chunks, big_n = plan_f.values.shape
+    channels = np.empty((len(COMPONENTS), num_chunks, big_n))
+    scores = np.empty((3, num_chunks))
+    scores[0], scores[1] = 0.0, 100.0
+    for lo, states in product_blocks(plan_f.values, plan_g.values):
+        rows = slice(lo, lo + len(states))
+        scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+        if shots is None:
+            for j, (bf, bg) in enumerate(COMPONENTS):
+                channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
+            continue
+        ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(big_n))
+        probs = np.abs(states.reshape(len(states), -1)) ** 2
+        seeds = [[seed, k] for k in range(rows.start, rows.stop)]
+        counts = draw_counts(sampling_cdf(probs), shots, seeds, threads)
+        for j, c in enumerate(COMPONENTS):
+            channels[j, rows] = decode_rows(counts, _component_offset(c))
+        scores[0, rows] = rmsd_rows(channels[0, rows], ideal00)
+        scores[1, rows] = fidelity_rows(probs, counts / shots)
     columns = np.vstack([scores, plan_f.scales, plan_g.scales])
+    channels = channels.reshape(len(COMPONENTS), -1)
     components = {_component_key(c): channels[j] for j, c in enumerate(COMPONENTS)}
     return QuadOutput(components, "exact" if shots is None else shots, seed, columns)
 

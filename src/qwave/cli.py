@@ -30,20 +30,21 @@ from .audio import (
     write_wav,
 )
 from .encoding import SignalChunk
-from .errors import QwaveError, ResourceLimitError, ShapeError
+from .errors import MissingFileError, QwaveError, ResourceLimitError, ShapeError
 from .pipelines import (
+    _chunk_blocks,
     classical_circular_convolution,
     classical_dft,
     convolve_chunks,
-    extract_component,
-    pointwise_multiply_state,
+    product_blocks,
 )
 from .sampling import (
     STANDARD_TEST_PAIR,
-    decode_component,
-    fidelity_percent,
-    rmsd_percent,
-    sample_counts,
+    decode_rows,
+    draw_counts,
+    fidelity_rows,
+    rmsd_rows,
+    sampling_cdf,
 )
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
@@ -71,8 +72,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _check_input(path) -> None:
+    """A missing input file is one error naming it, raised before any output exists."""
+    if not os.path.isfile(path):
+        raise MissingFileError(f"{path}: no such file")
+
+
 def _loadtxt(path) -> np.ndarray:
     """Numbers from a text file; callers report an empty file naming the path."""
+    _check_input(path)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(path, dtype=np.float64, ndmin=1)
@@ -81,6 +89,7 @@ def _loadtxt(path) -> np.ndarray:
 def _load_signal(path, sample_rate: int) -> AudioBuffer:
     """WAV by extension, otherwise a whitespace-separated numeric text file."""
     if str(path).lower().endswith(".wav"):
+        _check_input(path)
         return load_wav(path)
     values = _loadtxt(path)
     if values.ndim != 1:
@@ -190,7 +199,7 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; per-chunk streams derive from it (default 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="process pool size for chunk processing (default 1)")
+                        help="threads that draw shots (default 1)")
     parser.add_argument("--normalization", choices=("assume-positive", "shift-scale"),
                         default="assume-positive",
                         help="how raw samples map into [0, 1) before encoding")
@@ -413,8 +422,10 @@ def _cmd_shot_sweep(args) -> int:
         chunk_f = _sweep_chunk("--signal-f", args.signal_f)
         chunk_g = _sweep_chunk("--signal-g", args.signal_g)
         signal_desc = f"{args.signal_f} {args.signal_g}"
-    product = pointwise_multiply_state(chunk_f, chunk_g)
-    ideal00 = np.abs(extract_component(product, (0, 0)))
+    _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
+    ideal00 = np.abs(states[0, :, 0, 0] * np.sqrt(len(chunk_f)))
+    probs = np.abs(states.reshape(-1)) ** 2
+    cdf = np.broadcast_to(sampling_cdf(probs), (args.num_seeds, probs.size))
 
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
@@ -427,12 +438,15 @@ def _cmd_shot_sweep(args) -> int:
                 fh.write(f"exact,,0,0,0,100,100,100,{args.num_seeds}\n")
                 print("shots=exact rmsd=0% fidelity=100%")
                 continue
-            rmsds = np.empty(args.num_seeds)
-            fids = np.empty(args.num_seeds)
-            for i in range(args.num_seeds):
-                counts = sample_counts(product.state, shots, [args.seed, shots, i])
-                rmsds[i] = rmsd_percent(decode_component(counts, (0, 0)), ideal00)
-                fids[i] = fidelity_percent(counts, product.state)
+            rmsds, fids = np.empty(args.num_seeds), np.empty(args.num_seeds)
+            # a block of seeds at a time, so the counts table and its temporaries
+            # stay a few MiB; one thread, since each would hold its own sampling
+            # batch and no flag caps them
+            for lo, hi in _chunk_blocks(args.num_seeds, probs.size):
+                seeds = [[args.seed, shots, i] for i in range(lo, hi)]
+                counts = draw_counts(cdf[lo:hi], shots, seeds)
+                rmsds[lo:hi] = rmsd_rows(decode_rows(counts, 0), ideal00)
+                fids[lo:hi] = fidelity_rows(probs, counts / shots)
             fh.write(
                 f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
                 f"{rmsds.min():.10g},{rmsds.max():.10g},{np.median(fids):.10g},"

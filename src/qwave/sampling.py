@@ -3,11 +3,12 @@
 Sampling uses numpy's Philox generator (counter-based, seedable, stable
 across platforms). Seeds may be ints or sequences of ints; per-chunk streams
 are derived from (base_seed, chunk_index) so outcomes do not depend on how
-work is scheduled across processes.
+work is scheduled across threads.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .pipelines import _component_offset
 from .statevector import Statevector
 
 # Uniforms drawn per batch when sampling: the float64 batch (~32 MB) is the
-# only shot-sized array, so it bounds peak memory.
+# only shot-sized array, so peak memory is one batch per drawing thread.
 _BATCH = 4_000_000
 
 # Smooth positive 8-sample pair used as the default sweep input. Amplitudes
@@ -107,6 +108,30 @@ def count_draws(cdf, shots: int, seed) -> np.ndarray:
         u.sort()
         counts += np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
         remaining -= batch
+    return counts
+
+
+def draw_counts(cdf, shots: int, seeds, threads: int = 1) -> np.ndarray:
+    """count_draws of every row of a (rows, D) CDF table, row k on its own seed.
+
+    Returns the (rows, D) counts, row k equal to count_draws(cdf[k], shots,
+    seeds[k]) whatever the thread count, since each row owns its Philox
+    stream. Rows are mapped over min(threads, rows) threads (the draw and the
+    sort release the GIL), or run in the calling thread when that is 1; peak
+    memory is one _BATCH of float64 per thread.
+    """
+    counts = np.empty(cdf.shape, dtype=np.int64)
+
+    def draw(k):
+        counts[k] = count_draws(cdf[k], shots, seeds[k])
+
+    threads = min(threads, len(cdf))
+    if threads <= 1:
+        for k in range(len(cdf)):
+            draw(k)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(draw, range(len(cdf))))  # reading each result re-raises its error
     return counts
 
 

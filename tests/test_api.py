@@ -38,3 +38,15 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # shots are drawn on threads; a fresh `import qwave.cli` must not pull in
+    # the process-pool machinery
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, qwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -36,6 +36,7 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
+import qwave.sampling
 from reference import product_state_by_gates
 
 RNG = np.random.default_rng(3141)
@@ -259,6 +260,19 @@ def test_audio_buffer_validation():
         AudioBuffer(np.array([0.0, np.nan]), 8000)
     with pytest.raises(ShapeError):
         AudioBuffer(np.zeros((4, 2)), 8000)
+    for rate in (0, 2**31):
+        with pytest.raises(ShapeError, match=rf"must be in \[1, 2147483647\], got {rate}$"):
+            AudioBuffer(np.zeros(4), rate)
+
+
+def test_largest_sample_rate_round_trips():
+    """2**31 - 1 is the largest rate whose byte rate fits the header's uint32."""
+    blob = io.BytesIO()
+    write_wav(blob, AudioBuffer(np.array([0.0, 0.5, -0.25]), 2**31 - 1))
+    blob.seek(0)
+    back = load_wav(blob)
+    assert back.sample_rate == 2**31 - 1
+    assert back.samples.tolist() == [0.0, 0.5, -0.25]
 
 
 def test_normalize_assume_positive():
@@ -377,12 +391,11 @@ def test_process_chunks_memory_bounded_by_block():
     rng = np.random.default_rng(5)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, samples), chunk_size)
-    # four float64 channels, built per range then concatenated; the metrics
-    # columns, five float64 per chunk stacked from the three score rows (88
-    # bytes per chunk at the peak); a block's states, rho blocks and their
-    # temporaries at 64 bytes per amplitude. Batching all chunks at once peaks
-    # at 36 MiB here.
-    bound = 2 * 4 * 8 * samples + 128 * num_chunks + 64 * pipelines._CHUNK_BLOCK
+    # four float64 channels, written in place; the metrics columns, five
+    # float64 per chunk stacked from the three score rows (88 bytes per chunk
+    # at the peak); a block's states, rho blocks and their temporaries at 64
+    # bytes per amplitude. Batching all chunks at once peaks at 36 MiB here.
+    bound = 4 * 8 * samples + 128 * num_chunks + 64 * pipelines._CHUNK_BLOCK
     tracemalloc.start()
     try:
         quad = process_chunks(plan_f, plan_g)
@@ -435,13 +448,13 @@ def test_process_chunks_identical_across_worker_counts():
     assert [m.csv_row() for m in serial.metrics] == [m.csv_row() for m in pooled.metrics]
 
 
-class RecordingPool:
-    """multiprocessing.Pool stand-in: records its size and maps in this process."""
+class RecordingExecutor:
+    """ThreadPoolExecutor stand-in: records max_workers and maps in the calling thread."""
 
     sizes = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -449,26 +462,33 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("cpus, workers, started", [(3, 1000, [3]), (3, 2, [2]), (1, 8, []),
                                                     (None, 8, [])])
 def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(qwave.audio.multiprocessing, "Pool", RecordingPool)
+    """Shot mode draws on min(workers, cpus) threads; exact mode draws on none."""
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(qwave.sampling, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: cpus)
     rng = np.random.default_rng(workers)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     pooled = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=workers)
-    assert RecordingPool.sizes == started
+    assert RecordingExecutor.sizes == started
+    exact = process_chunks(plan_f, plan_g, workers=8)
+    assert RecordingExecutor.sizes == started
     monkeypatch.undo()
     serial = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=1)
     for key in serial.components:
         assert np.array_equal(serial.components[key], pooled.components[key])
     assert pooled.columns.tobytes() == serial.columns.tobytes()
+    serial_exact = process_chunks(plan_f, plan_g)
+    for key in serial.components:
+        assert np.array_equal(serial_exact.components[key], exact.components[key])
+    assert exact.columns.tobytes() == serial_exact.columns.tobytes()
 
 
 @pytest.mark.parametrize("chunk_size", [2, 8, 32])

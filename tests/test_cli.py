@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,14 +11,21 @@ import qwave.audio
 from qwave import (
     MAX_QUBITS,
     METRICS_CSV_HEADER,
+    STANDARD_TEST_PAIR,
     AudioBuffer,
     SignalChunk,
     classical_circular_convolution,
+    decode_component,
+    extract_component,
+    fidelity_percent,
     load_wav,
     make_chunks,
     pipelines,
+    pointwise_multiply_state,
     process_chunks,
+    rmsd_percent,
     run_selftest,
+    sample_counts,
     write_wav,
     zero_pad,
 )
@@ -401,6 +409,100 @@ def test_shot_sweep_default_pair(tmp_path, capsys):
     assert lines[3].startswith("exact,,0,0,0,100,")
     assert (out / "manifest.txt").exists()
     assert "shots=100" in capsys.readouterr().out
+
+
+def one_chunk_sweep_rows(f, g, shots_list, num_seeds, seed):
+    """sweep.csv's shot rows built seed by seed with the one-chunk API."""
+    product = pointwise_multiply_state(SignalChunk.from_values(f), SignalChunk.from_values(g))
+    ideal = np.abs(extract_component(product, (0, 0)))
+    rows = []
+    for shots in shots_list:
+        rmsds, fids = [], []
+        for i in range(num_seeds):
+            counts = sample_counts(product.state, shots, [seed, shots, i])
+            rmsds.append(rmsd_percent(decode_component(counts, (0, 0)), ideal))
+            fids.append(fidelity_percent(counts, product.state))
+        rows.append(f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
+                    f"{min(rmsds):.10g},{max(rmsds):.10g},{np.median(fids):.10g},"
+                    f"{min(fids):.10g},{max(fids):.10g},{num_seeds}")
+    return rows
+
+
+@pytest.mark.parametrize("pair", ["built-in", "file-16"])
+def test_shot_sweep_rows_equal_one_chunk_api(tmp_path, pair):
+    rng = np.random.default_rng(16)
+    if pair == "built-in":
+        f, g = STANDARD_TEST_PAIR
+        inputs = []
+    else:
+        f, g = rng.uniform(0.05, 0.95, (2, 16))
+        np.savetxt(tmp_path / "f.txt", f)
+        np.savetxt(tmp_path / "g.txt", g)
+        inputs = ["--signal-f", str(tmp_path / "f.txt"), "--signal-g", str(tmp_path / "g.txt")]
+    out = tmp_path / "sweep"
+    assert main(["shot-sweep", *inputs, "--shots-list", "7,100,5000", "--num-seeds", "4",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert read_lines(out / "sweep.csv")[1:] == one_chunk_sweep_rows(f, g, [7, 100, 5000], 4, 3)
+
+
+def test_shot_sweep_memory_does_not_grow_with_seeds(tmp_path):
+    """Seeds are drawn a block at a time, not as one (num_seeds, 4N) counts table."""
+    rng = np.random.default_rng(13)
+    for name in ("f.txt", "g.txt"):
+        np.savetxt(tmp_path / name, rng.uniform(0.05, 0.95, 2**13))
+    argv = ["shot-sweep", "--signal-f", str(tmp_path / "f.txt"),
+            "--signal-g", str(tmp_path / "g.txt"), "--shots-list", "10"]
+    assert main([*argv, "--num-seeds", "2", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--num-seeds", "64", "--out", str(tmp_path / "sweep")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole table would be 64 x 2**15 int64 counts, 16 MiB, before temporaries
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("route", ["multiply-wav", "multiply-txt", "convolve-kernel",
+                                   "shot-sweep"])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, route):
+    tone_wav(tmp_path / "f.wav")
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+    f_wav, f_txt = str(tmp_path / "f.wav"), str(tmp_path / "f.txt")
+    missing = str(tmp_path / ("missing.wav" if route == "multiply-wav" else "missing.txt"))
+    argv = {
+        "multiply-wav": ["multiply", missing, f_wav],
+        "multiply-txt": ["multiply", f_txt, missing],
+        "convolve-kernel": ["convolve", f_wav, "--kernel", missing],
+        "shot-sweep": ["shot-sweep", "--signal-f", missing, "--signal-g", f_txt],
+    }[route]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: no such file\n"
+    assert not out.exists()
+
+
+def test_sample_rate_beyond_the_wav_header_is_one_error_line(tmp_path, capsys):
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+    f_txt, out = str(tmp_path / "f.txt"), tmp_path / "out"
+    assert main(["multiply", f_txt, f_txt, "--sample-rate", str(2**31),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sample rate must be in [1, {2**31 - 1}], got {2**31}\n")
+    assert not out.exists()
+    # a WAV whose header carries that rate fails the same way
+    write_wav(tmp_path / "f.wav", AudioBuffer(np.full(8, 0.5), 8000))
+    blob = bytearray((tmp_path / "f.wav").read_bytes())
+    blob[24:28] = (2**31).to_bytes(4, "little")
+    (tmp_path / "f.wav").write_bytes(bytes(blob))
+    assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", "identity",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sample rate must be in [1, {2**31 - 1}], got {2**31}\n")
+    assert not out.exists()
+    assert main(["multiply", f_txt, f_txt, "--sample-rate", str(2**31 - 1),
+                 "--out", str(out)]) == 0
+    assert load_wav(out / "component_00.wav").sample_rate == 2**31 - 1
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -175,6 +175,24 @@ def test_row_helpers_equal_one_row_calls(dim):
         assert fidelity[k] == fidelity_percent(one, state)
 
 
+@settings(max_examples=40, deadline=None)
+@given(threads=st.integers(1, 4), rows=st.integers(1, 9), blocks=st.integers(1, 3),
+       edge=st.sampled_from([-1, 0, 1]), data=st.data())
+def test_draw_counts_equals_per_row_count_draws(threads, rows, blocks, edge, data):
+    """Any thread count gives each row the counts of its own count_draws call."""
+    shots = blocks * 16 + edge  # one below, on and one above a batch boundary
+    dim = data.draw(st.sampled_from([2, 8, 32]))
+    probs = np.random.default_rng(rows * 31 + dim).dirichlet(np.ones(dim), size=rows)
+    cdf = sampling.sampling_cdf(probs)
+    seeds = [[data.draw(st.integers(0, 2**32)), k] for k in range(rows)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_BATCH", 16)
+        got = sampling.draw_counts(cdf, shots, seeds, threads)
+        expected = [sampling.count_draws(cdf[k], shots, seeds[k]) for k in range(rows)]
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+
+
 def test_sampling_cdf_names_the_first_bad_row():
     probs = np.full((3, 4), 0.25)
     probs[1] *= 2.0

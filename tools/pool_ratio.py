@@ -2,10 +2,10 @@
 
 Runs the criterion's workload unchanged: 256 chunks of 8 samples at 1e5 shots,
 seed 3, after the same 1000-shot warm-up. Each pair times one serial
-process_chunks call and then one with 4 workers from the default (on Linux,
-fork) pool. It prints every pooled/serial ratio, their median and
-os.cpu_count(). A single pair cannot tell a pool regression from host noise;
-the median of several pairs, run on two source trees, can.
+process_chunks call and then one with 4 workers, which draw shots on
+min(4, os.cpu_count()) threads. It prints every pooled/serial ratio, their
+median and that thread bound. A single pair cannot tell a pool regression
+from host noise; the median of several pairs, run on two source trees, can.
 
     PYTHONPATH=src python tools/pool_ratio.py [--pairs 5]
 """
@@ -13,7 +13,6 @@ the median of several pairs, run on two source trees, can.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import statistics
 import time
@@ -47,8 +46,8 @@ def main(argv=None) -> int:
     plan_f = make_chunks(rng.uniform(0.1, 0.95, 256 * 8), 8)
     plan_g = make_chunks(rng.uniform(0.1, 0.95, 256 * 8), 8)
     process_chunks(plan_f, plan_g, shots=1000, seed=3, workers=1)  # warm-up
-    print(f"qwave from {os.path.dirname(qwave.__file__)}, "
-          f"start method {multiprocessing.get_start_method()}")
+    threads = min(4, os.cpu_count() or 1)
+    print(f"qwave from {os.path.dirname(qwave.__file__)}, 4 workers draw on {threads} threads")
     ratios = []
     for pair in range(1, args.pairs + 1):
         serial_s, serial = timed(plan_f, plan_g, 1)
