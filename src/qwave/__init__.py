@@ -34,7 +34,6 @@ from .encoding import (
 from .errors import (
     DomainError,
     FormatError,
-    MissingFileError,
     NormalizationError,
     QwaveError,
     ResourceLimitError,
@@ -84,7 +83,7 @@ __all__ = [
     "stitch_and_write", "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
     "magnitude_angle",
-    "DomainError", "FormatError", "MissingFileError", "NormalizationError", "QwaveError",
+    "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",
     "classical_dft", "convolve_chunks", "convolve_optimized",

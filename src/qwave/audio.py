@@ -16,6 +16,7 @@ import functools
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -23,17 +24,8 @@ import numpy as np
 
 from .encoding import EPSILON
 from .errors import DomainError, FormatError, ShapeError
-from .pipelines import COMPONENTS, _component_offset, product_blocks
-from .sampling import (
-    METRICS_CSV_HEADER,
-    METRICS_CSV_ROW,
-    MetricsReport,
-    decode_rows,
-    draw_counts,
-    fidelity_rows,
-    rmsd_rows,
-    sampling_cdf,
-)
+from .pipelines import COMPONENTS, product_blocks
+from .sampling import METRICS_CSV_HEADER, METRICS_CSV_ROW, MetricsReport, shot_readout
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
@@ -313,10 +305,12 @@ def process_chunks(
     shots=None computes components exactly from the statevector; an integer
     samples that many shots with a per-chunk stream derived from (seed,
     chunk_index), so results are byte-identical for any worker count. The
-    decoded channels and the rmsd, fidelity and prob00 columns are read off
-    each block of states at once. Shot mode draws each chunk's counts on up
-    to min(workers, os.cpu_count()) threads, so peak memory grows by one
-    sampling batch (about 32 MB) per thread; exact mode draws nothing.
+    chunks are split into min(workers, os.cpu_count()) contiguous ranges,
+    run on that many threads (the Philox draw, the sort and numpy's large
+    array loops release the GIL) or in this one when that is 1. Each range
+    reads its decoded channels and rmsd, fidelity and prob00 columns off a
+    block of states at a time, so peak memory is one block of states and, in
+    shot mode, one sampling batch (about 32 MB) per thread.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -330,26 +324,33 @@ def process_chunks(
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
     if seed < 0:
         raise ShapeError(f"seed must be >= 0, got {seed}")
-    threads = min(workers, os.cpu_count() or 1)
     num_chunks, big_n = plan_f.values.shape
+    threads = min(workers, num_chunks, os.cpu_count() or 1)
+    step = -(-num_chunks // threads)
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
     scores = np.empty((3, num_chunks))
     scores[0], scores[1] = 0.0, 100.0
-    for lo, states in product_blocks(plan_f.values, plan_g.values):
-        rows = slice(lo, lo + len(states))
-        scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
-        if shots is None:
-            for j, (bf, bg) in enumerate(COMPONENTS):
-                channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
-            continue
-        ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(big_n))
-        probs = np.abs(states.reshape(len(states), -1)) ** 2
-        seeds = [[seed, k] for k in range(rows.start, rows.stop)]
-        counts = draw_counts(sampling_cdf(probs), shots, seeds, threads)
-        for j, c in enumerate(COMPONENTS):
-            channels[j, rows] = decode_rows(counts, _component_offset(c))
-        scores[0, rows] = rmsd_rows(channels[0, rows], ideal00)
-        scores[1, rows] = fidelity_rows(probs, counts / shots)
+
+    def run(first):
+        """Fill the channels and scores of chunks first .. first + step - 1."""
+        last = first + step
+        for lo, states in product_blocks(plan_f.values[first:last], plan_g.values[first:last]):
+            rows = slice(first + lo, first + lo + len(states))
+            scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+            if shots is None:
+                for j, (bf, bg) in enumerate(COMPONENTS):
+                    channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
+                continue
+            seeds = [[seed, k] for k in range(rows.start, rows.stop)]
+            readout = shot_readout(states, shots, seeds)
+            channels[:, rows], scores[0, rows], scores[1, rows] = readout
+
+    if threads == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            # reading each result re-raises the error a range ended with
+            list(pool.map(run, range(0, num_chunks, step)))
     columns = np.vstack([scores, plan_f.scales, plan_g.scales])
     channels = channels.reshape(len(COMPONENTS), -1)
     components = {_component_key(c): channels[j] for j, c in enumerate(COMPONENTS)}

@@ -30,22 +30,14 @@ from .audio import (
     write_wav,
 )
 from .encoding import SignalChunk
-from .errors import MissingFileError, QwaveError, ResourceLimitError, ShapeError
+from .errors import QwaveError, ResourceLimitError, ShapeError
 from .pipelines import (
-    _chunk_blocks,
     classical_circular_convolution,
     classical_dft,
     convolve_chunks,
     product_blocks,
 )
-from .sampling import (
-    STANDARD_TEST_PAIR,
-    decode_rows,
-    draw_counts,
-    fidelity_rows,
-    rmsd_rows,
-    sampling_cdf,
-)
+from .sampling import STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
 
@@ -72,24 +64,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _check_input(path) -> None:
-    """A missing input file is one error naming it, raised before any output exists."""
-    if not os.path.isfile(path):
-        raise MissingFileError(f"{path}: no such file")
-
-
 def _loadtxt(path) -> np.ndarray:
     """Numbers from a text file; callers report an empty file naming the path."""
-    _check_input(path)
-    with warnings.catch_warnings():
+    # opened here so that a missing file's FileNotFoundError carries its name
+    with open(path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, dtype=np.float64, ndmin=1)
+        return np.loadtxt(fh, dtype=np.float64, ndmin=1)
 
 
 def _load_signal(path, sample_rate: int) -> AudioBuffer:
     """WAV by extension, otherwise a whitespace-separated numeric text file."""
     if str(path).lower().endswith(".wav"):
-        _check_input(path)
         return load_wav(path)
     values = _loadtxt(path)
     if values.ndim != 1:
@@ -199,7 +184,7 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; per-chunk streams derive from it (default 0)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads that draw shots (default 1)")
+                        help="threads that process chunk ranges (default 1)")
     parser.add_argument("--normalization", choices=("assume-positive", "shift-scale"),
                         default="assume-positive",
                         help="how raw samples map into [0, 1) before encoding")
@@ -423,9 +408,6 @@ def _cmd_shot_sweep(args) -> int:
         chunk_g = _sweep_chunk("--signal-g", args.signal_g)
         signal_desc = f"{args.signal_f} {args.signal_g}"
     _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
-    ideal00 = np.abs(states[0, :, 0, 0] * np.sqrt(len(chunk_f)))
-    probs = np.abs(states.reshape(-1)) ** 2
-    cdf = np.broadcast_to(sampling_cdf(probs), (args.num_seeds, probs.size))
 
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
@@ -438,15 +420,8 @@ def _cmd_shot_sweep(args) -> int:
                 fh.write(f"exact,,0,0,0,100,100,100,{args.num_seeds}\n")
                 print("shots=exact rmsd=0% fidelity=100%")
                 continue
-            rmsds, fids = np.empty(args.num_seeds), np.empty(args.num_seeds)
-            # a block of seeds at a time, so the counts table and its temporaries
-            # stay a few MiB; one thread, since each would hold its own sampling
-            # batch and no flag caps them
-            for lo, hi in _chunk_blocks(args.num_seeds, probs.size):
-                seeds = [[args.seed, shots, i] for i in range(lo, hi)]
-                counts = draw_counts(cdf[lo:hi], shots, seeds)
-                rmsds[lo:hi] = rmsd_rows(decode_rows(counts, 0), ideal00)
-                fids[lo:hi] = fidelity_rows(probs, counts / shots)
+            seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
+            rmsds, fids = seed_scores(states[0], shots, seeds)
             fh.write(
                 f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
                 f"{rmsds.min():.10g},{rmsds.max():.10g},{np.median(fids):.10g},"
@@ -487,6 +462,10 @@ def main(argv=None) -> int:
         return _cmd_selftest()
     except QwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FileNotFoundError as exc:
+        # every route loads its inputs before it creates the output directory
+        print(f"error: {exc.filename}: no such file", file=sys.stderr)
         return 1
 
 

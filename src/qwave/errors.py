@@ -27,7 +27,3 @@ class StateError(QwaveError, ValueError):
 
 class FormatError(QwaveError, ValueError):
     """File container or sample format is not supported."""
-
-
-class MissingFileError(QwaveError, FileNotFoundError):
-    """An input file named by the caller does not exist."""

@@ -8,17 +8,16 @@ work is scheduled across threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .pipelines import _component_offset
+from .pipelines import COMPONENTS, _chunk_blocks, _component_offset
 from .statevector import Statevector
 
 # Uniforms drawn per batch when sampling: the float64 batch (~32 MB) is the
-# only shot-sized array, so peak memory is one batch per drawing thread.
+# only shot-sized array, so peak memory is one batch per thread that draws.
 _BATCH = 4_000_000
 
 # Smooth positive 8-sample pair used as the default sweep input. Amplitudes
@@ -111,28 +110,46 @@ def count_draws(cdf, shots: int, seed) -> np.ndarray:
     return counts
 
 
-def draw_counts(cdf, shots: int, seeds, threads: int = 1) -> np.ndarray:
-    """count_draws of every row of a (rows, D) CDF table, row k on its own seed.
+def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
+    """count_draws of every row of a (rows, D) CDF table, row k on seeds[k].
 
-    Returns the (rows, D) counts, row k equal to count_draws(cdf[k], shots,
-    seeds[k]) whatever the thread count, since each row owns its Philox
-    stream. Rows are mapped over min(threads, rows) threads (the draw and the
-    sort release the GIL), or run in the calling thread when that is 1; peak
-    memory is one _BATCH of float64 per thread.
+    Returns the (rows, D) counts. Each row owns its Philox stream, so row k
+    equals count_draws(cdf[k], shots, seeds[k]) however rows are grouped
+    into blocks or spread over threads.
     """
     counts = np.empty(cdf.shape, dtype=np.int64)
-
-    def draw(k):
-        counts[k] = count_draws(cdf[k], shots, seeds[k])
-
-    threads = min(threads, len(cdf))
-    if threads <= 1:
-        for k in range(len(cdf)):
-            draw(k)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(draw, range(len(cdf))))  # reading each result re-raises its error
+    for k, row_seed in enumerate(seeds):
+        counts[k] = count_draws(cdf[k], shots, row_seed)
     return counts
+
+
+def shot_readout(states, shots: int, seeds) -> tuple:
+    """Shot-mode readout of a block of (rows, N, 2, 2) product states, row k drawn on seeds[k].
+
+    Returns the decoded (4, rows, N) channels in COMPONENTS order, each
+    row's rmsd (%) of the (0, 0) channel against its exact magnitudes, and
+    each row's fidelity (%), all equal to sample_counts, decode_component,
+    rmsd_percent and fidelity_percent on that row's state.
+    """
+    ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(states.shape[1]))
+    probs = np.abs(states.reshape(len(states), -1)) ** 2
+    counts = draw_counts(sampling_cdf(probs), shots, seeds)
+    channels = np.stack([decode_rows(counts, _component_offset(c)) for c in COMPONENTS])
+    return channels, rmsd_rows(channels[0], ideal00), fidelity_rows(probs, counts / shots)
+
+
+def seed_scores(state, shots: int, seeds) -> tuple:
+    """rmsd and fidelity (%) of one (N, 2, 2) product state, drawn once on each seed.
+
+    The (len(seeds),) arrays shot_readout gives for that state repeated,
+    computed a block of seeds at a time so the counts table and its
+    temporaries stay a few MiB however many seeds there are.
+    """
+    rmsds, fids = np.empty(len(seeds)), np.empty(len(seeds))
+    for lo, hi in _chunk_blocks(len(seeds), state.size):
+        block = np.broadcast_to(state, (hi - lo, *state.shape))
+        _, rmsds[lo:hi], fids[lo:hi] = shot_readout(block, shots, seeds[lo:hi])
+    return rmsds, fids
 
 
 def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:

@@ -36,7 +36,6 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
-import qwave.sampling
 from reference import product_state_by_gates
 
 RNG = np.random.default_rng(3141)
@@ -469,17 +468,17 @@ class RecordingExecutor:
 @pytest.mark.parametrize("cpus, workers, started", [(3, 1000, [3]), (3, 2, [2]), (1, 8, []),
                                                     (None, 8, [])])
 def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
-    """Shot mode draws on min(workers, cpus) threads; exact mode draws on none."""
+    """Both modes run their chunk ranges on min(workers, cpus) threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(qwave.sampling, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: cpus)
     rng = np.random.default_rng(workers)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     pooled = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=workers)
     assert RecordingExecutor.sizes == started
-    exact = process_chunks(plan_f, plan_g, workers=8)
-    assert RecordingExecutor.sizes == started
+    exact = process_chunks(plan_f, plan_g, workers=workers)
+    assert RecordingExecutor.sizes == started * 2
     monkeypatch.undo()
     serial = process_chunks(plan_f, plan_g, shots=300, seed=2, workers=1)
     for key in serial.components:
@@ -489,6 +488,18 @@ def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
     for key in serial.components:
         assert np.array_equal(serial_exact.components[key], exact.components[key])
     assert exact.columns.tobytes() == serial_exact.columns.tobytes()
+
+
+def test_threads_are_bounded_by_chunk_count(monkeypatch):
+    """Two chunks make two ranges, so 8 CPUs and 1000 workers start two threads."""
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    plan = make_chunks(np.linspace(0.1, 0.9, 2 * 2**10), 2**10)
+    pooled = process_chunks(plan, plan, shots=50, seed=1, workers=1000)
+    assert RecordingExecutor.sizes == [2]
+    serial = process_chunks(plan, plan, shots=50, seed=1)
+    assert pooled.columns.tobytes() == serial.columns.tobytes()
 
 
 @pytest.mark.parametrize("chunk_size", [2, 8, 32])

@@ -429,7 +429,9 @@ def one_chunk_sweep_rows(f, g, shots_list, num_seeds, seed):
 
 
 @pytest.mark.parametrize("pair", ["built-in", "file-16"])
-def test_shot_sweep_rows_equal_one_chunk_api(tmp_path, pair):
+def test_shot_sweep_rows_equal_one_chunk_api(tmp_path, monkeypatch, pair):
+    # blocks of 64 amplitudes: two seeds a block for the built-in pair, one for 16 samples
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 64)
     rng = np.random.default_rng(16)
     if pair == "built-in":
         f, g = STANDARD_TEST_PAIR

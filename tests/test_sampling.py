@@ -176,10 +176,10 @@ def test_row_helpers_equal_one_row_calls(dim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(threads=st.integers(1, 4), rows=st.integers(1, 9), blocks=st.integers(1, 3),
-       edge=st.sampled_from([-1, 0, 1]), data=st.data())
-def test_draw_counts_equals_per_row_count_draws(threads, rows, blocks, edge, data):
-    """Any thread count gives each row the counts of its own count_draws call."""
+@given(rows=st.integers(1, 9), blocks=st.integers(1, 3), edge=st.sampled_from([-1, 0, 1]),
+       data=st.data())
+def test_draw_counts_equals_per_row_count_draws(rows, blocks, edge, data):
+    """Each row gets the counts of its own count_draws call, across batch boundaries."""
     shots = blocks * 16 + edge  # one below, on and one above a batch boundary
     dim = data.draw(st.sampled_from([2, 8, 32]))
     probs = np.random.default_rng(rows * 31 + dim).dirichlet(np.ones(dim), size=rows)
@@ -187,7 +187,7 @@ def test_draw_counts_equals_per_row_count_draws(threads, rows, blocks, edge, dat
     seeds = [[data.draw(st.integers(0, 2**32)), k] for k in range(rows)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampling, "_BATCH", 16)
-        got = sampling.draw_counts(cdf, shots, seeds, threads)
+        got = sampling.draw_counts(cdf, shots, seeds)
         expected = [sampling.count_draws(cdf[k], shots, seeds[k]) for k in range(rows)]
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)

@@ -2,9 +2,9 @@
 
 Runs the criterion's workload unchanged: 256 chunks of 8 samples at 1e5 shots,
 seed 3, after the same 1000-shot warm-up. Each pair times one serial
-process_chunks call and then one with 4 workers, which draw shots on
-min(4, os.cpu_count()) threads. It prints every pooled/serial ratio, their
-median and that thread bound. A single pair cannot tell a pool regression
+process_chunks call and then one with 4 workers, which run their chunk
+ranges on min(4, os.cpu_count()) threads. It prints every pooled/serial
+ratio, their median and that thread bound. A single pair cannot tell a pool regression
 from host noise; the median of several pairs, run on two source trees, can.
 
     PYTHONPATH=src python tools/pool_ratio.py [--pairs 5]
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     plan_g = make_chunks(rng.uniform(0.1, 0.95, 256 * 8), 8)
     process_chunks(plan_f, plan_g, shots=1000, seed=3, workers=1)  # warm-up
     threads = min(4, os.cpu_count() or 1)
-    print(f"qwave from {os.path.dirname(qwave.__file__)}, 4 workers draw on {threads} threads")
+    print(f"qwave from {os.path.dirname(qwave.__file__)}, 4 workers run on {threads} threads")
     ratios = []
     for pair in range(1, args.pairs + 1):
         serial_s, serial = timed(plan_f, plan_g, 1)
