@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .encoding import EPSILON
+from .encoding import rescale_rows
 from .errors import DomainError, FormatError, ShapeError
 from .pipelines import COMPONENTS, product_blocks
 from .sampling import METRICS_CSV_HEADER, METRICS_CSV_ROW, MetricsReport, shot_readout
@@ -74,8 +74,8 @@ def load_wav(path) -> AudioBuffer:
     `path` is a file name or a binary file object. Float samples clip into
     [-1, 1); a NaN or infinite one is an error naming the file and the
     frame. A file that is not little-endian RIFF WAVE, lacks its fmt or data
-    chunk, has an unknown format tag or a data chunk shorter than its header
-    says is a FormatError naming the file.
+    chunk, has an unknown format tag, a sample rate outside [1, 2**31 - 1] or
+    a data chunk shorter than its header says is a FormatError naming the file.
     """
     if hasattr(path, "read"):
         blob = path.read()
@@ -137,6 +137,9 @@ def _parse_wav(path, blob: bytes):
     if len(fmt) < 16:
         raise FormatError(f"{path}: 'fmt ' chunk holds {len(fmt)} bytes, need 16")
     tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if not 1 <= rate <= _MAX_SAMPLE_RATE:
+        raise FormatError(f"{path}: 'fmt ' chunk gives sample rate {rate}, "
+                          f"outside [1, {_MAX_SAMPLE_RATE}]")
     if tag == _WAVE_EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _KSDATAFORMAT_TAIL:
         tag = int.from_bytes(fmt[24:28], "little")
     width = block_align // channels if channels else 0
@@ -235,8 +238,8 @@ class ChunkPlan:
 def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     """Split into consecutive chunk_size blocks, zero-padding the last.
 
-    A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled as
-    SignalChunk.from_values does it, with the same bits. A NaN or infinite
+    A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled by
+    encoding.rescale_rows, as in SignalChunk.from_values. A NaN or infinite
     sample is a DomainError naming its index.
     """
     values = np.asarray(values)
@@ -252,11 +255,7 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     if not np.isfinite(peaks).all():
         i = int(np.argmin(np.isfinite(np.abs(rows.reshape(-1)))))
         raise DomainError(f"sample {i} is not finite ({values[i]})")
-    hot = peaks > 1.0 - EPSILON
-    scales = np.ones(num_chunks)
-    scales[hot] = (1.0 - EPSILON) / peaks[hot]
-    rows[hot] *= scales[hot, None]
-    return ChunkPlan(chunk_size, total, rows, scales)
+    return ChunkPlan(chunk_size, total, rows, rescale_rows(rows, peaks))
 
 
 @dataclass(frozen=True)

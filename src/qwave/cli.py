@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .audio import (
     _MAX_FLOAT_SAMPLE,
+    _MAX_SAMPLE_RATE,
     AudioBuffer,
     load_wav,
     make_chunks,
@@ -31,17 +32,12 @@ from .audio import (
 )
 from .encoding import SignalChunk
 from .errors import QwaveError, ResourceLimitError, ShapeError
-from .pipelines import (
-    classical_circular_convolution,
-    classical_dft,
-    convolve_chunks,
-    product_blocks,
-)
+from .pipelines import convolve_chunks, product_blocks
 from .sampling import STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def _parse_shots(text: str):
@@ -134,7 +130,7 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                 f"{name}: Fourier-domain kernel must have exactly {padded_len} bins, "
                 f"got {values.size}"
             )
-        return classical_dft(values, inverse=True), "fourier"
+        return np.fft.ifft(values), "fourier"
     if values.size > chunk_size:
         raise ShapeError(
             f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}"
@@ -164,7 +160,7 @@ def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
             raise ShapeError(f"low-pass cutoff {k} must be in [0, {padded_len // 2}]")
         bins = np.arange(padded_len)
         ghat = np.where(np.minimum(bins, padded_len - bins) <= k, 1.0, 0.0)
-        return classical_dft(ghat, inverse=True), "fourier"
+        return np.fft.ifft(ghat), "fourier"
     return None
 
 
@@ -246,6 +242,11 @@ def _check_chunk_size(chunk_size: int) -> None:
             f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
 
 
+def _check_sample_rate(rate: int) -> None:
+    if not 1 <= rate <= _MAX_SAMPLE_RATE:
+        raise ShapeError(f"--sample-rate must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
+
+
 def _check_seed(seed: int) -> None:
     # numpy.random.SeedSequence takes non-negative integers only
     if seed < 0:
@@ -255,6 +256,7 @@ def _check_seed(seed: int) -> None:
 def _cmd_multiply(args) -> int:
     _check_chunk_size(args.chunk_size)
     _check_seed(args.seed)
+    _check_sample_rate(args.sample_rate)
     buf_f = _load_signal(args.signal_f, args.sample_rate)
     buf_g = _load_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
@@ -317,6 +319,7 @@ def _cmd_convolve(args) -> int:
     if args.seed != 0:
         raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
     _check_chunk_size(args.chunk_size)
+    _check_sample_rate(args.sample_rate)
     padded_len = 2 * args.chunk_size
     kernel, domain = build_kernel(args.kernel, args.chunk_size, padded_len,
                                   args.kernel_domain)
@@ -324,10 +327,8 @@ def _cmd_convolve(args) -> int:
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
     results = convolve_chunks(plan.values, kernel, padded_len)
-    padded = np.zeros((plan.num_chunks, padded_len), dtype=np.complex128)
-    padded[:, : args.chunk_size] = plan.values
-    padded_kernel = np.concatenate([kernel, np.zeros(padded_len - kernel.size)])
-    reference = classical_circular_convolution(padded, padded_kernel)
+    # each zero-padded row's circular convolution with the kernel, by FFT
+    reference = np.fft.ifft(np.fft.fft(plan.values, padded_len) * np.fft.fft(kernel, padded_len))
     denom = _row_norms(reference)
     rel = np.divide(_row_norms(results - reference), denom,
                     out=np.zeros_like(denom), where=denom != 0).tolist()

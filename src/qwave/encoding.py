@@ -53,6 +53,20 @@ def build_rho(values) -> np.ndarray:
     return rho
 
 
+def rescale_rows(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Scale in place each row of `rows` whose peak magnitude exceeds 1 - EPSILON.
+
+    Such a row is multiplied by (1 - EPSILON) / peak; any other row is left
+    untouched, since multiplying by 1.0 can flip the sign of a zero. Returns
+    each row's factor (1.0 where untouched).
+    """
+    hot = peaks > 1.0 - EPSILON
+    factors = np.ones(peaks.shape)
+    factors[hot] = (1.0 - EPSILON) / peaks[hot]
+    rows[hot] *= factors[hot, None]
+    return factors
+
+
 @dataclass(frozen=True)
 class SignalChunk:
     """A power-of-two block of complex samples with magnitudes <= 1 - EPSILON.
@@ -85,15 +99,13 @@ class SignalChunk:
     def from_values(cls, raw, scale: float = 1.0) -> "SignalChunk":
         """Build a chunk, rescaling into the magnitude bound when needed.
 
-        A signal whose peak magnitude exceeds 1 - EPSILON is multiplied by
-        (1 - EPSILON) / peak and the combined factor is recorded in `scale`.
+        The signal is rescaled as one row by rescale_rows, and its factor
+        multiplies into `scale`.
         """
-        raw = np.asarray(raw, dtype=np.complex128)
-        max_mag = float(np.abs(raw).max()) if raw.size else 0.0
-        if max_mag > 1.0 - EPSILON:
-            factor = (1.0 - EPSILON) / max_mag
-            return cls(raw * factor, scale * factor)
-        return cls(raw, scale)
+        raw = np.array(raw, dtype=np.complex128)  # a copy: rescaled in place
+        rows = raw.reshape(1, -1)
+        factor = rescale_rows(rows, np.abs(rows).max(axis=1, initial=0.0))[0]
+        return cls(rows.reshape(raw.shape), scale * float(factor))
 
     @classmethod
     def full_scale(cls, raw, scale: float = 1.0) -> "SignalChunk":

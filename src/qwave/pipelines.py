@@ -22,13 +22,7 @@ import numpy as np
 
 from .encoding import SignalChunk, build_rho
 from .errors import ShapeError
-from .statevector import (
-    QubitLayout,
-    Statevector,
-    _check_num_qubits,
-    _rotate_pairs,
-    apply_qft,
-)
+from .statevector import QubitLayout, Statevector, _check_num_qubits, _rotate_pairs
 
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -224,26 +218,19 @@ def _pad_array(values, target_len: int) -> np.ndarray:
 
 
 def convolve_via_theorem(f: SignalChunk, g: SignalChunk, pad_to: int) -> np.ndarray:
-    """Circular convolution via the convolution theorem.
+    """Circular convolution via the convolution theorem, on one product state.
 
-    Classically Fourier-transform the zero-padded inputs, renormalize the
-    coefficient vectors into the encodable magnitude bound, load them into the
-    two-ancilla product state, keep the |00> slice, and invert the transform
-    on the index register. The recorded renormalization factors are divided
-    back out, so the return equals classical_circular_convolution of the
+    The FFTs of the zero-padded inputs, renormalized into the encodable
+    bound, are loaded into the two-ancilla product state (product_blocks).
+    Its |00> slice, inverse-transformed on the index register with the
+    renormalization divided back out, is the circular convolution of the
     padded values up to float roundoff.
     """
-    fpad = zero_pad(f, pad_to)
-    gpad = zero_pad(g, pad_to)
-    fhat = SignalChunk.full_scale(classical_dft(fpad.values))
-    ghat = SignalChunk.full_scale(classical_dft(gpad.values))
-    product = pointwise_multiply_state(fhat, ghat)
+    fhat = SignalChunk.full_scale(np.fft.fft(zero_pad(f, pad_to).values))
+    ghat = SignalChunk.full_scale(np.fft.fft(zero_pad(g, pad_to).values))
+    _, states = next(product_blocks(fhat.values[None], ghat.values[None]))
     # exact post-selection of the |00> ancilla pattern, register kept
-    slice00 = product.state.amplitudes[0::4].copy()
-    m = fhat.n
-    register_state = Statevector(m, slice00)
-    apply_qft(register_state, range(m - 1, -1, -1), inverse=True)
-    return register_state.amplitudes / (fhat.scale * ghat.scale)
+    return np.fft.ifft(states[0, :, 0, 0], norm="ortho") / (fhat.scale * ghat.scale)
 
 
 def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
@@ -273,7 +260,7 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
         raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
     m = int(pad_to).bit_length() - 1
     _check_num_qubits(m + 1)
-    ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, pad_to)))
+    ghat = SignalChunk.full_scale(np.fft.fft(_pad_array(g_kernel, pad_to)))
     rho_g = build_rho(ghat.values)
     rows = (slice(None), slice(None))
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)

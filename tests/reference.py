@@ -17,7 +17,6 @@ from qwave import (
     Statevector,
     apply_hadamard_layer,
     apply_qft,
-    classical_dft,
     encode_function,
     init_state,
     zero_pad,
@@ -93,7 +92,7 @@ def convolve_by_gates(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     state.amplitudes[0::2] = f_slice
     apply_qft(state, layout.index_register)
 
-    ghat = SignalChunk.full_scale(classical_dft(_pad_array(g_kernel, big_m)))
+    ghat = SignalChunk.full_scale(np.fft.fft(_pad_array(g_kernel, big_m)))
     encode_function(state, layout, ghat, layout.ancillae[0])
 
     kept = state.amplitudes[0::2].copy()

@@ -209,8 +209,12 @@ def test_unsupported_sample_format_is_named_as_scipy_reads_it(tmp_path, blob):
      "data chunk is truncated: its header says 14 bytes, the file holds 11"),
     (riff((b"fmt ", bytes(12)), (b"data", PCM.tobytes())), "'fmt ' chunk holds 12 bytes"),
     (riff(fmt_chunk(channels=0), (b"data", PCM.tobytes())), "gives 0 channels"),
+    (riff(fmt_chunk(rate=0), (b"data", PCM.tobytes())),
+     f"'fmt ' chunk gives sample rate 0, outside [1, {2**31 - 1}]"),
+    (riff((b"fmt ", struct.pack("<HHIIHH", 1, 1, 2**31, 0, 2, 16)), (b"data", PCM.tobytes())),
+     f"'fmt ' chunk gives sample rate {2**31}, outside [1, {2**31 - 1}]"),
 ], ids=["text", "empty", "avi", "rifx", "rf64", "no-fmt", "no-data", "alaw",
-        "extensible-alaw", "truncated", "short-fmt", "no-channels"])
+        "extensible-alaw", "truncated", "short-fmt", "no-channels", "rate-zero", "rate-2**31"])
 def test_load_wav_rejects_malformed_files(tmp_path, blob, message):
     path = tmp_path / "bad.wav"
     path.write_bytes(blob)

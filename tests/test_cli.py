@@ -1,10 +1,14 @@
 """End-to-end runs of the command-line interface."""
 
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import qwave.audio
@@ -15,6 +19,9 @@ from qwave import (
     AudioBuffer,
     SignalChunk,
     classical_circular_convolution,
+    classical_dft,
+    convolve_optimized,
+    convolve_via_theorem,
     decode_component,
     extract_component,
     fidelity_percent,
@@ -27,7 +34,6 @@ from qwave import (
     run_selftest,
     sample_counts,
     write_wav,
-    zero_pad,
 )
 from qwave.cli import build_kernel, main
 from reference import convolve_by_gates
@@ -341,10 +347,8 @@ def one_chunk_convolve(samples, kernel, chunk_size):
     for i in range(num_chunks):
         chunk = SignalChunk.from_values(padded[i * chunk_size : (i + 1) * chunk_size])
         result = convolve_by_gates(chunk, kernel, padded_len)
-        reference = classical_circular_convolution(
-            zero_pad(chunk, padded_len).values,
-            np.concatenate([kernel, np.zeros(padded_len - kernel.size)]),
-        )
+        spectrum = np.fft.fft(chunk.values, padded_len) * np.fft.fft(kernel, padded_len)
+        reference = np.fft.ifft(spectrum)
         denom = float(np.linalg.norm(reference))
         rel = float(np.linalg.norm(result - reference)) / denom if denom else 0.0
         lines.append(f"{i},{rel:.10g}")
@@ -375,10 +379,86 @@ def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
 @pytest.mark.parametrize("spec", ["moving-average-2", "low-pass-1", "file"])
 def test_convolve_outputs_equal_one_chunk_formula_in_row_blocks(tmp_path, monkeypatch,
                                                                 chunk_size, spec):
-    # 80 terms per block is below M**2 (256 and 4096 here), so the batched
-    # oracle sums a few rows of one chunk per block, with a short last block
-    monkeypatch.setattr(pipelines, "_REFERENCE_BLOCK", 80)
+    # 80 amplitudes per block: convolve_chunks runs two chunks of 8 (32
+    # amplitudes each) or one chunk of 32 per block, with a short last block
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 80)
     test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec)
+
+
+def file_kernel(path, domain, padded_len, rng):
+    """A random kernel file: up to chunk_size time samples, or padded_len real bins."""
+    size = padded_len if domain == "fourier" else int(rng.integers(1, padded_len // 2 + 1))
+    np.savetxt(path, rng.uniform(-1.0, 1.0, size))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), num_chunks=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["identity", "shift", "moving-average", "low-pass", "time",
+                             "fourier"]), data=st.data())
+def test_oracle_column_equals_brute_force_distance(n, num_chunks, seed, kind, data):
+    chunk_size, padded_len = 1 << n, 2 << n
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        signal = AudioBuffer(rng.uniform(0.0, 1.0, num_chunks * chunk_size - 1), 8000)
+        write_wav(work / "f.wav", signal)
+        domain = kind if kind in ("time", "fourier") else "auto"
+        spec = {
+            "identity": lambda: "identity",
+            "shift": lambda: f"shift-{data.draw(st.integers(0, chunk_size - 1))}",
+            "moving-average": lambda: f"moving-average-{data.draw(st.integers(1, chunk_size))}",
+            "low-pass": lambda: f"low-pass-{data.draw(st.integers(0, chunk_size))}",
+            "time": lambda: file_kernel(work / "k.txt", "time", padded_len, rng),
+            "fourier": lambda: file_kernel(work / "k.txt", "fourier", padded_len, rng),
+        }[kind]()
+        assert main(["convolve", str(work / "f.wav"), "--kernel", spec, "--kernel-domain",
+                     domain, "--chunk-size", str(chunk_size), "--out", str(work / "out")]) == 0
+        column = [float(line.split(",")[1]) for line in read_lines(work / "out/metrics.csv")[1:]]
+        kernel, _ = build_kernel(spec, chunk_size, padded_len, domain)
+        plan = make_chunks(load_wav(work / "f.wav").samples, chunk_size)
+    padded = np.zeros((plan.num_chunks, padded_len), dtype=np.complex128)
+    padded[:, :chunk_size] = plan.values
+    padded_kernel = np.zeros(padded_len, dtype=np.complex128)
+    padded_kernel[: kernel.size] = kernel
+    oracle = classical_circular_convolution(padded, padded_kernel)
+    results = pipelines.convolve_chunks(plan.values, kernel, padded_len)
+    assert len(column) == plan.num_chunks
+    for got, want, row in zip(column, oracle, results):
+        denom = np.linalg.norm(want)
+        brute = np.linalg.norm(row - want) / denom if denom else 0.0
+        assert abs(got - brute) <= 1e-12
+        assert got < 1e-9 and brute < 1e-9
+
+
+@pytest.fixture
+def oracles_forbidden(monkeypatch):
+    """Make both brute-force oracles raise, through the row summer they share."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a brute-force oracle ran outside the tests")
+
+    monkeypatch.setattr(pipelines, "_sum_rows", forbidden)
+    for oracle in (lambda: classical_dft([1.0, 2.0]),
+                   lambda: classical_circular_convolution([1.0, 2.0], [3.0, 4.0])):
+        with pytest.raises(AssertionError, match="oracle"):
+            oracle()
+
+
+@pytest.mark.parametrize("spec", ["moving-average-4", "low-pass-2", "fourier-file"])
+def test_convolve_runs_no_oracle(tmp_path, oracles_forbidden, spec):
+    tone_wav(tmp_path / "f.wav")
+    domain = "auto"
+    if spec == "fourier-file":
+        spec, domain = file_kernel(tmp_path / "k.txt", "fourier", 16, RNG), "fourier"
+    assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", spec, "--kernel-domain",
+                 domain, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_one_chunk_convolutions_run_no_oracle(oracles_forbidden):
+    f = SignalChunk(np.array([0.5, 0.25, 0.125, 0.75]))
+    g = SignalChunk(np.array([0.25, 0.5, 0.0, 0.1]))
+    assert convolve_via_theorem(f, g, 8).shape == (8,)
+    assert convolve_optimized(f, g.values, 8).shape == (8,)
 
 
 def test_kernel_specs():
@@ -487,21 +567,26 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, route):
 def test_sample_rate_beyond_the_wav_header_is_one_error_line(tmp_path, capsys):
     np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
     f_txt, out = str(tmp_path / "f.txt"), tmp_path / "out"
-    assert main(["multiply", f_txt, f_txt, "--sample-rate", str(2**31),
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: sample rate must be in [1, {2**31 - 1}], got {2**31}\n")
-    assert not out.exists()
-    # a WAV whose header carries that rate fails the same way
+    missing = str(tmp_path / "missing.txt")
+    # the flag is checked before any input is read: a missing input goes unnoticed
+    for argv, rate in ((["multiply", f_txt, f_txt], 2**31), (["multiply", missing, missing], 0),
+                       (["convolve", missing, "--kernel", missing], 2**31)):
+        assert main([*argv, "--sample-rate", str(rate), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --sample-rate must be in [1, {2**31 - 1}], got {rate}\n")
+        assert not out.exists()
+    # a WAV whose header carries such a rate is an error naming the file and the field
     write_wav(tmp_path / "f.wav", AudioBuffer(np.full(8, 0.5), 8000))
     blob = bytearray((tmp_path / "f.wav").read_bytes())
-    blob[24:28] = (2**31).to_bytes(4, "little")
-    (tmp_path / "f.wav").write_bytes(bytes(blob))
-    assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", "identity",
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: sample rate must be in [1, {2**31 - 1}], got {2**31}\n")
-    assert not out.exists()
+    for rate in (2**31, 0):
+        blob[24:28] = rate.to_bytes(4, "little")
+        (tmp_path / "f.wav").write_bytes(bytes(blob))
+        assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", "identity",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'f.wav'}: 'fmt ' chunk gives sample rate {rate}, "
+            f"outside [1, {2**31 - 1}]\n")
+        assert not out.exists()
     assert main(["multiply", f_txt, f_txt, "--sample-rate", str(2**31 - 1),
                  "--out", str(out)]) == 0
     assert load_wav(out / "component_00.wav").sample_rate == 2**31 - 1
@@ -544,12 +629,14 @@ def test_selftest_command(capsys):
 
 
 def test_selftest_trips_on_flipped_qft(monkeypatch):
-    real_qft = pipelines.apply_qft
+    # convolve_via_theorem's inverse register QFT is np.fft.ifft; the forward
+    # transform that qft-vs-dft checks is np.fft.fft and stays as it is
+    real_fft = np.fft.fft
 
-    def flipped(state, register, inverse=False):
-        return real_qft(state, register, inverse=not inverse)
+    def flipped(a, n=None, axis=-1, norm=None):
+        return real_fft(a, n, axis, norm)
 
-    monkeypatch.setattr(pipelines, "apply_qft", flipped)
+    monkeypatch.setattr(np.fft, "ifft", flipped)
     passed = {name: ok for name, ok, _ in run_selftest()}
     assert passed == {
         "qft-vs-dft": True,
