@@ -41,6 +41,12 @@ _PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
 _MAX_SAMPLE_RATE = 2**31 - 1
 # the sample formats load_wav reads, with their little-endian numpy dtypes
 _READ_DTYPES = {"int16": "<i2", "float32": "<f4"}
+# The least work each thread's chunk range must hold before process_chunks
+# splits a call: state amplitudes in exact mode (one product_blocks block),
+# shot draws in shot mode. On a 2-vCPU host two threads lost to one below
+# about 3e4 amplitudes or 1e6 draws per thread.
+_MIN_RANGE_AMPLITUDES = 1 << 16
+_MIN_RANGE_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,14 +77,16 @@ class AudioBuffer:
 def load_wav(path) -> AudioBuffer:
     """Read a 16-bit PCM or 32-bit float WAV; stereo is averaged to mono.
 
-    `path` is a file name or a binary file object. Float samples clip into
-    [-1, 1); a NaN or infinite one is an error naming the file and the
-    frame. A file that is not little-endian RIFF WAVE, lacks its fmt or data
-    chunk, has an unknown format tag, a sample rate outside [1, 2**31 - 1] or
-    a data chunk shorter than its header says is a FormatError naming the file.
+    `path` is a file name or a binary file object, which errors name by its
+    `name` attribute when it has one. Float samples clip into [-1, 1); a NaN
+    or infinite one is an error naming the file and the frame. A file that
+    is not little-endian RIFF WAVE, lacks its fmt or data chunk, has an
+    unknown format tag, a sample rate outside [1, 2**31 - 1] or a data chunk
+    shorter than its header says is a FormatError naming the file.
     """
     if hasattr(path, "read"):
         blob = path.read()
+        path = getattr(path, "name", path)
     else:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -162,7 +170,7 @@ def write_wav(path, buffer: AudioBuffer) -> None:
 
     Values at or above full scale clip to the top code. The bytes equal
     scipy.io.wavfile.write's for the same int16 codes and rate; header and
-    samples go out in one write.
+    samples go out in one write, to a file name through write_file.
     """
     scaled = np.round(buffer.samples * _PCM_FULL_SCALE)
     pcm = np.clip(scaled, -32768, 32767).astype("<i2")
@@ -173,8 +181,26 @@ def write_wav(path, buffer: AudioBuffer) -> None:
     if hasattr(path, "write"):
         path.write(blob)
     else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        write_file(path, blob)
+
+
+def write_file(path, data: bytes) -> None:
+    """Make the file at `path` hold exactly `data`; every qwave output goes through here.
+
+    An existing file is rewritten in place and then cut to len(data), never
+    truncated on open: on ext4, emptying a file that holds data and closing
+    it once refilled (which starts its writeback) cost several times the
+    write itself. A new file gets mode 0o666 & ~umask, as open(path, "wb")
+    gives.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -305,11 +331,13 @@ def process_chunks(
     samples that many shots with a per-chunk stream derived from (seed,
     chunk_index), so results are byte-identical for any worker count. The
     chunks are split into min(workers, os.cpu_count()) contiguous ranges,
-    run on that many threads (the Philox draw, the sort and numpy's large
-    array loops release the GIL) or in this one when that is 1. Each range
-    reads its decoded channels and rmsd, fidelity and prob00 columns off a
-    block of states at a time, so peak memory is one block of states and, in
-    shot mode, one sampling batch (about 32 MB) per thread.
+    fewer if a range would hold under _MIN_RANGE_AMPLITUDES state amplitudes
+    (exact) or _MIN_RANGE_DRAWS shot draws, and run on that many threads
+    (the Philox draw, the sort and numpy's large array loops release the
+    GIL) or in this one when that is 1. Each range reads its decoded
+    channels and rmsd, fidelity and prob00 columns off a block of states at
+    a time, so peak memory is one block of states and, in shot mode, one
+    sampling batch (about 32 MB) per thread.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -324,7 +352,11 @@ def process_chunks(
     if seed < 0:
         raise ShapeError(f"seed must be >= 0, got {seed}")
     num_chunks, big_n = plan_f.values.shape
-    threads = min(workers, num_chunks, os.cpu_count() or 1)
+    if shots is None:
+        ranges = num_chunks * 4 * big_n // _MIN_RANGE_AMPLITUDES
+    else:
+        ranges = num_chunks * shots // _MIN_RANGE_DRAWS
+    threads = max(1, min(workers, num_chunks, os.cpu_count() or 1, ranges))
     step = -(-num_chunks // threads)
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
     scores = np.empty((3, num_chunks))
@@ -380,7 +412,6 @@ def stitch_and_write(
         write_wav(path, AudioBuffer(trimmed, sample_rate))
         paths[key] = path
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="") as fh:
-        fh.write(quad.metrics_csv())
+    write_file(metrics_path, quad.metrics_csv().encode())
     paths["metrics"] = metrics_path
     return paths

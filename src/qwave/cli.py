@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import os
 import sys
 import warnings
@@ -28,6 +29,7 @@ from .audio import (
     normalize_for_encoding,
     process_chunks,
     stitch_and_write,
+    write_file,
     write_wav,
 )
 from .encoding import SignalChunk
@@ -52,27 +54,32 @@ def _parse_shots(text: str):
     return shots
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
+def _read_bytes(path) -> bytes:
+    # a missing file's FileNotFoundError carries its name
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return fh.read()
 
 
-def _loadtxt(path) -> np.ndarray:
-    """Numbers from a text file; callers report an empty file naming the path."""
-    # opened here so that a missing file's FileNotFoundError carries its name
-    with open(path) as fh, warnings.catch_warnings():
+def _loadtxt(blob: bytes) -> np.ndarray:
+    """Numbers from a text file's bytes; callers report an empty file naming the path."""
+    # decoded as open(path) would, with the default encoding and universal newlines
+    with io.TextIOWrapper(io.BytesIO(blob)) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(fh, dtype=np.float64, ndmin=1)
 
 
-def _load_signal(path, sample_rate: int) -> AudioBuffer:
-    """WAV by extension, otherwise a whitespace-separated numeric text file."""
+def _load_signal(path, sample_rate: int) -> tuple:
+    """(samples, sha256 hex of the file): the file is read once and both come from those bytes.
+
+    WAV by extension, otherwise a whitespace-separated numeric text file.
+    """
+    blob = _read_bytes(path)
+    digest = hashlib.sha256(blob).hexdigest()
     if str(path).lower().endswith(".wav"):
-        return load_wav(path)
-    values = _loadtxt(path)
+        source = io.BytesIO(blob)
+        source.name = path  # load_wav's errors name the file
+        return load_wav(source), digest
+    values = _loadtxt(blob)
     if values.ndim != 1:
         raise ShapeError(f"{path}: expected a single column of samples")
     if values.size == 0:
@@ -81,16 +88,13 @@ def _load_signal(path, sample_rate: int) -> AudioBuffer:
         raise ShapeError(f"{path}: samples must be finite")
     if np.abs(values).max() > 1.0:
         raise ShapeError(f"{path}: samples must lie in [-1, 1]")
-    return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate)
+    return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
 
 
 def _write_manifest(out_dir, entries) -> str:
     path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w") as fh:
-        fh.write(f"manifest_version = {MANIFEST_VERSION}\n")
-        fh.write(f"tool = qwave {__version__}\n")
-        for key, value in entries:
-            fh.write(f"{key} = {value}\n")
+    lines = [("manifest_version", MANIFEST_VERSION), ("tool", f"qwave {__version__}"), *entries]
+    write_file(path, "".join(f"{key} = {value}\n" for key, value in lines).encode())
     return path
 
 
@@ -119,7 +123,7 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                              f"a {builtin[1]}-domain built-in")
         return builtin
     # numeric file
-    values = _loadtxt(name)
+    values = _loadtxt(_read_bytes(name))
     if values.size == 0:
         raise ShapeError(f"--kernel {name}: contains no samples")
     if values.ndim != 1 or not np.all(np.isfinite(values)):
@@ -257,8 +261,8 @@ def _cmd_multiply(args) -> int:
     _check_chunk_size(args.chunk_size)
     _check_seed(args.seed)
     _check_sample_rate(args.sample_rate)
-    buf_f = _load_signal(args.signal_f, args.sample_rate)
-    buf_g = _load_signal(args.signal_g, args.sample_rate)
+    buf_f, sha_f = _load_signal(args.signal_f, args.sample_rate)
+    buf_g, sha_g = _load_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
         raise ShapeError(
             f"sample rates differ: {buf_f.sample_rate} vs {buf_g.sample_rate}"
@@ -274,9 +278,9 @@ def _cmd_multiply(args) -> int:
     _write_manifest(args.out, [
         ("command", "multiply"),
         ("input_f", args.signal_f),
-        ("input_f_sha256", _sha256(args.signal_f)),
+        ("input_f_sha256", sha_f),
         ("input_g", args.signal_g),
-        ("input_g_sha256", _sha256(args.signal_g)),
+        ("input_g_sha256", sha_g),
         ("sample_rate", buf_f.sample_rate),
         ("chunk_size", args.chunk_size),
         ("num_chunks", plan_f.num_chunks),
@@ -323,7 +327,7 @@ def _cmd_convolve(args) -> int:
     padded_len = 2 * args.chunk_size
     kernel, domain = build_kernel(args.kernel, args.chunk_size, padded_len,
                                   args.kernel_domain)
-    buf = _load_signal(args.signal_f, args.sample_rate)
+    buf, sha_f = _load_signal(args.signal_f, args.sample_rate)
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
     results = convolve_chunks(plan.values, kernel, padded_len)
@@ -341,12 +345,11 @@ def _cmd_convolve(args) -> int:
     write_wav(out_wav, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
     metrics_path = os.path.join(args.out, "metrics.csv")
     rows = map("{},{:.10g}\n".format, range(len(rel)), rel)
-    with open(metrics_path, "w") as fh:
-        fh.write("chunk_index,rel_l2_vs_oracle\n" + "".join(rows))
+    write_file(metrics_path, ("chunk_index,rel_l2_vs_oracle\n" + "".join(rows)).encode())
     _write_manifest(args.out, [
         ("command", "convolve"),
         ("input_f", args.signal_f),
-        ("input_f_sha256", _sha256(args.signal_f)),
+        ("input_f_sha256", sha_f),
         ("kernel", args.kernel),
         ("kernel_domain", domain),
         ("sample_rate", buf.sample_rate),
@@ -385,7 +388,7 @@ def _parse_shots_list(text: str) -> list:
 
 def _sweep_chunk(flag: str, path) -> SignalChunk:
     """A shot-sweep input file as one chunk; its errors name the flag and the file."""
-    samples = _load_signal(path, 8000).samples
+    samples = _load_signal(path, 8000)[0].samples
     if np.any(samples < 0):
         raise ShapeError(f"{flag} {path}: sweep signals must be non-negative")
     try:
@@ -411,25 +414,24 @@ def _cmd_shot_sweep(args) -> int:
     _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
 
     os.makedirs(args.out, exist_ok=True)
-    sweep_path = os.path.join(args.out, "sweep.csv")
-    with open(sweep_path, "w") as fh:
-        fh.write("shots,log10_shots,rmsd_percent_median,rmsd_percent_min,"
-                 "rmsd_percent_max,fidelity_percent_median,fidelity_percent_min,"
-                 "fidelity_percent_max,num_seeds\n")
-        for shots in shot_specs:
-            if shots is None:
-                fh.write(f"exact,,0,0,0,100,100,100,{args.num_seeds}\n")
-                print("shots=exact rmsd=0% fidelity=100%")
-                continue
-            seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
-            rmsds, fids = seed_scores(states[0], shots, seeds)
-            fh.write(
-                f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
-                f"{rmsds.min():.10g},{rmsds.max():.10g},{np.median(fids):.10g},"
-                f"{fids.min():.10g},{fids.max():.10g},{args.num_seeds}\n"
-            )
-            print(f"shots={shots} rmsd={np.median(rmsds):.4g}% "
-                  f"fidelity={np.median(fids):.6g}%")
+    rows = ["shots,log10_shots,rmsd_percent_median,rmsd_percent_min,"
+            "rmsd_percent_max,fidelity_percent_median,fidelity_percent_min,"
+            "fidelity_percent_max,num_seeds\n"]
+    for shots in shot_specs:
+        if shots is None:
+            rows.append(f"exact,,0,0,0,100,100,100,{args.num_seeds}\n")
+            print("shots=exact rmsd=0% fidelity=100%")
+            continue
+        seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
+        rmsds, fids = seed_scores(states[0], shots, seeds)
+        rows.append(
+            f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
+            f"{rmsds.min():.10g},{rmsds.max():.10g},{np.median(fids):.10g},"
+            f"{fids.min():.10g},{fids.max():.10g},{args.num_seeds}\n"
+        )
+        print(f"shots={shots} rmsd={np.median(rmsds):.4g}% "
+              f"fidelity={np.median(fids):.6g}%")
+    write_file(os.path.join(args.out, "sweep.csv"), "".join(rows).encode())
     _write_manifest(args.out, [
         ("command", "shot-sweep"),
         ("signals", signal_desc),

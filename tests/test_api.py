@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +51,40 @@ def test_cli_import_loads_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+
+def _writing_opens(tree):
+    """(enclosing function, call text) of each open that can write: os.open, or an
+    open(...) / x.open(...) whose mode is not a literal free of w, a, x and +."""
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            if callee == "os.open":
+                yield func.name, callee
+                continue
+            if callee != "open" and not callee.endswith(".open"):
+                continue
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = node.args[1] if len(node.args) > 1 else (modes[0] if modes else None)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or (
+                    set(mode.value) & set("wax+")):
+                yield func.name, ast.unparse(node)
+
+
+def test_every_output_goes_through_write_file():
+    """The package opens a file for writing in one place: qwave.audio.write_file's os.open."""
+    package = os.path.dirname(os.path.abspath(qwave.__file__))
+    writers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            writers += [(name, *found) for found in _writing_opens(tree)]
+    assert writers == [("audio.py", "write_file", "os.open")]

@@ -1,8 +1,10 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
 import io
+import os
 import re
 import struct
+import tempfile
 import tracemalloc
 import warnings
 
@@ -43,6 +45,13 @@ RNG = np.random.default_rng(3141)
 
 def positive_signal(size, rng=RNG):
     return rng.uniform(0.05, 0.95, size)
+
+
+@pytest.fixture
+def split_any_work(monkeypatch):
+    """Let process_chunks give a thread a range of any size, so small calls use threads."""
+    monkeypatch.setattr(qwave.audio, "_MIN_RANGE_AMPLITUDES", 1)
+    monkeypatch.setattr(qwave.audio, "_MIN_RANGE_DRAWS", 1)
 
 
 def test_wav_int16_roundtrip(tmp_path):
@@ -372,7 +381,7 @@ def reference_quad(f, g, chunk_size, shots, seed):
 
 @pytest.mark.parametrize("shots", [None, 3000], ids=["exact", "shots"])
 @pytest.mark.parametrize("num_chunks,workers", [(5, 1), (5, 2), (5, 3), (2, 3)])
-def test_process_chunks_equals_one_chunk_reference(shots, num_chunks, workers):
+def test_process_chunks_equals_one_chunk_reference(split_any_work, shots, num_chunks, workers):
     rng = np.random.default_rng(num_chunks * 10 + workers)
     f = rng.uniform(0.0, 0.99, 8 * num_chunks - 3)
     g = rng.uniform(0.0, 0.99, 8 * num_chunks - 3)
@@ -440,7 +449,7 @@ def test_process_chunks_shot_mode_metrics():
     assert np.abs(quad.components["00"] - f * g).max() < 0.2
 
 
-def test_process_chunks_identical_across_worker_counts():
+def test_process_chunks_identical_across_worker_counts(split_any_work):
     f = positive_signal(32)
     g = positive_signal(32)
     plan_f, plan_g = make_chunks(f, 8), make_chunks(g, 8)
@@ -471,7 +480,7 @@ class RecordingExecutor:
 
 @pytest.mark.parametrize("cpus, workers, started", [(3, 1000, [3]), (3, 2, [2]), (1, 8, []),
                                                     (None, 8, [])])
-def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
+def test_pool_is_bounded_by_cpu_count(monkeypatch, split_any_work, cpus, workers, started):
     """Both modes run their chunk ranges on min(workers, cpus) threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
@@ -494,7 +503,7 @@ def test_pool_is_bounded_by_cpu_count(monkeypatch, cpus, workers, started):
     assert exact.columns.tobytes() == serial_exact.columns.tobytes()
 
 
-def test_threads_are_bounded_by_chunk_count(monkeypatch):
+def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
     """Two chunks make two ranges, so 8 CPUs and 1000 workers start two threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
@@ -503,6 +512,36 @@ def test_threads_are_bounded_by_chunk_count(monkeypatch):
     pooled = process_chunks(plan, plan, shots=50, seed=1, workers=1000)
     assert RecordingExecutor.sizes == [2]
     serial = process_chunks(plan, plan, shots=50, seed=1)
+    assert pooled.columns.tobytes() == serial.columns.tobytes()
+
+
+@pytest.mark.parametrize("shots, num_chunks, chunk_size, started", [
+    # 250 chunks of 8, the benchmark's exact call: 8000 amplitudes, one range
+    (None, 250, 8, []),
+    (None, 2, 1024, []),
+    # chunks of 8 hold 32 amplitudes: 2 ranges' worth, then one chunk short of 4
+    (None, 2 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
+    (None, 4 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32) - 1, 8, [3]),
+    (300, 20, 8, []),
+    (qwave.audio._MIN_RANGE_DRAWS - 1, 2, 2, []),
+    (qwave.audio._MIN_RANGE_DRAWS, 2, 2, [2]),
+], ids=["exact-c8", "exact-c1024", "exact-2-ranges", "exact-3-ranges", "shots-small",
+        "shots-below", "shots-2-ranges"])
+def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_chunks,
+                                                        chunk_size, started):
+    """Each thread gets at least _MIN_RANGE_AMPLITUDES amplitudes or _MIN_RANGE_DRAWS draws."""
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    rng = np.random.default_rng(num_chunks)
+    plan_f = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
+    plan_g = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
+    pooled = process_chunks(plan_f, plan_g, shots=shots, seed=4, workers=8)
+    assert RecordingExecutor.sizes == started
+    monkeypatch.undo()
+    serial = process_chunks(plan_f, plan_g, shots=shots, seed=4)
+    for key in serial.components:
+        assert np.array_equal(serial.components[key], pooled.components[key])
     assert pooled.columns.tobytes() == serial.columns.tobytes()
 
 
@@ -554,6 +593,43 @@ def test_process_chunks_validates():
         process_chunks(f, g16, shots=0)
     with pytest.raises(ShapeError, match="seed must be >= 0, got -1"):
         process_chunks(f, g16, shots=10, seed=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(old=st.one_of(st.none(), st.binary(max_size=3000)), new=st.binary(max_size=3000))
+def test_write_file_leaves_exactly_the_new_bytes(old, new):
+    """Over no file or any older content, longer or shorter, the file ends as `new`."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "out.bin")
+        if old is not None:
+            with open(path, "xb") as fh:
+                fh.write(old)
+        qwave.audio.write_file(path, new)
+        with open(path, "rb") as fh:
+            assert fh.read() == new
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_file_creates_files_with_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        qwave.audio.write_file(tmp_path / "new.bin", b"abc")
+        with open(tmp_path / "opened.bin", "xb"):
+            pass
+    finally:
+        os.umask(previous)
+    mode = os.stat(tmp_path / "new.bin").st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert mode == os.stat(tmp_path / "opened.bin").st_mode & 0o777
+
+
+def test_write_file_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "kept.bin"
+    path.write_bytes(b"0123456789")
+    os.chmod(path, 0o640)
+    qwave.audio.write_file(path, b"ab")
+    assert path.read_bytes() == b"ab"
+    assert os.stat(path).st_mode & 0o777 == 0o640
 
 
 def test_stitch_and_write(tmp_path):

@@ -1,5 +1,8 @@
 """End-to-end runs of the command-line interface."""
 
+import builtins
+import hashlib
+import io
 import tempfile
 import tracemalloc
 import warnings
@@ -702,6 +705,79 @@ def test_calls_in_one_process_share_no_values(tmp_path):
     assert (manifests[1]["shots"], manifests[1]["seed"]) == ("exact", "0")
     assert (manifests[2]["shots"], manifests[2]["seed"]) == ("exact", "0")
     assert manifests[2]["chunk_size"] == "8"
+
+
+def stale_case_argv(command, tmp_path, samples, tag):
+    """argv of a `command` run on inputs of `samples` samples, minus --out."""
+    rng = np.random.default_rng(samples)
+    f, g = (tmp_path / f"{tag}_f.wav", tmp_path / f"{tag}_g.txt")
+    write_wav(f, AudioBuffer(rng.uniform(0.05, 0.95, samples), 8000))
+    np.savetxt(g, rng.uniform(0.05, 0.95, samples))
+    if command == "multiply-exact":
+        return ["multiply", str(f), str(g)]
+    if command == "multiply-shots":
+        return ["multiply", str(f), str(g), "--shots", "300", "--seed", "4"]
+    if command == "convolve":
+        return ["convolve", str(f), "--kernel", "moving-average-3"]
+    # a sweep of `samples` // 256 shot counts on one 8-sample chunk
+    np.savetxt(g, rng.uniform(0.05, 0.95, 8))
+    shots = ",".join(str(10 * (k + 1)) for k in range(samples // 256)) + ",exact"
+    return ["shot-sweep", "--signal-f", str(g), "--signal-g", str(g), "--num-seeds", "2",
+            "--shots-list", shots]
+
+
+def output_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["multiply-exact", "multiply-shots", "convolve",
+                                     "shot-sweep"])
+@pytest.mark.parametrize("stale", ["longer-run", "junk-padded"])
+def test_rewrites_over_stale_outputs_equal_a_fresh_run(tmp_path, command, stale):
+    """Outputs are rewritten in place, and a longer old file leaves none of its tail."""
+    argv = stale_case_argv(command, tmp_path, 512, "short")
+    assert main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    fresh = output_bytes(tmp_path / "fresh")
+    out = tmp_path / "stale"
+    if stale == "longer-run":
+        assert main([*stale_case_argv(command, tmp_path, 2000, "stale"), "--out", str(out)]) == 0
+        old = output_bytes(out)
+        assert sorted(old) == sorted(fresh)
+        assert all(len(old[name]) > len(fresh[name]) for name in fresh)
+    else:
+        assert main([*argv, "--out", str(out)]) == 0
+        for path in out.iterdir():
+            with open(path, "ab") as fh:
+                fh.write(b"\xffjunk" * 700)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert output_bytes(out) == fresh
+
+
+@pytest.mark.parametrize("command", ["multiply", "convolve"])
+def test_inputs_are_read_once_and_hashed_from_those_bytes(tmp_path, monkeypatch, command):
+    """The manifest's sha256 is of the bytes parsed, and no input file is opened twice."""
+    tone_wav(tmp_path / "f.wav")
+    np.savetxt(tmp_path / "g.txt", RNG.uniform(0.1, 0.9, 160))
+    inputs = [str(tmp_path / "f.wav"), str(tmp_path / "g.txt")]
+    argv = {"multiply": ["multiply", *inputs],
+            "convolve": ["convolve", inputs[1], "--kernel", "shift-1"]}[command]
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    read = inputs if command == "multiply" else inputs[1:]
+    assert sorted(p for p in opened if p in inputs) == sorted(read)
+    manifest = dict(line.split(" = ", 1) for line in read_lines(tmp_path / "out" / "manifest.txt"))
+    for key, path in zip(("input_f_sha256", "input_g_sha256"), read):
+        with open(path, "rb") as fh:
+            assert manifest[key] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_version(capsys):

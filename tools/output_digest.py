@@ -8,7 +8,12 @@ workers, 1000 shots, seed 5) and a shift-scale multiply. They run in-process ins
 relative paths, so the manifests, which record input paths, compare across
 trees. Each output file prints as `sha256  path`, and each call's stdout as
 `sha256  <call>/stdout (exit <code>)`. The qwave package used is named on
-stderr, so stdout diffs clean between two trees:
+stderr, so stdout diffs clean between two trees.
+
+Then every output file gets junk appended and every call runs again into
+the same directories: outputs are rewritten in place, so each hash must
+equal the first pass's. Any that differs is named on stderr and the exit
+status is 1; stdout holds the first pass only.
 
     PYTHONPATH=src python tools/output_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python tools/output_digest.py > parent.txt
@@ -65,23 +70,50 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def output_files(label) -> list:
+    out_dir = f"out/{label}"
+    return [f"{out_dir}/{name}" for name in sorted(os.listdir(out_dir))
+            ] if os.path.isdir(out_dir) else []
+
+
+def digest_lines(argvs) -> list:
+    """Run every call; `sha256  name` of its stdout, then of each output file."""
+    lines = []
+    for label, argv in argvs:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = qwave_main(argv)
+        lines.append(f"{sha256(stdout.getvalue().encode())}  {label}/stdout (exit {code})")
+        for path in output_files(label):
+            with open(path, "rb") as fh:
+                lines.append(f"{sha256(fh.read())}  {path}")
+    return lines
+
+
 def main() -> int:
     print(f"qwave from {os.path.dirname(qwave.__file__)}", file=sys.stderr)
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for label, argv in calls():
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    code = qwave_main(argv)
-                print(f"{sha256(stdout.getvalue().encode())}  {label}/stdout (exit {code})")
-                out_dir = f"out/{label}"
-                for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else ():
-                    with open(os.path.join(out_dir, name), "rb") as fh:
-                        print(f"{sha256(fh.read())}  {out_dir}/{name}")
+            argvs = calls()
+            first = digest_lines(argvs)
+            print("\n".join(first))
+            for label, _ in argvs:
+                for path in output_files(label):
+                    with open(path, "ab") as fh:
+                        fh.write(b"\x00stale output\xff" * 64)
+            rewritten = digest_lines(argvs)
         finally:
             os.chdir(home)
+    if rewritten != first:
+        print("rewrite check FAILED: after every call reran over its junk-padded outputs, "
+              "these hashes differ from the first pass:", file=sys.stderr)
+        for line in sorted(set(rewritten) - set(first)):
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(f"rewrite check passed: all {len(first)} hashes equal after rerunning every "
+          f"call over its junk-padded outputs", file=sys.stderr)
     return 0
 
 
