@@ -33,7 +33,7 @@ from .audio import (
     write_wav,
 )
 from .encoding import SignalChunk
-from .errors import QwaveError, ResourceLimitError, ShapeError
+from .errors import NormalizationError, QwaveError, ResourceLimitError, ShapeError
 from .pipelines import convolve_chunks, product_blocks
 from .sampling import STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
@@ -134,7 +134,10 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                 f"{name}: Fourier-domain kernel must have exactly {padded_len} bins, "
                 f"got {values.size}"
             )
-        return np.fft.ifft(values), "fourier"
+        values = np.fft.ifft(values)
+        if not np.all(np.isfinite(values)):
+            raise ShapeError(f"--kernel {name}: its inverse transform is not finite")
+        return values, "fourier"
     if values.size > chunk_size:
         raise ShapeError(
             f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}"
@@ -330,7 +333,10 @@ def _cmd_convolve(args) -> int:
     buf, sha_f = _load_signal(args.signal_f, args.sample_rate)
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
-    results = convolve_chunks(plan.values, kernel, padded_len)
+    try:
+        results = convolve_chunks(plan.values, kernel, padded_len)
+    except NormalizationError as exc:  # the kernel's spectrum cannot be encoded
+        raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
     # each zero-padded row's circular convolution with the kernel, by FFT
     reference = np.fft.ifft(np.fft.fft(plan.values, padded_len) * np.fft.fft(kernel, padded_len))
     denom = _row_norms(reference)

@@ -113,13 +113,17 @@ class SignalChunk:
 
         Used for Fourier coefficient vectors, which are normalized to full
         range whether or not they already fit; an all-zero input is kept
-        as-is. The factor multiplies into `scale` like in from_values.
+        as-is, and a peak that is not finite or whose factor overflows is
+        refused. The factor multiplies into `scale` like in from_values.
         """
         raw = np.asarray(raw, dtype=np.complex128)
         peak = float(np.abs(raw).max()) if raw.size else 0.0
         if peak == 0.0:
             return cls(raw, scale)
         factor = (1.0 - EPSILON) / peak
+        if not (np.isfinite(peak) and np.isfinite(factor)):
+            raise NormalizationError(
+                f"cannot rescale a peak |value| of {peak} to the {1.0 - EPSILON} bound")
         return cls(raw * factor, scale * factor)
 
     @property

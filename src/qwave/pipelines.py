@@ -8,10 +8,11 @@ with h~ = sqrt(1-|h|^2), so the |00> slice times sqrt(N) is the pointwise
 product. Circular convolution reuses the same state on Fourier coefficients,
 then undoes the transform on the index register.
 
-`product_blocks` and `convolve_chunks` run each circuit on many chunks at
-once, with a leading chunk axis. `pointwise_multiply_state` and
-`convolve_optimized` are the one-chunk API: the same engines at one chunk.
-The gate-by-gate forms they are checked against live in the tests.
+`product_blocks` and `convolve_chunks` write each circuit's closed-form state
+(amplitude h * rho_f[t_f, 0] * rho_g[t_g, 0], h the Hadamard amplitude) for
+many chunks at once, with a leading chunk axis. `pointwise_multiply_state`
+and `convolve_optimized` are the one-chunk API: the same engines at one
+chunk. The tests hold them bit for bit to the gate-by-gate forms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .encoding import SignalChunk, build_rho
 from .errors import ShapeError
-from .statevector import QubitLayout, Statevector, _check_num_qubits, _rotate_pairs
+from .statevector import QubitLayout, Statevector, _check_num_qubits
 
 COMPONENTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -89,8 +90,7 @@ def _hadamard_amplitude(n: int) -> float:
     """Each amplitude of n Hadamards on |0...0>, bit for bit as the gate layer writes it.
 
     Every amplitude takes the same n products with 1/sqrt(2), so the
-    engines fill the register with this value instead of making n passes
-    (and their temporaries) over the state.
+    engines scale by this value instead of making n passes over the state.
     """
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     amp = 1.0
@@ -121,13 +121,10 @@ def product_blocks(f, g):
     num_chunks, big_n = f.shape
     n = big_n.bit_length() - 1
     _check_num_qubits(n + 2)
-    rows = (slice(None), slice(None))
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
-        states = np.zeros((hi - lo, big_n, 2, 2), dtype=np.complex128)
-        states[:, :, 0, 0] = _hadamard_amplitude(n)
-        _rotate_pairs(states, rows, build_rho(f[lo:hi])[:, :, None])
-        _rotate_pairs(states.swapaxes(2, 3), rows, build_rho(g[lo:hi])[:, :, None])
-        yield lo, states
+        col_f = build_rho(f[lo:hi])[..., 0] * _hadamard_amplitude(n)
+        col_g = build_rho(g[lo:hi])[..., 0]
+        yield lo, col_g[:, :, None, :] * col_f[:, :, :, None]
 
 
 # Terms per block in _sum_rows: a few MiB at any M, where one (M, M) block
@@ -250,9 +247,9 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
 def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
-    Returns shape (C, pad_to). The kernel's Fourier coefficients, their
-    full-scale factor and their rho blocks are computed once for all rows.
-    A state above MAX_QUBITS is refused before any is allocated.
+    Returns shape (C, pad_to), carrying only the register's ancilla-0 branch;
+    the kernel's spectrum, full-scale factor and encoder column are computed
+    once. A state above MAX_QUBITS is refused before any is allocated.
     """
     values = _chunk_rows(values)
     num_chunks, big_n = values.shape
@@ -261,21 +258,13 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     m = int(pad_to).bit_length() - 1
     _check_num_qubits(m + 1)
     ghat = SignalChunk.full_scale(np.fft.fft(_pad_array(g_kernel, pad_to)))
-    rho_g = build_rho(ghat.values)
-    rows = (slice(None), slice(None))
+    col_g = build_rho(ghat.values)[:, 0, 0]
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
-        # stage 1: |f> on the register, the encoding ancilla spent and dropped
-        prep = np.zeros((hi - lo, pad_to, 2), dtype=np.complex128)
-        prep[:, :, 0] = _hadamard_amplitude(m)
-        fpad = np.zeros((hi - lo, pad_to), dtype=np.complex128)
-        fpad[:, :big_n] = values[lo:hi]
-        _rotate_pairs(prep, rows, build_rho(fpad))
-        # stage 2: register QFT, kernel on a fresh ancilla, inverse QFT on its 0 slice
-        state = np.zeros_like(prep)
-        state[:, :, 0] = prep[:, :, 0]
-        state = np.fft.fft(state, axis=1, norm="ortho")
-        _rotate_pairs(state, rows, rho_g)
-        kept = np.fft.ifft(state[:, :, 0], axis=1, norm="ortho")
+        # |f> on the register, the encoding ancilla's 0 branch kept
+        fpad = np.pad(values[lo:hi], ((0, 0), (0, pad_to - big_n)))
+        col_f = build_rho(fpad)[..., 0, 0] * _hadamard_amplitude(m)
+        # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch
+        kept = np.fft.ifft(col_g * np.fft.fft(col_f, axis=1, norm="ortho"), axis=1, norm="ortho")
         out[lo:hi] = kept * np.sqrt(pad_to) / ghat.scale
     return out

@@ -236,6 +236,25 @@ def test_empty_kernel_file_names_the_flag_and_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values, domain, message", [
+    ("1e-320 2e-320", "time", "cannot rescale a peak |value| of 3e-320"),
+    ("1e308 1e308", "time", "cannot rescale a peak |value| of inf"),
+    (" ".join(["1e308"] * 16), "fourier", "its inverse transform is not finite"),
+], ids=["factor-overflows", "spectrum-overflows", "inverse-transform-overflows"])
+def test_unencodable_kernel_file_names_the_file(tmp_path, capsys, values, domain, message):
+    tone_wav(tmp_path / "f.wav")
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(values + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's FFT overflow warnings
+        code = main(["convolve", str(tmp_path / "f.wav"), "--kernel", str(kernel),
+                     "--kernel-domain", domain, "--out", str(tmp_path / "out")])
+    assert code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: --kernel {kernel}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["multiply", "convolve"])
 @pytest.mark.parametrize("channels", [1, 2], ids=["mono", "stereo"])
 def test_zero_frame_wav_names_the_file(tmp_path, capsys, command, channels):

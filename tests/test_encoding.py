@@ -322,6 +322,20 @@ def test_full_scale_always_normalizes():
     assert zero.scale == 1.0
 
 
+@pytest.mark.parametrize("raw, peak", [
+    ([3e-320, 1e-320], "3e-320"),       # (1 - EPSILON) / peak overflows
+    ([np.inf, 0.5], "inf"),
+    ([np.nan, 0.5], "nan"),
+], ids=["subnormal", "inf", "nan"])
+def test_full_scale_refuses_a_peak_it_cannot_rescale(raw, peak):
+    with pytest.raises(NormalizationError, match=rf"^cannot rescale a peak \|value\| of {peak} "):
+        SignalChunk.full_scale(np.array(raw))
+    # the smallest peak whose factor is finite still lands on the bound
+    smallest = (1.0 - EPSILON) / np.finfo(np.float64).max
+    chunk = SignalChunk.full_scale(np.array([np.nextafter(smallest, 1.0), 0.0]))
+    assert np.abs(chunk.values).max() == pytest.approx(1 - EPSILON)
+
+
 def test_complement():
     chunk = SignalChunk(np.array([0.6, 0.0]))
     assert np.abs(chunk.complement() - np.array([0.8, 1.0])).max() < 1e-12

@@ -351,7 +351,9 @@ def test_convolution_routes_match_oracle_property(seed, n, pad_doublings, phases
     pad = (1 << n) << pad_doublings
     oracle = classical_circular_convolution(zero_pad(f, pad).values, zero_pad(g, pad).values)
     denom = np.linalg.norm(oracle)
-    assume(denom > 0)  # zero rows leave no relative error to bound
+    # zero rows leave no relative error to bound, and a result below the
+    # normal range (rows of subnormals) has no 1e-9 relative precision
+    assume(denom >= np.finfo(np.float64).tiny)
     for route in (convolve_via_theorem(f, g, pad), convolve_optimized(f, g.values, pad)):
         assert np.linalg.norm(route - oracle) / denom < 1e-9
 
@@ -435,16 +437,35 @@ def test_one_chunk_api_refuses_states_above_max_qubits_before_allocating(monkeyp
 
 
 def chunk_rows(seed, n, num_chunks, phases):
-    """(C, 2**n) encodable rows with zeros and magnitudes of exactly 1 - EPSILON mixed in."""
+    """(C, 2**n) encodable rows with edge values mixed in.
+
+    Besides +0 and magnitudes of exactly 1 - EPSILON: -0.0, x - 0j, negative
+    reals (angle pi), pure imaginaries of either sign and subnormal
+    magnitudes, the inputs where a product with a zero could flip a zero's
+    sign or underflow.
+    """
     rng = np.random.default_rng(seed)
     shape = (num_chunks, 1 << n)
-    rows = rng.uniform(0.0, 1.0 - EPSILON, shape).astype(np.complex128)
+    mags = rng.uniform(0.0, 1.0 - EPSILON, shape)
+    rows = mags.astype(np.complex128)
     if phases:
         rows *= np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
     special = rng.random(shape)
     rows[special < 0.1] = 0.0
     edge = (special >= 0.1) & (special < 0.15)
     rows[edge] = (1.0 - EPSILON) * np.exp(1j * rng.uniform(-np.pi, np.pi, edge.sum()))
+    negative_zero, minus_0j, negative_real, imaginary, subnormal = (
+        (special >= lo) & (special < lo + 0.03) for lo in (0.15, 0.18, 0.21, 0.24, 0.27))
+    rows[negative_zero] = -0.0
+    rows[minus_0j] = mags[minus_0j]
+    rows.imag[minus_0j] = -0.0
+    rows[negative_real] = -mags[negative_real]
+    signs = rng.choice([-1.0, 1.0], imaginary.sum())
+    rows.real[imaginary] = 0.0
+    rows.imag[imaginary] = signs * mags[imaginary]
+    tiny = np.finfo(np.float64).tiny
+    rows[subnormal] = rng.uniform(0.0, tiny, subnormal.sum()) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, subnormal.sum()))
     return rows
 
 
@@ -528,6 +549,20 @@ def test_batched_engines_bitwise_equal_one_chunk_references_at_ten_qubits():
     f = chunk_rows(10, 10, 2, True)
     g = chunk_rows(11, 10, 2, True)
     assert_batch_matches_chunks(f, g, np.full(4, 0.25), 2 << 10)
+
+
+def test_product_blocks_transients_stay_within_three_states():
+    # at the peak one encoder block, one encoder column and the state are alive
+    f = chunk_rows(16, 16, 1, True)
+    g = chunk_rows(17, 16, 1, True)
+    tracemalloc.start()
+    try:
+        _, states = next(product_blocks(f, g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.nbytes == 4 << 20
+    assert peak <= 3 * states.nbytes
 
 
 def test_batched_engines_reject_bad_rows():

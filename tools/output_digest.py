@@ -3,12 +3,16 @@
 The calls: the four benchmark workloads' argv on seeds 1 and 2 (inputs from
 perfbench.bench_workloads.make_inputs), a low-pass-3 convolve at chunk size
 16, a moving-average-5 convolve at chunk size 256, a convolve with a kernel
-file, selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
-workers, 1000 shots, seed 5) and a shift-scale multiply. They run in-process inside a temporary directory with
-relative paths, so the manifests, which record input paths, compare across
-trees. Each output file prints as `sha256  path`, and each call's stdout as
-`sha256  <call>/stdout (exit <code>)`. The qwave package used is named on
-stderr, so stdout diffs clean between two trees.
+file, one with a Fourier-domain kernel file, a shift-scale convolve,
+selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
+workers, 1000 shots, seed 5), a shift-scale multiply and a multiply of a
+40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
+an engine block, and the tail is padded). They run in-process inside a
+temporary directory with relative paths, so the manifests, which record
+input paths, compare across trees. Each output file prints as
+`sha256  path`, and each call's stdout as `sha256  <call>/stdout (exit
+<code>)`. The qwave package used is named on stderr, so stdout diffs clean
+between two trees.
 
 Then every output file gets junk appended and every call runs again into
 the same directories: outputs are rewritten in place, so each hash must
@@ -49,10 +53,14 @@ def calls() -> list:
             out.append((label, workload.argv(paths, f"out/{label}")))
     signal = "in/conv-ma4-c8-s1/input_0.wav"
     np.savetxt("in/kernel.txt", np.random.default_rng(0).uniform(-1.0, 1.0, 8))
-    for label, kernel, chunk_size in (("conv-lp3-c16", "low-pass-3", 16),
-                                      ("conv-ma5-c256", "moving-average-5", 256),
-                                      ("conv-file-c8", "in/kernel.txt", 8)):
-        out.append((label, ["convolve", signal, "--kernel", kernel,
+    np.savetxt("in/bins.txt", np.random.default_rng(1).uniform(-1.0, 1.0, 16))
+    for label, kernel, chunk_size, flags in (
+            ("conv-lp3-c16", "low-pass-3", 16, []),
+            ("conv-ma5-c256", "moving-average-5", 256, []),
+            ("conv-file-c8", "in/kernel.txt", 8, []),
+            ("conv-fourier-file-c8", "in/bins.txt", 8, ["--kernel-domain", "fourier"]),
+            ("conv-shift-scale-c8", "moving-average-4", 8, ["--normalization", "shift-scale"])):
+        out.append((label, ["convolve", signal, "--kernel", kernel, *flags,
                             "--chunk-size", str(chunk_size), "--out", f"out/{label}"]))
     out.append(("selftest", ["selftest"]))
     out.append(("shot-sweep", ["shot-sweep", "--num-seeds", "3",
@@ -63,6 +71,11 @@ def calls() -> list:
             ("mul-shift-scale-c8", "mul-exact-c8-s1", ["--normalization", "shift-scale"])):
         out.append((label, ["multiply", f"in/{inputs}/input_0.wav", f"in/{inputs}/input_1.wav",
                             *flags, "--out", f"out/{label}"]))
+    rng = np.random.default_rng(2)
+    for name in ("long_f.txt", "long_g.txt"):
+        np.savetxt(f"in/{name}", rng.uniform(0.0, 1.0, 40000))
+    out.append(("mul-exact-c32768", ["multiply", "in/long_f.txt", "in/long_g.txt",
+                                     "--chunk-size", "32768", "--out", "out/mul-exact-c32768"]))
     return out
 
 
