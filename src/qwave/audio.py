@@ -333,11 +333,12 @@ def process_chunks(
     chunks are split into min(workers, os.cpu_count()) contiguous ranges,
     fewer if a range would hold under _MIN_RANGE_AMPLITUDES state amplitudes
     (exact) or _MIN_RANGE_DRAWS shot draws, and run on that many threads
-    (the Philox draw, the sort and numpy's large array loops release the
-    GIL) or in this one when that is 1. Each range reads its decoded
-    channels and rmsd, fidelity and prob00 columns off a block of states at
-    a time, so peak memory is one block of states and, in shot mode, one
-    sampling batch (about 32 MB) per thread.
+    (the Philox draw, the sorts and numpy's large array loops release the
+    GIL; count_draws' bincount holds it) or in this one when that is 1.
+    Each range reads its decoded channels and rmsd, fidelity and prob00
+    columns off a block of states at a time, so peak memory is one block of
+    states and, in shot mode, one sampling batch (a few MiB; see
+    qwave.sampling.count_draws) per thread.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")

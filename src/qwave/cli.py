@@ -134,7 +134,8 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                 f"{name}: Fourier-domain kernel must have exactly {padded_len} bins, "
                 f"got {values.size}"
             )
-        values = np.fft.ifft(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            values = np.fft.ifft(values)
         if not np.all(np.isfinite(values)):
             raise ShapeError(f"--kernel {name}: its inverse transform is not finite")
         return values, "fourier"
@@ -337,11 +338,20 @@ def _cmd_convolve(args) -> int:
         results = convolve_chunks(plan.values, kernel, padded_len)
     except NormalizationError as exc:  # the kernel's spectrum cannot be encoded
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
-    # each zero-padded row's circular convolution with the kernel, by FFT
-    reference = np.fft.ifft(np.fft.fft(plan.values, padded_len) * np.fft.fft(kernel, padded_len))
-    denom = _row_norms(reference)
-    rel = np.divide(_row_norms(results - reference), denom,
-                    out=np.zeros_like(denom), where=denom != 0).tolist()
+    # each zero-padded row's circular convolution with the kernel, by FFT;
+    # a kernel tap near the float maximum overflows it, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = np.fft.ifft(np.fft.fft(plan.values, padded_len)
+                                * np.fft.fft(kernel, padded_len))
+        denom = _row_norms(reference)
+        rel = np.divide(_row_norms(results - reference), denom,
+                        out=np.zeros_like(denom), where=denom != 0)
+    bad = np.flatnonzero(~np.isfinite(rel))
+    if bad.size:
+        raise NormalizationError(
+            f"--kernel {args.kernel}: rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "
+            "the kernel overflows the reference convolution")
+    rel = rel.tolist()
     # chunks are disjoint and unwindowed, so the linear tail past chunk_size
     # has nowhere to go; it is dropped, not overlap-added
     pieces = results[:, : args.chunk_size].real / plan.scales[:, None]

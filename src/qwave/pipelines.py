@@ -257,7 +257,9 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
         raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
     m = int(pad_to).bit_length() - 1
     _check_num_qubits(m + 1)
-    ghat = SignalChunk.full_scale(np.fft.fft(_pad_array(g_kernel, pad_to)))
+    with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
+        spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
+    ghat = SignalChunk.full_scale(spectrum)
     col_g = build_rho(ghat.values)[:, 0, 0]
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):

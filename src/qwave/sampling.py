@@ -8,6 +8,7 @@ work is scheduled across threads.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,27 @@ from .errors import ShapeError, StateError
 from .pipelines import COMPONENTS, _chunk_blocks, _component_offset
 from .statevector import Statevector
 
-# Uniforms drawn per batch when sampling: the float64 batch (~32 MB) is the
-# only shot-sized array, so peak memory is one batch per thread that draws.
-_BATCH = 4_000_000
+# A batch is the only shot-sized array, so peak memory is one batch per thread
+# that draws. A binned batch holds _GRID_BATCH Philox words and their cell
+# indices (512 KiB each), binned on at most 2**13 cells. A sorted batch holds
+# _SORT_DRAWS_PER_EDGE uniforms per CDF entry, so that searching the CDF in
+# each sorted batch stays a small part of its cost, but at least _BATCH
+# (1 MiB of float64) and at most _MAX_BATCH (32 MiB).
+_GRID_BATCH = 1 << 16
+_BATCH = 1 << 17
+_MAX_BATCH = 1 << 22
+_SORT_DRAWS_PER_EDGE = 32
+# count_draws bins on a grid only when a call draws at least one full binned
+# batch and that batch holds _GRID_DRAWS_PER_EDGE draws per CDF entry: with
+# fewer, the grid's fixed numpy calls and its per-batch search of every edge
+# cost more than sorting the whole batch. Large batches also keep the GIL
+# hand-overs per draw few when several threads draw at once.
+_GRID_DRAWS_PER_EDGE = 512
+# Each thread's cell-index and edge-mask buffers for a binned batch, kept
+# for the thread's life. glibc maps an allocation of 128 KiB or more afresh,
+# or trims it off its heap once it is freed, so buffers allocated per call
+# would have their pages faulted in again on every call.
+_grid_buffers = threading.local()
 
 # Smooth positive 8-sample pair used as the default sweep input. Amplitudes
 # sit high in [0, 1) so the per-index decode keeps sampling error small.
@@ -62,13 +81,12 @@ def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
     The state must be unit-norm to 1e-6 (a NaN or infinite norm is
     rejected); the probability vector is then renormalized exactly and its
     CDF closed with cdf[-1] = 1. Sampling rule: shot j takes the j-th
-    uniform u of the Philox stream, drawn in batches of at most _BATCH, and
-    lands on the first basis state k with u < cdf[k], i.e.
-    searchsorted(cdf, u, side="right"). Counting sorts each batch once and
-    takes differences of searchsorted(u, cdf, side="left"), the number of
-    draws below each cdf[k]; that assigns every draw to the same k, so the
-    counts equal those of the rule draw for draw. Identical (state, shots,
-    seed) always produce identical counts.
+    uniform u of the Philox stream and lands on the first basis state k
+    with u < cdf[k], i.e. searchsorted(cdf, u, side="right"). Drawing in
+    batches, count_draws counts the draws below each cdf[k] without sorting
+    every uniform (see there) and takes differences; that assigns every draw
+    to the same k, so the counts equal those of the rule draw for draw.
+    Identical (state, shots, seed) always produce identical counts.
     """
     if shots < 1:
         raise ShapeError(f"shots must be >= 1, got {shots}")
@@ -96,18 +114,19 @@ def count_draws(cdf, shots: int, seed) -> np.ndarray:
     """Counts per basis state of `shots` Philox draws against one closed CDF.
 
     The draw-and-count half of sample_counts' sampling rule, for callers
-    that hold the CDF already.
+    that hold the CDF already. numpy's Philox uniform is u = (w >> 11) * 2**-53
+    for the next raw 64-bit word w, so the top `bits` bits of w name the cell
+    floor(u * 2**bits) of a grid on [0, 1). A draw in a cell that holds no
+    cdf[k] strictly inside it lies below cdf[k] exactly when its cell lies
+    below cdf[k]'s, so those draws are only binned; the few draws in a cell
+    that holds an edge are turned into their uniforms, sorted and searched
+    against the CDF, one batch at a time. The number of draws below cdf[k]
+    is then the binned count of the edge-free cells below it plus the edge
+    draws below it, the same number a sort of every uniform gives. Short
+    calls, or CDFs with too many entries for a grid to pay, use a single
+    cell: every draw is sorted, and nothing is binned.
     """
-    rng = make_rng(seed)
-    counts = np.zeros(cdf.size, dtype=np.int64)
-    remaining = int(shots)
-    while remaining > 0:
-        batch = min(remaining, _BATCH)
-        u = rng.random(batch)
-        u.sort()
-        counts += np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
-        remaining -= batch
-    return counts
+    return draw_counts(cdf[None], shots, [seed])[0]
 
 
 def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
@@ -117,9 +136,68 @@ def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
     equals count_draws(cdf[k], shots, seeds[k]) however rows are grouped
     into blocks or spread over threads.
     """
+    bits, batch = _grid_plan(cdf.shape[-1], shots)
+    return _count_on_grid(cdf, shots, seeds, bits, batch)
+
+
+def _grid_plan(dim: int, shots: int) -> tuple:
+    """(bits, batch): the grid of 2**bits cells (0 for a single cell) and batch size for a call.
+
+    About sqrt(8 * dim * batch) cells balance the per-cell cost of the bins
+    against the sorting of the edge draws, at most dim / cells of a batch.
+    """
+    if shots < _GRID_BATCH or _GRID_BATCH < _GRID_DRAWS_PER_EDGE * dim:
+        return 0, min(max(_BATCH, _SORT_DRAWS_PER_EDGE * dim), _MAX_BATCH)
+    return (8 * dim * _GRID_BATCH).bit_length() // 2, _GRID_BATCH
+
+
+def _count_on_grid(cdf, shots: int, seeds, bits: int, batch: int) -> np.ndarray:
+    """draw_counts on a grid of 2**bits cells (0 for one cell), drawing at most `batch` at a time.
+
+    Every row and batch reuses one set of batch buffers: the calling
+    thread's, on a grid, and one allocated for the call when sorting.
+    """
+    shots = int(shots)
+    n = min(shots, batch)
     counts = np.empty(cdf.shape, dtype=np.int64)
-    for k, row_seed in enumerate(seeds):
-        counts[k] = count_draws(cdf[k], shots, row_seed)
+    if bits:
+        cells = 1 << bits
+        shift = np.uint64(64 - bits)
+        cell = getattr(_grid_buffers, "cell", None)
+        if cell is None or cell.size < n:
+            _grid_buffers.cell = np.empty(n, dtype=np.int64)
+            _grid_buffers.in_edge_cell = np.empty(n, dtype=bool)
+        cell, in_edge_cell = _grid_buffers.cell, _grid_buffers.in_edge_cell
+    else:
+        drawn = np.empty(n)
+    for k, seed in enumerate(seeds):
+        rng, row = make_rng(seed), cdf[k]
+        below = np.zeros(cdf.shape[-1], dtype=np.int64)
+        if bits:
+            scaled = row * cells  # exact: a power-of-two scale
+            cell_of = np.minimum(scaled, cells).astype(np.intp)  # cdf >= 1 lies past the grid
+            edge = np.zeros(cells + 1, dtype=bool)
+            edge[cell_of[scaled != cell_of]] = True  # the cells with an edge strictly inside
+            edge = edge[:cells]
+            binned = np.zeros(cells, dtype=np.int64)
+        for start in range(0, shots, batch):
+            m = min(batch, shots - start)
+            if bits:
+                words = rng.bit_generator.random_raw(m)
+                cell_m, in_edge_m = cell[:m], in_edge_cell[:m]
+                np.right_shift(words, shift, out=cell_m)
+                binned += np.bincount(cell_m, minlength=cells)
+                np.take(edge, cell_m, out=in_edge_m, mode="clip")  # unbuffered: cells are in range
+                u = (words[in_edge_m] >> np.uint64(11)) * 2.0**-53  # rng.random's uniforms
+            else:
+                u = rng.random(out=drawn[:m])
+            u.sort()
+            below += np.searchsorted(u, row, side="left")
+            u = words = None  # freed before the next batch draws
+        if bits:
+            binned[edge] = 0
+            below += np.concatenate(([0], np.cumsum(binned)))[cell_of]
+        counts[k] = np.diff(below, prepend=0)
     return counts
 
 

@@ -3,6 +3,9 @@
 import builtins
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -252,6 +255,29 @@ def test_unencodable_kernel_file_names_the_file(tmp_path, capsys, values, domain
     assert code == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error: --kernel {kernel}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values, domain, message", [
+    ("1e308 1e308", "time", "cannot rescale a peak |value| of inf"),
+    (" ".join(["1e308"] * 16), "fourier", "its inverse transform is not finite"),
+    ("1.7e308", "time", "rel_l2_vs_oracle of chunk 0 is nan"),
+], ids=["spectrum-overflows", "inverse-transform-overflows", "reference-overflows"])
+def test_overflowing_kernel_prints_one_error_line(tmp_path, values, domain, message):
+    """A fresh interpreter's whole stderr is the error line: no numpy warning precedes it."""
+    signal = tmp_path / "sig.txt"
+    signal.write_text(" ".join(["0.5"] * 16) + "\n")
+    kernel = tmp_path / "kernel.txt"
+    kernel.write_text(values + "\n")
+    src = str(Path(qwave.audio.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "qwave.cli", "convolve", str(signal), "--kernel", str(kernel),
+         "--kernel-domain", domain, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith(f"error: --kernel {kernel}: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Shot sampling determinism, decoding, and metric definitions."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,8 +37,13 @@ def reference_counts(state, shots, seed):
     probs = state.probabilities()
     cdf = np.cumsum(probs / probs.sum())
     cdf[-1] = 1.0
+    return reference_cdf_counts(cdf, shots, seed)
+
+
+def reference_cdf_counts(cdf, shots, seed):
+    """reference_counts' rule on a closed CDF: searchsorted(cdf, u, side="right") per draw."""
     draws = np.searchsorted(cdf, make_rng(seed).random(shots), side="right")
-    return np.bincount(draws, minlength=state.dim)
+    return np.bincount(draws, minlength=cdf.size)
 
 
 def overshooting_state():
@@ -116,11 +122,121 @@ def test_sample_counts_peak_memory_under_cap():
     state = Statevector(5, np.full(32, 32 ** -0.5, dtype=np.complex128))
     tracemalloc.start()
     try:
-        sample_counts(state, sampling._BATCH, seed=3)
+        sample_counts(state, 4_000_000, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, [5, 17]])
+def test_philox_uniforms_are_the_top_53_bits_of_raw_words(seed):
+    """count_draws bins raw Philox words, relying on numpy's u = (w >> 11) * 2**-53."""
+    floats, words = make_rng(seed), make_rng(seed).bit_generator
+    for n in (1, 3, 5, 6, 4097, 131071):  # successive draws, not whole 4-word blocks
+        expected = (words.random_raw(n) >> np.uint64(11)) * 2.0**-53
+        assert floats.random(n).tobytes() == expected.tobytes(), (seed, n)
+
+
+@st.composite
+def stressed_cdfs(draw):
+    """Closed CDFs whose edges sit where count_draws' grid is easiest to get wrong.
+
+    Edges on cell boundaries j/2**k of every grid count_draws may pick, their
+    float neighbours on both sides, or a few draws' width off them; runs of
+    1e-9 steps, so many edges share a cell; repeated edges from
+    zero-probability bins; a subnormal first probability; or the CDF of
+    overshooting_state, whose cdf[-2] exceeds 1.
+    """
+    if draw(st.booleans()) and draw(st.booleans()):
+        return sampling.sampling_cdf(overshooting_state().probabilities())
+    dim = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.random(dim - 1)
+    if draw(st.booleans()):
+        k = rng.integers(1, 17, dim - 1)
+        points = rng.integers(0, 2**k) / 2.0**k
+        side = rng.integers(-1, 2, dim - 1)
+        points[side < 0] = np.nextafter(points[side < 0], 0.0)
+        points[side > 0] = np.nextafter(points[side > 0], 1.0)
+        near = rng.random(dim - 1) < 0.3  # a few draws' width off the boundary
+        offset = rng.choice([-1, 1], near.sum()) * rng.integers(1, 17, near.sum())
+        points[near] += offset * 2.0**-20
+    if draw(st.booleans()):
+        run = rng.random(dim - 1) < 0.5
+        points[run] = rng.random() + 1e-9 * np.arange(run.sum())
+    if draw(st.booleans()):
+        repeat = rng.random(dim - 1) < 0.3
+        points[repeat] = points[rng.integers(0, dim - 1, repeat.sum())]
+    points = np.sort(np.clip(points, 0.0, 1.0))
+    if draw(st.booleans()):
+        points[0] = 5e-324
+    return np.append(points, 1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    cdf=stressed_cdfs(),
+    shots=st.one_of(
+        st.integers(1, 40_000),
+        st.builds(lambda batch, blocks, edge: batch * blocks + edge,
+                  st.sampled_from([sampling._GRID_BATCH, sampling._BATCH]),
+                  st.integers(1, 2), st.sampled_from([-1, 0, 1]))),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(0, 16),
+    batch=st.sampled_from([4096, sampling._GRID_BATCH]),
+)
+def test_count_draws_matches_reference_rule_on_stressed_cdfs(cdf, shots, seed, bits, batch):
+    """The grid counter gives the draw-by-draw counts on the grid it picks and on any other."""
+    expected = reference_cdf_counts(cdf, shots, seed)
+    assert np.array_equal(sampling.count_draws(cdf, shots, seed), expected)
+    assert np.array_equal(sampling._count_on_grid(cdf[None], shots, [seed], bits, batch)[0],
+                          expected)
+
+
+def test_draw_counts_on_its_grid_matches_reference_rule():
+    """A block the size of a benchmark call is counted on the grid, row for row as the rule."""
+    probs = np.random.default_rng(4).dirichlet(np.full(32, 0.5), size=12)
+    probs[3, ::4] = 0.0  # zero-probability bins repeat edges
+    cdf = sampling.sampling_cdf(probs / probs.sum(axis=1, keepdims=True))
+    seeds = [[21, k] for k in range(12)]
+    assert sampling._grid_plan(32, 100_000)[0] > 0
+    got = sampling.draw_counts(cdf, 100_000, seeds)
+    for k in range(12):
+        assert np.array_equal(got[k], reference_cdf_counts(cdf[k], 100_000, seeds[k]))
+
+
+def test_threads_drawing_on_the_grid_at_once_match_reference_rule():
+    """Each thread bins on its own batch buffers, so concurrent calls stay exact."""
+    cdf = sampling.sampling_cdf(np.random.default_rng(8).dirichlet(np.ones(32), size=6))
+    seeds = [[[3, t, k] for k in range(6)] for t in range(4)]
+    assert sampling._grid_plan(32, 100_000)[0] > 0
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda s: sampling.draw_counts(cdf, 100_000, s), seeds))
+    for row_seeds, counts in zip(seeds, got):
+        for k in range(6):
+            assert np.array_equal(counts[k], reference_cdf_counts(cdf[k], 100_000, row_seeds[k]))
+
+
+@pytest.mark.parametrize("dim", [32, 2**14], ids=["grid", "single-cell"])
+def test_count_draws_peak_memory_is_one_batch(dim):
+    """4e6 shots stay within 8 MiB: count_draws holds one batch, whatever the shot count.
+
+    D = 32 bins its draws on a grid. D = 2**14 sorts every draw, in batches
+    of 32 * D = 2**19 draws (4 MiB of float64); it is the largest D whose
+    single-cell batch stays under the cap, and the largest the exactness
+    test covers.
+    """
+    cdf = sampling.sampling_cdf(np.full(dim, 1.0 / dim))
+    assert (sampling._grid_plan(dim, 4_000_000)[0] > 0) == (dim == 32)
+    tracemalloc.start()
+    try:
+        counts = sampling.count_draws(cdf, 4_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 4_000_000
+    assert peak < 8 * 2**20
 
 
 def test_sample_counts_batching_matches_single_pass(monkeypatch):
@@ -177,20 +293,25 @@ def test_row_helpers_equal_one_row_calls(dim):
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 9), blocks=st.integers(1, 3), edge=st.sampled_from([-1, 0, 1]),
-       data=st.data())
-def test_draw_counts_equals_per_row_count_draws(rows, blocks, edge, data):
-    """Each row gets the counts of its own count_draws call, across batch boundaries."""
+       bits=st.sampled_from([0, 1, 6, 12]), data=st.data())
+def test_draw_counts_equals_per_row_count_draws(rows, blocks, edge, bits, data):
+    """Each row gets the counts of its own count_draws call, across batch boundaries.
+
+    Batches of 16 draws, sorted whole (bits = 0) or binned on a grid, reuse
+    one set of buffers from row to row and batch to batch.
+    """
     shots = blocks * 16 + edge  # one below, on and one above a batch boundary
     dim = data.draw(st.sampled_from([2, 8, 32]))
     probs = np.random.default_rng(rows * 31 + dim).dirichlet(np.ones(dim), size=rows)
     cdf = sampling.sampling_cdf(probs)
     seeds = [[data.draw(st.integers(0, 2**32)), k] for k in range(rows)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sampling, "_BATCH", 16)
-        got = sampling.draw_counts(cdf, shots, seeds)
-        expected = [sampling.count_draws(cdf[k], shots, seeds[k]) for k in range(rows)]
+    expected = [reference_cdf_counts(cdf[k], shots, seeds[k]) for k in range(rows)]
+    got = sampling._count_on_grid(cdf, shots, seeds, bits, 16)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+    assert np.array_equal(sampling.draw_counts(cdf, shots, seeds), expected)
+    assert np.array_equal([sampling.count_draws(cdf[k], shots, seeds[k]) for k in range(rows)],
+                          expected)
 
 
 def test_sampling_cdf_names_the_first_bad_row():

@@ -4,7 +4,9 @@ Runs the criterion's workload unchanged: 256 chunks of 8 samples at 1e5 shots,
 seed 3, after the same 1000-shot warm-up. Each pair times one serial
 process_chunks call and then one with 4 workers, which run their chunk
 ranges on min(4, os.cpu_count()) threads. It prints every pooled/serial
-ratio, their median and that thread bound. A single pair cannot tell a pool regression
+ratio, their median and that thread bound, and the median serial and pooled
+seconds: a change that makes the serial side cheaper can raise the ratio while
+the pooled run still gets faster. A single pair cannot tell a pool regression
 from host noise; the median of several pairs, run on two source trees, can.
 
     PYTHONPATH=src python tools/pool_ratio.py [--pairs 5]
@@ -48,15 +50,18 @@ def main(argv=None) -> int:
     process_chunks(plan_f, plan_g, shots=1000, seed=3, workers=1)  # warm-up
     threads = min(4, os.cpu_count() or 1)
     print(f"qwave from {os.path.dirname(qwave.__file__)}, 4 workers run on {threads} threads")
-    ratios = []
+    ratios, serial_times, pooled_times = [], [], []
     for pair in range(1, args.pairs + 1):
         serial_s, serial = timed(plan_f, plan_g, 1)
         pooled_s, pooled = timed(plan_f, plan_g, 4)
         ratios.append(pooled_s / serial_s)
+        serial_times.append(serial_s)
+        pooled_times.append(pooled_s)
         print(f"pair {pair}: serial {serial_s:.3f} s, 4 workers {pooled_s:.3f} s, "
               f"ratio {ratios[-1]:.3f}, identical {same_outputs(serial, pooled)}")
     print(f"median ratio {statistics.median(ratios):.3f} over {len(ratios)} pairs "
-          f"(criterion 7 needs <= 0.5); os.cpu_count() = {os.cpu_count()}")
+          f"(criterion 7 needs <= 0.5), median serial {statistics.median(serial_times):.3f} s, "
+          f"4 workers {statistics.median(pooled_times):.3f} s; os.cpu_count() = {os.cpu_count()}")
     return 0
 
 
