@@ -29,6 +29,7 @@ from .encoding import (
     SignalChunk,
     build_rho,
     encode_function,
+    encoder_column,
     magnitude_angle,
 )
 from .errors import (
@@ -82,7 +83,7 @@ __all__ = [
     "load_wav", "make_chunks", "normalize_for_encoding", "process_chunks",
     "stitch_and_write", "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
-    "magnitude_angle",
+    "encoder_column", "magnitude_angle",
     "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",

@@ -16,16 +16,15 @@ import functools
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
 from .encoding import rescale_rows
 from .errors import DomainError, FormatError, ShapeError
 from .pipelines import COMPONENTS, product_blocks
-from .sampling import METRICS_CSV_HEADER, METRICS_CSV_ROW, MetricsReport, shot_readout
+from .sampling import METRICS_CSV_FIELDS, METRICS_CSV_HEADER, MetricsReport, shot_readout
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
@@ -60,18 +59,22 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ShapeError(f"expected non-empty mono samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples contain non-finite values")
-        peak = float(np.abs(samples).max())
-        if peak > 1.0:
-            raise DomainError(f"samples exceed full scale (peak {peak})")
-        if not 1 <= self.sample_rate <= _MAX_SAMPLE_RATE:
-            raise ShapeError(
-                f"sample rate must be in [1, {_MAX_SAMPLE_RATE}], got {self.sample_rate}")
+        _check_samples(samples, self.sample_rate)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def _check_samples(samples, rate: int) -> None:
+    """AudioBuffer's checks of a float64 array of samples at `rate`, of any shape."""
+    if not np.all(np.isfinite(samples)):
+        raise DomainError("samples contain non-finite values")
+    peak = float(np.abs(samples).max(initial=0.0))
+    if peak > 1.0:
+        raise DomainError(f"samples exceed full scale (peak {peak})")
+    if not 1 <= rate <= _MAX_SAMPLE_RATE:
+        raise ShapeError(f"sample rate must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
 
 
 def load_wav(path) -> AudioBuffer:
@@ -172,16 +175,23 @@ def write_wav(path, buffer: AudioBuffer) -> None:
     scipy.io.wavfile.write's for the same int16 codes and rate; header and
     samples go out in one write, to a file name through write_file.
     """
-    scaled = np.round(buffer.samples * _PCM_FULL_SCALE)
-    pcm = np.clip(scaled, -32768, 32767).astype("<i2")
-    rate = buffer.sample_rate
-    header = _PCM16_HEADER.pack(b"RIFF", 36 + pcm.nbytes, b"WAVE", b"fmt ", 16, _WAVE_PCM,
-                                1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes)
-    blob = header + pcm.tobytes()
+    blob = _pcm16_file(_pcm16(buffer.samples), buffer.sample_rate)
     if hasattr(path, "write"):
         path.write(blob)
     else:
         write_file(path, blob)
+
+
+def _pcm16(samples) -> np.ndarray:
+    """int16 codes of float samples of any shape: rounded, the top code clipped."""
+    return np.clip(np.round(samples * _PCM_FULL_SCALE), -32768, 32767).astype("<i2")
+
+
+def _pcm16_file(pcm, rate: int) -> bytes:
+    """A mono 16-bit PCM WAV file's bytes: the 44-byte header, then one row of codes."""
+    header = _PCM16_HEADER.pack(b"RIFF", 36 + pcm.nbytes, b"WAVE", b"fmt ", 16, _WAVE_PCM,
+                                1, rate, 2 * rate, 2, 16, b"data", pcm.nbytes)
+    return header + pcm.tobytes()
 
 
 def write_file(path, data: bytes) -> None:
@@ -307,11 +317,33 @@ class QuadOutput:
         )
 
     def metrics_csv(self) -> str:
-        """metrics.csv's text, header and one row per chunk, in one formatted pass."""
+        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk.
+
+        shots, seed and each column whose entries share one bit pattern (in
+        exact mode, rmsd and fidelity always) are formatted once, into the
+        row template; the chunk index and the other columns fill it in one %
+        pass over the whole table. Bits, not ==, decide, so 0.0 and -0.0 are
+        not taken for one value.
+        """
         num_chunks = self.columns.shape[1]
-        rows = map((METRICS_CSV_ROW + "\n").format, range(num_chunks), repeat(self.shots),
-                   repeat(self.seed), *self.columns.tolist())
-        return METRICS_CSV_HEADER + "\n" + "".join(rows)
+        if not num_chunks:
+            return METRICS_CSV_HEADER + "\n"
+        fields = list(METRICS_CSV_FIELDS)
+        fields[1] = _fixed_field(fields[1], self.shots)
+        fields[2] = _fixed_field(fields[2], self.seed)
+        bits = self.columns.view(np.int64)
+        constant = (bits == bits[:, :1]).all(axis=1)
+        for k in np.flatnonzero(constant):
+            fields[3 + k] = _fixed_field(fields[3 + k], self.columns[k, 0].item())
+        template = ",".join(fields) + "\n"
+        table = zip(range(num_chunks), *self.columns[~constant].tolist())
+        return METRICS_CSV_HEADER + "\n" + (template * num_chunks) % tuple(
+            chain.from_iterable(table))
+
+
+def _fixed_field(field: str, value) -> str:
+    """`value` formatted by `field`, escaped to stand as literal text in a %-template."""
+    return (field % (value,)).replace("%", "%%")
 
 
 def _component_key(component) -> str:
@@ -368,10 +400,12 @@ def process_chunks(
         last = first + step
         for lo, states in product_blocks(plan_f.values[first:last], plan_g.values[first:last]):
             rows = slice(first + lo, first + lo + len(states))
-            scores[2, rows] = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
+            # [t_f, t_g, chunk, x]: each component a contiguous (rows, N) slice
+            block = states.transpose(2, 3, 0, 1)
+            scores[2, rows] = np.sum(np.abs(block[0, 0]) ** 2, axis=1)
             if shots is None:
-                for j, (bf, bg) in enumerate(COMPONENTS):
-                    channels[j, rows] = np.abs(states[:, :, bf, bg] * np.sqrt(big_n))
+                # COMPONENTS order is 2 * t_f + t_g
+                channels[:, rows] = np.abs(block.reshape(4, -1, big_n) * np.sqrt(big_n))
                 continue
             seeds = [[seed, k] for k in range(rows.start, rows.stop)]
             readout = shot_readout(states, shots, seeds)
@@ -380,6 +414,8 @@ def process_chunks(
     if threads == 1:
         run(0)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # its import costs every CLI start
+
         with ThreadPoolExecutor(threads) as pool:
             # reading each result re-raises the error a range ended with
             list(pool.map(run, range(0, num_chunks, step)))
@@ -400,18 +436,24 @@ def stitch_and_write(
 
     Decoded magnitudes land in [0, 1] and are written as-is; after
     shift-scale normalization they are mapped back to [-1, 1) via 2v - 1
-    for listening (a remap, not an inverse of the encoding product).
+    for listening (a remap, not an inverse of the encoding product). A
+    channel holding a NaN or infinite sample is a DomainError raised before
+    any file is written.
     """
+    keys = sorted(quad.components)
+    # every channel at once: one (channels, samples) block of float64
+    block = np.array([quad.components[key][: plan.total_samples].real for key in keys],
+                     dtype=np.float64)
+    if normalization is not None and normalization.mode == "shift-scale":
+        block = 2.0 * block - 1.0
+    np.clip(block, -1.0, 1.0, out=block)
+    _check_samples(block, sample_rate)
+    pcm = _pcm16(block)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for key, values in sorted(quad.components.items()):
-        trimmed = values[: plan.total_samples].real.astype(np.float64)
-        if normalization is not None and normalization.mode == "shift-scale":
-            trimmed = 2.0 * trimmed - 1.0
-        trimmed = np.clip(trimmed, -1.0, 1.0)
-        path = os.path.join(out_dir, f"component_{key}.wav")
-        write_wav(path, AudioBuffer(trimmed, sample_rate))
-        paths[key] = path
+    for key, codes in zip(keys, pcm):
+        paths[key] = os.path.join(out_dir, f"component_{key}.wav")
+        write_file(paths[key], _pcm16_file(codes, sample_rate))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     write_file(metrics_path, quad.metrics_csv().encode())
     paths["metrics"] = metrics_path

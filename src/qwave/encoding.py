@@ -34,22 +34,38 @@ def magnitude_angle(values):
     return np.arccos(np.minimum(mag, 1.0))
 
 
+def _phase(values):
+    """exp(1j * arg(value)) elementwise, with arg(0) = 0."""
+    return np.exp(1j * np.angle(values))
+
+
+def encoder_column(values) -> tuple:
+    """rho(value)'s first column as (phase * c, s): the amplitudes the encoder writes.
+
+    c and s are the cosine and sine of arccos|value| and phase is
+    exp(1j * arg(value)), so phase * c is value to roundoff and s the real
+    complement sqrt(1 - |value|^2). Both have the shape of `values`; they
+    equal build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit.
+    """
+    theta = magnitude_angle(values)
+    return _phase(values) * np.cos(theta), np.sin(theta)
+
+
 def build_rho(values) -> np.ndarray:
     """phi(value) @ mu(value), shape (..., 2, 2); [..., 0, 0] is value to roundoff.
 
     mu = R_y(2*arccos|value|) places |value| on |0> and phi puts the phase of
     value on |0> (arg(0) is 0), so rho = [[phase*c, -phase*s], [s, c]] with
-    c, s the cosine and sine of arccos|value|. The entries are written
-    directly; they equal the matrix product bit for bit.
+    c, s the cosine and sine of arccos|value|. The first column is
+    encoder_column's and the entries are written directly; they equal the
+    matrix product bit for bit.
     """
-    theta = magnitude_angle(values)
-    c, s = np.cos(theta), np.sin(theta)
-    phase = np.exp(1j * np.angle(values))
-    rho = np.empty(theta.shape + (2, 2), dtype=np.complex128)
-    rho[..., 0, 0] = phase * c
-    rho[..., 0, 1] = phase * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
+    top, s = encoder_column(values)
+    rho = np.empty(s.shape + (2, 2), dtype=np.complex128)
+    rho[..., 0, 0] = top
     rho[..., 1, 0] = s
-    rho[..., 1, 1] = c
+    rho[..., 0, 1] = _phase(values) * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
+    rho[..., 1, 1] = np.cos(magnitude_angle(values))
     return rho
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, build_rho
+from .encoding import SignalChunk, encoder_column
 from .errors import ShapeError
 from .statevector import QubitLayout, Statevector, _check_num_qubits
 
@@ -112,8 +112,10 @@ def product_blocks(f, g):
 
     f and g are (C, N) arrays whose rows are encodable chunks (ChunkPlan.values).
     Yields (lo, states) with states of shape (rows, N, 2, 2), indexed
-    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... A state above MAX_QUBITS
-    is refused before any is allocated.
+    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... Each is a view of an
+    array held in [t_f, t_g, chunk, x] order, so states.transpose(2, 3, 0, 1)
+    reads every (t_f, t_g) component as one contiguous (rows, N) slice. A
+    state above MAX_QUBITS is refused before any is allocated.
     """
     f, g = _chunk_rows(f), _chunk_rows(g)
     if f.shape != g.shape:
@@ -122,9 +124,13 @@ def product_blocks(f, g):
     n = big_n.bit_length() - 1
     _check_num_qubits(n + 2)
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
-        col_f = build_rho(f[lo:hi])[..., 0] * _hadamard_amplitude(n)
-        col_g = build_rho(g[lo:hi])[..., 0]
-        yield lo, col_g[:, :, None, :] * col_f[:, :, :, None]
+        # (2, rows, N) column stacks: [0] is phase * c, [1] s as complex
+        col_f = np.stack(encoder_column(f[lo:hi]))
+        col_f *= _hadamard_amplitude(n)
+        col_g = np.stack(encoder_column(g[lo:hi]))
+        # four products of whole (rows, N) slices, where [chunk, x] order
+        # would run a length-2 loop per amplitude pair
+        yield lo, (col_g[None] * col_f[:, None]).transpose(2, 3, 0, 1)
 
 
 # Terms per block in _sum_rows: a few MiB at any M, where one (M, M) block
@@ -260,13 +266,14 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
         spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
     ghat = SignalChunk.full_scale(spectrum)
-    col_g = build_rho(ghat.values)[:, 0, 0]
+    col_g, scale_g = encoder_column(ghat.values)[0], ghat.scale
+    spectrum = ghat = None  # the kernel's spectrum is not kept through the loop
+    h = _hadamard_amplitude(m)
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # |f> on the register, the encoding ancilla's 0 branch kept
-        fpad = np.pad(values[lo:hi], ((0, 0), (0, pad_to - big_n)))
-        col_f = build_rho(fpad)[..., 0, 0] * _hadamard_amplitude(m)
+        col_f = encoder_column(np.pad(values[lo:hi], ((0, 0), (0, pad_to - big_n))))[0] * h
         # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch
         kept = np.fft.ifft(col_g * np.fft.fft(col_f, axis=1, norm="ortho"), axis=1, norm="ortho")
-        out[lo:hi] = kept * np.sqrt(pad_to) / ghat.scale
+        out[lo:hi] = kept * np.sqrt(pad_to) / scale_g
     return out

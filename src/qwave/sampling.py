@@ -294,9 +294,10 @@ METRICS_CSV_HEADER = (
     "chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
     "postselect_probability,scale_f,scale_g"
 )
-# One metrics.csv row, shared by MetricsReport.csv_row and the one-pass writer
-# in qwave.audio: chunk_index, shots, seed, then the five float columns.
-METRICS_CSV_ROW = "{},{},{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}"
+# The %-format of each metrics.csv field, shared by MetricsReport.csv_row and
+# QuadOutput.metrics_csv in qwave.audio: chunk_index, shots, seed, then the
+# five float columns.
+METRICS_CSV_FIELDS = ("%s", "%s", "%s", "%.10g", "%.10g", "%.10g", "%.10g", "%.10g")
 
 
 @dataclass(frozen=True)
@@ -313,7 +314,7 @@ class MetricsReport:
     scale_g: float
 
     def csv_row(self) -> str:
-        return METRICS_CSV_ROW.format(
+        return ",".join(METRICS_CSV_FIELDS) % (
             self.chunk_index, self.shots, self.seed, self.rmsd_percent,
             self.fidelity_percent, self.postselect_probability, self.scale_f, self.scale_g,
         )

@@ -54,6 +54,18 @@ def test_cli_import_loads_no_multiprocessing():
 
 
 
+def test_cli_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it imports) costs about 9 ms of each
+    # CLI start; process_chunks imports it only when it starts threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, qwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def _writing_opens(tree):
     """(enclosing function, call text) of each open that can write: os.open, or an
     open(...) / x.open(...) whose mode is not a literal free of w, a, x and +."""

@@ -1,5 +1,6 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
+import concurrent.futures
 import io
 import os
 import re
@@ -21,6 +22,8 @@ from qwave import (
     FormatError,
     METRICS_CSV_HEADER,
     MetricsReport,
+    NormalizationRecord,
+    QuadOutput,
     ShapeError,
     SignalChunk,
     decode_component,
@@ -461,7 +464,11 @@ def test_process_chunks_identical_across_worker_counts(split_any_work):
 
 
 class RecordingExecutor:
-    """ThreadPoolExecutor stand-in: records max_workers and maps in the calling thread."""
+    """ThreadPoolExecutor stand-in: records max_workers and maps in the calling thread.
+
+    process_chunks imports the pool from concurrent.futures when it starts
+    threads, so the tests patch it there.
+    """
 
     sizes = []
 
@@ -483,7 +490,7 @@ class RecordingExecutor:
 def test_pool_is_bounded_by_cpu_count(monkeypatch, split_any_work, cpus, workers, started):
     """Both modes run their chunk ranges on min(workers, cpus) threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: cpus)
     rng = np.random.default_rng(workers)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
@@ -506,7 +513,7 @@ def test_pool_is_bounded_by_cpu_count(monkeypatch, split_any_work, cpus, workers
 def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
     """Two chunks make two ranges, so 8 CPUs and 1000 workers start two threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
     plan = make_chunks(np.linspace(0.1, 0.9, 2 * 2**10), 2**10)
     pooled = process_chunks(plan, plan, shots=50, seed=1, workers=1000)
@@ -531,7 +538,7 @@ def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_
                                                         chunk_size, started):
     """Each thread gets at least _MIN_RANGE_AMPLITUDES amplitudes or _MIN_RANGE_DRAWS draws."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(qwave.audio, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
     rng = np.random.default_rng(num_chunks)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
@@ -579,6 +586,74 @@ def test_metrics_rows_are_built_on_access_and_match_the_csv(tmp_path):
     assert [(m.chunk_index, m.shots, m.seed) for m in quad.metrics] == [
         (i, 200, 6) for i in range(5)]
     assert [m.scale_f for m in quad.metrics] == plan_f.scales.tolist()
+
+
+# every float the writer must print as csv_row does: NaN, infinities, signed
+# zeros, subnormals, and the exponent form's edges at 1e16 and 1e-5
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2e-310,
+                     1e16, 9999999999.5, 1e-5, 1e-4, 1.0, 100.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_chunks=st.integers(0, 7), shots=st.one_of(st.integers(1, 10**7), st.just("exact")),
+       seed=st.integers(0, 2**63 - 1), data=st.data())
+def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
+    columns = np.empty((5, num_chunks))
+    for j in range(5):
+        kind = data.draw(st.sampled_from(["constant", "signed-zeros", "varying"]))
+        if kind == "constant":
+            columns[j] = data.draw(_CSV_FLOATS)
+        else:
+            entries = st.sampled_from([0.0, -0.0]) if kind == "signed-zeros" else _CSV_FLOATS
+            columns[j] = data.draw(st.lists(entries, min_size=num_chunks, max_size=num_chunks))
+    quad = QuadOutput({}, shots, seed, columns)
+    rows = [m.csv_row() for m in quad.metrics]
+    assert quad.metrics_csv() == "".join(line + "\n" for line in [METRICS_CSV_HEADER, *rows])
+    # the rows str.format wrote before the %-format fields
+    assert rows == ["{},{},{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}".format(
+        i, shots, seed, *columns[:, i].tolist()) for i in range(num_chunks)]
+
+
+def per_channel_wav_bytes(values, total, rate, shift_scale) -> bytes:
+    """One channel as stitch_and_write wrote it channel by channel, through write_wav."""
+    trimmed = values[:total].real.astype(np.float64)
+    if shift_scale:
+        trimmed = 2.0 * trimmed - 1.0
+    out = io.BytesIO()
+    write_wav(out, AudioBuffer(np.clip(trimmed, -1.0, 1.0), rate))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("shift_scale", [False, True], ids=["plain", "shift-scale"])
+def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
+    rng = np.random.default_rng(21)
+    plan_f = make_chunks(positive_signal(37, rng), 8)
+    plan_g = make_chunks(positive_signal(37, rng), 8)
+    decoded = process_chunks(plan_f, plan_g, shots=300, seed=1).components
+    # past both ends of the range, on the clip and rounding edges, and -0.0
+    edges = np.array([1.0, 1.5, -0.25, -1.0, -0.0, 0.5 + 2.0**-16, 1.0 - 2.0**-16, 2.0**-17])
+    decoded["01"] = decoded["01"].copy()
+    decoded["01"][:edges.size] = edges
+    quads = [process_chunks(plan_f, plan_g), QuadOutput(decoded, 300, 1, np.empty((5, 0)))]
+    record = NormalizationRecord("shift-scale", 1.0, 0.5) if shift_scale else None
+    for k, quad in enumerate(quads):
+        paths = stitch_and_write(quad, plan_f, 11025, tmp_path / str(k), record)
+        assert sorted(paths) == ["00", "01", "10", "11", "metrics"]
+        for key, values in quad.components.items():
+            with open(paths[key], "rb") as fh:
+                assert fh.read() == per_channel_wav_bytes(values, 37, 11025, shift_scale), key
+
+
+def test_stitch_refuses_a_non_finite_channel(tmp_path):
+    plan = make_chunks(positive_signal(16), 8)
+    quad = process_chunks(plan, plan)
+    quad.components["10"][5] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        stitch_and_write(quad, plan, 8000, tmp_path / "out")
+    assert not os.path.exists(tmp_path / "out" / "component_00.wav")
 
 
 def test_process_chunks_validates():
@@ -650,8 +725,6 @@ def test_stitch_and_write(tmp_path):
 
 
 def test_stitch_shift_scale_remap(tmp_path):
-    from qwave import NormalizationRecord, QuadOutput
-
     quad = QuadOutput({"00": np.array([0.0, 0.5, 1.0])}, "exact", 0, np.empty((5, 0)))
     plan = make_chunks(np.full(3, 0.1), 2)
     paths = stitch_and_write(

@@ -15,6 +15,7 @@ from qwave import (
     apply_hadamard_layer,
     build_rho,
     encode_function,
+    encoder_column,
     init_state,
     magnitude_angle,
 )
@@ -164,6 +165,25 @@ _ENCODABLE = st.one_of(
 def test_array_builders_bitwise_equal_scalar_reference(values):
     values = np.array(values, dtype=np.complex128)
     assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
+
+
+# |v| = 1 (s = 0 exactly) and subnormal magnitudes, beside _ENCODABLE's zeros of both signs
+_COLUMN_EDGES = st.sampled_from([1.0 + 0j, -1.0 + 0j, 1j, -1j, complex(1.0, -0.0),
+                                 complex(-0.0, -1.0), 5e-324 + 0j, complex(0.0, -5e-324),
+                                 complex(2.2e-308, 1e-310), complex(-1e-320, 3e-321)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_ENCODABLE, _COLUMN_EDGES), min_size=1, max_size=64))
+def test_encoder_column_is_rhos_first_column_bit_for_bit(values):
+    values = np.array(values, dtype=np.complex128)
+    top, s = encoder_column(values)
+    assert top.dtype == np.complex128 and s.dtype == np.float64
+    column = np.stack([top, s], axis=-1)  # s is real: the column's +0.0 imaginary part
+    assert column.tobytes() == build_rho(values)[..., :, 0].tobytes()
+    assert column.tobytes() == np.array([reference_rho(v)[:, 0] for v in values]).tobytes()
+    rows = values.reshape(1, -1)
+    assert np.stack(encoder_column(rows), axis=-1).tobytes() == column.tobytes()
 
 
 def test_array_builders_bitwise_equal_scalar_reference_in_bulk():

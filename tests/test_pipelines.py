@@ -565,6 +565,33 @@ def test_product_blocks_transients_stay_within_three_states():
     assert peak <= 3 * states.nbytes
 
 
+def test_product_blocks_hold_each_component_contiguous():
+    # the states are a [chunk, x, t_f, t_g] view of [t_f, t_g, chunk, x] memory
+    f = chunk_rows(18, 3, 5, True)
+    g = chunk_rows(19, 3, 5, True)
+    _, states = next(product_blocks(f, g))
+    assert states.shape == (5, 8, 2, 2)
+    block = states.transpose(2, 3, 0, 1)
+    assert block.flags.c_contiguous
+    for bf, bg in COMPONENTS:
+        assert np.shares_memory(block[bf, bg], block) and block[bf, bg].flags.c_contiguous
+
+
+def test_convolve_chunks_keeps_only_encoder_amplitudes():
+    # one 2**16-sample chunk padded to 2**17: the kernel's and the chunk's
+    # phase * c columns, the output and the FFT temporaries; building each
+    # whole rho and keeping a view of the kernel's peaked at 16x the output
+    values = np.random.default_rng(20).uniform(0.05, 0.95, (1, 1 << 16)).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        out = convolve_chunks(values, np.full(4, 0.25), 1 << 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2 << 20
+    assert peak <= 9 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+
 def test_batched_engines_reject_bad_rows():
     with pytest.raises(ShapeError):
         next(product_blocks(np.zeros((2, 6)), np.zeros((2, 6))))
