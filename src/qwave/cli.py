@@ -16,6 +16,7 @@ import io
 import os
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -315,6 +316,15 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real, axis=-1) + np.vecdot(x.imag, x.imag, axis=-1))
 
 
+def _convolve_metrics_csv(rel) -> str:
+    """convolve's metrics.csv text: the header, then one chunk_index,rel_l2_vs_oracle row per chunk.
+
+    The rows are filled in one % pass over the whole table.
+    """
+    table = chain.from_iterable(zip(range(len(rel)), rel))
+    return "chunk_index,rel_l2_vs_oracle\n" + ("%d,%.10g\n" * len(rel)) % tuple(table)
+
+
 def _cmd_convolve(args) -> int:
     if args.shots is not None:
         raise ShapeError(
@@ -359,9 +369,7 @@ def _cmd_convolve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_wav = os.path.join(args.out, "convolved.wav")
     write_wav(out_wav, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
-    metrics_path = os.path.join(args.out, "metrics.csv")
-    rows = map("{},{:.10g}\n".format, range(len(rel)), rel)
-    write_file(metrics_path, ("chunk_index,rel_l2_vs_oracle\n" + "".join(rows)).encode())
+    write_file(os.path.join(args.out, "metrics.csv"), _convolve_metrics_csv(rel).encode())
     _write_manifest(args.out, [
         ("command", "convolve"),
         ("input_f", args.signal_f),

@@ -4,6 +4,15 @@ A value v with |v| <= 1 maps to a unitary rho(v) whose first column is
 (v, sqrt(1-|v|^2)): a Y-rotation by 2*arccos(|v|) followed by a phase on the
 |0> component. Applying rho(f(x)) to a fresh ancilla, controlled on the index
 register being |x>, writes f into the ancilla-0 amplitudes.
+
+The column is computed in one of two lanes, chosen from the values alone.
+When every value is x + 0j with both sign bits clear (x >= +0.0, imaginary
+part +0.0, no NaN), as real audio samples are, hypot(x, 0) is x and the
+phase exp(1j * arg) is exactly 1, so the real lane takes arccos of x itself
+and writes cos as complex(c, +0.0). Any other array, one -0.0 or one
+non-zero imaginary part included, takes the general lane through hypot,
+angle and exp; a -0.0 has arg pi there. Both lanes give the same bits as
+the general formula.
 """
 
 from __future__ import annotations
@@ -39,16 +48,87 @@ def _phase(values):
     return np.exp(1j * np.angle(values))
 
 
+# The bits of +inf as uint64. A float64 whose bits are at most this is one of
+# +0.0 ... +inf: sign bit clear and not NaN. Such bits sort as the floats do.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
+
+
+def _real_lane_peak(values):
+    """max(values) if every value is x + 0j with x and its imaginary part >= +0.0, else None.
+
+    NaN, -0.0, any negative x and any imaginary part but +0.0 give None. One
+    max over the real parts' bits both picks the lane and finds the peak.
+    """
+    if values.dtype == np.complex128:
+        if values.imag.view(np.uint64).any():
+            return None
+    elif values.dtype != np.float64:
+        return None
+    if not values.size:
+        return None
+    peak = values.real.view(np.uint64).max()
+    return peak.view(np.float64) if peak <= _INF_BITS else None
+
+
+def _angle_and_phase(values):
+    """(arccos|value|, exp(1j * arg(value))) elementwise; the phase is None on the real lane.
+
+    On the real lane (see the module docstring) the phase is exactly 1 and
+    |value| is the value itself, so neither hypot nor angle nor exp runs. A
+    magnitude above 1 is an error on both lanes.
+    """
+    values = np.asarray(values)
+    peak = _real_lane_peak(values)
+    if peak is None:
+        return magnitude_angle(values), _phase(values)
+    if peak > 1.0 + 1e-12:
+        raise NormalizationError(f"|value| = {peak} exceeds 1")
+    return np.arccos(np.minimum(values.real, 1.0)), None
+
+
+def write_encoder_top(values, out):
+    """Write rho(value)[0, 0] = phase * c into the complex array `out`; return theta.
+
+    theta = arccos|value| has the shape of `values`, so a caller that needs
+    the complement takes s = sin(theta) from it; one that does not computes
+    no sine. On the real lane the entry is complex(c, +0.0), which phase * c
+    gives when the phase is exactly 1.
+    """
+    theta, phase = _angle_and_phase(values)
+    c = np.cos(theta)
+    if phase is None:
+        out[...] = c
+    else:
+        np.multiply(phase, c, out=out)
+    return theta
+
+
 def encoder_column(values) -> tuple:
     """rho(value)'s first column as (phase * c, s): the amplitudes the encoder writes.
 
     c and s are the cosine and sine of arccos|value| and phase is
     exp(1j * arg(value)), so phase * c is value to roundoff and s the real
     complement sqrt(1 - |value|^2). Both have the shape of `values`; they
-    equal build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit.
+    equal build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit. Real
+    values >= +0.0 take the real lane, which skips hypot, angle and exp;
+    any -0.0 or non-zero imaginary part sends the array through the general
+    formula (see the module docstring). Both lanes give the same bits.
     """
-    theta = magnitude_angle(values)
-    return _phase(values) * np.cos(theta), np.sin(theta)
+    values = np.asarray(values)
+    top = np.empty(values.shape, dtype=np.complex128)
+    theta = write_encoder_top(values, top)
+    return top, np.sin(theta)
+
+
+def encoder_stack(values) -> np.ndarray:
+    """encoder_column as one complex array of shape (2,) + values.shape: [0] phase * c, [1] s.
+
+    Each half is written in place, with no separate top, s and stack.
+    """
+    values = np.asarray(values)
+    stack = np.empty((2,) + values.shape, dtype=np.complex128)
+    stack[1] = np.sin(write_encoder_top(values, stack[0]))
+    return stack
 
 
 def build_rho(values) -> np.ndarray:
@@ -56,16 +136,21 @@ def build_rho(values) -> np.ndarray:
 
     mu = R_y(2*arccos|value|) places |value| on |0> and phi puts the phase of
     value on |0> (arg(0) is 0), so rho = [[phase*c, -phase*s], [s, c]] with
-    c, s the cosine and sine of arccos|value|. The first column is
-    encoder_column's and the entries are written directly; they equal the
-    matrix product bit for bit.
+    c, s the cosine and sine of arccos|value|. The angle and phase are
+    encoder_column's, from the same lanes, and the entries are written
+    directly; they equal the matrix product bit for bit.
     """
-    top, s = encoder_column(values)
-    rho = np.empty(s.shape + (2, 2), dtype=np.complex128)
-    rho[..., 0, 0] = top
+    theta, phase = _angle_and_phase(values)
+    if phase is None:
+        # exactly 1: the products below are real, and the complex ones
+        # have the +0.0 imaginary part that assigning a real value writes
+        phase = 1.0
+    c, s = np.cos(theta), np.sin(theta)
+    rho = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
+    rho[..., 0, 0] = phase * c
     rho[..., 1, 0] = s
-    rho[..., 0, 1] = _phase(values) * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
-    rho[..., 1, 1] = np.cos(magnitude_angle(values))
+    rho[..., 0, 1] = phase * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
+    rho[..., 1, 1] = c
     return rho
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, encoder_column
+from .encoding import SignalChunk, encoder_column, encoder_stack, write_encoder_top
 from .errors import ShapeError
 from .statevector import QubitLayout, Statevector, _check_num_qubits
 
@@ -125,9 +125,9 @@ def product_blocks(f, g):
     _check_num_qubits(n + 2)
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
         # (2, rows, N) column stacks: [0] is phase * c, [1] s as complex
-        col_f = np.stack(encoder_column(f[lo:hi]))
+        col_f = encoder_stack(f[lo:hi])
         col_f *= _hadamard_amplitude(n)
-        col_g = np.stack(encoder_column(g[lo:hi]))
+        col_g = encoder_stack(g[lo:hi])
         # four products of whole (rows, N) slices, where [chunk, x] order
         # would run a length-2 loop per amplitude pair
         yield lo, (col_g[None] * col_f[:, None]).transpose(2, 3, 0, 1)
@@ -266,13 +266,21 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
         spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
     ghat = SignalChunk.full_scale(spectrum)
-    col_g, scale_g = encoder_column(ghat.values)[0], ghat.scale
-    spectrum = ghat = None  # the kernel's spectrum is not kept through the loop
+    del spectrum  # neither it nor ghat is kept through the encoder or the loop
+    col_g, scale_g = np.empty(pad_to, dtype=np.complex128), ghat.scale
+    write_encoder_top(ghat.values, col_g)
+    del ghat
     h = _hadamard_amplitude(m)
+    # every zero-padded sample is +0.0, so its amplitude is rho(+0.0)'s top
+    # entry, cos(arccos 0) + 0j, times h: computed once, not per sample
+    pad_amplitude = encoder_column(np.zeros(1))[0] * h
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # |f> on the register, the encoding ancilla's 0 branch kept
-        col_f = encoder_column(np.pad(values[lo:hi], ((0, 0), (0, pad_to - big_n))))[0] * h
+        col_f = np.empty((hi - lo, pad_to), dtype=np.complex128)
+        write_encoder_top(values[lo:hi], col_f[:, :big_n])
+        col_f[:, :big_n] *= h
+        col_f[:, big_n:] = pad_amplitude
         # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch
         kept = np.fft.ifft(col_g * np.fft.fft(col_f, axis=1, norm="ortho"), axis=1, norm="ortho")
         out[lo:hi] = kept * np.sqrt(pad_to) / scale_g

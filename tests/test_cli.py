@@ -41,7 +41,7 @@ from qwave import (
     sample_counts,
     write_wav,
 )
-from qwave.cli import build_kernel, main
+from qwave.cli import _convolve_metrics_csv, build_kernel, main
 from reference import convolve_by_gates
 
 RNG = np.random.default_rng(662)
@@ -402,6 +402,23 @@ def one_chunk_convolve(samples, kernel, chunk_size):
         lines.append(f"{i},{rel:.10g}")
         pieces.append(result[:chunk_size].real / chunk.scale)
     return np.concatenate(pieces)[: samples.size], lines
+
+
+# rel_l2_vs_oracle values at the edges of %.10g's forms: zero, subnormals,
+# tiny and huge exponents, and ties at the tenth digit
+_REL_L2 = st.one_of(
+    st.floats(0.0, 1e300, allow_subnormal=True),
+    st.floats(0.0, 1e-300, allow_subnormal=True),
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-17, 1e-5, 1e-4, 0.5, 1.0, 9999999999.5, 1e16]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda k: st.lists(_REL_L2, min_size=k, max_size=k)))
+def test_convolve_metrics_csv_equals_str_format_rows(rel):
+    # the rows str.format wrote before the one-pass %-format
+    rows = map("{},{:.10g}\n".format, range(len(rel)), rel)
+    assert _convolve_metrics_csv(rel) == "chunk_index,rel_l2_vs_oracle\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("chunk_size", [2, 8, 32])

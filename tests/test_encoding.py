@@ -1,10 +1,13 @@
 """Value-encoding unitaries and chunk ingestion."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwave import encoding
 from qwave import (
     EPSILON,
     NormalizationError,
@@ -196,6 +199,68 @@ def test_array_builders_bitwise_equal_scalar_reference_in_bulk():
                              near_one, [0.0, 1.0 - EPSILON, -0.5, 0.5j],
                              [1.0, -1.0, 1j, -1j, complex(1.0, -0.0)]])
     assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
+
+
+def general_column(values):
+    """encoder_column's general formula written out: hypot, angle and exp on every value."""
+    values = np.asarray(values, dtype=np.complex128)
+    theta = np.arccos(np.minimum(np.hypot(values.real, values.imag), 1.0))
+    return np.exp(1j * np.angle(values)) * np.cos(theta), np.sin(theta)
+
+
+_TINY = np.finfo(np.float64).tiny
+# real samples >= +0.0: zero, subnormals, values near 0 and near 1, 1 itself
+# and values within the 1e-12 slack above it
+_REAL_LANE = st.one_of(
+    st.sampled_from([0.0, 5e-324, np.nextafter(_TINY, 0.0), _TINY, 1.0,
+                     np.nextafter(1.0, 2.0), 1.0 + 1e-12]),
+    st.floats(0.0, _TINY),
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 1.0),
+    st.floats(1.0 - 1e-6, 1.0 + 1e-12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_REAL_LANE, min_size=1, max_size=64), st.integers(0, 63),
+       st.sampled_from(["complex", "float64", "-0.0", "x - 0j", "x + yj"]),
+       st.floats(-1e-3, 1e-3).filter(bool))
+def test_real_lane_equals_general_formula_bit_for_bit(samples, where, kind, imag):
+    # "complex" and "float64" hold real samples >= +0.0 only and take the real
+    # lane; one -0.0, one -0.0 imaginary part or one non-zero imaginary part
+    # sends the whole array down the general lane, where -0.0 has phase pi
+    values = np.array(samples, dtype=np.float64 if kind == "float64" else np.complex128)
+    i = where % values.size
+    if kind == "-0.0":
+        values[i] = -0.0
+    elif kind == "x - 0j":
+        values[i] = complex(values[i].real, -0.0)
+    elif kind == "x + yj":
+        values[i] = complex(min(values[i].real, 0.5), imag)
+    real_lane = kind in ("complex", "float64")
+    want = general_column(values)
+    with mock.patch.object(encoding, "_phase", wraps=encoding._phase) as phase:
+        top, s = encoder_column(values)
+        stack = encoding.encoder_stack(values)
+        rho = build_rho(values)
+    assert phase.call_count == (0 if real_lane else 3)
+    assert top.dtype == np.complex128 and s.dtype == np.float64
+    assert top.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
+    assert stack.tobytes() == np.stack(want).tobytes()
+    assert rho[..., :, 0].tobytes() == np.stack(want, axis=-1).tobytes()
+    assert_bitwise_equal(rho, np.array([reference_rho(v) for v in values]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_real_lane_keeps_the_range_check(dtype):
+    above = np.nextafter(1.0 + 1e-12, 2.0)
+    values = np.array([0.25, 1.0 + 1e-12, above, 0.5], dtype=dtype)
+    with pytest.raises(NormalizationError) as real_lane:
+        encoder_column(values)
+    with pytest.raises(NormalizationError) as general_lane:
+        magnitude_angle(values)
+    assert str(real_lane.value) == str(general_lane.value)
+    encoder_column(values[:2])  # 1 + 1e-12 itself is inside the slack
 
 
 def test_builder_shapes_broadcast():

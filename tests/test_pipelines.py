@@ -12,6 +12,7 @@ from qwave import pipelines, statevector
 from qwave import (
     COMPONENTS,
     EPSILON,
+    AudioBuffer,
     ResourceLimitError,
     ShapeError,
     SignalChunk,
@@ -21,12 +22,14 @@ from qwave import (
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
+    make_chunks,
+    normalize_for_encoding,
     pointwise_multiply_state,
     postselect_probability,
     product_blocks,
     zero_pad,
 )
-from qwave.cli import _row_norms
+from qwave.cli import _row_norms, build_kernel
 from reference import convolve_by_gates, product_state_by_gates
 
 RNG = np.random.default_rng(90210)
@@ -590,6 +593,70 @@ def test_convolve_chunks_keeps_only_encoder_amplitudes():
         tracemalloc.stop()
     assert out.nbytes == 2 << 20
     assert peak <= 9 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+
+def general_top(values):
+    """rho(value)[0, 0] by the general formula: hypot, angle and exp on every value."""
+    theta = np.arccos(np.minimum(np.hypot(values.real, values.imag), 1.0))
+    return np.exp(1j * np.angle(values)) * np.cos(theta)
+
+
+def padded_encoder_convolution(values, kernel, pad_to):
+    """convolve_chunks as the general encoder on np.pad's zero-padded rows, then the FFTs."""
+    ghat = SignalChunk.full_scale(np.fft.fft(pipelines._pad_array(kernel, pad_to)))
+    padded = np.pad(values, ((0, 0), (0, pad_to - values.shape[1])))
+    col_f = general_top(padded) * pipelines._hadamard_amplitude(pad_to.bit_length() - 1)
+    kept = np.fft.ifft(general_top(ghat.values) * np.fft.fft(col_f, axis=1, norm="ortho"),
+                       axis=1, norm="ortho")
+    return kept * np.sqrt(pad_to) / ghat.scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    total=st.integers(1, 200),
+    kernel=st.sampled_from(["identity", "shift-1", "shift-K", "moving-average-4",
+                            "low-pass-1", "low-pass-K"]),
+    normalization=st.sampled_from(["assume-positive", "shift-scale"]),
+    negative_zeros=st.booleans(),
+)
+def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel,
+                                                           normalization, negative_zeros):
+    # CLI-shaped rows: a tail-padded last chunk, -0.0 samples in some rows
+    # (phase pi, the general lane) and +0.0 or shift-scaled samples in others
+    chunk_size = 1 << n
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(0.0 if normalization == "assume-positive" else -1.0, 1.0, total)
+    samples[rng.random(total) < 0.2] = 0.0
+    if negative_zeros:
+        samples[rng.random(total) < 0.1] = -0.0
+    values, _ = normalize_for_encoding(AudioBuffer(samples, 8000), normalization)
+    plan = make_chunks(values, chunk_size)
+    spec = kernel.replace("K", str(chunk_size // 2))
+    if spec == "moving-average-4":
+        spec = f"moving-average-{min(4, chunk_size)}"
+    taps, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    for pad_to in (chunk_size, 2 * chunk_size):
+        if taps.size > pad_to:
+            continue
+        want = padded_encoder_convolution(plan.values, taps, pad_to)
+        assert convolve_chunks(plan.values, taps, pad_to).tobytes() == want.tobytes()
+
+
+def test_convolve_chunks_peak_at_a_million_samples():
+    # one 2**20-sample chunk padded to 2**21: the padding is filled with one
+    # precomputed amplitude, and the kernel's spectrum is freed before its
+    # encoder runs; np.pad's rows and the kept spectrum peaked at 5.5x
+    values = np.random.default_rng(21).uniform(0.05, 0.95, (1, 1 << 20)).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        out = convolve_chunks(values, np.full(4, 0.25), 1 << 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 32 << 20
+    assert peak <= 5.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 def test_batched_engines_reject_bad_rows():

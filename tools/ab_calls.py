@@ -8,8 +8,10 @@ workload's (perfbench.bench_workloads, read only). After one warm-up call
 per tree, each round runs one call per tree, the order swapped every round.
 It prints each tree's median call time, the relative change of the second
 tree against the first and the share of rounds in which the second was
-faster. It exits 1 if a call fails or the two trees' outputs differ in any
-byte, except the input paths in manifest.txt.
+faster, and each tree's minor page faults per timed call (getrusage), which
+show a call that faults freed heap pages in again. It exits 1 if a call
+fails or the two trees' outputs differ in any byte, except the input paths
+in manifest.txt.
 
     python tools/ab_calls.py /path/to/parent /path/to/change --workload mul-exact-c8 --calls 1000
 """
@@ -21,6 +23,7 @@ import contextlib
 import importlib
 import io
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -46,15 +49,17 @@ def load_cli(tree):
     return cli
 
 
-def timed_call(cli, argv) -> float:
-    """Seconds one main(argv) call takes; a call that does not exit 0 ends the run."""
+def timed_call(cli, argv) -> tuple:
+    """(seconds, minor page faults) of one main(argv) call; a call that does not exit 0 ends the run."""
     with contextlib.redirect_stdout(io.StringIO()):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         code = cli.main(argv)
         elapsed = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if code != 0:
         sys.exit(f"ab_calls: {cli.__file__} exited {code} on {' '.join(argv)}")
-    return elapsed
+    return elapsed, faults
 
 
 def outputs(out_dir) -> dict:
@@ -88,15 +93,18 @@ def main(argv=None) -> int:
         argvs = [workload.argv(paths, os.path.join(work, f"out{t}")) for t in (0, 1)]
         for cli, call in zip(clis, argvs):
             timed_call(cli, call)  # warm-up
-        times = ([], [])
+        times, faults = ([], []), [0, 0]
         for i in range(args.calls):
             for t in ((0, 1) if i % 2 == 0 else (1, 0)):
-                times[t].append(timed_call(clis[t], argvs[t]))
+                elapsed, faulted = timed_call(clis[t], argvs[t])
+                times[t].append(elapsed)
+                faults[t] += faulted
         first, second = (outputs(os.path.join(work, f"out{t}")) for t in (0, 1))
     medians = [statistics.median(t) for t in times]
     faster = sum(b < a for a, b in zip(*times))
-    for label, cli, median in zip(("first", "second"), clis, medians):
-        print(f"{label}: {os.path.dirname(cli.__file__)}  median {median * 1e3:.3f} ms")
+    for label, cli, median, faulted in zip(("first", "second"), clis, medians, faults):
+        print(f"{label}: {os.path.dirname(cli.__file__)}  median {median * 1e3:.3f} ms, "
+              f"{faulted / args.calls:.2f} minor faults per call")
     print(f"{args.workload}, {args.calls} calls per tree: second vs first "
           f"{100.0 * (medians[1] / medians[0] - 1.0):+.1f}%, "
           f"second faster in {faster}/{args.calls} rounds")

@@ -7,12 +7,14 @@ file, one with a Fourier-domain kernel file, a shift-scale convolve,
 selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
 workers, 1000 shots, seed 5), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
-an engine block, and the tail is padded). They run in-process inside a
-temporary directory with relative paths, so the manifests, which record
-input paths, compare across trees. Each output file prints as
-`sha256  path`, and each call's stdout as `sha256  <call>/stdout (exit
-<code>)`. The qwave package used is named on stderr, so stdout diffs clean
-between two trees.
+an engine block, and the tail is padded), and a text-input multiply and
+convolve whose samples include -0.0, so both encoder lanes run: rows of real
+samples >= +0.0 take the real lane, rows holding a -0.0 the general one.
+They run in-process inside a temporary directory with relative paths, so
+the manifests, which record input paths, compare across trees. Each output
+file prints as `sha256  path`, and each call's stdout as `sha256
+<call>/stdout (exit <code>)`. The qwave package used is named on stderr, so
+stdout diffs clean between two trees.
 
 Then every output file gets junk appended and every call runs again into
 the same directories: outputs are rewritten in place, so each hash must
@@ -76,6 +78,17 @@ def calls() -> list:
         np.savetxt(f"in/{name}", rng.uniform(0.0, 1.0, 40000))
     out.append(("mul-exact-c32768", ["multiply", "in/long_f.txt", "in/long_g.txt",
                                      "--chunk-size", "32768", "--out", "out/mul-exact-c32768"]))
+    for name in ("zeros_f.txt", "zeros_g.txt"):
+        samples = rng.uniform(0.0, 1.0, 300)
+        samples[rng.random(300) < 0.2] = 0.0
+        samples[rng.random(300) < 0.05] = -0.0
+        np.savetxt(f"in/{name}", samples)
+    out.append(("mul-text-signed-zeros-c16", ["multiply", "in/zeros_f.txt", "in/zeros_g.txt",
+                                              "--chunk-size", "16",
+                                              "--out", "out/mul-text-signed-zeros-c16"]))
+    out.append(("conv-text-signed-zeros-c16", ["convolve", "in/zeros_f.txt",
+                                               "--kernel", "moving-average-3", "--chunk-size", "16",
+                                               "--out", "out/conv-text-signed-zeros-c16"]))
     return out
 
 
