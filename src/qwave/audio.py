@@ -346,10 +346,6 @@ def _fixed_field(field: str, value) -> str:
     return (field % (value,)).replace("%", "%%")
 
 
-def _component_key(component) -> str:
-    return f"{component[0]}{component[1]}"
-
-
 def process_chunks(
     plan_f: ChunkPlan,
     plan_g: ChunkPlan,
@@ -366,11 +362,11 @@ def process_chunks(
     fewer if a range would hold under _MIN_RANGE_AMPLITUDES state amplitudes
     (exact) or _MIN_RANGE_DRAWS shot draws, and run on that many threads
     (the Philox draw, the sorts and numpy's large array loops release the
-    GIL; count_draws' bincount holds it) or in this one when that is 1.
+    GIL; draw_counts' bincount holds it) or in this one when that is 1.
     Each range reads its decoded channels and rmsd, fidelity and prob00
     columns off a block of states at a time, so peak memory is one block of
     states and, in shot mode, one sampling batch (a few MiB; see
-    qwave.sampling.count_draws) per thread.
+    qwave.sampling.draw_counts) per thread.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -421,7 +417,7 @@ def process_chunks(
             list(pool.map(run, range(0, num_chunks, step)))
     columns = np.vstack([scores, plan_f.scales, plan_g.scales])
     channels = channels.reshape(len(COMPONENTS), -1)
-    components = {_component_key(c): channels[j] for j, c in enumerate(COMPONENTS)}
+    components = {f"{bf}{bg}": channels[j] for j, (bf, bg) in enumerate(COMPONENTS)}
     return QuadOutput(components, "exact" if shots is None else shots, seed, columns)
 
 

@@ -99,13 +99,6 @@ def _write_manifest(out_dir, entries) -> str:
     return path
 
 
-def _shots_text(shots) -> str:
-    return "exact" if shots is None else str(shots)
-
-
-BUILTIN_KERNELS = ("identity", "shift-K", "moving-average-K", "low-pass-K")
-
-
 def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "auto"):
     """Resolve a kernel spec to (time_domain_values, domain_label).
 
@@ -290,7 +283,7 @@ def _cmd_multiply(args) -> int:
         ("chunk_size", args.chunk_size),
         ("num_chunks", plan_f.num_chunks),
         ("tail_padding", plan_f.tail_padding),
-        ("shots", _shots_text(args.shots)),
+        ("shots", quad.shots),
         ("seed", args.seed),
         ("workers", args.workers),
         ("normalization", record.mode),
@@ -299,7 +292,7 @@ def _cmd_multiply(args) -> int:
         ("outputs", " ".join(sorted(os.path.basename(p) for p in paths.values()))),
     ])
     print(f"multiply: {plan_f.num_chunks} chunks x {args.chunk_size} samples, "
-          f"shots={_shots_text(args.shots)}")
+          f"shots={quad.shots}")
     for key in sorted(quad.components):
         print(f"  component_{key}.wav")
     print(f"  metrics.csv manifest.txt -> {args.out}")
@@ -490,9 +483,12 @@ def main(argv=None) -> int:
     except QwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        # every route loads its inputs before it creates the output directory
-        print(f"error: {exc.filename}: no such file", file=sys.stderr)
+    except OSError as exc:
+        # an input or kernel file that cannot be read, or an --out that cannot
+        # be a directory; every route loads its inputs before it makes --out
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        where = "" if exc.filename is None else f"{exc.filename}: "  # a failed write names none
+        print(f"error: {where}{reason}", file=sys.stderr)
         return 1
 
 

@@ -34,13 +34,21 @@ _BOUND_SLACK = 1e-12
 
 
 def magnitude_angle(values):
-    """arccos|value| in [0, pi/2], elementwise. Magnitude above 1 is an error."""
+    """arccos|value| in [0, pi/2], elementwise. A magnitude above 1, or a NaN, is an error."""
     # np.hypot is the scalar abs() bit for bit; np.abs on a complex array can
     # take a SIMD path one ulp off, which arccos amplifies near |v| = 1
     mag = np.hypot(np.real(values), np.imag(values))
-    if np.any(mag > 1.0 + 1e-12):
-        raise NormalizationError(f"|value| = {np.nanmax(mag)} exceeds 1")
+    if not np.all(mag <= 1.0 + 1e-12):  # a NaN fails the comparison too
+        _refuse_nan(values, mag)
+        raise NormalizationError(f"|value| = {np.max(mag)} exceeds 1")
     return np.arccos(np.minimum(mag, 1.0))
+
+
+def _refuse_nan(values, mag) -> None:
+    """NormalizationError naming the first of `values` whose magnitude `mag` is NaN, if any."""
+    nan = np.isnan(mag)
+    if nan.any():
+        raise NormalizationError(f"value {np.asarray(values)[nan].flat[0]} is not a number")
 
 
 def _phase(values):
@@ -103,32 +111,20 @@ def write_encoder_top(values, out):
     return theta
 
 
-def encoder_column(values) -> tuple:
-    """rho(value)'s first column as (phase * c, s): the amplitudes the encoder writes.
+def encoder_column(values) -> np.ndarray:
+    """rho(value)'s first column, the amplitudes the encoder writes, shape (2,) + values.shape.
 
-    c and s are the cosine and sine of arccos|value| and phase is
-    exp(1j * arg(value)), so phase * c is value to roundoff and s the real
-    complement sqrt(1 - |value|^2). Both have the shape of `values`; they
-    equal build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit. Real
-    values >= +0.0 take the real lane, which skips hypot, angle and exp;
-    any -0.0 or non-zero imaginary part sends the array through the general
-    formula (see the module docstring). Both lanes give the same bits.
+    [0] is phase * c, value to roundoff, and [1] is s, the complement
+    sqrt(1 - |value|^2), with a +0.0 imaginary part; c and s are the cosine
+    and sine of arccos|value| and phase is exp(1j * arg(value)). They equal
+    build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit, through either
+    lane (see the module docstring), and `top, s = encoder_column(values)`
+    unpacks them. Each half is written in place.
     """
     values = np.asarray(values)
-    top = np.empty(values.shape, dtype=np.complex128)
-    theta = write_encoder_top(values, top)
-    return top, np.sin(theta)
-
-
-def encoder_stack(values) -> np.ndarray:
-    """encoder_column as one complex array of shape (2,) + values.shape: [0] phase * c, [1] s.
-
-    Each half is written in place, with no separate top, s and stack.
-    """
-    values = np.asarray(values)
-    stack = np.empty((2,) + values.shape, dtype=np.complex128)
-    stack[1] = np.sin(write_encoder_top(values, stack[0]))
-    return stack
+    column = np.empty((2,) + values.shape, dtype=np.complex128)
+    column[1] = np.sin(write_encoder_top(values, column[0]))
+    return column
 
 
 def build_rho(values) -> np.ndarray:
@@ -186,13 +182,15 @@ class SignalChunk:
         size = values.size
         if size < 2 or size & (size - 1):
             raise ShapeError(f"chunk length must be a power of two >= 2, got {size}")
-        max_mag = float(np.abs(values).max())
-        if max_mag > (1.0 - EPSILON) * (1.0 + _BOUND_SLACK):
+        mag = np.abs(values)
+        max_mag = float(mag.max())
+        if not max_mag <= (1.0 - EPSILON) * (1.0 + _BOUND_SLACK):  # NaN fails it too
+            _refuse_nan(values, mag)
             raise NormalizationError(
                 f"max |value| = {max_mag} exceeds the {1.0 - EPSILON} bound; "
                 "use SignalChunk.from_values to rescale"
             )
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise NormalizationError(f"scale must be positive, got {self.scale}")
         object.__setattr__(self, "values", values)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, encoder_column, encoder_stack, write_encoder_top
+from .encoding import SignalChunk, encoder_column, write_encoder_top
 from .errors import ShapeError
 from .statevector import QubitLayout, Statevector, _check_num_qubits
 
@@ -124,10 +124,10 @@ def product_blocks(f, g):
     n = big_n.bit_length() - 1
     _check_num_qubits(n + 2)
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
-        # (2, rows, N) column stacks: [0] is phase * c, [1] s as complex
-        col_f = encoder_stack(f[lo:hi])
+        # (2, rows, N) encoder columns: [0] is phase * c, [1] s as complex
+        col_f = encoder_column(f[lo:hi])
         col_f *= _hadamard_amplitude(n)
-        col_g = encoder_stack(g[lo:hi])
+        col_g = encoder_column(g[lo:hi])
         # four products of whole (rows, N) slices, where [chunk, x] order
         # would run a length-2 loop per amplitude pair
         yield lo, (col_g[None] * col_f[:, None]).transpose(2, 3, 0, 1)
@@ -277,11 +277,15 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # |f> on the register, the encoding ancilla's 0 branch kept
-        col_f = np.empty((hi - lo, pad_to), dtype=np.complex128)
-        write_encoder_top(values[lo:hi], col_f[:, :big_n])
-        col_f[:, :big_n] *= h
-        col_f[:, big_n:] = pad_amplitude
-        # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch
-        kept = np.fft.ifft(col_g * np.fft.fft(col_f, axis=1, norm="ortho"), axis=1, norm="ortho")
-        out[lo:hi] = kept * np.sqrt(pad_to) / scale_g
+        psi = np.empty((hi - lo, pad_to), dtype=np.complex128)
+        write_encoder_top(values[lo:hi], psi[:, :big_n])
+        psi[:, :big_n] *= h
+        psi[:, big_n:] = pad_amplitude
+        # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch:
+        # each transform frees the array before it, the other steps run in place
+        psi = np.fft.fft(psi, axis=1, norm="ortho")
+        np.multiply(col_g, psi, out=psi)
+        psi = np.fft.ifft(psi, axis=1, norm="ortho")
+        psi *= np.sqrt(pad_to)
+        np.divide(psi, scale_g, out=out[lo:hi])
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .pipelines import COMPONENTS, _chunk_blocks, _component_offset
+from .pipelines import _chunk_blocks, _component_offset
 from .statevector import Statevector
 
 # A batch is the only shot-sized array, so peak memory is one batch per thread
@@ -27,7 +27,7 @@ _GRID_BATCH = 1 << 16
 _BATCH = 1 << 17
 _MAX_BATCH = 1 << 22
 _SORT_DRAWS_PER_EDGE = 32
-# count_draws bins on a grid only when a call draws at least one full binned
+# draw_counts bins on a grid only when a call draws at least one full binned
 # batch and that batch holds _GRID_DRAWS_PER_EDGE draws per CDF entry: with
 # fewer, the grid's fixed numpy calls and its per-batch search of every edge
 # cost more than sorting the whole batch. Large batches also keep the GIL
@@ -83,14 +83,14 @@ def sample_counts(state: Statevector, shots: int, seed) -> ShotCounts:
     CDF closed with cdf[-1] = 1. Sampling rule: shot j takes the j-th
     uniform u of the Philox stream and lands on the first basis state k
     with u < cdf[k], i.e. searchsorted(cdf, u, side="right"). Drawing in
-    batches, count_draws counts the draws below each cdf[k] without sorting
+    batches, draw_counts counts the draws below each cdf[k] without sorting
     every uniform (see there) and takes differences; that assigns every draw
     to the same k, so the counts equal those of the rule draw for draw.
     Identical (state, shots, seed) always produce identical counts.
     """
     if shots < 1:
         raise ShapeError(f"shots must be >= 1, got {shots}")
-    counts = count_draws(sampling_cdf(state.probabilities()), shots, seed)
+    counts = draw_counts(sampling_cdf(state.probabilities())[None], shots, [seed])[0]
     return ShotCounts(state.num_qubits, int(shots), seed, counts)
 
 
@@ -110,11 +110,13 @@ def sampling_cdf(probs) -> np.ndarray:
     return cdf
 
 
-def count_draws(cdf, shots: int, seed) -> np.ndarray:
-    """Counts per basis state of `shots` Philox draws against one closed CDF.
+def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
+    """Counts per basis state of `shots` Philox draws against each row of a (rows, D) closed CDF.
 
-    The draw-and-count half of sample_counts' sampling rule, for callers
-    that hold the CDF already. numpy's Philox uniform is u = (w >> 11) * 2**-53
+    Row k draws on seeds[k] and owns its Philox stream, so its counts do not
+    depend on how rows are grouped into blocks or spread over threads. This
+    is the draw-and-count half of sample_counts' sampling rule, for callers
+    that hold the CDFs already. numpy's Philox uniform is u = (w >> 11) * 2**-53
     for the next raw 64-bit word w, so the top `bits` bits of w name the cell
     floor(u * 2**bits) of a grid on [0, 1). A draw in a cell that holds no
     cdf[k] strictly inside it lies below cdf[k] exactly when its cell lies
@@ -125,16 +127,6 @@ def count_draws(cdf, shots: int, seed) -> np.ndarray:
     draws below it, the same number a sort of every uniform gives. Short
     calls, or CDFs with too many entries for a grid to pay, use a single
     cell: every draw is sorted, and nothing is binned.
-    """
-    return draw_counts(cdf[None], shots, [seed])[0]
-
-
-def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
-    """count_draws of every row of a (rows, D) CDF table, row k on seeds[k].
-
-    Returns the (rows, D) counts. Each row owns its Philox stream, so row k
-    equals count_draws(cdf[k], shots, seeds[k]) however rows are grouped
-    into blocks or spread over threads.
     """
     bits, batch = _grid_plan(cdf.shape[-1], shots)
     return _count_on_grid(cdf, shots, seeds, bits, batch)
@@ -212,7 +204,7 @@ def shot_readout(states, shots: int, seeds) -> tuple:
     ideal00 = np.abs(states[:, :, 0, 0] * np.sqrt(states.shape[1]))
     probs = np.abs(states.reshape(len(states), -1)) ** 2
     counts = draw_counts(sampling_cdf(probs), shots, seeds)
-    channels = np.stack([decode_rows(counts, _component_offset(c)) for c in COMPONENTS])
+    channels = np.moveaxis(decode_rows(counts), -1, 0)
     return channels, rmsd_rows(channels[0], ideal00), fidelity_rows(probs, counts / shots)
 
 
@@ -240,18 +232,17 @@ def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:
     offset = _component_offset(component)
     if counts.num_qubits < 3:
         raise ShapeError("need an index register plus two ancillae")
-    return decode_rows(counts.counts, offset)
+    return decode_rows(counts.counts)[:, offset]
 
 
-def decode_rows(counts, offset: int) -> np.ndarray:
-    """decode_component on each row of a (..., 4N) counts table, at ancilla offset 2*bf + bg."""
+def decode_rows(counts) -> np.ndarray:
+    """decode_component of all four patterns on each row of a (..., 4N) counts table.
+
+    Returns shape (..., N, 4), the last axis the ancilla pattern 2*bf + bg.
+    An index never observed has no hits either, so 0 / 1 decodes it to +0.0.
+    """
     table = counts.reshape(*counts.shape[:-1], -1, 4)
-    totals = table.sum(axis=-1)
-    hits = table[..., offset]
-    safe = np.where(totals > 0, totals, 1)
-    est = np.sqrt(hits / safe)
-    est[totals == 0] = 0.0
-    return est
+    return np.sqrt(table / np.maximum(table.sum(axis=-1, keepdims=True), 1))
 
 
 def rmsd_percent(estimate, ideal) -> float:

@@ -101,7 +101,6 @@ class QubitLayout:
         return len(self.index_register) + len(self.ancillae)
 
 
-
 def init_state(num_qubits: int) -> Statevector:
     """All-zeros computational basis state |0...0>."""
     return Statevector(num_qubits)
@@ -126,19 +125,15 @@ def _axes_first(state: Statevector, positions) -> np.ndarray:
 def apply_hadamard_layer(state: Statevector, qubits) -> Statevector:
     """Hadamard on each listed qubit (order irrelevant, they commute)."""
     qubits = list(qubits)
-    _hadamard_axes(_axes_first(state, qubits), range(len(qubits)))
-    return state
-
-
-def _hadamard_axes(psi: np.ndarray, axes) -> None:
-    """Hadamard on each listed axis (of length 2) of psi, in order, writing through psi."""
+    psi = _axes_first(state, qubits)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in axes:
+    for k in range(len(qubits)):
         lead = (slice(None),) * k
         a0, a1 = psi[lead + (0, ...)], psi[lead + (1, ...)]
         new0 = (a0 + a1) * inv_sqrt2
         a1[...] = (a0 - a1) * inv_sqrt2
         a0[...] = new0
+    return state
 
 
 def _check_unitary(u: np.ndarray, shape=(2, 2)) -> np.ndarray:

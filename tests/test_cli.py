@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 
 import builtins
+import errno
 import hashlib
 import io
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import qwave.audio
+import qwave.cli
 from qwave import (
     MAX_QUBITS,
     METRICS_CSV_HEADER,
@@ -627,6 +629,44 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, route):
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {missing}: no such file\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["multiply", "convolve", "shot-sweep"])
+def test_unusable_paths_are_one_error_line(tmp_path, capsys, command):
+    """An --out that is a regular file, or an input or kernel that is a directory."""
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+    f_txt, folder = str(tmp_path / "f.txt"), str(tmp_path / "folder")
+    os.mkdir(folder)
+    inputs = {"multiply": ["multiply", f_txt, f_txt, "--chunk-size", "4"],
+              "convolve": ["convolve", f_txt, "--kernel", "identity", "--chunk-size", "4"],
+              "shot-sweep": ["shot-sweep", "--signal-f", f_txt, "--signal-g", f_txt,
+                             "--shots-list", "10", "--num-seeds", "1"]}[command]
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"kept")
+    assert main([*inputs, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: {taken}: File exists\n"
+    assert taken.read_bytes() == b"kept"
+    # a directory where a file is read: an input, or the kernel file
+    unreadable = {"multiply": ["multiply", f_txt, folder],
+                  "convolve": ["convolve", f_txt, "--kernel", folder],
+                  "shot-sweep": ["shot-sweep", "--signal-f", folder, "--signal-g", f_txt]}
+    out = tmp_path / "out"
+    assert main([*unreadable[command], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+    assert not out.exists()
+
+
+def test_failed_write_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """An OSError that names no file, such as a full disk on write, is the reason alone."""
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+
+    def full(path, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(qwave.cli, "write_file", full)
+    argv = ["convolve", str(tmp_path / "f.txt"), "--kernel", "identity", "--chunk-size", "4"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_sample_rate_beyond_the_wav_header_is_one_error_line(tmp_path, capsys):

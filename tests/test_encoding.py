@@ -1,5 +1,6 @@
 """Value-encoding unitaries and chunk ingestion."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -181,11 +182,13 @@ _COLUMN_EDGES = st.sampled_from([1.0 + 0j, -1.0 + 0j, 1j, -1j, complex(1.0, -0.0
 def test_encoder_column_is_rhos_first_column_bit_for_bit(values):
     values = np.array(values, dtype=np.complex128)
     top, s = encoder_column(values)
-    assert top.dtype == np.complex128 and s.dtype == np.float64
-    column = np.stack([top, s], axis=-1)  # s is real: the column's +0.0 imaginary part
+    assert top.dtype == np.complex128 and s.dtype == np.complex128
+    assert s.imag.tobytes() == np.zeros(values.size).tobytes()  # +0.0, no -0.0
+    column = np.stack([top, s], axis=-1)
     assert column.tobytes() == build_rho(values)[..., :, 0].tobytes()
     assert column.tobytes() == np.array([reference_rho(v)[:, 0] for v in values]).tobytes()
     rows = values.reshape(1, -1)
+    assert encoder_column(rows).shape == (2, 1, values.size)
     assert np.stack(encoder_column(rows), axis=-1).tobytes() == column.tobytes()
 
 
@@ -241,12 +244,11 @@ def test_real_lane_equals_general_formula_bit_for_bit(samples, where, kind, imag
     want = general_column(values)
     with mock.patch.object(encoding, "_phase", wraps=encoding._phase) as phase:
         top, s = encoder_column(values)
-        stack = encoding.encoder_stack(values)
         rho = build_rho(values)
-    assert phase.call_count == (0 if real_lane else 3)
-    assert top.dtype == np.complex128 and s.dtype == np.float64
-    assert top.tobytes() == want[0].tobytes() and s.tobytes() == want[1].tobytes()
-    assert stack.tobytes() == np.stack(want).tobytes()
+    assert phase.call_count == (0 if real_lane else 2)
+    assert top.dtype == np.complex128 and s.dtype == np.complex128
+    assert top.tobytes() == want[0].tobytes()
+    assert s.real.tobytes() == want[1].tobytes() and not s.imag.view(np.uint64).any()
     assert rho[..., :, 0].tobytes() == np.stack(want, axis=-1).tobytes()
     assert_bitwise_equal(rho, np.array([reference_rho(v) for v in values]))
 
@@ -379,6 +381,20 @@ def test_chunk_rejects_out_of_bound_values():
         SignalChunk(np.array([0.5, 1.0]))
     with pytest.raises(NormalizationError):
         SignalChunk(np.array([0.5, 0.5]), scale=0.0)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0.5], [0.5, complex(0.25, np.nan)]],
+                         ids=["nan", "nan-imaginary"])
+def test_every_entry_point_refuses_nan_naming_it(values):
+    # nan > bound is False, so a bound test written that way let NaN through
+    values = np.array(values, dtype=np.complex128)
+    named = rf"^value {re.escape(str(values[np.isnan(values)][0]))} is not a number$"
+    for build in (SignalChunk, SignalChunk.from_values, magnitude_angle, encoder_column,
+                  build_rho, lambda v: magnitude_angle(v[np.isnan(v)][0])):
+        with pytest.raises(NormalizationError, match=named):
+            build(values)
+    with pytest.raises(NormalizationError, match="^scale must be positive, got nan$"):
+        SignalChunk(np.array([0.5, 0.5]), scale=np.nan)
 
 
 def test_chunk_rejects_bad_lengths():

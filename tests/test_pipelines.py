@@ -647,7 +647,9 @@ def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel
 def test_convolve_chunks_peak_at_a_million_samples():
     # one 2**20-sample chunk padded to 2**21: the padding is filled with one
     # precomputed amplitude, and the kernel's spectrum is freed before its
-    # encoder runs; np.pad's rows and the kept spectrum peaked at 5.5x
+    # encoder runs; np.pad's rows and the kept spectrum peaked at 5.5x. The
+    # block's column goes after the forward FFT and the kernel product and
+    # scaling run in place, which took the peak from 5.0x to 4.5x
     values = np.random.default_rng(21).uniform(0.05, 0.95, (1, 1 << 20)).astype(np.complex128)
     tracemalloc.start()
     try:
@@ -657,6 +659,7 @@ def test_convolve_chunks_peak_at_a_million_samples():
         tracemalloc.stop()
     assert out.nbytes == 32 << 20
     assert peak <= 5.25 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+    assert peak <= 4.75 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 def test_batched_engines_reject_bad_rows():

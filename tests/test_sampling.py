@@ -131,7 +131,7 @@ def test_sample_counts_peak_memory_under_cap():
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, [5, 17]])
 def test_philox_uniforms_are_the_top_53_bits_of_raw_words(seed):
-    """count_draws bins raw Philox words, relying on numpy's u = (w >> 11) * 2**-53."""
+    """draw_counts bins raw Philox words, relying on numpy's u = (w >> 11) * 2**-53."""
     floats, words = make_rng(seed), make_rng(seed).bit_generator
     for n in (1, 3, 5, 6, 4097, 131071):  # successive draws, not whole 4-word blocks
         expected = (words.random_raw(n) >> np.uint64(11)) * 2.0**-53
@@ -140,9 +140,9 @@ def test_philox_uniforms_are_the_top_53_bits_of_raw_words(seed):
 
 @st.composite
 def stressed_cdfs(draw):
-    """Closed CDFs whose edges sit where count_draws' grid is easiest to get wrong.
+    """Closed CDFs whose edges sit where draw_counts' grid is easiest to get wrong.
 
-    Edges on cell boundaries j/2**k of every grid count_draws may pick, their
+    Edges on cell boundaries j/2**k of every grid draw_counts may pick, their
     float neighbours on both sides, or a few draws' width off them; runs of
     1e-9 steps, so many edges share a cell; repeated edges from
     zero-probability bins; a subnormal first probability; or the CDF of
@@ -189,7 +189,7 @@ def stressed_cdfs(draw):
 def test_count_draws_matches_reference_rule_on_stressed_cdfs(cdf, shots, seed, bits, batch):
     """The grid counter gives the draw-by-draw counts on the grid it picks and on any other."""
     expected = reference_cdf_counts(cdf, shots, seed)
-    assert np.array_equal(sampling.count_draws(cdf, shots, seed), expected)
+    assert np.array_equal(sampling.draw_counts(cdf[None], shots, [seed])[0], expected)
     assert np.array_equal(sampling._count_on_grid(cdf[None], shots, [seed], bits, batch)[0],
                           expected)
 
@@ -220,7 +220,7 @@ def test_threads_drawing_on_the_grid_at_once_match_reference_rule():
 
 @pytest.mark.parametrize("dim", [32, 2**14], ids=["grid", "single-cell"])
 def test_count_draws_peak_memory_is_one_batch(dim):
-    """4e6 shots stay within 8 MiB: count_draws holds one batch, whatever the shot count.
+    """4e6 shots stay within 8 MiB: draw_counts holds one batch, whatever the shot count.
 
     D = 32 bins its draws on a grid. D = 2**14 sorts every draw, in batches
     of 32 * D = 2**19 draws (4 MiB of float64); it is the largest D whose
@@ -231,7 +231,7 @@ def test_count_draws_peak_memory_is_one_batch(dim):
     assert (sampling._grid_plan(dim, 4_000_000)[0] > 0) == (dim == 32)
     tracemalloc.start()
     try:
-        counts = sampling.count_draws(cdf, 4_000_000, seed=3)
+        counts = sampling.draw_counts(cdf[None], 4_000_000, [3])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,15 +278,15 @@ def test_row_helpers_equal_one_row_calls(dim):
     probs = np.abs(amps) ** 2
     cdf = sampling.sampling_cdf(probs)
     ideal = rng.uniform(0.0, 1.0, (6, dim // 4))
-    counts = np.array([sampling.count_draws(cdf[k], 300, [7, k]) for k in range(6)])
-    rmsd = sampling.rmsd_rows(sampling.decode_rows(counts, 2), ideal)
+    counts = np.array([sampling.draw_counts(cdf[k, None], 300, [[7, k]])[0] for k in range(6)])
+    rmsd = sampling.rmsd_rows(sampling.decode_rows(counts)[..., 2], ideal)
     fidelity = sampling.fidelity_rows(probs, counts / 300)
     for k in range(6):
         state = Statevector(dim.bit_length() - 1, amps[k])
         one = sample_counts(state, 300, [7, k])
         assert np.array_equal(one.counts, counts[k])
         assert np.array_equal(decode_component(one, (1, 0)),
-                              sampling.decode_rows(counts, 2)[k])
+                              sampling.decode_rows(counts)[k, :, 2])
         assert rmsd[k] == rmsd_percent(decode_component(one, (1, 0)), ideal[k])
         assert fidelity[k] == fidelity_percent(one, state)
 
@@ -295,7 +295,7 @@ def test_row_helpers_equal_one_row_calls(dim):
 @given(rows=st.integers(1, 9), blocks=st.integers(1, 3), edge=st.sampled_from([-1, 0, 1]),
        bits=st.sampled_from([0, 1, 6, 12]), data=st.data())
 def test_draw_counts_equals_per_row_count_draws(rows, blocks, edge, bits, data):
-    """Each row gets the counts of its own count_draws call, across batch boundaries.
+    """Each row gets the counts of its own one-row draw_counts call, across batch boundaries.
 
     Batches of 16 draws, sorted whole (bits = 0) or binned on a grid, reuse
     one set of buffers from row to row and batch to batch.
@@ -310,8 +310,28 @@ def test_draw_counts_equals_per_row_count_draws(rows, blocks, edge, bits, data):
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
     assert np.array_equal(sampling.draw_counts(cdf, shots, seeds), expected)
-    assert np.array_equal([sampling.count_draws(cdf[k], shots, seeds[k]) for k in range(rows)],
-                          expected)
+    assert np.array_equal(
+        [sampling.draw_counts(cdf[k, None], shots, [seeds[k]])[0] for k in range(rows)], expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), n=st.integers(0, 5), unseen=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_decode_rows_is_hits_over_totals_for_every_pattern(rows, n, unseen, seed):
+    """sqrt(hits / totals) of each of the four patterns; an index never observed gives +0.0."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 50, (rows, 1 << n, 4))
+    table[rng.random(table.shape) < 0.3] = 0  # patterns with no hits
+    table[rng.random(table.shape[:2]) < unseen] = 0  # indices never observed
+    got = sampling.decode_rows(table.reshape(rows, -1))
+    assert got.shape == (rows, 1 << n, 4)
+    for k in range(4):
+        for r in range(rows):
+            for x in range(1 << n):
+                total = int(table[r, x].sum())
+                want = np.sqrt(table[r, x, k] / total) if total else 0.0
+                assert np.float64(want).tobytes() == got[r, x, k].tobytes(), (r, x, k)
+    assert got.tobytes() == sampling.decode_rows(table.reshape(-1)).reshape(got.shape).tobytes()
 
 
 def test_sampling_cdf_names_the_first_bad_row():

@@ -5,7 +5,10 @@ perfbench.bench_workloads.make_inputs), a low-pass-3 convolve at chunk size
 16, a moving-average-5 convolve at chunk size 256, a convolve with a kernel
 file, one with a Fourier-domain kernel file, a shift-scale convolve,
 selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
-workers, 1000 shots, seed 5), a shift-scale multiply and a multiply of a
+workers, 1000 shots, seed 5), a shot-mode multiply of four chunks of 128
+at 300000 shots (D = 512 outcomes per chunk, so the sort counter draws
+three batches per chunk, where the benchmark's shot workload bins on the
+grid), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
 an engine block, and the tail is padded), and a text-input multiply and
 convolve whose samples include -0.0, so both encoder lanes run: rows of real
@@ -70,6 +73,8 @@ def calls() -> list:
     for label, inputs, flags in (
             ("mul-pooled-shots-c8", "mul-shots-c8-s1",
              ["--workers", "2", "--shots", "1000", "--seed", "5"]),
+            ("mul-shots-c128", "mul-shots-c8-s1",
+             ["--chunk-size", "128", "--shots", "300000", "--seed", "11"]),
             ("mul-shift-scale-c8", "mul-exact-c8-s1", ["--normalization", "shift-scale"])):
         out.append((label, ["multiply", f"in/{inputs}/input_0.wav", f"in/{inputs}/input_1.wav",
                             *flags, "--out", f"out/{label}"]))
