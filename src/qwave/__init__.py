@@ -13,8 +13,10 @@ thing to WAV files.
 __version__ = "0.1.0"
 
 from .audio import (
+    METRICS_CSV_HEADER,
     AudioBuffer,
     ChunkPlan,
+    MetricsReport,
     NormalizationRecord,
     QuadOutput,
     load_wav,
@@ -56,9 +58,7 @@ from .pipelines import (
     zero_pad,
 )
 from .sampling import (
-    METRICS_CSV_HEADER,
     STANDARD_TEST_PAIR,
-    MetricsReport,
     ShotCounts,
     decode_component,
     fidelity_percent,
@@ -79,7 +79,8 @@ from .statevector import (
 
 __all__ = [
     "__version__",
-    "AudioBuffer", "ChunkPlan", "NormalizationRecord", "QuadOutput",
+    "METRICS_CSV_HEADER", "AudioBuffer", "ChunkPlan", "MetricsReport",
+    "NormalizationRecord", "QuadOutput",
     "load_wav", "make_chunks", "normalize_for_encoding", "process_chunks",
     "stitch_and_write", "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
@@ -90,7 +91,7 @@ __all__ = [
     "classical_dft", "convolve_chunks", "convolve_optimized",
     "convolve_via_theorem", "extract_component", "pointwise_multiply_state",
     "postselect_probability", "product_blocks", "zero_pad",
-    "METRICS_CSV_HEADER", "STANDARD_TEST_PAIR", "MetricsReport", "ShotCounts",
+    "STANDARD_TEST_PAIR", "ShotCounts",
     "decode_component", "fidelity_percent", "make_rng", "rmsd_percent",
     "sample_counts",
     "run_selftest",

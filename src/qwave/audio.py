@@ -24,7 +24,7 @@ import numpy as np
 from .encoding import rescale_rows
 from .errors import DomainError, FormatError, ShapeError
 from .pipelines import COMPONENTS, product_blocks
-from .sampling import METRICS_CSV_FIELDS, METRICS_CSV_HEADER, MetricsReport, shot_readout
+from .sampling import shot_readout
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
@@ -59,20 +59,19 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ShapeError(f"expected non-empty mono samples, got shape {samples.shape}")
-        _check_samples(samples, self.sample_rate)
+        if not np.all(np.isfinite(samples)):
+            raise DomainError("samples contain non-finite values")
+        peak = float(np.abs(samples).max())
+        if peak > 1.0:
+            raise DomainError(f"samples exceed full scale (peak {peak})")
+        _check_rate(self.sample_rate)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
 
 
-def _check_samples(samples, rate: int) -> None:
-    """AudioBuffer's checks of a float64 array of samples at `rate`, of any shape."""
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("samples contain non-finite values")
-    peak = float(np.abs(samples).max(initial=0.0))
-    if peak > 1.0:
-        raise DomainError(f"samples exceed full scale (peak {peak})")
+def _check_rate(rate: int) -> None:
     if not 1 <= rate <= _MAX_SAMPLE_RATE:
         raise ShapeError(f"sample rate must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
 
@@ -294,6 +293,35 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     return ChunkPlan(chunk_size, total, rows, rescale_rows(rows, peaks))
 
 
+METRICS_CSV_HEADER = (
+    "chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
+    "postselect_probability,scale_f,scale_g"
+)
+# The %-format of each metrics.csv field, shared by MetricsReport.csv_row and
+# QuadOutput.metrics_csv: chunk_index, shots, seed, then the five float columns.
+METRICS_CSV_FIELDS = ("%s", "%s", "%s", "%.10g", "%.10g", "%.10g", "%.10g", "%.10g")
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    """One metrics.csv row for a processed chunk."""
+
+    chunk_index: int
+    shots: object  # int, or the string "exact"
+    seed: object
+    rmsd_percent: float
+    fidelity_percent: float
+    postselect_probability: float
+    scale_f: float
+    scale_g: float
+
+    def csv_row(self) -> str:
+        return ",".join(METRICS_CSV_FIELDS) % (
+            self.chunk_index, self.shots, self.seed, self.rmsd_percent,
+            self.fidelity_percent, self.postselect_probability, self.scale_f, self.scale_g,
+        )
+
+
 @dataclass(frozen=True)
 class QuadOutput:
     """The four decoded channels, concatenated over chunks, plus metrics columns.
@@ -442,8 +470,11 @@ def stitch_and_write(
                      dtype=np.float64)
     if normalization is not None and normalization.mode == "shift-scale":
         block = 2.0 * block - 1.0
+    # checked before the clip, which would write +-inf as full scale; after it no peak exceeds 1
+    if not np.isfinite(block).all():
+        raise DomainError("samples contain non-finite values")
     np.clip(block, -1.0, 1.0, out=block)
-    _check_samples(block, sample_rate)
+    _check_rate(sample_rate)
     pcm = _pcm16(block)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}

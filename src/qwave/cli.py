@@ -61,12 +61,22 @@ def _read_bytes(path) -> bytes:
         return fh.read()
 
 
-def _loadtxt(blob: bytes) -> np.ndarray:
-    """Numbers from a text file's bytes; callers report an empty file naming the path."""
+def _numbers(blob: bytes, label: str) -> np.ndarray:
+    """The one column of finite numbers in a text file's bytes; each error starts with `label`."""
     # decoded as open(path) would, with the default encoding and universal newlines
-    with io.TextIOWrapper(io.BytesIO(blob)) as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(fh, dtype=np.float64, ndmin=1)
+    try:
+        with io.TextIOWrapper(io.BytesIO(blob)) as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+    except ValueError as exc:  # a word that is not a number, ragged rows, or not text
+        raise ShapeError(f"{label}: not numeric text ({exc})") from None
+    if values.size == 0:
+        raise ShapeError(f"{label}: contains no samples")
+    if values.ndim != 1:
+        raise ShapeError(f"{label}: expected a single column of samples")
+    if not np.all(np.isfinite(values)):
+        raise ShapeError(f"{label}: samples must be finite")
+    return values
 
 
 def _load_signal(path, sample_rate: int) -> tuple:
@@ -80,13 +90,7 @@ def _load_signal(path, sample_rate: int) -> tuple:
         source = io.BytesIO(blob)
         source.name = path  # load_wav's errors name the file
         return load_wav(source), digest
-    values = _loadtxt(blob)
-    if values.ndim != 1:
-        raise ShapeError(f"{path}: expected a single column of samples")
-    if values.size == 0:
-        raise ShapeError(f"{path}: contains no samples")
-    if not np.all(np.isfinite(values)):
-        raise ShapeError(f"{path}: samples must be finite")
+    values = _numbers(blob, path)
     if np.abs(values).max() > 1.0:
         raise ShapeError(f"{path}: samples must lie in [-1, 1]")
     return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
@@ -117,11 +121,7 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                              f"a {builtin[1]}-domain built-in")
         return builtin
     # numeric file
-    values = _loadtxt(_read_bytes(name))
-    if values.size == 0:
-        raise ShapeError(f"--kernel {name}: contains no samples")
-    if values.ndim != 1 or not np.all(np.isfinite(values)):
-        raise ShapeError(f"{name}: kernel must be a finite 1-D sequence")
+    values = _numbers(_read_bytes(name), f"--kernel {name}")
     if domain == "fourier":
         if values.size != padded_len:
             raise ShapeError(
@@ -258,6 +258,8 @@ def _check_seed(seed: int) -> None:
 def _cmd_multiply(args) -> int:
     _check_chunk_size(args.chunk_size)
     _check_seed(args.seed)
+    if args.workers < 1:
+        raise ShapeError(f"--workers must be >= 1, got {args.workers}")
     _check_sample_rate(args.sample_rate)
     buf_f, sha_f = _load_signal(args.signal_f, args.sample_rate)
     buf_g, sha_g = _load_signal(args.signal_g, args.sample_rate)
@@ -271,6 +273,7 @@ def _cmd_multiply(args) -> int:
     values_g, _ = normalize_for_encoding(buf_g, args.normalization)
     plan_f = make_chunks(values_f, args.chunk_size)
     plan_g = make_chunks(values_g, args.chunk_size)
+    os.makedirs(args.out, exist_ok=True)  # an --out that cannot be made fails before the run
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
     paths = stitch_and_write(quad, plan_f, buf_f.sample_rate, args.out, record)
     _write_manifest(args.out, [

@@ -195,35 +195,35 @@ class SignalChunk:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_values(cls, raw, scale: float = 1.0) -> "SignalChunk":
+    def from_values(cls, raw) -> "SignalChunk":
         """Build a chunk, rescaling into the magnitude bound when needed.
 
         The signal is rescaled as one row by rescale_rows, and its factor
-        multiplies into `scale`.
+        is the chunk's `scale`.
         """
         raw = np.array(raw, dtype=np.complex128)  # a copy: rescaled in place
         rows = raw.reshape(1, -1)
         factor = rescale_rows(rows, np.abs(rows).max(axis=1, initial=0.0))[0]
-        return cls(rows.reshape(raw.shape), scale * float(factor))
+        return cls(rows.reshape(raw.shape), float(factor))
 
     @classmethod
-    def full_scale(cls, raw, scale: float = 1.0) -> "SignalChunk":
+    def full_scale(cls, raw) -> "SignalChunk":
         """Scale so the peak magnitude sits exactly on the bound.
 
         Used for Fourier coefficient vectors, which are normalized to full
         range whether or not they already fit; an all-zero input is kept
         as-is, and a peak that is not finite or whose factor overflows is
-        refused. The factor multiplies into `scale` like in from_values.
+        refused. The factor is the chunk's `scale`, as in from_values.
         """
         raw = np.asarray(raw, dtype=np.complex128)
         peak = float(np.abs(raw).max()) if raw.size else 0.0
         if peak == 0.0:
-            return cls(raw, scale)
+            return cls(raw)
         factor = (1.0 - EPSILON) / peak
         if not (np.isfinite(peak) and np.isfinite(factor)):
             raise NormalizationError(
                 f"cannot rescale a peak |value| of {peak} to the {1.0 - EPSILON} bound")
-        return cls(raw * factor, scale * factor)
+        return cls(raw * factor, factor)
 
     @property
     def n(self) -> int:

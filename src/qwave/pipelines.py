@@ -138,22 +138,18 @@ def product_blocks(f, g):
 _REFERENCE_BLOCK = 1 << 18
 
 
-def _sum_rows(terms, m: int, count: int = 1) -> np.ndarray:
-    """Row sums of `count` stacked (m, m) term arrays, shape (count, m).
+def _sum_rows(terms, m: int) -> np.ndarray:
+    """Row sums of an (m, m) term array, shape (m,).
 
-    terms(cs, ks) gives the terms of stacks cs (a slice) at rows ks (a
-    (1, rows, 1) index column) as a (stacks, rows, m) array; each is summed
-    over its last axis. A block holds at most about _REFERENCE_BLOCK terms:
-    whole stacks when m**2 fits, else rows of one stack (one row at least).
+    terms(ks) gives the terms at rows ks (a (rows, 1) index column) as a
+    (rows, m) array; each row is summed. A block holds at most about
+    _REFERENCE_BLOCK terms (one row at least).
     """
-    out = np.empty((count, m), dtype=np.complex128)
-    ks = np.arange(m)[None, :, None]
-    stacks = max(1, _REFERENCE_BLOCK // (m * m))
+    out = np.empty(m, dtype=np.complex128)
+    ks = np.arange(m)[:, None]
     rows = min(m, max(1, _REFERENCE_BLOCK // m))
-    for lo in range(0, count, stacks):
-        cs = slice(lo, lo + stacks)
-        for i in range(0, m, rows):
-            out[cs, i : i + rows] = np.sum(terms(cs, ks[:, i : i + rows]), axis=-1)
+    for i in range(0, m, rows):
+        out[i : i + rows] = np.sum(terms(ks[i : i + rows]), axis=-1)
     return out
 
 
@@ -171,31 +167,23 @@ def classical_dft(values, inverse: bool = False) -> np.ndarray:
     m = v.size
     sign = 1.0 if inverse else -1.0
     ys = np.arange(m)
-    out = _sum_rows(lambda _, xs: v * np.exp(sign * 2j * np.pi * xs * ys / m), m)[0]
+    out = _sum_rows(lambda xs: v * np.exp(sign * 2j * np.pi * xs * ys / m), m)
     if inverse:
         out /= m
     return out
 
 
 def classical_circular_convolution(f, g) -> np.ndarray:
-    """Brute-force circular convolution: out[k] = sum_j f[j] g[(k-j) mod M].
-
-    f is one signal of shape (M,) or a (C, M) array of signal rows, each
-    convolved with the same g of shape (M,); the output has f's shape. Row c
-    is bit for bit the 1-D call on f[c].
-    """
+    """Brute-force circular convolution of two (M,) signals: out[k] = sum_j f[j] g[(k-j) mod M]."""
     f = np.asarray(f, dtype=np.complex128)
     g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 1 or g.size == 0 or f.ndim not in (1, 2) or f.shape[-1] != g.size:
-        raise ShapeError(f"need (M,) or (C, M) signals and an (M,) kernel, "
-                         f"got {f.shape} and {g.shape}")
+    if g.ndim != 1 or g.size == 0 or f.shape != g.shape:
+        raise ShapeError(f"need two (M,) signals, got {f.shape} and {g.shape}")
     m = g.size
-    signals = f.reshape(-1, m)
     idx = np.arange(m)
-    # both factors 3-D: a one-element product broadcast across ndims takes
+    # both factors 2-D: a one-element product broadcast across ndims takes
     # numpy's scalar loop, which rounds unlike the array loop of a 1-D product
-    out = _sum_rows(lambda cs, ks: signals[cs, None, :] * g[(ks - idx) % m], m, len(signals))
-    return out.reshape(f.shape)
+    return _sum_rows(lambda ks: f[None, :] * g[(ks - idx) % m], m)
 
 
 def zero_pad(chunk: SignalChunk, target_len: int) -> SignalChunk:

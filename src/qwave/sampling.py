@@ -280,32 +280,3 @@ def fidelity_rows(p, q) -> np.ndarray:
     overlap = np.sum(np.sqrt(p * q), axis=-1)
     return 100.0 * overlap * overlap
 
-
-METRICS_CSV_HEADER = (
-    "chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
-    "postselect_probability,scale_f,scale_g"
-)
-# The %-format of each metrics.csv field, shared by MetricsReport.csv_row and
-# QuadOutput.metrics_csv in qwave.audio: chunk_index, shots, seed, then the
-# five float columns.
-METRICS_CSV_FIELDS = ("%s", "%s", "%s", "%.10g", "%.10g", "%.10g", "%.10g", "%.10g")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One metrics.csv row for a processed chunk."""
-
-    chunk_index: int
-    shots: object  # int, or the string "exact"
-    seed: object
-    rmsd_percent: float
-    fidelity_percent: float
-    postselect_probability: float
-    scale_f: float
-    scale_g: float
-
-    def csv_row(self) -> str:
-        return ",".join(METRICS_CSV_FIELDS) % (
-            self.chunk_index, self.shots, self.seed, self.rmsd_percent,
-            self.fidelity_percent, self.postselect_probability, self.scale_f, self.scale_g,
-        )

@@ -649,11 +649,12 @@ def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
 
 def test_stitch_refuses_a_non_finite_channel(tmp_path):
     plan = make_chunks(positive_signal(16), 8)
-    quad = process_chunks(plan, plan)
-    quad.components["10"][5] = np.nan
-    with pytest.raises(DomainError, match="non-finite"):
-        stitch_and_write(quad, plan, 8000, tmp_path / "out")
-    assert not os.path.exists(tmp_path / "out" / "component_00.wav")
+    for bad in (np.nan, np.inf, -np.inf):  # an infinite sample must not clip to full scale
+        quad = process_chunks(plan, plan)
+        quad.components["10"][5] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            stitch_and_write(quad, plan, 8000, tmp_path / "out")
+        assert not os.path.exists(tmp_path / "out")
 
 
 def test_process_chunks_validates():

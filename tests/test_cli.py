@@ -341,6 +341,29 @@ def test_malformed_wav_is_one_error_line(tmp_path, capsys, blob, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content", ["word", "ragged", "wav"])
+@pytest.mark.parametrize("route", ["multiply", "convolve-kernel", "shot-sweep"])
+def test_malformed_numeric_text_is_one_error_line(tmp_path, capsys, route, content):
+    """A word that is not a number, ragged rows, or WAV bytes in a file read as numeric text."""
+    bad = tmp_path / "x.dat"
+    if content == "wav":
+        tone_wav(bad)
+    else:
+        bad.write_text({"word": "0.5 0.25\n0.5 abc\n", "ragged": "0.5 0.25\n0.5\n"}[content])
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+    f_txt = str(tmp_path / "f.txt")
+    argv, label = {
+        "multiply": (["multiply", str(bad), f_txt], bad),
+        "convolve-kernel": (["convolve", f_txt, "--kernel", str(bad)], f"--kernel {bad}"),
+        "shot-sweep": (["shot-sweep", "--signal-f", str(bad), "--signal-g", f_txt], bad),
+    }[route]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label}: not numeric text (") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_multiply_writes_metrics_csv_without_metrics_rows(tmp_path, monkeypatch):
     tone_wav(tmp_path / "f.wav")
     tone_wav(tmp_path / "g.wav", freq=660)
@@ -488,7 +511,7 @@ def test_oracle_column_equals_brute_force_distance(n, num_chunks, seed, kind, da
     padded[:, :chunk_size] = plan.values
     padded_kernel = np.zeros(padded_len, dtype=np.complex128)
     padded_kernel[: kernel.size] = kernel
-    oracle = classical_circular_convolution(padded, padded_kernel)
+    oracle = [classical_circular_convolution(row, padded_kernel) for row in padded]
     results = pipelines.convolve_chunks(plan.values, kernel, padded_len)
     assert len(column) == plan.num_chunks
     for got, want, row in zip(column, oracle, results):
@@ -632,8 +655,12 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, route):
 
 
 @pytest.mark.parametrize("command", ["multiply", "convolve", "shot-sweep"])
-def test_unusable_paths_are_one_error_line(tmp_path, capsys, command):
+def test_unusable_paths_are_one_error_line(tmp_path, capsys, monkeypatch, command):
     """An --out that is a regular file, or an input or kernel that is a directory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("multiply ran its chunks before making --out")
+
+    monkeypatch.setattr(qwave.cli, "process_chunks", refuse)
     np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
     f_txt, folder = str(tmp_path / "f.txt"), str(tmp_path / "folder")
     os.mkdir(folder)
@@ -789,6 +816,16 @@ def test_negative_seed_rejected_before_loading(tmp_path, capsys, command):
     code = main(command + ["--seed", "-1", "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_multiply_rejects_workers_below_one_before_loading(tmp_path, capsys, workers):
+    # the inputs do not exist: the flag check must fire before anything is read
+    code = main(["multiply", "missing_f.wav", "missing_g.wav", "--workers", str(workers),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -195,33 +195,16 @@ def test_batched_oracle_bitwise_equal_stacked_rows(seed, num_chunks, m, phases):
     f[rng.random(f.shape) < 0.2] = 0.0
     f[rng.integers(num_chunks)] = 0.0  # an all-zero row
     g[rng.random(m) < 0.2] = 0.0
-    got = classical_circular_convolution(f, g)
-    assert got.shape == (num_chunks, m)
-    for one_row in (classical_circular_convolution, loop_circular_convolution):
-        assert got.tobytes() == np.stack([one_row(row, g) for row in f]).tobytes()
+    got = np.stack([classical_circular_convolution(row, g) for row in f])
+    assert got.tobytes() == np.stack([loop_circular_convolution(row, g) for row in f]).tobytes()
     for x in (got, f):
         assert _row_norms(x).tobytes() == np.array([np.linalg.norm(row) for row in x]).tobytes()
 
 
-def test_batched_oracle_memory_stays_bounded():
-    # 5 chunks at M = 2048 sum in blocks of rows within a chunk, 2000 chunks at
-    # M = 64 in blocks of whole chunks; one block of everything would take
-    # 320 MiB and 125 MiB of terms
-    for num_chunks, m in ((5, 2048), (2000, 64)):
-        values = RNG.normal(size=(num_chunks, m)) + 1j * RNG.normal(size=(num_chunks, m))
-        kernel = RNG.normal(size=m) + 1j * RNG.normal(size=m)
-        tracemalloc.start()
-        try:
-            classical_circular_convolution(values, kernel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-
-
 def test_batched_oracle_rejects_bad_shapes():
     for f, g in ((np.ones((2, 4)), np.ones(3)), (np.ones((2, 2, 4)), np.ones(4)),
-                 (np.ones((2, 4)), np.ones((1, 4))), (np.ones(0), np.ones(0))):
+                 (np.ones((2, 4)), np.ones((1, 4))), (np.ones(0), np.ones(0)),
+                 (np.ones((2, 4)), np.ones(4))):  # the oracle takes one signal, not rows
         with pytest.raises(ShapeError):
             classical_circular_convolution(f, g)
 

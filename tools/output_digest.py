@@ -3,12 +3,13 @@
 The calls: the four benchmark workloads' argv on seeds 1 and 2 (inputs from
 perfbench.bench_workloads.make_inputs), a low-pass-3 convolve at chunk size
 16, a moving-average-5 convolve at chunk size 256, a convolve with a kernel
-file, one with a Fourier-domain kernel file, a shift-scale convolve,
-selftest, a three-seed shot-sweep, a pooled shot-mode multiply (two
-workers, 1000 shots, seed 5), a shot-mode multiply of four chunks of 128
-at 300000 shots (D = 512 outcomes per chunk, so the sort counter draws
-three batches per chunk, where the benchmark's shot workload bins on the
-grid), a shift-scale multiply and a multiply of a
+file, one with a Fourier-domain kernel file, a shift-scale convolve, an
+identity and a shift-3 convolve, selftest, a three-seed shot-sweep of the
+built-in pair and one of a 16-sample text pair, a pooled shot-mode
+multiply (two workers, 1000 shots, seed 5), a shot-mode multiply of four
+chunks of 128 at 300000 shots (D = 512 outcomes per chunk, so the sort
+counter draws three batches per chunk, where the benchmark's shot workload
+bins on the grid), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
 an engine block, and the tail is padded), and a text-input multiply and
 convolve whose samples include -0.0, so both encoder lanes run: rows of real
@@ -64,7 +65,9 @@ def calls() -> list:
             ("conv-ma5-c256", "moving-average-5", 256, []),
             ("conv-file-c8", "in/kernel.txt", 8, []),
             ("conv-fourier-file-c8", "in/bins.txt", 8, ["--kernel-domain", "fourier"]),
-            ("conv-shift-scale-c8", "moving-average-4", 8, ["--normalization", "shift-scale"])):
+            ("conv-shift-scale-c8", "moving-average-4", 8, ["--normalization", "shift-scale"]),
+            ("conv-identity-c8", "identity", 8, []),
+            ("conv-shift3-c8", "shift-3", 8, [])):
         out.append((label, ["convolve", signal, "--kernel", kernel, *flags,
                             "--chunk-size", str(chunk_size), "--out", f"out/{label}"]))
     out.append(("selftest", ["selftest"]))
@@ -94,6 +97,12 @@ def calls() -> list:
     out.append(("conv-text-signed-zeros-c16", ["convolve", "in/zeros_f.txt",
                                                "--kernel", "moving-average-3", "--chunk-size", "16",
                                                "--out", "out/conv-text-signed-zeros-c16"]))
+    for name in ("sweep_f.txt", "sweep_g.txt"):
+        np.savetxt(f"in/{name}", rng.uniform(0.5, 1.0, 16))
+    out.append(("shot-sweep-text", ["shot-sweep", "--signal-f", "in/sweep_f.txt",
+                                    "--signal-g", "in/sweep_g.txt", "--num-seeds", "3",
+                                    "--shots-list", "100,10000,exact",
+                                    "--out", "out/shot-sweep-text"]))
     return out
 
 
