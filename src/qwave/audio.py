@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .encoding import rescale_rows
+from .encoding import EPSILON, rescale_rows
 from .errors import DomainError, FormatError, ShapeError
 from .pipelines import COMPONENTS, product_blocks
 from .sampling import shot_readout
@@ -286,6 +286,12 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     num_chunks = -(-total // chunk_size)
     rows = np.zeros((num_chunks, chunk_size), dtype=np.complex128)
     rows.reshape(-1)[:total] = values
+    # One max over every magnitude: when it is within the bound no row is
+    # rescaled and every scale is 1.0. A NaN or infinity fails the comparison
+    # and takes the row-wise path below. |x + 0j| is |x| exactly, so a float64
+    # signal's own magnitudes decide without the complex abs.
+    if np.abs(values if values.dtype == np.float64 else rows).max() <= 1.0 - EPSILON:
+        return ChunkPlan(chunk_size, total, rows, np.ones(num_chunks))
     peaks = np.abs(rows).max(axis=1)
     if not np.isfinite(peaks).all():
         i = int(np.argmin(np.isfinite(np.abs(rows.reshape(-1)))))
@@ -413,7 +419,9 @@ def process_chunks(
         ranges = num_chunks * 4 * big_n // _MIN_RANGE_AMPLITUDES
     else:
         ranges = num_chunks * shots // _MIN_RANGE_DRAWS
-    threads = max(1, min(workers, num_chunks, os.cpu_count() or 1, ranges))
+    threads = max(1, min(workers, num_chunks, ranges))
+    if threads > 1:  # os.cpu_count() costs microseconds; a one-thread call skips it
+        threads = min(threads, os.cpu_count() or 1)
     step = -(-num_chunks // threads)
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
     scores = np.empty((3, num_chunks))
@@ -476,7 +484,8 @@ def stitch_and_write(
     np.clip(block, -1.0, 1.0, out=block)
     _check_rate(sample_rate)
     pcm = _pcm16(block)
-    os.makedirs(out_dir, exist_ok=True)
+    if not os.path.isdir(out_dir):  # one stat when the directory is there, as the CLI leaves it
+        os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for key, codes in zip(keys, pcm):
         paths[key] = os.path.join(out_dir, f"component_{key}.wav")

@@ -91,7 +91,7 @@ def _angle_and_phase(values):
         return magnitude_angle(values), _phase(values)
     if peak > 1.0 + 1e-12:
         raise NormalizationError(f"|value| = {peak} exceeds 1")
-    return np.arccos(np.minimum(values.real, 1.0)), None
+    return np.arccos(values.real if peak <= 1.0 else np.minimum(values.real, 1.0)), None
 
 
 def write_encoder_top(values, out):

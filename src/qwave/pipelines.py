@@ -17,6 +17,7 @@ chunk. The tests hold them bit for bit to the gate-by-gate forms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,18 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     return convolve_chunks(f.values[None], g_kernel, pad_to)[0]
 
 
+@functools.cache
+def _pad_top() -> np.ndarray:
+    """rho(+0.0)'s top entry, cos(arccos 0) + 0j, as a (1,) array, encoded once per process.
+
+    It is every zero-padded sample's amplitude before the Hadamard factor.
+    Every call returns the same array, so it is read-only.
+    """
+    top = encoder_column(np.zeros(1))[0]
+    top.flags.writeable = False
+    return top
+
+
 def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
@@ -259,9 +272,7 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     write_encoder_top(ghat.values, col_g)
     del ghat
     h = _hadamard_amplitude(m)
-    # every zero-padded sample is +0.0, so its amplitude is rho(+0.0)'s top
-    # entry, cos(arccos 0) + 0j, times h: computed once, not per sample
-    pad_amplitude = encoder_column(np.zeros(1))[0] * h
+    pad_amplitude = _pad_top() * h
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # |f> on the register, the encoding ancilla's 0 branch kept

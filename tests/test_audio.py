@@ -11,12 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from qwave import (
     COMPONENTS,
+    EPSILON,
     AudioBuffer,
     DomainError,
     FormatError,
@@ -41,6 +42,7 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
+from qwave.encoding import rescale_rows
 from reference import product_state_by_gates
 
 RNG = np.random.default_rng(3141)
@@ -354,6 +356,68 @@ def test_make_chunks_rejects_non_finite_samples(bad):
         make_chunks(samples, chunk_size=8)
 
 
+_BOUND = 1.0 - EPSILON
+# one sample's magnitude: below the rescale bound, on it, one ulp above it,
+# 1, above 1, and the non-finite ones make_chunks refuses
+_SPIKES = (np.nextafter(_BOUND, 0.0), _BOUND, np.nextafter(_BOUND, 2.0), 1.0, 1.5, np.nan, np.inf)
+
+
+@st.composite
+def chunk_signals(draw):
+    """1-D float64 or complex128 signals of small samples and ±0.0, with up to two spikes.
+
+    Each part of a small sample is at most 0.7, so its magnitude stays under
+    the bound; a spike sits on one part, with a signed zero on the other.
+    """
+    size = draw(st.integers(1, 40))
+    small = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+    values = np.array(draw(st.lists(small, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        values = values.astype(np.complex128)
+        values.imag = draw(st.lists(small, min_size=size, max_size=size))
+    for spike in draw(st.lists(st.sampled_from(_SPIKES), max_size=2)):
+        spike *= draw(st.sampled_from([1.0, -1.0]))
+        i = draw(st.integers(0, size - 1))
+        if values.dtype == np.float64:
+            values[i] = spike
+        else:
+            zero = draw(st.sampled_from([0.0, -0.0]))
+            values[i] = complex(zero, spike) if draw(st.booleans()) else complex(spike, zero)
+    return values
+
+
+def make_chunks_by_rows(values, chunk_size):
+    """make_chunks' (rows, scales) the row-wise way: every row's peak through rescale_rows."""
+    rows = np.zeros((-(-values.size // chunk_size), chunk_size), dtype=np.complex128)
+    rows.reshape(-1)[: values.size] = values
+    peaks = np.abs(rows).max(axis=1)
+    if not np.isfinite(peaks).all():
+        i = int(np.argmin(np.isfinite(np.abs(rows.reshape(-1)))))
+        raise DomainError(f"sample {i} is not finite ({values[i]})")
+    return rows, rescale_rows(rows, peaks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=chunk_signals(), chunk_size=st.sampled_from([2, 4, 8, 16]))
+@example(values=np.full(9, _BOUND), chunk_size=8)
+@example(values=np.full(9, np.nextafter(_BOUND, 2.0)), chunk_size=8)
+@example(values=np.array([-0.0, 0.0, -_BOUND, 0.5]), chunk_size=2)
+@example(values=np.array([complex(-0.0, _BOUND), complex(_BOUND, -0.0), 0.1j]), chunk_size=4)
+@example(values=np.array([0.5, np.nan, np.inf]), chunk_size=2)
+def test_make_chunks_equals_row_wise_rescale_bit_for_bit(values, chunk_size):
+    """One max over the signal decides as the per-row peaks do: same bits, same errors."""
+    try:
+        rows, scales = make_chunks_by_rows(values, chunk_size)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            make_chunks(values, chunk_size)
+        assert str(raised.value) == str(exc)
+        return
+    plan = make_chunks(values, chunk_size)
+    assert plan.values.tobytes() == rows.tobytes()
+    assert plan.scales.tobytes() == scales.tobytes()
+
+
 def reference_quad(f, g, chunk_size, shots, seed):
     """process_chunks built the one-chunk way: one gate-by-gate product state per chunk."""
     channels = {c: [] for c in COMPONENTS}
@@ -508,6 +572,29 @@ def test_pool_is_bounded_by_cpu_count(monkeypatch, split_any_work, cpus, workers
     for key in serial.components:
         assert np.array_equal(serial_exact.components[key], exact.components[key])
     assert exact.columns.tobytes() == serial_exact.columns.tobytes()
+
+
+def test_one_worker_never_asks_the_core_count(monkeypatch, split_any_work):
+    """workers=1 skips os.cpu_count(); with 4 workers one core still caps the threads at 1."""
+    def refuse():
+        raise AssertionError("os.cpu_count() was called")
+
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", refuse)
+    rng = np.random.default_rng(5)
+    plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
+    plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
+    serial = [process_chunks(plan_f, plan_g, shots=shots, seed=2, workers=1)
+              for shots in (None, 300)]
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 1)
+    pooled = [process_chunks(plan_f, plan_g, shots=shots, seed=2, workers=4)
+              for shots in (None, 300)]
+    assert RecordingExecutor.sizes == []
+    for one, four in zip(serial, pooled):
+        for key in one.components:
+            assert one.components[key].tobytes() == four.components[key].tobytes()
+        assert one.columns.tobytes() == four.columns.tobytes()
 
 
 def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
@@ -723,6 +810,22 @@ def test_stitch_and_write(tmp_path):
     assert lines[0] == METRICS_CSV_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("0,exact,")
+
+
+def test_stitch_makes_its_directory_only_when_missing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("os.makedirs() was called")
+
+    plan = make_chunks(np.full(4, 0.5), 2)
+    quad = process_chunks(plan, plan)
+    stitch_and_write(quad, plan, 8000, tmp_path / "a" / "b")  # parents made too
+    assert (tmp_path / "a" / "b" / "metrics.csv").is_file()
+    (tmp_path / "file").write_bytes(b"")
+    with pytest.raises(FileExistsError):
+        stitch_and_write(quad, plan, 8000, tmp_path / "file")
+    monkeypatch.setattr(qwave.audio.os, "makedirs", refuse)
+    paths = stitch_and_write(quad, plan, 8000, tmp_path / "a" / "b")
+    assert load_wav(paths["00"]).samples.tolist() == [0.25] * 4
 
 
 def test_stitch_shift_scale_remap(tmp_path):

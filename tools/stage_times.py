@@ -1,0 +1,136 @@
+"""Each stage's share of the median `qwave.cli.main` call on a benchmark workload.
+
+Wraps the stage functions an exact or shot `multiply` and a `convolve` call
+pass through (argument parsing, input reads, normalization, chunking, the
+engines and the encoder inside them, the writers, the manifest), then runs N
+real calls on a benchmark workload's inputs (perfbench.bench_workloads, read
+only) after one warm-up call. A stage called inside another, such as the
+encoder inside `process_chunks`, counts in itself only, and "the rest of
+main" is each call's time outside every stage. It prints each stage that ran
+with its median time per call and that median's share of the median call;
+the shares need not sum to 100%, since a median of sums is not a sum of
+medians. Each wrapper adds well under a microsecond per stage call. The
+qwave package timed is the one on the path, named on the first line, so two
+trees compare by running this script with each tree's src first on
+PYTHONPATH.
+
+    PYTHONPATH=src python tools/stage_times.py --workload mul-exact-c8 --calls 800
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import io
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+import qwave  # noqa: E402
+import qwave.cli  # noqa: E402
+import qwave.pipelines  # noqa: E402
+from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
+
+# (label, owner, attribute): the callable main reaches through owner.attribute.
+# qwave.cli imports its stages by name, so they are wrapped there; the engines
+# reach the encoder through qwave.pipelines' names.
+STAGES = (
+    ("argument parsing", argparse.ArgumentParser, "parse_args"),
+    ("reading, hashing and decoding the inputs", qwave.cli, "_load_signal"),
+    ("build_kernel", qwave.cli, "build_kernel"),
+    ("normalize_for_encoding", qwave.cli, "normalize_for_encoding"),
+    ("make_chunks", qwave.cli, "make_chunks"),
+    ("process_chunks, outside the encoder", qwave.cli, "process_chunks"),
+    ("convolve_chunks, outside the encoder", qwave.cli, "convolve_chunks"),
+    ("encoder_column", qwave.pipelines, "encoder_column"),
+    ("write_encoder_top", qwave.pipelines, "write_encoder_top"),
+    ("output directory (os.makedirs)", os, "makedirs"),
+    ("stitch_and_write", qwave.cli, "stitch_and_write"),
+    ("convolved.wav (write_wav)", qwave.cli, "write_wav"),
+    ("metrics.csv text (_convolve_metrics_csv)", qwave.cli, "_convolve_metrics_csv"),
+    ("manifest", qwave.cli, "_write_manifest"),
+)
+
+
+class StageClock:
+    """Self time per stage label: a stage's time minus that of the stages it calls."""
+
+    def __init__(self):
+        self.totals = {}
+        self.nested = []  # per open stage, the seconds spent in stages it called
+
+    def wrap(self, label, fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self.nested.append(0.0)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - start
+                self.totals[label] = self.totals.get(label, 0.0) + elapsed - self.nested.pop()
+                if self.nested:
+                    self.nested[-1] += elapsed
+        return timed
+
+
+@contextlib.contextmanager
+def wrapped(clock):
+    """Every stage in STAGES that this qwave has, wrapped to report to `clock`."""
+    present = [(label, owner, name, getattr(owner, name)) for label, owner, name in STAGES
+               if hasattr(owner, name)]
+    for label, owner, name, fn in present:
+        setattr(owner, name, clock.wrap(label, fn))
+    try:
+        yield
+    finally:
+        for _, owner, name, fn in present:
+            setattr(owner, name, fn)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", default="mul-exact-c8", choices=sorted(WORKLOADS))
+    parser.add_argument("--calls", type=int, default=800,
+                        help="timed calls (default 800)")
+    parser.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
+    args = parser.parse_args(argv)
+    if args.calls < 1:
+        parser.error(f"--calls must be >= 1, got {args.calls}")
+    workload = WORKLOADS[args.workload]
+    clock = StageClock()
+    calls, stages = [], {label: [] for label, _, _ in STAGES}
+    with tempfile.TemporaryDirectory() as work:
+        paths, _ = make_inputs(workload, args.seed, work)
+        call_argv = workload.argv(paths, os.path.join(work, "out"))
+        with wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
+            for i in range(args.calls + 1):  # call 0 is the warm-up
+                clock.totals = {}
+                start = time.perf_counter()
+                code = qwave.cli.main(call_argv)
+                elapsed = time.perf_counter() - start
+                if code != 0:
+                    sys.exit(f"stage_times: main exited {code} on {' '.join(call_argv)}")
+                if i:
+                    calls.append(elapsed)
+                    for label in stages:
+                        stages[label].append(clock.totals.get(label, 0.0))
+    rest = [call - sum(stages[label][i] for label in stages) for i, call in enumerate(calls)]
+    median_call = statistics.median(calls)
+    print(f"{args.workload}, {args.calls} calls, qwave from {os.path.dirname(qwave.__file__)}: "
+          f"median call {median_call * 1e3:.3f} ms")
+    print(f"{'stage':<44} {'median us':>10} {'share':>7}")
+    rows = [(label, times) for label, times in stages.items() if any(times)]
+    for label, times in rows + [("the rest of main", rest)]:
+        median = statistics.median(times)
+        print(f"{label:<44} {median * 1e6:>10.1f} {100.0 * median / median_call:>6.1f}%")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
