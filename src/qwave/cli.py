@@ -14,6 +14,7 @@ import functools
 import hashlib
 import io
 import os
+import platform
 import sys
 import warnings
 from itertools import chain
@@ -36,11 +37,11 @@ from .audio import (
 from .encoding import SignalChunk
 from .errors import NormalizationError, QwaveError, ResourceLimitError, ShapeError
 from .pipelines import convolve_chunks, product_blocks
-from .sampling import STANDARD_TEST_PAIR, seed_scores
+from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 def _parse_shots(text: str):
@@ -98,7 +99,9 @@ def _load_signal(path, sample_rate: int) -> tuple:
 
 def _write_manifest(out_dir, entries) -> str:
     path = os.path.join(out_dir, "manifest.txt")
-    lines = [("manifest_version", MANIFEST_VERSION), ("tool", f"qwave {__version__}"), *entries]
+    # the bit-for-bit promise holds for the interpreter and numpy named here
+    lines = [("manifest_version", MANIFEST_VERSION), ("tool", f"qwave {__version__}"),
+             ("python", platform.python_version()), ("numpy", np.__version__), *entries]
     write_file(path, "".join(f"{key} = {value}\n" for key, value in lines).encode())
     return path
 
@@ -288,6 +291,7 @@ def _cmd_multiply(args) -> int:
         ("tail_padding", plan_f.tail_padding),
         ("shots", quad.shots),
         ("seed", args.seed),
+        ("sampler", SAMPLER),
         ("workers", args.workers),
         ("normalization", record.mode),
         ("normalization_shift", record.shift),
@@ -458,6 +462,7 @@ def _cmd_shot_sweep(args) -> int:
         ("shots_list", args.shots_list),
         ("num_seeds", args.num_seeds),
         ("seed", args.seed),
+        ("sampler", SAMPLER),
         ("outputs", "manifest.txt sweep.csv"),
     ])
     print(f"  sweep.csv manifest.txt -> {args.out}")

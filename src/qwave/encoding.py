@@ -5,14 +5,11 @@ A value v with |v| <= 1 maps to a unitary rho(v) whose first column is
 |0> component. Applying rho(f(x)) to a fresh ancilla, controlled on the index
 register being |x>, writes f into the ancilla-0 amplitudes.
 
-The column is computed in one of two lanes, chosen from the values alone.
-When every value is x + 0j with both sign bits clear (x >= +0.0, imaginary
-part +0.0, no NaN), as real audio samples are, hypot(x, 0) is x and the
-phase exp(1j * arg) is exactly 1, so the real lane takes arccos of x itself
-and writes cos as complex(c, +0.0). Any other array, one -0.0 or one
-non-zero imaginary part included, takes the general lane through hypot,
-angle and exp; a -0.0 has arg pi there. Both lanes give the same bits as
-the general formula.
+The column is written directly from one formula. Its top entry is v itself,
+bit for bit, signed zeros included. The complement is
+s = sqrt((1 - m)(1 + m)) with m = min(sqrt(re*re + im*im), 1). Each step is
+one correctly rounded IEEE operation, so no libm routine decides an output
+bit, and s is within two ulps of sqrt(1 - |v|^2).
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ import numpy as np
 from .errors import NormalizationError, ShapeError
 from .statevector import QubitLayout, Statevector, apply_uniformly_controlled
 
-# Headroom below magnitude 1 so arccos stays well conditioned and the
-# complement sqrt(1-|v|^2) never goes negative under roundoff.
+# Headroom below magnitude 1 so the complement sqrt(1-|v|^2) stays away
+# from 0 and the chunk bound holds under roundoff.
 EPSILON = 1e-9
 
 # Slack for magnitudes produced by the rescaling itself (one multiply of
@@ -33,15 +30,37 @@ EPSILON = 1e-9
 _BOUND_SLACK = 1e-12
 
 
-def magnitude_angle(values):
-    """arccos|value| in [0, pi/2], elementwise. A magnitude above 1, or a NaN, is an error."""
-    # np.hypot is the scalar abs() bit for bit; np.abs on a complex array can
-    # take a SIMD path one ulp off, which arccos amplifies near |v| = 1
-    mag = np.hypot(np.real(values), np.imag(values))
-    if not np.all(mag <= 1.0 + 1e-12):  # a NaN fails the comparison too
+def _magnitude(values) -> np.ndarray:
+    """min(sqrt(re*re + im*im), 1) elementwise. A magnitude above 1 + 1e-12, or a NaN, is an error.
+
+    For real values sqrt(x*x) is |x| exactly, unless x*x underflows, where
+    the complement is 1 either way.
+    """
+    re, im = np.real(values), np.imag(values)
+    # in place, since each temporary is a heap block that a call may fault in
+    # again; out= keeps the result an array for a single value too
+    mag = np.multiply(re, re, out=np.empty(np.shape(values)))
+    mag += im * im
+    np.sqrt(mag, out=mag)
+    peak = np.max(mag, initial=0.0)  # a NaN propagates, and fails the comparison
+    if not peak <= 1.0 + _BOUND_SLACK:
         _refuse_nan(values, mag)
-        raise NormalizationError(f"|value| = {np.max(mag)} exceeds 1")
-    return np.arccos(np.minimum(mag, 1.0))
+        raise NormalizationError(f"|value| = {peak} exceeds 1")
+    if peak > 1.0:
+        np.minimum(mag, 1.0, out=mag)
+    return mag
+
+
+def _complement(m) -> np.ndarray:
+    """sqrt((1 - m)(1 + m)), written over the magnitude array m, which it returns.
+
+    1 - m*m would lose digits near m = 1; this is within two ulps of
+    sqrt(1 - m^2) everywhere.
+    """
+    one_minus = 1.0 - m
+    m += 1.0
+    m *= one_minus
+    return np.sqrt(m, out=m)
 
 
 def _refuse_nan(values, mag) -> None:
@@ -51,102 +70,50 @@ def _refuse_nan(values, mag) -> None:
         raise NormalizationError(f"value {np.asarray(values)[nan].flat[0]} is not a number")
 
 
-def _phase(values):
-    """exp(1j * arg(value)) elementwise, with arg(0) = 0."""
-    return np.exp(1j * np.angle(values))
-
-
-# The bits of +inf as uint64. A float64 whose bits are at most this is one of
-# +0.0 ... +inf: sign bit clear and not NaN. Such bits sort as the floats do.
-_INF_BITS = np.float64(np.inf).view(np.uint64)
-
-
-def _real_lane_peak(values):
-    """max(values) if every value is x + 0j with x and its imaginary part >= +0.0, else None.
-
-    NaN, -0.0, any negative x and any imaginary part but +0.0 give None. One
-    max over the real parts' bits both picks the lane and finds the peak.
-    """
-    if values.dtype == np.complex128:
-        if values.imag.view(np.uint64).any():
-            return None
-    elif values.dtype != np.float64:
-        return None
-    if not values.size:
-        return None
-    peak = values.real.view(np.uint64).max()
-    return peak.view(np.float64) if peak <= _INF_BITS else None
-
-
-def _angle_and_phase(values):
-    """(arccos|value|, exp(1j * arg(value))) elementwise; the phase is None on the real lane.
-
-    On the real lane (see the module docstring) the phase is exactly 1 and
-    |value| is the value itself, so neither hypot nor angle nor exp runs. A
-    magnitude above 1 is an error on both lanes.
-    """
-    values = np.asarray(values)
-    peak = _real_lane_peak(values)
-    if peak is None:
-        return magnitude_angle(values), _phase(values)
-    if peak > 1.0 + 1e-12:
-        raise NormalizationError(f"|value| = {peak} exceeds 1")
-    return np.arccos(values.real if peak <= 1.0 else np.minimum(values.real, 1.0)), None
-
-
-def write_encoder_top(values, out):
-    """Write rho(value)[0, 0] = phase * c into the complex array `out`; return theta.
-
-    theta = arccos|value| has the shape of `values`, so a caller that needs
-    the complement takes s = sin(theta) from it; one that does not computes
-    no sine. On the real lane the entry is complex(c, +0.0), which phase * c
-    gives when the phase is exactly 1.
-    """
-    theta, phase = _angle_and_phase(values)
-    c = np.cos(theta)
-    if phase is None:
-        out[...] = c
-    else:
-        np.multiply(phase, c, out=out)
-    return theta
+def magnitude_angle(values):
+    """arccos|value| in [0, pi/2], elementwise. A magnitude above 1, or a NaN, is an error."""
+    return np.arccos(_magnitude(values))
 
 
 def encoder_column(values) -> np.ndarray:
     """rho(value)'s first column, the amplitudes the encoder writes, shape (2,) + values.shape.
 
-    [0] is phase * c, value to roundoff, and [1] is s, the complement
-    sqrt(1 - |value|^2), with a +0.0 imaginary part; c and s are the cosine
-    and sine of arccos|value| and phase is exp(1j * arg(value)). They equal
-    build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit, through either
-    lane (see the module docstring), and `top, s = encoder_column(values)`
-    unpacks them. Each half is written in place.
+    [0] is the value itself, bit for bit, as complex128, and [1] is the
+    complement s = sqrt((1 - m)(1 + m)) with a +0.0 imaginary part (see the
+    module docstring). They equal build_rho(values)[..., 0, 0] and
+    [..., 1, 0] bit for bit, and `top, s = encoder_column(values)` unpacks
+    them.
     """
     values = np.asarray(values)
+    s = _complement(_magnitude(values))
     column = np.empty((2,) + values.shape, dtype=np.complex128)
-    column[1] = np.sin(write_encoder_top(values, column[0]))
+    column[0] = values
+    column[1] = s
     return column
 
 
 def build_rho(values) -> np.ndarray:
-    """phi(value) @ mu(value), shape (..., 2, 2); [..., 0, 0] is value to roundoff.
+    """phi(value) @ mu(value), shape (..., 2, 2): [[value, -phase*s], [s, m]].
 
-    mu = R_y(2*arccos|value|) places |value| on |0> and phi puts the phase of
-    value on |0> (arg(0) is 0), so rho = [[phase*c, -phase*s], [s, c]] with
-    c, s the cosine and sine of arccos|value|. The angle and phase are
-    encoder_column's, from the same lanes, and the entries are written
-    directly; they equal the matrix product bit for bit.
+    m and s are encoder_column's magnitude and complement, so [..., :, 0] is
+    its column bit for bit. mu = [[m, -s], [s, m]] is the Y-rotation taking
+    |0> to m|0> + s|1>, and phi = diag(phase, 1) puts value's phase on |0>.
+    The phase is value / |value| (1 at 0), each part divided by hypot(re, im),
+    which stays accurate and non-zero for a subnormal value whose re*re + im*im
+    underflows; -phase*s is written by parts too.
     """
-    theta, phase = _angle_and_phase(values)
-    if phase is None:
-        # exactly 1: the products below are real, and the complex ones
-        # have the +0.0 imaginary part that assigning a real value writes
-        phase = 1.0
-    c, s = np.cos(theta), np.sin(theta)
-    rho = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
-    rho[..., 0, 0] = phase * c
+    values = np.asarray(values)
+    m = _magnitude(values)
+    s = _complement(m.copy())
+    re, im = np.real(values), np.imag(values)
+    mag = np.hypot(re, im)
+    nonzero = mag > 0.0
+    rho = np.empty(values.shape + (2, 2), dtype=np.complex128)
+    rho[..., 0, 0] = values
     rho[..., 1, 0] = s
-    rho[..., 0, 1] = phase * -s + 0.0  # the product's +0.0 where s = 0 (|value| = 1)
-    rho[..., 1, 1] = c
+    rho[..., 0, 1].real = -np.divide(re, mag, out=np.ones(values.shape), where=nonzero) * s
+    rho[..., 0, 1].imag = -np.divide(im, mag, out=np.zeros(values.shape), where=nonzero) * s
+    rho[..., 1, 1] = m
     return rho
 
 
@@ -233,8 +200,8 @@ class SignalChunk:
         return int(self.values.size)
 
     def complement(self) -> np.ndarray:
-        """sqrt(1 - |values|^2), the amplitude left on the ancilla-1 branch."""
-        return np.sqrt(np.maximum(0.0, 1.0 - np.abs(self.values) ** 2))
+        """sqrt(1 - |values|^2), the amplitude left on the ancilla-1 branch: the encoder's s."""
+        return _complement(_magnitude(self.values))
 
 
 def encode_function(

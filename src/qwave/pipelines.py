@@ -12,17 +12,17 @@ then undoes the transform on the index register.
 (amplitude h * rho_f[t_f, 0] * rho_g[t_g, 0], h the Hadamard amplitude) for
 many chunks at once, with a leading chunk axis. `pointwise_multiply_state`
 and `convolve_optimized` are the one-chunk API: the same engines at one
-chunk. The tests hold them bit for bit to the gate-by-gate forms.
+chunk. The tests hold them bit for bit to the gate-by-gate forms, except
+for the sign of a zero product amplitude, which a gate's u01 * 0 term decides.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SignalChunk, encoder_column, write_encoder_top
+from .encoding import SignalChunk, _magnitude, encoder_column
 from .errors import ShapeError
 from .statevector import QubitLayout, Statevector, _check_num_qubits
 
@@ -125,7 +125,7 @@ def product_blocks(f, g):
     n = big_n.bit_length() - 1
     _check_num_qubits(n + 2)
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
-        # (2, rows, N) encoder columns: [0] is phase * c, [1] s as complex
+        # (2, rows, N) encoder columns: [0] is the value, [1] s as complex
         col_f = encoder_column(f[lo:hi])
         col_f *= _hadamard_amplitude(n)
         col_g = encoder_column(g[lo:hi])
@@ -239,18 +239,6 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     return convolve_chunks(f.values[None], g_kernel, pad_to)[0]
 
 
-@functools.cache
-def _pad_top() -> np.ndarray:
-    """rho(+0.0)'s top entry, cos(arccos 0) + 0j, as a (1,) array, encoded once per process.
-
-    It is every zero-padded sample's amplitude before the Hadamard factor.
-    Every call returns the same array, so it is read-only.
-    """
-    top = encoder_column(np.zeros(1))[0]
-    top.flags.writeable = False
-    return top
-
-
 def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
@@ -267,19 +255,20 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
         spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
     ghat = SignalChunk.full_scale(spectrum)
-    del spectrum  # neither it nor ghat is kept through the encoder or the loop
-    col_g, scale_g = np.empty(pad_to, dtype=np.complex128), ghat.scale
-    write_encoder_top(ghat.values, col_g)
-    del ghat
+    del spectrum  # not kept through the loop
+    # an encoder column's top entry is the value itself, once its magnitude
+    # is checked: the kernel's column is ghat.values, which SignalChunk checked
+    col_g, scale_g = ghat.values, ghat.scale
     h = _hadamard_amplitude(m)
-    pad_amplitude = _pad_top() * h
     out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
-        # |f> on the register, the encoding ancilla's 0 branch kept
+        # |f> on the register, the encoding ancilla's 0 branch kept; the
+        # zero padding's encoder column tops are +0.0
+        rows = values[lo:hi]
+        _magnitude(rows)
         psi = np.empty((hi - lo, pad_to), dtype=np.complex128)
-        write_encoder_top(values[lo:hi], psi[:, :big_n])
-        psi[:, :big_n] *= h
-        psi[:, big_n:] = pad_amplitude
+        np.multiply(rows, h, out=psi[:, :big_n])
+        psi[:, big_n:] = 0.0
         # register QFT, kernel on a fresh ancilla, inverse QFT on its 0 branch:
         # each transform frees the array before it, the other steps run in place
         psi = np.fft.fft(psi, axis=1, norm="ortho")

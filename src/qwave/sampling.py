@@ -17,6 +17,12 @@ from .errors import ShapeError, StateError
 from .pipelines import _chunk_blocks, _component_offset
 from .statevector import Statevector
 
+# The name of sample_counts' sampling rule, which run manifests record: shot
+# j takes the j-th Philox uniform u of its stream and lands on
+# searchsorted(cdf, u, side="right"). A change that moves any draw takes a
+# new number.
+SAMPLER = "philox-inverse-cdf/1"
+
 # A batch is the only shot-sized array, so peak memory is one batch per thread
 # that draws. A binned batch holds _GRID_BATCH Philox words and their cell
 # indices (512 KiB each), binned on at most 2**13 cells. A sorted batch holds

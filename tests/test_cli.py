@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -215,6 +216,28 @@ def test_convolve_accepts_explicit_defaults_with_same_manifest(tmp_path):
     manifest = (tmp_path / "a" / "manifest.txt").read_bytes()
     assert manifest == (tmp_path / "b" / "manifest.txt").read_bytes()
     assert b"\nseed = 0\nworkers = 1\n" in manifest
+
+
+@pytest.mark.parametrize("command", ["multiply", "convolve", "shot-sweep"])
+def test_manifest_names_python_numpy_and_sampler_byte_identically(tmp_path, command):
+    # criterion 8 compares manifests across runs, so what they record of the
+    # environment must be deterministic too
+    tone_wav(tmp_path / "f.wav")
+    tone_wav(tmp_path / "g.wav", freq=660)
+    f, g = str(tmp_path / "f.wav"), str(tmp_path / "g.wav")
+    argv = {"multiply": ["multiply", f, g, "--shots", "200", "--seed", "4"],
+            "convolve": ["convolve", f, "--kernel", "moving-average-4"],
+            "shot-sweep": ["shot-sweep", "--num-seeds", "2", "--shots-list", "10,exact"]}[command]
+    for out in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+    blob = (tmp_path / "a" / "manifest.txt").read_bytes()
+    assert blob == (tmp_path / "b" / "manifest.txt").read_bytes()
+    manifest = dict(line.split(" = ", 1) for line in blob.decode().splitlines())
+    assert manifest["manifest_version"] == "3"
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    # only the commands that can draw shots name the sampling rule
+    assert manifest.get("sampler") == (None if command == "convolve" else "philox-inverse-cdf/1")
 
 
 @pytest.mark.parametrize("content", ["", "  \n\n"], ids=["empty", "blank-lines"])

@@ -1,14 +1,14 @@
 """Value-encoding unitaries and chunk ingestion."""
 
+import decimal
+import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwave import encoding
 from qwave import (
     EPSILON,
     NormalizationError,
@@ -123,34 +123,65 @@ def test_encoder_bitwise_property(values, scattered):
     assert_encoder_matches_reference(state, layout, chunk)
 
 
-def reference_magnitude_angle(value):
-    """The scalar encoder's angle: abs(), i.e. hypot, then arccos."""
-    mag = abs(value)
-    if mag > 1.0 + 1e-12:
+def reference_magnitude(value):
+    """The encoder's m for one value in Python floats: min(sqrt(re*re + im*im), 1), range-checked."""
+    v = complex(value)
+    mag = math.sqrt(v.real * v.real + v.imag * v.imag)
+    if not mag <= 1.0 + 1e-12:
         raise NormalizationError(f"|value| = {mag} exceeds 1")
-    return float(np.arccos(min(mag, 1.0)))
+    return min(mag, 1.0)
+
+
+def reference_column(value):
+    """(top, s) for one value in Python floats: the value itself and sqrt((1 - m)(1 + m))."""
+    m = reference_magnitude(value)
+    return complex(value), math.sqrt((1.0 - m) * (1.0 + m))
+
+
+def reference_rho(value):
+    """build_rho's formula for one value in Python floats: [[v, -phase*s], [s, m]].
+
+    The phase is v / abs(v) divided by parts (1 at v = 0), and -phase*s is
+    formed by parts too.
+    """
+    top, s = reference_column(value)
+    a = abs(top)
+    p, q = (top.real / a, top.imag / a) if a else (1.0, 0.0)
+    return np.array([[top, complex(-p * s, -q * s)], [s, reference_magnitude(value)]],
+                    dtype=np.complex128)
 
 
 def reference_mu(value):
-    theta = reference_magnitude_angle(value)
+    """The textbook Y-rotation by 2*arccos|value|, through arccos, cos and sin."""
+    theta = np.arccos(min(abs(value), 1.0))
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def reference_phi(value):
-    reference_magnitude_angle(value)
+    """The textbook phase gate diag(exp(1j * arg(value)), 1), with arg(0) = 0."""
     phase = np.exp(1j * np.angle(value))
     return np.array([[phase, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
-def reference_rho(value):
-    return reference_phi(value) @ reference_mu(value)
+# phi @ mu takes s = sin(arccos|v|), whose error grows as 1/sqrt(1 - |v|^2):
+# within 1e-6 of the bound an ulp in |v| moves it by up to about 2.5e-12
+_PHI_MU_TOLERANCE = 1e-11
 
 
 def assert_bitwise_equal(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+def assert_builders_match_references(values):
+    rho = build_rho(values)
+    assert_bitwise_equal(rho, np.array([reference_rho(v) for v in values]))
+    # rho's phase is 1 at a zero of either sign, where arg(-0.0) is pi; + 0.0
+    # gives the textbook phi that zero's phase too
+    textbook = np.array([reference_phi(v + 0.0) @ reference_mu(v) for v in values])
+    assert np.abs(rho - textbook).max(initial=0.0) <= _PHI_MU_TOLERANCE
 
 
 _NEAR_ONE = st.tuples(st.floats(0.0, 1e-6), st.floats(-np.pi, np.pi)).map(
@@ -167,8 +198,7 @@ _ENCODABLE = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ENCODABLE, min_size=1, max_size=64))
 def test_array_builders_bitwise_equal_scalar_reference(values):
-    values = np.array(values, dtype=np.complex128)
-    assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
+    assert_builders_match_references(np.array(values, dtype=np.complex128))
 
 
 # |v| = 1 (s = 0 exactly) and subnormal magnitudes, beside _ENCODABLE's zeros of both signs
@@ -186,7 +216,7 @@ def test_encoder_column_is_rhos_first_column_bit_for_bit(values):
     assert s.imag.tobytes() == np.zeros(values.size).tobytes()  # +0.0, no -0.0
     column = np.stack([top, s], axis=-1)
     assert column.tobytes() == build_rho(values)[..., :, 0].tobytes()
-    assert column.tobytes() == np.array([reference_rho(v)[:, 0] for v in values]).tobytes()
+    assert column.tobytes() == np.array([reference_column(v) for v in values]).tobytes()
     rows = values.reshape(1, -1)
     assert encoder_column(rows).shape == (2, 1, values.size)
     assert np.stack(encoder_column(rows), axis=-1).tobytes() == column.tobytes()
@@ -194,75 +224,63 @@ def test_encoder_column_is_rhos_first_column_bit_for_bit(values):
 
 def test_array_builders_bitwise_equal_scalar_reference_in_bulk():
     # a fixed draw big enough that a one-ulp magnitude error always shows;
-    # within 1e-6 of the bound is where an ulp in |v| moves arccos the most
+    # within 1e-6 of the bound is where an ulp in m moves s the most
     near_one = (1.0 - EPSILON - RNG.uniform(0.0, 1e-6, 2000)) * np.exp(
         1j * RNG.uniform(-np.pi, np.pi, 2000))
-    # |v| = 1 gives sin = 0, where the product's signed zeros are easiest to miss
+    # |v| = 1 gives s = 0, where the product's signed zeros are easiest to miss
     values = np.concatenate([random_bounded_complex(4000, max_mag=1.0 - EPSILON),
                              near_one, [0.0, 1.0 - EPSILON, -0.5, 0.5j],
                              [1.0, -1.0, 1j, -1j, complex(1.0, -0.0)]])
-    assert_bitwise_equal(build_rho(values), np.array([reference_rho(v) for v in values]))
-
-
-def general_column(values):
-    """encoder_column's general formula written out: hypot, angle and exp on every value."""
-    values = np.asarray(values, dtype=np.complex128)
-    theta = np.arccos(np.minimum(np.hypot(values.real, values.imag), 1.0))
-    return np.exp(1j * np.angle(values)) * np.cos(theta), np.sin(theta)
+    assert_builders_match_references(values)
 
 
 _TINY = np.finfo(np.float64).tiny
-# real samples >= +0.0: zero, subnormals, values near 0 and near 1, 1 itself
-# and values within the 1e-12 slack above it
-_REAL_LANE = st.one_of(
+# zero, subnormals, magnitudes near 0, near 1 and 1 itself
+_REAL_MAGNITUDES = st.one_of(
     st.sampled_from([0.0, 5e-324, np.nextafter(_TINY, 0.0), _TINY, 1.0,
-                     np.nextafter(1.0, 2.0), 1.0 + 1e-12]),
+                     np.nextafter(1.0, 0.0), 1.0 - EPSILON]),
     st.floats(0.0, _TINY),
     st.floats(0.0, 1e-6),
     st.floats(0.0, 1.0),
-    st.floats(1.0 - 1e-6, 1.0 + 1e-12),
+    st.floats(1.0 - 1e-6, 1.0),
 )
 
 
+def exact_complement(x) -> decimal.Decimal:
+    """sqrt(1 - x**2) for a float x in [0, 1], in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        d = decimal.Decimal(x)
+        return (1 - d * d).sqrt()
+
+
+def ulp_at(exact: decimal.Decimal) -> float:
+    """The spacing of the float64s in the binade that holds the non-negative `exact`."""
+    mantissa, exponent = math.frexp(float(exact))
+    if mantissa == 0.5 and decimal.Decimal(float(exact)) > exact:  # rounded up onto 2**k
+        exponent -= 1
+    return math.ldexp(1.0, exponent - 53)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_REAL_LANE, min_size=1, max_size=64), st.integers(0, 63),
-       st.sampled_from(["complex", "float64", "-0.0", "x - 0j", "x + yj"]),
-       st.floats(-1e-3, 1e-3).filter(bool))
-def test_real_lane_equals_general_formula_bit_for_bit(samples, where, kind, imag):
-    # "complex" and "float64" hold real samples >= +0.0 only and take the real
-    # lane; one -0.0, one -0.0 imaginary part or one non-zero imaginary part
-    # sends the whole array down the general lane, where -0.0 has phase pi
-    values = np.array(samples, dtype=np.float64 if kind == "float64" else np.complex128)
-    i = where % values.size
-    if kind == "-0.0":
-        values[i] = -0.0
-    elif kind == "x - 0j":
-        values[i] = complex(values[i].real, -0.0)
-    elif kind == "x + yj":
-        values[i] = complex(min(values[i].real, 0.5), imag)
-    real_lane = kind in ("complex", "float64")
-    want = general_column(values)
-    with mock.patch.object(encoding, "_phase", wraps=encoding._phase) as phase:
-        top, s = encoder_column(values)
-        rho = build_rho(values)
-    assert phase.call_count == (0 if real_lane else 2)
-    assert top.dtype == np.complex128 and s.dtype == np.complex128
-    assert top.tobytes() == want[0].tobytes()
-    assert s.real.tobytes() == want[1].tobytes() and not s.imag.view(np.uint64).any()
-    assert rho[..., :, 0].tobytes() == np.stack(want, axis=-1).tobytes()
-    assert_bitwise_equal(rho, np.array([reference_rho(v) for v in values]))
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_real_lane_keeps_the_range_check(dtype):
-    above = np.nextafter(1.0 + 1e-12, 2.0)
-    values = np.array([0.25, 1.0 + 1e-12, above, 0.5], dtype=dtype)
-    with pytest.raises(NormalizationError) as real_lane:
-        encoder_column(values)
-    with pytest.raises(NormalizationError) as general_lane:
-        magnitude_angle(values)
-    assert str(real_lane.value) == str(general_lane.value)
-    encoder_column(values[:2])  # 1 + 1e-12 itself is inside the slack
+@given(st.lists(_REAL_MAGNITUDES, min_size=1, max_size=64),
+       st.sampled_from(["float64", "complex", "negated", "x - 0j"]))
+def test_encoder_column_top_is_the_value_and_s_near_exact(magnitudes, kind):
+    # the zero and near-bound magnitudes, as float64, as complex, as -x (so
+    # -0.0 and negative subnormals) and with a -0.0 imaginary part
+    x = np.array(magnitudes)
+    values = -x if kind == "negated" else x
+    if kind in ("complex", "x - 0j"):
+        values = x.astype(np.complex128)
+        values.imag = -0.0 if kind == "x - 0j" else 0.0
+    top, s = encoder_column(values)
+    assert top.tobytes() == values.astype(np.complex128).tobytes()
+    assert s.imag.tobytes() == np.zeros(x.size).tobytes()
+    # (1 - m)(1 + m) rounds three times: s stays within two ulps of the exact
+    # value (1.25 at most in 1.4e5 draws); 1 - m*m is off by millions near 1
+    for xi, si in zip(x.tolist(), s.real.tolist()):
+        exact = exact_complement(xi)
+        assert abs(decimal.Decimal(si) - exact) <= 2 * decimal.Decimal(ulp_at(exact)), xi
 
 
 def test_builder_shapes_broadcast():
@@ -280,11 +298,23 @@ def test_builder_shapes_broadcast():
 def test_builders_reject_any_out_of_range_element(where):
     values = random_bounded_complex(12)
     values[where] = 0.8 + 0.8j
-    for build in (magnitude_angle, build_rho):
+    for build in (magnitude_angle, encoder_column, build_rho):
         with pytest.raises(NormalizationError):
             build(values)
         with pytest.raises(NormalizationError):
             build(values.reshape(3, 4))
+    # real samples of either dtype: 1 + 1e-12 itself is inside the slack,
+    # the next float above it is not
+    above = np.nextafter(1.0 + 1e-12, 2.0)
+    for dtype in (np.float64, np.complex128):
+        edge = np.full(12, 0.25, dtype=dtype)
+        edge[where] = 1.0 + 1e-12
+        for build in (magnitude_angle, encoder_column, build_rho):
+            build(edge)
+        edge[where] = above
+        for build in (magnitude_angle, encoder_column, build_rho):
+            with pytest.raises(NormalizationError, match=rf"^\|value\| = {above} exceeds 1$"):
+                build(edge)
 
 
 def test_magnitude_angle_endpoints():
@@ -440,6 +470,9 @@ def test_full_scale_refuses_a_peak_it_cannot_rescale(raw, peak):
 def test_complement():
     chunk = SignalChunk(np.array([0.6, 0.0]))
     assert np.abs(chunk.complement() - np.array([0.8, 1.0])).max() < 1e-12
+    # the encoder's s bit for bit, also within 1e-6 of the bound
+    near = SignalChunk(1.0 - EPSILON - RNG.uniform(0.0, 1e-6, 64))
+    assert near.complement().tobytes() == encoder_column(near.values)[1].real.tobytes()
 
 
 def test_encode_validates_arguments():

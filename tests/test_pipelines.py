@@ -464,10 +464,11 @@ def assert_batch_matches_chunks(f, g, kernel, pad_to):
     for c in range(len(f)):
         chunk_f, chunk_g = SignalChunk(f[c]), SignalChunk(g[c])
         product = product_state_by_gates(chunk_f, chunk_g)
-        want = product.state.amplitudes.tobytes()
-        assert states[c].tobytes() == want
+        # where a value is 0, the gates' u01 * 0 term decides the sign of a zero
+        # amplitude; + 0.0 makes every zero +0.0 and keeps every other bit
+        assert (states[c] + 0.0).tobytes() == (product.state.amplitudes + 0.0).tobytes()
         one_chunk = pointwise_multiply_state(chunk_f, chunk_g)
-        assert one_chunk.state.amplitudes.tobytes() == want
+        assert one_chunk.state.amplitudes.tobytes() == states[c].tobytes()
         assert one_chunk.layout == product.layout
         for bf, bg in COMPONENTS:
             assert np.array_equal(np.abs(states[c, :, bf, bg] * np.sqrt(big_n)),
@@ -565,7 +566,7 @@ def test_product_blocks_hold_each_component_contiguous():
 
 def test_convolve_chunks_keeps_only_encoder_amplitudes():
     # one 2**16-sample chunk padded to 2**17: the kernel's and the chunk's
-    # phase * c columns, the output and the FFT temporaries; building each
+    # encoder tops, the output and the FFT temporaries; building each
     # whole rho and keeping a view of the kernel's peaked at 16x the output
     values = np.random.default_rng(20).uniform(0.05, 0.95, (1, 1 << 16)).astype(np.complex128)
     tracemalloc.start()
@@ -578,18 +579,12 @@ def test_convolve_chunks_keeps_only_encoder_amplitudes():
     assert peak <= 9 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
-def general_top(values):
-    """rho(value)[0, 0] by the general formula: hypot, angle and exp on every value."""
-    theta = np.arccos(np.minimum(np.hypot(values.real, values.imag), 1.0))
-    return np.exp(1j * np.angle(values)) * np.cos(theta)
-
-
 def padded_encoder_convolution(values, kernel, pad_to):
-    """convolve_chunks as the general encoder on np.pad's zero-padded rows, then the FFTs."""
+    """convolve_chunks written out: np.pad's zero-padded rows, each value its own encoder top, then the FFTs."""
     ghat = SignalChunk.full_scale(np.fft.fft(pipelines._pad_array(kernel, pad_to)))
     padded = np.pad(values, ((0, 0), (0, pad_to - values.shape[1])))
-    col_f = general_top(padded) * pipelines._hadamard_amplitude(pad_to.bit_length() - 1)
-    kept = np.fft.ifft(general_top(ghat.values) * np.fft.fft(col_f, axis=1, norm="ortho"),
+    col_f = padded * pipelines._hadamard_amplitude(pad_to.bit_length() - 1)
+    kept = np.fft.ifft(ghat.values * np.fft.fft(col_f, axis=1, norm="ortho"),
                        axis=1, norm="ortho")
     return kept * np.sqrt(pad_to) / ghat.scale
 
@@ -607,7 +602,7 @@ def padded_encoder_convolution(values, kernel, pad_to):
 def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel,
                                                            normalization, negative_zeros):
     # CLI-shaped rows: a tail-padded last chunk, -0.0 samples in some rows
-    # (phase pi, the general lane) and +0.0 or shift-scaled samples in others
+    # and +0.0 or shift-scaled samples in others
     chunk_size = 1 << n
     rng = np.random.default_rng(seed)
     samples = rng.uniform(0.0 if normalization == "assume-positive" else -1.0, 1.0, total)
@@ -628,9 +623,9 @@ def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel
 
 
 def test_convolve_chunks_peak_at_a_million_samples():
-    # one 2**20-sample chunk padded to 2**21: the padding is filled with one
-    # precomputed amplitude, and the kernel's spectrum is freed before its
-    # encoder runs; np.pad's rows and the kept spectrum peaked at 5.5x. The
+    # one 2**20-sample chunk padded to 2**21: the padding is filled with
+    # +0.0, and the kernel's spectrum is freed once it is scaled to full
+    # range; np.pad's rows and the kept spectrum peaked at 5.5x. The
     # block's column goes after the forward FFT and the kernel product and
     # scaling run in place, which took the peak from 5.0x to 4.5x
     values = np.random.default_rng(21).uniform(0.05, 0.95, (1, 1 << 20)).astype(np.complex128)

@@ -12,8 +12,8 @@ counter draws three batches per chunk, where the benchmark's shot workload
 bins on the grid), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
 an engine block, and the tail is padded), and a text-input multiply and
-convolve whose samples include -0.0, so both encoder lanes run: rows of real
-samples >= +0.0 take the real lane, rows holding a -0.0 the general one.
+convolve whose samples include +0.0 and -0.0, which the encoder writes as
+they are, so a zero's sign reaches the states and the outputs unchanged.
 They run in-process inside a temporary directory with relative paths, so
 the manifests, which record input paths, compare across trees. Each output
 file prints as `sha256  path`, and each call's stdout as `sha256

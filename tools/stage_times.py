@@ -2,9 +2,9 @@
 
 Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
-engines and the encoder inside them, the writers, the manifest), then runs N
-real calls on a benchmark workload's inputs (perfbench.bench_workloads, read
-only) after one warm-up call. A stage called inside another, such as the
+engines and the encoder column inside `process_chunks`, the writers, the
+manifest), then runs N real calls on a benchmark workload's inputs
+(perfbench.bench_workloads, read only) after one warm-up call. A stage called inside another, such as the
 encoder inside `process_chunks`, counts in itself only, and "the rest of
 main" is each call's time outside every stage. It prints each stage that ran
 with its median time per call and that median's share of the median call;
@@ -46,9 +46,8 @@ STAGES = (
     ("normalize_for_encoding", qwave.cli, "normalize_for_encoding"),
     ("make_chunks", qwave.cli, "make_chunks"),
     ("process_chunks, outside the encoder", qwave.cli, "process_chunks"),
-    ("convolve_chunks, outside the encoder", qwave.cli, "convolve_chunks"),
+    ("convolve_chunks", qwave.cli, "convolve_chunks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
-    ("write_encoder_top", qwave.pipelines, "write_encoder_top"),
     ("output directory (os.makedirs)", os, "makedirs"),
     ("stitch_and_write", qwave.cli, "stitch_and_write"),
     ("convolved.wav (write_wav)", qwave.cli, "write_wav"),
