@@ -1,22 +1,26 @@
-"""WAV ingestion, chunked processing, and quadraphonic output assembly.
+"""Every file qwave reads or writes, and the chunked audio pipeline between them.
 
-Audio flows through as float64 in [-1, 1). 16-bit PCM reads divide by 32768
-(so -32768 maps to -1.0 and 16384 to 0.5); writes round to int16 and clip the
-top code. The RIFF codec is this module's own: it reads 16-bit PCM and
-32-bit float WAVs (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and
-writes mono 16-bit PCM. Positive-domain signals are split into power-of-two
-chunks, held as the rows of one array; the chunks run through the
-two-ancilla product pipeline together (exactly or with shot sampling), and
-the four decoded channels are stitched back in chunk order.
+Signals come in as WAV or numeric text (read_signal); every output is a WAV
+or a CSV table (csv_table), written through write_file. Audio flows through
+as float64 in [-1, 1). 16-bit PCM reads divide by 32768 (so -32768 maps to
+-1.0 and 16384 to 0.5); writes round to int16 and clip the top code. The
+RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float WAVs
+(plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono 16-bit
+PCM. Positive-domain signals are split into power-of-two chunks, held as the
+rows of one array; the chunks run through the two-ancilla product pipeline
+together (exactly or with shot sampling), and the four decoded channels are
+stitched back in chunk order.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import io
 import os
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain
 
 import numpy as np
@@ -59,21 +63,68 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
             raise ShapeError(f"expected non-empty mono samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples contain non-finite values")
-        peak = float(np.abs(samples).max())
-        if peak > 1.0:
-            raise DomainError(f"samples exceed full scale (peak {peak})")
-        _check_rate(self.sample_rate)
+        # one bounds test, which a NaN or an infinity fails too; only then is the error chosen
+        if not (-1.0 <= samples.min() and samples.max() <= 1.0):
+            if not np.isfinite(samples).all():
+                raise DomainError("samples contain non-finite values")
+            raise DomainError(f"samples exceed full scale (peak {float(np.abs(samples).max())})")
+        check_rate(self.sample_rate)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
 
 
-def _check_rate(rate: int) -> None:
+def check_rate(rate: int, name: str = "sample rate") -> None:
+    """A ShapeError naming `name` unless `rate` fits a WAV header: 1 <= rate <= 2**31 - 1."""
     if not 1 <= rate <= _MAX_SAMPLE_RATE:
-        raise ShapeError(f"sample rate must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
+        raise ShapeError(f"{name} must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
+
+
+def _read(path) -> bytes:
+    # a missing file's FileNotFoundError carries its name
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_signal(path, sample_rate: int) -> tuple:
+    """(AudioBuffer, sha256 hex of the file), both from one read of its bytes.
+
+    A .wav name (any case) decodes as in load_wav, at the file's own rate;
+    any other is read_numbers' text at `sample_rate`, in [-1, 1], clipped as
+    float WAV samples are.
+    """
+    blob = _read(path)
+    digest = hashlib.sha256(blob).hexdigest()
+    if str(path).lower().endswith(".wav"):
+        return _decode_wav(path, blob), digest
+    values = _parse_numbers(blob, path)
+    if np.abs(values).max() > 1.0:
+        raise ShapeError(f"{path}: samples must lie in [-1, 1]")
+    return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
+
+
+def read_numbers(path, label: str) -> np.ndarray:
+    """The one column of finite numbers in a text file; each error starts with `label`."""
+    return _parse_numbers(_read(path), label)
+
+
+def _parse_numbers(blob: bytes, label) -> np.ndarray:
+    """The one column of finite numbers in a text file's bytes; each error starts with `label`."""
+    # decoded as open(path) would, with the default encoding and universal newlines
+    try:
+        with io.TextIOWrapper(io.BytesIO(blob)) as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
+    except ValueError as exc:  # a word that is not a number, ragged rows, or not text
+        raise ShapeError(f"{label}: not numeric text ({exc})") from None
+    if values.size == 0:
+        raise ShapeError(f"{label}: contains no samples")
+    if values.ndim != 1:
+        raise ShapeError(f"{label}: expected a single column of samples")
+    if not np.all(np.isfinite(values)):
+        raise ShapeError(f"{label}: samples must be finite")
+    return values
 
 
 def load_wav(path) -> AudioBuffer:
@@ -87,11 +138,12 @@ def load_wav(path) -> AudioBuffer:
     shorter than its header says is a FormatError naming the file.
     """
     if hasattr(path, "read"):
-        blob = path.read()
-        path = getattr(path, "name", path)
-    else:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        return _decode_wav(getattr(path, "name", path), path.read())
+    return _decode_wav(path, _read(path))
+
+
+def _decode_wav(path, blob: bytes) -> AudioBuffer:
+    """load_wav of a file's bytes; errors name `path`."""
     sample_format, channels, rate, frames, data = _parse_wav(path, blob)
     if frames == 0:
         raise ShapeError(f"{path}: contains no samples")
@@ -299,13 +351,47 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     return ChunkPlan(chunk_size, total, rows, rescale_rows(rows, peaks))
 
 
+# Every CSV table qwave writes: its header, and the %-format of each field for
+# csv_table. multiply's metrics.csv (MetricsReport.csv_row writes one of its rows):
 METRICS_CSV_HEADER = (
     "chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
     "postselect_probability,scale_f,scale_g"
 )
-# The %-format of each metrics.csv field, shared by MetricsReport.csv_row and
-# QuadOutput.metrics_csv: chunk_index, shots, seed, then the five float columns.
 METRICS_CSV_FIELDS = ("%s", "%s", "%s", "%.10g", "%.10g", "%.10g", "%.10g", "%.10g")
+# convolve's metrics.csv, and shot-sweep's sweep.csv, whose shots is a count or "exact"
+CONVOLVE_CSV = ("chunk_index,rel_l2_vs_oracle", ("%d", "%.10g"))
+SWEEP_CSV = ("shots,log10_shots,rmsd_percent_median,rmsd_percent_min,rmsd_percent_max,"
+             "fidelity_percent_median,fidelity_percent_min,fidelity_percent_max,num_seeds",
+             ("%s", "%.6g") + ("%.10g",) * 6 + ("%s",))
+
+
+def csv_table(table, columns) -> str:
+    """The text of a (header, fields) table: the header line, then row i of the columns.
+
+    columns[0] is a sequence with one entry per row; each other column is a
+    sequence as long, or one value for every row. fields[k] %-formats column
+    k, and a None entry is an empty field. One value, and a float64 array
+    whose entries share one bit pattern (bits, not ==, decide, so 0.0 and
+    -0.0 differ), are formatted once, into the row template; the other
+    columns fill it in one % pass over the whole table.
+    """
+    header, fields = table
+    num_rows = len(columns[0])
+    template, varying = [], []
+    for field, column in zip(fields, columns):
+        if isinstance(column, np.ndarray):
+            bits = column.view(np.int64)
+            column = column[0].item() if num_rows and (bits == bits[0]).all() else column.tolist()
+        elif isinstance(column, list) and None in column:
+            column = ["" if value is None else field % (value,) for value in column]
+            field = "%s"
+        if isinstance(column, (list, range)):
+            template.append(field)
+            varying.append(column)
+        else:
+            template.append((field % (column,)).replace("%", "%%"))
+    row = ",".join(template) + "\n"
+    return header + "\n" + (row * num_rows) % tuple(chain.from_iterable(zip(*varying)))
 
 
 @dataclass(frozen=True)
@@ -322,10 +408,7 @@ class MetricsReport:
     scale_g: float
 
     def csv_row(self) -> str:
-        return ",".join(METRICS_CSV_FIELDS) % (
-            self.chunk_index, self.shots, self.seed, self.rmsd_percent,
-            self.fidelity_percent, self.postselect_probability, self.scale_f, self.scale_g,
-        )
+        return ",".join(METRICS_CSV_FIELDS) % astuple(self)
 
 
 @dataclass(frozen=True)
@@ -351,33 +434,9 @@ class QuadOutput:
         )
 
     def metrics_csv(self) -> str:
-        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk.
-
-        shots, seed and each column whose entries share one bit pattern (in
-        exact mode, rmsd and fidelity always) are formatted once, into the
-        row template; the chunk index and the other columns fill it in one %
-        pass over the whole table. Bits, not ==, decide, so 0.0 and -0.0 are
-        not taken for one value.
-        """
-        num_chunks = self.columns.shape[1]
-        if not num_chunks:
-            return METRICS_CSV_HEADER + "\n"
-        fields = list(METRICS_CSV_FIELDS)
-        fields[1] = _fixed_field(fields[1], self.shots)
-        fields[2] = _fixed_field(fields[2], self.seed)
-        bits = self.columns.view(np.int64)
-        constant = (bits == bits[:, :1]).all(axis=1)
-        for k in np.flatnonzero(constant):
-            fields[3 + k] = _fixed_field(fields[3 + k], self.columns[k, 0].item())
-        template = ",".join(fields) + "\n"
-        table = zip(range(num_chunks), *self.columns[~constant].tolist())
-        return METRICS_CSV_HEADER + "\n" + (template * num_chunks) % tuple(
-            chain.from_iterable(table))
-
-
-def _fixed_field(field: str, value) -> str:
-    """`value` formatted by `field`, escaped to stand as literal text in a %-template."""
-    return (field % (value,)).replace("%", "%%")
+        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk, by csv_table."""
+        return csv_table((METRICS_CSV_HEADER, METRICS_CSV_FIELDS),
+                         [range(self.columns.shape[1]), self.shots, self.seed, *self.columns])
 
 
 def process_chunks(
@@ -482,7 +541,7 @@ def stitch_and_write(
     if not np.isfinite(block).all():
         raise DomainError("samples contain non-finite values")
     np.clip(block, -1.0, 1.0, out=block)
-    _check_rate(sample_rate)
+    check_rate(sample_rate)
     pcm = _pcm16(block)
     if not os.path.isdir(out_dir):  # one stat when the directory is there, as the CLI leaves it
         os.makedirs(out_dir, exist_ok=True)

@@ -11,25 +11,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import io
 import os
 import platform
 import sys
-import warnings
-from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .audio import (
-    _MAX_FLOAT_SAMPLE,
-    _MAX_SAMPLE_RATE,
+    CONVOLVE_CSV,
+    SWEEP_CSV,
     AudioBuffer,
-    load_wav,
+    check_rate,
+    csv_table,
     make_chunks,
     normalize_for_encoding,
     process_chunks,
+    read_numbers,
+    read_signal,
     stitch_and_write,
     write_file,
     write_wav,
@@ -54,47 +53,6 @@ def _parse_shots(text: str):
     if shots < 1:
         raise argparse.ArgumentTypeError(f"shots must be >= 1, got {shots}")
     return shots
-
-
-def _read_bytes(path) -> bytes:
-    # a missing file's FileNotFoundError carries its name
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _numbers(blob: bytes, label: str) -> np.ndarray:
-    """The one column of finite numbers in a text file's bytes; each error starts with `label`."""
-    # decoded as open(path) would, with the default encoding and universal newlines
-    try:
-        with io.TextIOWrapper(io.BytesIO(blob)) as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, dtype=np.float64, ndmin=1)
-    except ValueError as exc:  # a word that is not a number, ragged rows, or not text
-        raise ShapeError(f"{label}: not numeric text ({exc})") from None
-    if values.size == 0:
-        raise ShapeError(f"{label}: contains no samples")
-    if values.ndim != 1:
-        raise ShapeError(f"{label}: expected a single column of samples")
-    if not np.all(np.isfinite(values)):
-        raise ShapeError(f"{label}: samples must be finite")
-    return values
-
-
-def _load_signal(path, sample_rate: int) -> tuple:
-    """(samples, sha256 hex of the file): the file is read once and both come from those bytes.
-
-    WAV by extension, otherwise a whitespace-separated numeric text file.
-    """
-    blob = _read_bytes(path)
-    digest = hashlib.sha256(blob).hexdigest()
-    if str(path).lower().endswith(".wav"):
-        source = io.BytesIO(blob)
-        source.name = path  # load_wav's errors name the file
-        return load_wav(source), digest
-    values = _numbers(blob, path)
-    if np.abs(values).max() > 1.0:
-        raise ShapeError(f"{path}: samples must lie in [-1, 1]")
-    return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
 
 
 def _write_manifest(out_dir, entries) -> str:
@@ -124,7 +82,7 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
                              f"a {builtin[1]}-domain built-in")
         return builtin
     # numeric file
-    values = _numbers(_read_bytes(name), f"--kernel {name}")
+    values = read_numbers(name, f"--kernel {name}")
     if domain == "fourier":
         if values.size != padded_len:
             raise ShapeError(
@@ -247,11 +205,6 @@ def _check_chunk_size(chunk_size: int) -> None:
             f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
 
 
-def _check_sample_rate(rate: int) -> None:
-    if not 1 <= rate <= _MAX_SAMPLE_RATE:
-        raise ShapeError(f"--sample-rate must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
-
-
 def _check_seed(seed: int) -> None:
     # numpy.random.SeedSequence takes non-negative integers only
     if seed < 0:
@@ -263,9 +216,9 @@ def _cmd_multiply(args) -> int:
     _check_seed(args.seed)
     if args.workers < 1:
         raise ShapeError(f"--workers must be >= 1, got {args.workers}")
-    _check_sample_rate(args.sample_rate)
-    buf_f, sha_f = _load_signal(args.signal_f, args.sample_rate)
-    buf_g, sha_g = _load_signal(args.signal_g, args.sample_rate)
+    check_rate(args.sample_rate, "--sample-rate")
+    buf_f, sha_f = read_signal(args.signal_f, args.sample_rate)
+    buf_g, sha_g = read_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
         raise ShapeError(
             f"sample rates differ: {buf_f.sample_rate} vs {buf_g.sample_rate}"
@@ -276,7 +229,8 @@ def _cmd_multiply(args) -> int:
     values_g, _ = normalize_for_encoding(buf_g, args.normalization)
     plan_f = make_chunks(values_f, args.chunk_size)
     plan_g = make_chunks(values_g, args.chunk_size)
-    os.makedirs(args.out, exist_ok=True)  # an --out that cannot be made fails before the run
+    if not os.path.isdir(args.out):  # an --out that cannot be made fails before the run
+        os.makedirs(args.out, exist_ok=True)
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
     paths = stitch_and_write(quad, plan_f, buf_f.sample_rate, args.out, record)
     _write_manifest(args.out, [
@@ -316,15 +270,6 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real, axis=-1) + np.vecdot(x.imag, x.imag, axis=-1))
 
 
-def _convolve_metrics_csv(rel) -> str:
-    """convolve's metrics.csv text: the header, then one chunk_index,rel_l2_vs_oracle row per chunk.
-
-    The rows are filled in one % pass over the whole table.
-    """
-    table = chain.from_iterable(zip(range(len(rel)), rel))
-    return "chunk_index,rel_l2_vs_oracle\n" + ("%d,%.10g\n" * len(rel)) % tuple(table)
-
-
 def _cmd_convolve(args) -> int:
     if args.shots is not None:
         raise ShapeError(
@@ -337,11 +282,11 @@ def _cmd_convolve(args) -> int:
     if args.seed != 0:
         raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
     _check_chunk_size(args.chunk_size)
-    _check_sample_rate(args.sample_rate)
+    check_rate(args.sample_rate, "--sample-rate")
     padded_len = 2 * args.chunk_size
     kernel, domain = build_kernel(args.kernel, args.chunk_size, padded_len,
                                   args.kernel_domain)
-    buf, sha_f = _load_signal(args.signal_f, args.sample_rate)
+    buf, sha_f = read_signal(args.signal_f, args.sample_rate)
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
     try:
@@ -361,15 +306,16 @@ def _cmd_convolve(args) -> int:
         raise NormalizationError(
             f"--kernel {args.kernel}: rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "
             "the kernel overflows the reference convolution")
-    rel = rel.tolist()
     # chunks are disjoint and unwindowed, so the linear tail past chunk_size
     # has nowhere to go; it is dropped, not overlap-added
     pieces = results[:, : args.chunk_size].real / plan.scales[:, None]
     convolved = pieces.reshape(-1)[: plan.total_samples]
-    os.makedirs(args.out, exist_ok=True)
+    if not os.path.isdir(args.out):
+        os.makedirs(args.out, exist_ok=True)
     out_wav = os.path.join(args.out, "convolved.wav")
     write_wav(out_wav, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
-    write_file(os.path.join(args.out, "metrics.csv"), _convolve_metrics_csv(rel).encode())
+    metrics = csv_table(CONVOLVE_CSV, [range(len(rel)), rel])
+    write_file(os.path.join(args.out, "metrics.csv"), metrics.encode())
     _write_manifest(args.out, [
         ("command", "convolve"),
         ("input_f", args.signal_f),
@@ -387,9 +333,8 @@ def _cmd_convolve(args) -> int:
         ("normalization", record.mode),
         ("outputs", "convolved.wav manifest.txt metrics.csv"),
     ])
-    worst = max(rel, default=0.0)
     print(f"convolve: {plan.num_chunks} chunks, kernel {args.kernel} ({domain} domain), "
-          f"worst rel l2 vs oracle {worst:.3e}")
+          f"worst rel l2 vs oracle {rel.max():.3e}")
     print(f"  convolved.wav metrics.csv manifest.txt -> {args.out}")
     return 0
 
@@ -412,7 +357,7 @@ def _parse_shots_list(text: str) -> list:
 
 def _sweep_chunk(flag: str, path) -> SignalChunk:
     """A shot-sweep input file as one chunk; its errors name the flag and the file."""
-    samples = _load_signal(path, 8000)[0].samples
+    samples = read_signal(path, 8000)[0].samples
     if np.any(samples < 0):
         raise ShapeError(f"{flag} {path}: sweep signals must be non-negative")
     try:
@@ -437,25 +382,20 @@ def _cmd_shot_sweep(args) -> int:
         signal_desc = f"{args.signal_f} {args.signal_g}"
     _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
 
-    os.makedirs(args.out, exist_ok=True)
-    rows = ["shots,log10_shots,rmsd_percent_median,rmsd_percent_min,"
-            "rmsd_percent_max,fidelity_percent_median,fidelity_percent_min,"
-            "fidelity_percent_max,num_seeds\n"]
-    for shots in shot_specs:
-        if shots is None:
-            rows.append(f"exact,,0,0,0,100,100,100,{args.num_seeds}\n")
-            print("shots=exact rmsd=0% fidelity=100%")
-            continue
-        seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
-        rmsds, fids = seed_scores(states[0], shots, seeds)
-        rows.append(
-            f"{shots},{np.log10(shots):.6g},{np.median(rmsds):.10g},"
-            f"{rmsds.min():.10g},{rmsds.max():.10g},{np.median(fids):.10g},"
-            f"{fids.min():.10g},{fids.max():.10g},{args.num_seeds}\n"
-        )
-        print(f"shots={shots} rmsd={np.median(rmsds):.4g}% "
-              f"fidelity={np.median(fids):.6g}%")
-    write_file(os.path.join(args.out, "sweep.csv"), "".join(rows).encode())
+    if not os.path.isdir(args.out):
+        os.makedirs(args.out, exist_ok=True)
+    labels = ["exact" if shots is None else shots for shots in shot_specs]
+    scores = []  # per entry: the median, min and max rmsd, then fidelity, over the seeds
+    for shots, label in zip(shot_specs, labels):
+        rmsds, fids = np.zeros(1), np.full(1, 100.0)  # the exact state's
+        if shots is not None:
+            seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
+            rmsds, fids = seed_scores(states[0], shots, seeds)
+        scores.append([f(x) for x in (rmsds, fids) for f in (np.median, np.min, np.max)])
+        print(f"shots={label} rmsd={np.median(rmsds):.4g}% fidelity={np.median(fids):.6g}%")
+    log10 = [None if shots is None else np.log10(shots) for shots in shot_specs]
+    sweep = csv_table(SWEEP_CSV, [labels, log10, *np.array(scores).T, args.num_seeds])
+    write_file(os.path.join(args.out, "sweep.csv"), sweep.encode())
     _write_manifest(args.out, [
         ("command", "shot-sweep"),
         ("signals", signal_desc),

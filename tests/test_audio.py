@@ -1,6 +1,7 @@
 """WAV I/O, normalization, chunking, and the parallel chunk pipeline."""
 
 import concurrent.futures
+import hashlib
 import io
 import os
 import re
@@ -42,6 +43,7 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
+from qwave.audio import SWEEP_CSV, csv_table, read_signal
 from qwave.encoding import rescale_rows
 from reference import product_state_by_gates
 
@@ -234,6 +236,32 @@ def test_load_wav_rejects_malformed_files(tmp_path, blob, message):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
         load_wav(path)
+    # read_signal decodes the bytes it hashed, and its error names the same path
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+        read_signal(path, 8000)
+
+
+@pytest.mark.parametrize("kind", ["int16", "float32-stereo", "upper-case-name", "text"])
+def test_read_signal_equals_load_wav_and_sha256_of_the_bytes(tmp_path, kind):
+    rng = np.random.default_rng(22)
+    if kind == "text":
+        path = tmp_path / "s.txt"
+        values = np.concatenate([[-1.0, 1.0, -0.0, 0.0, 5e-324], rng.uniform(-1, 1, 40)])
+        np.savetxt(path, values, fmt="%.17g")
+        expected = AudioBuffer(np.clip(np.loadtxt(path), -1.0, 1.0 - 2**-15), 12345)
+    else:
+        path = tmp_path / ("S.WAV" if kind == "upper-case-name" else "s.wav")
+        if kind == "float32-stereo":
+            wavfile.write(path, 22050, rng.uniform(-1, 1, (40, 2)).astype(np.float32))
+        else:
+            wavfile.write(path, 22050, rng.integers(-32768, 32768, 40).astype(np.int16))
+        with warnings.catch_warnings(record=True):
+            expected = load_wav(path)
+    with warnings.catch_warnings(record=True):
+        buffer, digest = read_signal(path, 12345)
+    assert buffer.samples.tobytes() == expected.samples.tobytes()
+    assert buffer.sample_rate == expected.sample_rate
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_wav_halfscale_codes():
@@ -275,6 +303,15 @@ def test_audio_buffer_validation():
         AudioBuffer(np.array([0.0, 1.5]), 8000)
     with pytest.raises(DomainError):
         AudioBuffer(np.array([0.0, np.nan]), 8000)
+    # a non-finite sample is named before the peak, whatever else the buffer holds
+    for bad in ([0.0, np.inf], [-np.inf, 0.5], [np.nan, 1.5], [1.5, np.nan]):
+        with pytest.raises(DomainError, match=r"^samples contain non-finite values$"):
+            AudioBuffer(np.array(bad), 8000)
+    for bad in ([0.0, 1.5], [-1.5, 0.25], [1.0 + 2**-52, -1.0]):
+        message = f"samples exceed full scale (peak {float(np.abs(bad).max())})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            AudioBuffer(np.array(bad), 8000)
+    assert AudioBuffer(np.array([-1.0, 1.0, -0.0]), 8000).samples.tolist() == [-1.0, 1.0, -0.0]
     with pytest.raises(ShapeError):
         AudioBuffer(np.zeros((4, 2)), 8000)
     for rate in (0, 2**31):
@@ -684,24 +721,51 @@ _CSV_FLOATS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(num_chunks=st.integers(0, 7), shots=st.one_of(st.integers(1, 10**7), st.just("exact")),
-       seed=st.integers(0, 2**63 - 1), data=st.data())
-def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
-    columns = np.empty((5, num_chunks))
-    for j in range(5):
+def draw_columns(data, count, num_rows) -> np.ndarray:
+    """`count` float columns, each one value, signed zeros or any _CSV_FLOATS."""
+    columns = np.empty((count, num_rows))
+    for j in range(count):
         kind = data.draw(st.sampled_from(["constant", "signed-zeros", "varying"]))
         if kind == "constant":
             columns[j] = data.draw(_CSV_FLOATS)
         else:
             entries = st.sampled_from([0.0, -0.0]) if kind == "signed-zeros" else _CSV_FLOATS
-            columns[j] = data.draw(st.lists(entries, min_size=num_chunks, max_size=num_chunks))
+            columns[j] = data.draw(st.lists(entries, min_size=num_rows, max_size=num_rows))
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_chunks=st.integers(0, 7), shots=st.one_of(st.integers(1, 10**7), st.just("exact")),
+       seed=st.integers(0, 2**63 - 1), data=st.data())
+def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
+    columns = draw_columns(data, 5, num_chunks)
     quad = QuadOutput({}, shots, seed, columns)
     rows = [m.csv_row() for m in quad.metrics]
     assert quad.metrics_csv() == "".join(line + "\n" for line in [METRICS_CSV_HEADER, *rows])
     # the rows str.format wrote before the %-format fields
     assert rows == ["{},{},{},{:.10g},{:.10g},{:.10g},{:.10g},{:.10g}".format(
         i, shots, seed, *columns[:, i].tolist()) for i in range(num_chunks)]
+    # sweep.csv, one more table: the rows its f-strings wrote before csv_table,
+    # exact entries with the exact state's scores
+    specs = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 10**7)), min_size=1,
+                               max_size=7))
+    num_seeds = data.draw(st.integers(1, 10**4))
+    scores = draw_columns(data, 6, len(specs))
+    lines = ["shots,log10_shots,rmsd_percent_median,rmsd_percent_min,"
+             "rmsd_percent_max,fidelity_percent_median,fidelity_percent_min,"
+             "fidelity_percent_max,num_seeds\n"]
+    for i, spec in enumerate(specs):
+        if spec is None:
+            scores[:, i] = (0.0, 0.0, 0.0, 100.0, 100.0, 100.0)
+            lines.append(f"exact,,0,0,0,100,100,100,{num_seeds}\n")
+            continue
+        r_med, r_min, r_max, f_med, f_min, f_max = scores[:, i].tolist()
+        lines.append(f"{spec},{np.log10(spec):.6g},{r_med:.10g},{r_min:.10g},{r_max:.10g},"
+                     f"{f_med:.10g},{f_min:.10g},{f_max:.10g},{num_seeds}\n")
+    labels = ["exact" if spec is None else spec for spec in specs]
+    log10 = [None if spec is None else np.log10(spec) for spec in specs]
+    strided = scores.T.copy().T  # each score column a strided view, as the CLI passes them
+    assert csv_table(SWEEP_CSV, [labels, log10, *strided, num_seeds]) == "".join(lines)
 
 
 def per_channel_wav_bytes(values, total, rate, shift_scale) -> bytes:

@@ -44,7 +44,8 @@ from qwave import (
     sample_counts,
     write_wav,
 )
-from qwave.cli import _convolve_metrics_csv, build_kernel, main
+from qwave.audio import CONVOLVE_CSV, csv_table
+from qwave.cli import build_kernel, main
 from reference import convolve_by_gates
 
 RNG = np.random.default_rng(662)
@@ -466,7 +467,8 @@ _REL_L2 = st.one_of(
 def test_convolve_metrics_csv_equals_str_format_rows(rel):
     # the rows str.format wrote before the one-pass %-format
     rows = map("{},{:.10g}\n".format, range(len(rel)), rel)
-    assert _convolve_metrics_csv(rel) == "chunk_index,rel_l2_vs_oracle\n" + "".join(rows)
+    table = csv_table(CONVOLVE_CSV, [range(len(rel)), np.array(rel)])
+    assert table == "chunk_index,rel_l2_vs_oracle\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("chunk_size", [2, 8, 32])
@@ -704,6 +706,24 @@ def test_unusable_paths_are_one_error_line(tmp_path, capsys, monkeypatch, comman
     assert main([*unreadable[command], "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["multiply", "convolve", "shot-sweep"])
+def test_existing_out_is_not_made_again(tmp_path, monkeypatch, command):
+    np.savetxt(tmp_path / "f.txt", [0.5, 0.6, 0.7, 0.8])
+    f_txt, out = str(tmp_path / "f.txt"), tmp_path / "out"
+    argv = {"multiply": ["multiply", f_txt, f_txt, "--chunk-size", "4"],
+            "convolve": ["convolve", f_txt, "--kernel", "identity", "--chunk-size", "4"],
+            "shot-sweep": ["shot-sweep", "--shots-list", "10", "--num-seeds", "1"]}[command]
+    assert main([*argv, "--out", str(out)]) == 0
+    fresh = output_bytes(out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("os.makedirs() was called on an existing --out")
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert output_bytes(out) == fresh
 
 
 def test_failed_write_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -2,9 +2,10 @@
 
 Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
-engines and the encoder column inside `process_chunks`, the writers, the
-manifest), then runs N real calls on a benchmark workload's inputs
-(perfbench.bench_workloads, read only) after one warm-up call. A stage called inside another, such as the
+engines, the encoder column, the shot readout and its counter inside
+`process_chunks`, the WAV writers, the CSV table writer, the manifest), then
+runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
+read only) after one warm-up call. A stage called inside another, such as the
 encoder inside `process_chunks`, counts in itself only, and "the rest of
 main" is each call's time outside every stage. It prints each stage that ran
 with its median time per call and that median's share of the median call;
@@ -32,26 +33,35 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import qwave  # noqa: E402
+import qwave.audio  # noqa: E402
 import qwave.cli  # noqa: E402
 import qwave.pipelines  # noqa: E402
+import qwave.sampling  # noqa: E402
 from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 
 # (label, owner, attribute): the callable main reaches through owner.attribute.
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
-# reach the encoder through qwave.pipelines' names.
+# reach the encoder through qwave.pipelines' names, process_chunks the shot
+# readout through qwave.audio's and the readout the counter through
+# qwave.sampling's. The CSV table writer is one stage whichever module calls it.
+# Stages called from several threads at once would be timed wrongly, so run
+# workloads with --workers 1, as the benchmark does.
 STAGES = (
     ("argument parsing", argparse.ArgumentParser, "parse_args"),
-    ("reading, hashing and decoding the inputs", qwave.cli, "_load_signal"),
+    ("reading, hashing and decoding the inputs", qwave.cli, "read_signal"),
     ("build_kernel", qwave.cli, "build_kernel"),
     ("normalize_for_encoding", qwave.cli, "normalize_for_encoding"),
     ("make_chunks", qwave.cli, "make_chunks"),
-    ("process_chunks, outside the encoder", qwave.cli, "process_chunks"),
+    ("process_chunks, outside the stages below", qwave.cli, "process_chunks"),
+    ("shot_readout, outside draw_counts", qwave.audio, "shot_readout"),
+    ("draw_counts", qwave.sampling, "draw_counts"),
     ("convolve_chunks", qwave.cli, "convolve_chunks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
     ("output directory (os.makedirs)", os, "makedirs"),
-    ("stitch_and_write", qwave.cli, "stitch_and_write"),
+    ("stitch_and_write, outside csv_table", qwave.cli, "stitch_and_write"),
     ("convolved.wav (write_wav)", qwave.cli, "write_wav"),
-    ("metrics.csv text (_convolve_metrics_csv)", qwave.cli, "_convolve_metrics_csv"),
+    ("CSV tables (csv_table)", qwave.audio, "csv_table"),
+    ("CSV tables (csv_table)", qwave.cli, "csv_table"),
     ("manifest", qwave.cli, "_write_manifest"),
 )
 
