@@ -32,7 +32,6 @@ from .encoding import (
     build_rho,
     encode_function,
     encoder_column,
-    magnitude_angle,
 )
 from .errors import (
     DomainError,
@@ -84,7 +83,7 @@ __all__ = [
     "load_wav", "make_chunks", "normalize_for_encoding", "process_chunks",
     "stitch_and_write", "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
-    "encoder_column", "magnitude_angle",
+    "encoder_column",
     "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",

@@ -1,8 +1,8 @@
 """Every file qwave reads or writes, and the chunked audio pipeline between them.
 
-Signals come in as WAV or numeric text (read_signal); every output is a WAV
-or a CSV table (csv_table), written through write_file. Audio flows through
-as float64 in [-1, 1). 16-bit PCM reads divide by 32768 (so -32768 maps to
+Signals come in as WAV or numeric text (read_signal); a run's WAVs and CSV
+tables (csv_table) go out through write_outputs. Audio flows through as
+float64 in [-1, 1). 16-bit PCM reads divide by 32768 (so -32768 maps to
 -1.0 and 16384 to 0.5); writes round to int16 and clip the top code. The
 RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float WAVs
 (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono 16-bit
@@ -104,9 +104,10 @@ def read_signal(path, sample_rate: int) -> tuple:
     return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
 
 
-def read_numbers(path, label: str) -> np.ndarray:
-    """The one column of finite numbers in a text file; each error starts with `label`."""
-    return _parse_numbers(_read(path), label)
+def read_numbers(path, label: str) -> tuple:
+    """(one column of finite numbers, sha256 hex) of a text file; errors start with `label`."""
+    blob = _read(path)
+    return _parse_numbers(blob, label), hashlib.sha256(blob).hexdigest()
 
 
 def _parse_numbers(blob: bytes, label) -> np.ndarray:
@@ -537,19 +538,37 @@ def stitch_and_write(
                      dtype=np.float64)
     if normalization is not None and normalization.mode == "shift-scale":
         block = 2.0 * block - 1.0
-    # checked before the clip, which would write +-inf as full scale; after it no peak exceeds 1
-    if not np.isfinite(block).all():
-        raise DomainError("samples contain non-finite values")
-    np.clip(block, -1.0, 1.0, out=block)
-    check_rate(sample_rate)
-    pcm = _pcm16(block)
-    if not os.path.isdir(out_dir):  # one stat when the directory is there, as the CLI leaves it
-        os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for key, codes in zip(keys, pcm):
-        paths[key] = os.path.join(out_dir, f"component_{key}.wav")
-        write_file(paths[key], _pcm16_file(codes, sample_rate))
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    write_file(metrics_path, quad.metrics_csv().encode())
-    paths["metrics"] = metrics_path
+    paths = write_outputs(out_dir, {"metrics.csv": quad.metrics_csv()},
+                          [f"component_{key}.wav" for key in keys], block, sample_rate)
+    return dict(zip([*keys, "metrics"], paths))
+
+
+def ensure_dir(path) -> None:
+    """Make the directory `path` and its parents unless it is one: one stat when it is."""
+    if not os.path.isdir(path):
+        os.makedirs(path, exist_ok=True)
+
+
+def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) -> list:
+    """Write a run's files into `out_dir` (made by ensure_dir); return their paths in order.
+
+    Row i of `block`, a fresh float64 (len(wavs), samples) array clipped to
+    [-1, 1] in place, becomes the mono 16-bit WAV wavs[i], as write_wav
+    writes it; then each name in `tables` gets its CSV text. A NaN or
+    infinite sample is a DomainError raised before anything is made.
+    """
+    pcm = ()
+    if wavs:
+        # before the clip, which would write +-inf as full scale; after it no peak exceeds 1
+        if not np.isfinite(block).all():
+            raise DomainError("samples contain non-finite values")
+        np.clip(block, -1.0, 1.0, out=block)
+        check_rate(sample_rate)
+        pcm = _pcm16(block)
+    ensure_dir(out_dir)
+    paths = [os.path.join(out_dir, name) for name in [*wavs, *tables]]
+    for path, codes in zip(paths, pcm):
+        write_file(path, _pcm16_file(codes, sample_rate))
+    for path, text in zip(paths[len(wavs):], tables.values()):
+        write_file(path, text.encode())
     return paths

@@ -21,9 +21,9 @@ from . import __version__
 from .audio import (
     CONVOLVE_CSV,
     SWEEP_CSV,
-    AudioBuffer,
     check_rate,
     csv_table,
+    ensure_dir,
     make_chunks,
     normalize_for_encoding,
     process_chunks,
@@ -31,7 +31,7 @@ from .audio import (
     read_signal,
     stitch_and_write,
     write_file,
-    write_wav,
+    write_outputs,
 )
 from .encoding import SignalChunk
 from .errors import NormalizationError, QwaveError, ResourceLimitError, ShapeError
@@ -40,7 +40,7 @@ from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 def _parse_shots(text: str):
@@ -55,24 +55,33 @@ def _parse_shots(text: str):
     return shots
 
 
-def _write_manifest(out_dir, entries) -> str:
-    path = os.path.join(out_dir, "manifest.txt")
+def _write_manifest(out_dir, command, inputs, entries, outputs) -> None:
+    """manifest.txt: version and environment, `command`, input_<role> and input_<role>_sha256
+    per (role, path, sha256) in `inputs` (None hashes skipped), the entries, then `outputs`:
+    the names of the paths written and of manifest.txt, sorted."""
     # the bit-for-bit promise holds for the interpreter and numpy named here
     lines = [("manifest_version", MANIFEST_VERSION), ("tool", f"qwave {__version__}"),
-             ("python", platform.python_version()), ("numpy", np.__version__), *entries]
-    write_file(path, "".join(f"{key} = {value}\n" for key, value in lines).encode())
-    return path
+             ("python", platform.python_version()), ("numpy", np.__version__),
+             ("command", command)]
+    for role, path, digest in inputs:
+        if digest is not None:  # a built-in kernel reads no file
+            lines += [(f"input_{role}", path), (f"input_{role}_sha256", digest)]
+    names = sorted([*(os.path.basename(p) for p in outputs), "manifest.txt"])
+    lines += [*entries, ("outputs", " ".join(names))]
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    write_file(os.path.join(out_dir, "manifest.txt"), text.encode())
 
 
 def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "auto"):
-    """Resolve a kernel spec to (time_domain_values, domain_label).
+    """Resolve a kernel spec to (time_domain_values, domain_label, file_sha256).
 
     Built-ins: identity, shift-K, moving-average-K (time domain) and
     low-pass-K (Fourier domain: keep bins within K of DC, inverse-transformed
     here before the pipeline); an explicit domain other than a built-in's own
     is an error. Anything else is read as a numeric file whose domain comes
     from the flag: time (length <= chunk_size) or fourier (length ==
-    padded_len exactly).
+    padded_len exactly); file_sha256 is the hash of the bytes read, None
+    for a built-in.
     """
     name = spec.strip()
     builtin = _builtin_kernel(name, chunk_size, padded_len)
@@ -80,25 +89,21 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
         if domain not in ("auto", builtin[1]):
             raise ShapeError(f"--kernel-domain {domain} contradicts --kernel {name}, "
                              f"a {builtin[1]}-domain built-in")
-        return builtin
+        return (*builtin, None)
     # numeric file
-    values = read_numbers(name, f"--kernel {name}")
+    values, digest = read_numbers(name, f"--kernel {name}")
     if domain == "fourier":
         if values.size != padded_len:
-            raise ShapeError(
-                f"{name}: Fourier-domain kernel must have exactly {padded_len} bins, "
-                f"got {values.size}"
-            )
+            raise ShapeError(f"{name}: Fourier-domain kernel must have exactly "
+                             f"{padded_len} bins, got {values.size}")
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             values = np.fft.ifft(values)
         if not np.all(np.isfinite(values)):
             raise ShapeError(f"--kernel {name}: its inverse transform is not finite")
-        return values, "fourier"
+        return values, "fourier", digest
     if values.size > chunk_size:
-        raise ShapeError(
-            f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}"
-        )
-    return values, "time"
+        raise ShapeError(f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}")
+    return values, "time", digest
 
 
 def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
@@ -108,14 +113,14 @@ def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
     if name.startswith("shift-"):
         k = _kernel_param(name, "shift-")
         if not 0 <= k < chunk_size:
-            raise ShapeError(f"shift amount {k} must be in [0, chunk_size)")
+            raise ShapeError(f"shift amount {k} must be in [0, {chunk_size})")
         kernel = np.zeros(k + 1)
         kernel[k] = 1.0
         return kernel, "time"
     if name.startswith("moving-average-"):
         k = _kernel_param(name, "moving-average-")
         if not 1 <= k <= chunk_size:
-            raise ShapeError(f"moving-average width {k} must be in [1, chunk_size]")
+            raise ShapeError(f"moving-average width {k} must be in [1, {chunk_size}]")
         return np.full(k, 1.0 / k), "time"
     if name.startswith("low-pass-"):
         k = _kernel_param(name, "low-pass-")
@@ -129,10 +134,10 @@ def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
 
 def _kernel_param(name: str, prefix: str) -> int:
     tail = name[len(prefix):]
-    try:
-        return int(tail)
-    except ValueError:
+    # int() would also take signs, underscores, spaces and non-ASCII digits
+    if not (tail.isascii() and tail.isdigit()):
         raise ShapeError(f"bad kernel spec {name!r}: {tail!r} is not an integer")
+    return int(tail)
 
 
 def _add_common_flags(parser) -> None:
@@ -220,25 +225,18 @@ def _cmd_multiply(args) -> int:
     buf_f, sha_f = read_signal(args.signal_f, args.sample_rate)
     buf_g, sha_g = read_signal(args.signal_g, args.sample_rate)
     if buf_f.sample_rate != buf_g.sample_rate:
-        raise ShapeError(
-            f"sample rates differ: {buf_f.sample_rate} vs {buf_g.sample_rate}"
-        )
+        raise ShapeError(f"sample rates differ: {buf_f.sample_rate} vs {buf_g.sample_rate}")
     if len(buf_f) != len(buf_g):
         raise ShapeError(f"signals differ in length: {len(buf_f)} vs {len(buf_g)}")
     values_f, record = normalize_for_encoding(buf_f, args.normalization)
     values_g, _ = normalize_for_encoding(buf_g, args.normalization)
     plan_f = make_chunks(values_f, args.chunk_size)
     plan_g = make_chunks(values_g, args.chunk_size)
-    if not os.path.isdir(args.out):  # an --out that cannot be made fails before the run
-        os.makedirs(args.out, exist_ok=True)
+    ensure_dir(args.out)  # an --out that cannot be made fails before the run
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
     paths = stitch_and_write(quad, plan_f, buf_f.sample_rate, args.out, record)
-    _write_manifest(args.out, [
-        ("command", "multiply"),
-        ("input_f", args.signal_f),
-        ("input_f_sha256", sha_f),
-        ("input_g", args.signal_g),
-        ("input_g_sha256", sha_g),
+    inputs = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)]
+    _write_manifest(args.out, "multiply", inputs, [
         ("sample_rate", buf_f.sample_rate),
         ("chunk_size", args.chunk_size),
         ("num_chunks", plan_f.num_chunks),
@@ -250,8 +248,7 @@ def _cmd_multiply(args) -> int:
         ("normalization", record.mode),
         ("normalization_shift", record.shift),
         ("normalization_scale", record.scale),
-        ("outputs", " ".join(sorted(os.path.basename(p) for p in paths.values()))),
-    ])
+    ], paths.values())
     print(f"multiply: {plan_f.num_chunks} chunks x {args.chunk_size} samples, "
           f"shots={quad.shots}")
     for key in sorted(quad.components):
@@ -272,9 +269,7 @@ def _row_norms(x) -> np.ndarray:
 
 def _cmd_convolve(args) -> int:
     if args.shots is not None:
-        raise ShapeError(
-            "convolve runs on the exact statevector; --shots exact is the only mode"
-        )
+        raise ShapeError("convolve runs on the exact statevector; --shots exact is the only mode")
     # convolve runs its chunks serially and draws nothing at random, so a
     # recorded worker count or seed would describe a run that did not happen
     if args.workers != 1:
@@ -284,8 +279,8 @@ def _cmd_convolve(args) -> int:
     _check_chunk_size(args.chunk_size)
     check_rate(args.sample_rate, "--sample-rate")
     padded_len = 2 * args.chunk_size
-    kernel, domain = build_kernel(args.kernel, args.chunk_size, padded_len,
-                                  args.kernel_domain)
+    kernel, domain, sha_kernel = build_kernel(args.kernel, args.chunk_size, padded_len,
+                                              args.kernel_domain)
     buf, sha_f = read_signal(args.signal_f, args.sample_rate)
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
@@ -309,17 +304,11 @@ def _cmd_convolve(args) -> int:
     # chunks are disjoint and unwindowed, so the linear tail past chunk_size
     # has nowhere to go; it is dropped, not overlap-added
     pieces = results[:, : args.chunk_size].real / plan.scales[:, None]
-    convolved = pieces.reshape(-1)[: plan.total_samples]
-    if not os.path.isdir(args.out):
-        os.makedirs(args.out, exist_ok=True)
-    out_wav = os.path.join(args.out, "convolved.wav")
-    write_wav(out_wav, AudioBuffer(np.clip(convolved, -1.0, 1.0), buf.sample_rate))
-    metrics = csv_table(CONVOLVE_CSV, [range(len(rel)), rel])
-    write_file(os.path.join(args.out, "metrics.csv"), metrics.encode())
-    _write_manifest(args.out, [
-        ("command", "convolve"),
-        ("input_f", args.signal_f),
-        ("input_f_sha256", sha_f),
+    convolved = pieces.reshape(1, -1)[:, : plan.total_samples]
+    tables = {"metrics.csv": csv_table(CONVOLVE_CSV, [range(len(rel)), rel])}
+    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved, buf.sample_rate)
+    inputs = [("f", args.signal_f, sha_f), ("kernel", args.kernel, sha_kernel)]
+    _write_manifest(args.out, "convolve", inputs, [
         ("kernel", args.kernel),
         ("kernel_domain", domain),
         ("sample_rate", buf.sample_rate),
@@ -331,8 +320,7 @@ def _cmd_convolve(args) -> int:
         ("seed", args.seed),
         ("workers", args.workers),
         ("normalization", record.mode),
-        ("outputs", "convolved.wav manifest.txt metrics.csv"),
-    ])
+    ], paths)
     print(f"convolve: {plan.num_chunks} chunks, kernel {args.kernel} ({domain} domain), "
           f"worst rel l2 vs oracle {rel.max():.3e}")
     print(f"  convolved.wav metrics.csv manifest.txt -> {args.out}")
@@ -355,13 +343,13 @@ def _parse_shots_list(text: str) -> list:
     return specs
 
 
-def _sweep_chunk(flag: str, path) -> SignalChunk:
-    """A shot-sweep input file as one chunk; its errors name the flag and the file."""
-    samples = read_signal(path, 8000)[0].samples
-    if np.any(samples < 0):
+def _sweep_chunk(flag: str, path) -> tuple:
+    """(one chunk, sha256) of a shot-sweep input file; its errors name the flag and the file."""
+    buffer, digest = read_signal(path, 8000)
+    if np.any(buffer.samples < 0):
         raise ShapeError(f"{flag} {path}: sweep signals must be non-negative")
     try:
-        return SignalChunk.from_values(samples)
+        return SignalChunk.from_values(buffer.samples), digest
     except ShapeError as exc:
         raise ShapeError(f"{flag} {path}: {exc}") from None
 
@@ -375,15 +363,14 @@ def _cmd_shot_sweep(args) -> int:
     shot_specs = _parse_shots_list(args.shots_list)
     if args.signal_f is None:
         chunk_f, chunk_g = (SignalChunk.from_values(v) for v in STANDARD_TEST_PAIR)
-        signal_desc = "built-in"
+        inputs, signals = [], [("signals", "built-in")]
     else:
-        chunk_f = _sweep_chunk("--signal-f", args.signal_f)
-        chunk_g = _sweep_chunk("--signal-g", args.signal_g)
-        signal_desc = f"{args.signal_f} {args.signal_g}"
+        chunk_f, sha_f = _sweep_chunk("--signal-f", args.signal_f)
+        chunk_g, sha_g = _sweep_chunk("--signal-g", args.signal_g)
+        inputs, signals = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)], []
     _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
 
-    if not os.path.isdir(args.out):
-        os.makedirs(args.out, exist_ok=True)
+    ensure_dir(args.out)  # an --out that cannot be made fails before the seed loop
     labels = ["exact" if shots is None else shots for shots in shot_specs]
     scores = []  # per entry: the median, min and max rmsd, then fidelity, over the seeds
     for shots, label in zip(shot_specs, labels):
@@ -395,16 +382,14 @@ def _cmd_shot_sweep(args) -> int:
         print(f"shots={label} rmsd={np.median(rmsds):.4g}% fidelity={np.median(fids):.6g}%")
     log10 = [None if shots is None else np.log10(shots) for shots in shot_specs]
     sweep = csv_table(SWEEP_CSV, [labels, log10, *np.array(scores).T, args.num_seeds])
-    write_file(os.path.join(args.out, "sweep.csv"), sweep.encode())
-    _write_manifest(args.out, [
-        ("command", "shot-sweep"),
-        ("signals", signal_desc),
+    paths = write_outputs(args.out, {"sweep.csv": sweep})
+    _write_manifest(args.out, "shot-sweep", inputs, [
+        *signals,
         ("shots_list", args.shots_list),
         ("num_seeds", args.num_seeds),
         ("seed", args.seed),
         ("sampler", SAMPLER),
-        ("outputs", "manifest.txt sweep.csv"),
-    ])
+    ], paths)
     print(f"  sweep.csv manifest.txt -> {args.out}")
     return 0
 

@@ -70,11 +70,6 @@ def _refuse_nan(values, mag) -> None:
         raise NormalizationError(f"value {np.asarray(values)[nan].flat[0]} is not a number")
 
 
-def magnitude_angle(values):
-    """arccos|value| in [0, pi/2], elementwise. A magnitude above 1, or a NaN, is an error."""
-    return np.arccos(_magnitude(values))
-
-
 def encoder_column(values) -> np.ndarray:
     """rho(value)'s first column, the amplitudes the encoder writes, shape (2,) + values.shape.
 

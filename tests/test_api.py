@@ -29,38 +29,16 @@ def test_layout_has_no_per_index_control_helper():
     assert not hasattr(qwave.QubitLayout, "controls_for_index")
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test dependency only: a fresh `import qwave.cli`, which every
-    # CLI run pays, must not pull it in
+def test_cli_import_loads_no_scipy_multiprocessing_or_thread_pool():
+    # A fresh `import qwave.cli`, which every CLI run pays, must not pull in
+    # scipy (a test dependency only), the process-pool machinery (shots are
+    # drawn on threads) or concurrent.futures (and the logging it imports),
+    # which costs about 9 ms of each start; process_chunks imports it only
+    # when it starts threads.
     src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, qwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_multiprocessing():
-    # shots are drawn on threads; a fresh `import qwave.cli` must not pull in
-    # the process-pool machinery
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, qwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
-
-
-
-def test_cli_import_loads_no_thread_pool():
-    # concurrent.futures (and the logging it imports) costs about 9 ms of each
-    # CLI start; process_chunks imports it only when it starts threads
-    src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, qwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    code = ("import sys, qwave.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

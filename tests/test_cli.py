@@ -170,7 +170,7 @@ def test_convolve_moving_average(tmp_path):
 
 
 def test_convolve_low_pass_kernel_shape():
-    kernel, domain = build_kernel("low-pass-2", 8, 16)
+    kernel, domain, _ = build_kernel("low-pass-2", 8, 16)
     assert domain == "fourier"
     assert kernel.size == 16
     assert np.abs(kernel.imag).max() < 1e-12  # symmetric bins give a real kernel
@@ -234,11 +234,54 @@ def test_manifest_names_python_numpy_and_sampler_byte_identically(tmp_path, comm
     blob = (tmp_path / "a" / "manifest.txt").read_bytes()
     assert blob == (tmp_path / "b" / "manifest.txt").read_bytes()
     manifest = dict(line.split(" = ", 1) for line in blob.decode().splitlines())
-    assert manifest["manifest_version"] == "3"
+    assert manifest["manifest_version"] == "4"
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     # only the commands that can draw shots name the sampling rule
     assert manifest.get("sampler") == (None if command == "convolve" else "philox-inverse-cdf/1")
+
+
+@pytest.mark.parametrize("run", ["multiply", "convolve-built-in", "convolve-time-file",
+                                 "convolve-fourier-file", "shot-sweep-built-in",
+                                 "shot-sweep-files"])
+def test_manifest_lists_every_output_and_hashes_every_input_file(tmp_path, run):
+    """The version and environment, the command, input_<role> and its sha256 per file
+    read, the entries, then `outputs`: the sorted names of everything in --out."""
+    tone_wav(tmp_path / "f.wav")
+    np.savetxt(tmp_path / "g.txt", RNG.uniform(0.1, 0.9, 160))
+    np.savetxt(tmp_path / "k.txt", RNG.uniform(-1.0, 1.0, 3))
+    for name in ("s.txt", "t.txt"):
+        np.savetxt(tmp_path / name, RNG.uniform(0.1, 0.9, 8))
+    f, g, k, s, t = (str(tmp_path / name) for name in ("f.wav", "g.txt", "k.txt", "s.txt",
+                                                       "t.txt"))
+    bins = file_kernel(tmp_path / "k16.txt", "fourier", 16, RNG)
+    sweep = ["shot-sweep", "--num-seeds", "2", "--shots-list", "10,exact"]
+    argv, inputs = {
+        "multiply": (["multiply", f, g], {"f": f, "g": g}),
+        "convolve-built-in": (["convolve", f, "--kernel", "moving-average-4"], {"f": f}),
+        "convolve-time-file": (["convolve", g, "--kernel", k, "--kernel-domain", "time"],
+                               {"f": g, "kernel": k}),
+        "convolve-fourier-file": (["convolve", f, "--kernel", bins, "--kernel-domain",
+                                   "fourier"], {"f": f, "kernel": bins}),
+        "shot-sweep-built-in": (sweep, {}),
+        "shot-sweep-files": ([*sweep, "--signal-f", s, "--signal-g", t], {"f": s, "g": t}),
+    }[run]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = [line.split(" = ", 1) for line in read_lines(out / "manifest.txt")]
+    keys, manifest = [key for key, _ in lines], dict(lines)
+    assert keys[:5] == ["manifest_version", "tool", "python", "numpy", "command"]
+    assert manifest["command"] == argv[0]
+    hashed = [f"input_{role}{suffix}" for role in inputs for suffix in ("", "_sha256")]
+    assert keys[5 : 5 + len(hashed)] == hashed
+    assert [key for key in keys if key.startswith("input_")] == hashed
+    for role, path in inputs.items():
+        assert manifest[f"input_{role}"] == path
+        with open(path, "rb") as fh:
+            assert manifest[f"input_{role}_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert ("signals" in manifest) == (run == "shot-sweep-built-in")
+    assert keys[-1] == "outputs"
+    assert manifest["outputs"].split(" ") == sorted(os.listdir(out))
 
 
 @pytest.mark.parametrize("content", ["", "  \n\n"], ids=["empty", "blank-lines"])
@@ -479,7 +522,7 @@ def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
     if spec == "file":
         spec = str(tmp_path / "k.txt")
         np.savetxt(spec, RNG.uniform(-1, 1, chunk_size))
-    kernel, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    kernel, _, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
     out = tmp_path / "out"
     assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", spec,
                  "--chunk-size", str(chunk_size), "--out", str(out)]) == 0
@@ -530,7 +573,7 @@ def test_oracle_column_equals_brute_force_distance(n, num_chunks, seed, kind, da
         assert main(["convolve", str(work / "f.wav"), "--kernel", spec, "--kernel-domain",
                      domain, "--chunk-size", str(chunk_size), "--out", str(work / "out")]) == 0
         column = [float(line.split(",")[1]) for line in read_lines(work / "out/metrics.csv")[1:]]
-        kernel, _ = build_kernel(spec, chunk_size, padded_len, domain)
+        kernel, _, _ = build_kernel(spec, chunk_size, padded_len, domain)
         plan = make_chunks(load_wav(work / "f.wav").samples, chunk_size)
     padded = np.zeros((plan.num_chunks, padded_len), dtype=np.complex128)
     padded[:, :chunk_size] = plan.values
@@ -577,10 +620,10 @@ def test_one_chunk_convolutions_run_no_oracle(oracles_forbidden):
 
 
 def test_kernel_specs():
-    kernel, domain = build_kernel("shift-3", 8, 16)
+    kernel, domain, _ = build_kernel("shift-3", 8, 16)
     assert domain == "time"
     assert kernel.tolist() == [0, 0, 0, 1]
-    kernel, _ = build_kernel("moving-average-4", 8, 16)
+    kernel, _, _ = build_kernel("moving-average-4", 8, 16)
     assert kernel == pytest.approx(np.full(4, 0.25))
     from qwave import ShapeError
 
@@ -588,6 +631,36 @@ def test_kernel_specs():
         build_kernel("shift-8", 8, 16)
     with pytest.raises(ShapeError):
         build_kernel("moving-average-x", 8, 16)
+
+
+@pytest.mark.parametrize("spec, tail", [
+    ("shift-4_0", "4_0"), ("shift-+3", "+3"), ("shift- 3", " 3"), ("shift--1", "-1"),
+    ("shift-", ""), ("moving-average-+2", "+2"), ("moving-average-2_0", "2_0"),
+    ("low-pass-\u0663", "\u0663"), ("low-pass-\u00b2", "\u00b2"), ("low-pass-1e0", "1e0"),
+])
+def test_kernel_parameters_are_ascii_decimal_digits(tmp_path, capsys, spec, tail):
+    # int() reads "4_0" as 40, "+2" as 2 and an Arabic-Indic three as 3
+    message = f"bad kernel spec {spec!r}: {tail!r} is not an integer"
+    with pytest.raises(qwave.ShapeError) as info:
+        build_kernel(spec, 8, 16)
+    assert str(info.value) == message
+    tone_wav(tmp_path / "f.wav")
+    out = tmp_path / "out"
+    assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("shift-8", "shift amount 8 must be in [0, 8)"),
+    ("moving-average-0", "moving-average width 0 must be in [1, 8]"),
+    ("moving-average-9", "moving-average width 9 must be in [1, 8]"),
+    ("low-pass-9", "low-pass cutoff 9 must be in [0, 8]"),
+])
+def test_kernel_range_errors_name_the_bound(spec, message):
+    with pytest.raises(qwave.ShapeError) as info:
+        build_kernel(spec, 8, 16)
+    assert str(info.value) == message
 
 
 def test_shot_sweep_default_pair(tmp_path, capsys):
@@ -935,14 +1008,24 @@ def test_rewrites_over_stale_outputs_equal_a_fresh_run(tmp_path, command, stale)
     assert output_bytes(out) == fresh
 
 
-@pytest.mark.parametrize("command", ["multiply", "convolve"])
+@pytest.mark.parametrize("command", ["multiply", "convolve", "convolve-kernel-file",
+                                     "shot-sweep"])
 def test_inputs_are_read_once_and_hashed_from_those_bytes(tmp_path, monkeypatch, command):
     """The manifest's sha256 is of the bytes parsed, and no input file is opened twice."""
     tone_wav(tmp_path / "f.wav")
     np.savetxt(tmp_path / "g.txt", RNG.uniform(0.1, 0.9, 160))
-    inputs = [str(tmp_path / "f.wav"), str(tmp_path / "g.txt")]
-    argv = {"multiply": ["multiply", *inputs],
-            "convolve": ["convolve", inputs[1], "--kernel", "shift-1"]}[command]
+    np.savetxt(tmp_path / "k.txt", RNG.uniform(-1.0, 1.0, 3))
+    for name in ("s.txt", "t.txt"):
+        np.savetxt(tmp_path / name, RNG.uniform(0.1, 0.9, 8))
+    inputs = [str(tmp_path / name) for name in ("f.wav", "g.txt", "k.txt", "s.txt", "t.txt")]
+    f, g, k, s, t = inputs
+    argv, read = {
+        "multiply": (["multiply", f, g], {"f": f, "g": g}),
+        "convolve": (["convolve", g, "--kernel", "shift-1"], {"f": g}),
+        "convolve-kernel-file": (["convolve", g, "--kernel", k], {"f": g, "kernel": k}),
+        "shot-sweep": (["shot-sweep", "--signal-f", s, "--signal-g", t, "--num-seeds", "1",
+                        "--shots-list", "10"], {"f": s, "g": t}),
+    }[command]
     opened = []
     real_open = builtins.open
 
@@ -954,12 +1037,11 @@ def test_inputs_are_read_once_and_hashed_from_those_bytes(tmp_path, monkeypatch,
     monkeypatch.setattr(io, "open", counting_open)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     monkeypatch.undo()
-    read = inputs if command == "multiply" else inputs[1:]
-    assert sorted(p for p in opened if p in inputs) == sorted(read)
+    assert sorted(p for p in opened if p in inputs) == sorted(read.values())
     manifest = dict(line.split(" = ", 1) for line in read_lines(tmp_path / "out" / "manifest.txt"))
-    for key, path in zip(("input_f_sha256", "input_g_sha256"), read):
+    for role, path in read.items():
         with open(path, "rb") as fh:
-            assert manifest[key] == hashlib.sha256(fh.read()).hexdigest()
+            assert manifest[f"input_{role}_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_version(capsys):

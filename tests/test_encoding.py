@@ -21,7 +21,6 @@ from qwave import (
     encode_function,
     encoder_column,
     init_state,
-    magnitude_angle,
 )
 from reference import apply_controlled_unitary, controls_for_index
 
@@ -285,8 +284,8 @@ def test_encoder_column_top_is_the_value_and_s_near_exact(magnitudes, kind):
 
 def test_builder_shapes_broadcast():
     values = random_bounded_complex(6)
-    assert np.shape(magnitude_angle(values[0])) == ()
-    assert magnitude_angle(values.reshape(2, 3)).shape == (2, 3)
+    assert encoder_column(values[0]).shape == (2,)
+    assert encoder_column(values.reshape(2, 3)).shape == (2, 2, 3)
     assert_bitwise_equal(build_rho(values[0]), reference_rho(values[0]))
     assert build_rho(values).shape == (6, 2, 2)
     assert_bitwise_equal(build_rho(values.reshape(2, 3)),
@@ -298,7 +297,7 @@ def test_builder_shapes_broadcast():
 def test_builders_reject_any_out_of_range_element(where):
     values = random_bounded_complex(12)
     values[where] = 0.8 + 0.8j
-    for build in (magnitude_angle, encoder_column, build_rho):
+    for build in (encoder_column, build_rho):
         with pytest.raises(NormalizationError):
             build(values)
         with pytest.raises(NormalizationError):
@@ -309,22 +308,12 @@ def test_builders_reject_any_out_of_range_element(where):
     for dtype in (np.float64, np.complex128):
         edge = np.full(12, 0.25, dtype=dtype)
         edge[where] = 1.0 + 1e-12
-        for build in (magnitude_angle, encoder_column, build_rho):
+        for build in (encoder_column, build_rho):
             build(edge)
         edge[where] = above
-        for build in (magnitude_angle, encoder_column, build_rho):
+        for build in (encoder_column, build_rho):
             with pytest.raises(NormalizationError, match=rf"^\|value\| = {above} exceeds 1$"):
                 build(edge)
-
-
-def test_magnitude_angle_endpoints():
-    assert magnitude_angle(0.0) == pytest.approx(np.pi / 2)
-    assert magnitude_angle(1.0) == pytest.approx(0.0)
-    assert magnitude_angle(0.5) == pytest.approx(np.arccos(0.5))
-    with pytest.raises(NormalizationError):
-        magnitude_angle(1.2)
-    with pytest.raises(NormalizationError):
-        magnitude_angle(0.9 + 0.9j)
 
 
 def test_build_mu_frozen():
@@ -419,8 +408,8 @@ def test_every_entry_point_refuses_nan_naming_it(values):
     # nan > bound is False, so a bound test written that way let NaN through
     values = np.array(values, dtype=np.complex128)
     named = rf"^value {re.escape(str(values[np.isnan(values)][0]))} is not a number$"
-    for build in (SignalChunk, SignalChunk.from_values, magnitude_angle, encoder_column,
-                  build_rho, lambda v: magnitude_angle(v[np.isnan(v)][0])):
+    for build in (SignalChunk, SignalChunk.from_values, encoder_column, build_rho,
+                  lambda v: encoder_column(v[np.isnan(v)][0])):
         with pytest.raises(NormalizationError, match=named):
             build(values)
     with pytest.raises(NormalizationError, match="^scale must be positive, got nan$"):

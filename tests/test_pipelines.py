@@ -614,7 +614,7 @@ def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel
     spec = kernel.replace("K", str(chunk_size // 2))
     if spec == "moving-average-4":
         spec = f"moving-average-{min(4, chunk_size)}"
-    taps, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    taps, _, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
     for pad_to in (chunk_size, 2 * chunk_size):
         if taps.size > pad_to:
             continue

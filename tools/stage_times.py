@@ -3,7 +3,7 @@
 Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
 engines, the encoder column, the shot readout and its counter inside
-`process_chunks`, the WAV writers, the CSV table writer, the manifest), then
+`process_chunks`, the output file writer, the CSV table writer, the manifest), then
 runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
 read only) after one warm-up call. A stage called inside another, such as the
 encoder inside `process_chunks`, counts in itself only, and "the rest of
@@ -43,7 +43,8 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
 # reach the encoder through qwave.pipelines' names, process_chunks the shot
 # readout through qwave.audio's and the readout the counter through
-# qwave.sampling's. The CSV table writer is one stage whichever module calls it.
+# qwave.sampling's. The output file writer and the CSV table writer are one
+# stage each, whichever module calls them.
 # Stages called from several threads at once would be timed wrongly, so run
 # workloads with --workers 1, as the benchmark does.
 STAGES = (
@@ -57,9 +58,9 @@ STAGES = (
     ("draw_counts", qwave.sampling, "draw_counts"),
     ("convolve_chunks", qwave.cli, "convolve_chunks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
-    ("output directory (os.makedirs)", os, "makedirs"),
-    ("stitch_and_write, outside csv_table", qwave.cli, "stitch_and_write"),
-    ("convolved.wav (write_wav)", qwave.cli, "write_wav"),
+    ("stitch_and_write, outside the stages below", qwave.cli, "stitch_and_write"),
+    ("output files (write_outputs)", qwave.audio, "write_outputs"),
+    ("output files (write_outputs)", qwave.cli, "write_outputs"),
     ("CSV tables (csv_table)", qwave.audio, "csv_table"),
     ("CSV tables (csv_table)", qwave.cli, "csv_table"),
     ("manifest", qwave.cli, "_write_manifest"),
