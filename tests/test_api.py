@@ -29,19 +29,34 @@ def test_layout_has_no_per_index_control_helper():
     assert not hasattr(qwave.QubitLayout, "controls_for_index")
 
 
-def test_cli_import_loads_no_scipy_multiprocessing_or_thread_pool():
-    # A fresh `import qwave.cli`, which every CLI run pays, must not pull in
-    # scipy (a test dependency only), the process-pool machinery (shots are
-    # drawn on threads) or concurrent.futures (and the logging it imports),
-    # which costs about 9 ms of each start; process_chunks imports it only
-    # when it starts threads.
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """Modules that a fresh `import qwave.cli`, which every CLI run pays, loads
+    from scipy, multiprocessing or concurrent; one interpreter serves all three
+    checks below."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qwave.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, qwave.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys, qwave.cli; print('\\n'.join(m for m in sys.modules "
             "if m.startswith(('scipy', 'multiprocessing', 'concurrent'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy(cli_import_modules):
+    # scipy is a test dependency only
+    assert [m for m in cli_import_modules if m.startswith("scipy")] == []
+
+
+def test_cli_import_loads_no_multiprocessing(cli_import_modules):
+    # shots are drawn on threads, not on a process pool
+    assert [m for m in cli_import_modules if m.startswith("multiprocessing")] == []
+
+
+def test_cli_import_loads_no_thread_pool(cli_import_modules):
+    # concurrent.futures (and the logging it imports) costs about 9 ms of each
+    # CLI start; process_chunks imports it only when it starts threads
+    assert [m for m in cli_import_modules if m.startswith("concurrent")] == []
 
 
 def _writing_opens(tree):
