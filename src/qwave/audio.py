@@ -234,9 +234,16 @@ def write_wav(path, buffer: AudioBuffer) -> None:
         write_file(path, blob)
 
 
-def _pcm16(samples) -> np.ndarray:
-    """int16 codes of float samples of any shape: rounded, the top code clipped."""
-    return np.clip(np.round(samples * _PCM_FULL_SCALE), -32768, 32767).astype("<i2")
+def _pcm16(samples, out=None) -> np.ndarray:
+    """int16 codes of float samples of any shape: rounded, the top code clipped.
+
+    The scaling, rounding and clip run in one float64 array: `out`, which
+    may be `samples` itself, or else a new one.
+    """
+    codes = np.multiply(samples, _PCM_FULL_SCALE, out=out)
+    np.round(codes, out=codes)
+    np.clip(codes, -32768, 32767, out=codes)
+    return codes.astype("<i2")
 
 
 def _pcm16_file(pcm, rate: int) -> bytes:
@@ -303,10 +310,12 @@ def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
 class ChunkPlan:
     """Disjoint power-of-two chunks covering a signal, tail zero-padded.
 
-    `values` is a (num_chunks, chunk_size) complex array with one chunk per
-    row, each inside the SignalChunk magnitude bound; `scales[i]` is the
-    factor row i was multiplied by (1.0 unless its peak was above the bound).
-    Row i and scales[i] equal SignalChunk.from_values of that chunk's samples.
+    `values` is a (num_chunks, chunk_size) array with one chunk per row,
+    each inside the SignalChunk magnitude bound: float64 for a real signal,
+    complex128 for a complex one. `scales[i]` is the factor row i was
+    multiplied by (1.0 unless its peak was above the bound). Row i, cast to
+    complex128, and scales[i] equal SignalChunk.from_values of that chunk's
+    samples bit for bit.
     """
 
     chunk_size: int
@@ -337,13 +346,15 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
         raise ShapeError(f"chunk_size must be a power of two >= 2, got {chunk_size}")
     total = values.size
     num_chunks = -(-total // chunk_size)
-    rows = np.zeros((num_chunks, chunk_size), dtype=np.complex128)
+    # float64 rows for a real signal: |x + 0j| is |x| and (x + 0j) * c is
+    # x * c + 0j exactly, so every step downstream gives the real part of the
+    # complex rows' result, in half the memory
+    rows = np.zeros((num_chunks, chunk_size), dtype=np.result_type(values.dtype, np.float64))
     rows.reshape(-1)[:total] = values
     # One max over every magnitude: when it is within the bound no row is
     # rescaled and every scale is 1.0. A NaN or infinity fails the comparison
-    # and takes the row-wise path below. |x + 0j| is |x| exactly, so a float64
-    # signal's own magnitudes decide without the complex abs.
-    if np.abs(values if values.dtype == np.float64 else rows).max() <= 1.0 - EPSILON:
+    # and takes the row-wise path below.
+    if np.abs(rows).max() <= 1.0 - EPSILON:
         return ChunkPlan(chunk_size, total, rows, np.ones(num_chunks))
     peaks = np.abs(rows).max(axis=1)
     if not np.isfinite(peaks).all():
@@ -496,8 +507,12 @@ def process_chunks(
             block = states.transpose(2, 3, 0, 1)
             scores[2, rows] = np.sum(np.abs(block[0, 0]) ** 2, axis=1)
             if shots is None:
-                # COMPONENTS order is 2 * t_f + t_g
-                channels[:, rows] = np.abs(block.reshape(4, -1, big_n) * np.sqrt(big_n))
+                # the block is fresh, so it is scaled in place and its
+                # magnitudes written straight into the channels, in
+                # COMPONENTS order (2 * t_f + t_g)
+                block = block.reshape(4, -1, big_n)
+                block *= np.sqrt(big_n)
+                np.abs(block, out=channels[:, rows])
                 continue
             seeds = [[seed, k] for k in range(rows.start, rows.stop)]
             readout = shot_readout(states, shots, seeds)
@@ -534,7 +549,7 @@ def stitch_and_write(
     """
     keys = sorted(quad.components)
     # every channel at once: one (channels, samples) block of float64
-    block = np.array([quad.components[key][: plan.total_samples].real for key in keys],
+    block = np.array([quad.components[key][: plan.total_samples] for key in keys],
                      dtype=np.float64)
     if normalization is not None and normalization.mode == "shift-scale":
         block = 2.0 * block - 1.0
@@ -552,10 +567,11 @@ def ensure_dir(path) -> None:
 def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) -> list:
     """Write a run's files into `out_dir` (made by ensure_dir); return their paths in order.
 
-    Row i of `block`, a fresh float64 (len(wavs), samples) array clipped to
-    [-1, 1] in place, becomes the mono 16-bit WAV wavs[i], as write_wav
-    writes it; then each name in `tables` gets its CSV text. A NaN or
-    infinite sample is a DomainError raised before anything is made.
+    Row i of `block`, a fresh float64 (len(wavs), samples) array that is
+    clipped to [-1, 1] and turned into 16-bit codes in place, becomes the
+    mono 16-bit WAV wavs[i], as write_wav writes it; then each name in
+    `tables` gets its CSV text. A NaN or infinite sample is a DomainError
+    raised before anything is made.
     """
     pcm = ()
     if wavs:
@@ -564,7 +580,7 @@ def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) 
             raise DomainError("samples contain non-finite values")
         np.clip(block, -1.0, 1.0, out=block)
         check_rate(sample_rate)
-        pcm = _pcm16(block)
+        pcm = _pcm16(block, out=block)
     ensure_dir(out_dir)
     paths = [os.path.join(out_dir, name) for name in [*wavs, *tables]]
     for path, codes in zip(paths, pcm):

@@ -9,7 +9,9 @@ The column is written directly from one formula. Its top entry is v itself,
 bit for bit, signed zeros included. The complement is
 s = sqrt((1 - m)(1 + m)) with m = min(sqrt(re*re + im*im), 1). Each step is
 one correctly rounded IEEE operation, so no libm routine decides an output
-bit, and s is within two ulps of sqrt(1 - |v|^2).
+bit, and s is within two ulps of sqrt(1 - |v|^2). Real values give a
+float64 column, with the same bits as the real parts of their complex128
+column, whose imaginary parts are all +0.0.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ def _magnitude(values) -> np.ndarray:
     For real values sqrt(x*x) is |x| exactly, unless x*x underflows, where
     the complement is 1 either way.
     """
-    re, im = np.real(values), np.imag(values)
+    re = np.real(values)
     # in place, since each temporary is a heap block that a call may fault in
     # again; out= keeps the result an array for a single value too
     mag = np.multiply(re, re, out=np.empty(np.shape(values)))
-    mag += im * im
+    if np.iscomplexobj(values):  # a real value's im*im is +0.0, which adds nothing
+        im = np.imag(values)
+        mag += im * im
     np.sqrt(mag, out=mag)
     peak = np.max(mag, initial=0.0)  # a NaN propagates, and fails the comparison
     if not peak <= 1.0 + _BOUND_SLACK:
@@ -73,15 +77,16 @@ def _refuse_nan(values, mag) -> None:
 def encoder_column(values) -> np.ndarray:
     """rho(value)'s first column, the amplitudes the encoder writes, shape (2,) + values.shape.
 
-    [0] is the value itself, bit for bit, as complex128, and [1] is the
-    complement s = sqrt((1 - m)(1 + m)) with a +0.0 imaginary part (see the
-    module docstring). They equal build_rho(values)[..., 0, 0] and
-    [..., 1, 0] bit for bit, and `top, s = encoder_column(values)` unpacks
-    them.
+    The column takes the values' dtype, at least float64: float64 for real
+    values, complex128 for complex ones. [0] is the value itself, bit for
+    bit, and [1] is the complement s = sqrt((1 - m)(1 + m)) (see the module
+    docstring), with a +0.0 imaginary part when complex. Cast to complex128,
+    they equal build_rho(values)[..., 0, 0] and [..., 1, 0] bit for bit, and
+    `top, s = encoder_column(values)` unpacks them.
     """
     values = np.asarray(values)
     s = _complement(_magnitude(values))
-    column = np.empty((2,) + values.shape, dtype=np.complex128)
+    column = np.empty((2,) + values.shape, dtype=np.result_type(values.dtype, np.float64))
     column[0] = values
     column[1] = s
     return column

@@ -101,7 +101,9 @@ def _hadamard_amplitude(n: int) -> float:
 
 
 def _chunk_rows(values) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
+    """(C, 2**n) rows as float64 when real and complex128 when complex, cast only if needed."""
+    values = np.asarray(values)
+    values = values.astype(np.result_type(values.dtype, np.float64), copy=False)
     if values.ndim != 2 or values.shape[1] < 2 or values.shape[1] & (values.shape[1] - 1):
         raise ShapeError(
             f"expected (chunks, 2**n) rows with n >= 1, got shape {values.shape}")
@@ -113,10 +115,14 @@ def product_blocks(f, g):
 
     f and g are (C, N) arrays whose rows are encodable chunks (ChunkPlan.values).
     Yields (lo, states) with states of shape (rows, N, 2, 2), indexed
-    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... Each is a view of an
+    [chunk, x, t_f, t_g], for rows lo, lo + 1, ... Each is a view of a fresh
     array held in [t_f, t_g, chunk, x] order, so states.transpose(2, 3, 0, 1)
-    reads every (t_f, t_g) component as one contiguous (rows, N) slice. A
-    state above MAX_QUBITS is refused before any is allocated.
+    reads every (t_f, t_g) component as one contiguous (rows, N) slice, and
+    a caller may overwrite it. The states are float64 when f and g are both
+    real and complex128 otherwise; a real state holds the same bits as the
+    real part of the complex one, whose imaginary part is +0.0 throughout,
+    in half the memory. A state above MAX_QUBITS is refused before any is
+    allocated.
     """
     f, g = _chunk_rows(f), _chunk_rows(g)
     if f.shape != g.shape:
@@ -125,7 +131,7 @@ def product_blocks(f, g):
     n = big_n.bit_length() - 1
     _check_num_qubits(n + 2)
     for lo, hi in _chunk_blocks(num_chunks, 4 * big_n):
-        # (2, rows, N) encoder columns: [0] is the value, [1] s as complex
+        # (2, rows, N) encoder columns in the rows' dtype: [0] is the value, [1] s
         col_f = encoder_column(f[lo:hi])
         col_f *= _hadamard_amplitude(n)
         col_g = encoder_column(g[lo:hi])
@@ -242,9 +248,11 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
 def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
-    Returns shape (C, pad_to), carrying only the register's ancilla-0 branch;
-    the kernel's spectrum, full-scale factor and encoder column are computed
-    once. A state above MAX_QUBITS is refused before any is allocated.
+    Returns complex128 of shape (C, pad_to), carrying only the register's
+    ancilla-0 branch; the kernel's spectrum, full-scale factor and encoder
+    column are computed once. Real rows are read as they are: their
+    register amplitudes are written straight into the complex state. A
+    state above MAX_QUBITS is refused before any is allocated.
     """
     values = _chunk_rows(values)
     num_chunks, big_n = values.shape

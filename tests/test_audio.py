@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -28,6 +28,7 @@ from qwave import (
     QuadOutput,
     ShapeError,
     SignalChunk,
+    convolve_chunks,
     decode_component,
     extract_component,
     fidelity_percent,
@@ -442,7 +443,11 @@ def make_chunks_by_rows(values, chunk_size):
 @example(values=np.array([complex(-0.0, _BOUND), complex(_BOUND, -0.0), 0.1j]), chunk_size=4)
 @example(values=np.array([0.5, np.nan, np.inf]), chunk_size=2)
 def test_make_chunks_equals_row_wise_rescale_bit_for_bit(values, chunk_size):
-    """One max over the signal decides as the per-row peaks do: same bits, same errors."""
+    """One max over the signal decides as the per-row peaks do: same bits, same errors.
+
+    The rows keep the signal's dtype (float64 for a real one) and equal the
+    complex128 row-wise reference once cast.
+    """
     try:
         rows, scales = make_chunks_by_rows(values, chunk_size)
     except DomainError as exc:
@@ -451,8 +456,55 @@ def test_make_chunks_equals_row_wise_rescale_bit_for_bit(values, chunk_size):
         assert str(raised.value) == str(exc)
         return
     plan = make_chunks(values, chunk_size)
-    assert plan.values.tobytes() == rows.tobytes()
+    assert plan.values.dtype == values.dtype
+    assert plan.values.astype(np.complex128).tobytes() == rows.tobytes()
     assert plan.scales.tobytes() == scales.tobytes()
+
+
+# real samples where a complex lane could round or sign differently: signed
+# zeros, subnormals, the rescale bound and the ulp above it, 1 - 2**-53 and
+# magnitudes at and above 1, which rescale
+_REAL_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 2.2250738585072014e-308,
+               _BOUND, -_BOUND, np.nextafter(_BOUND, 2.0), 1.0 - 2.0 ** -53, 1.0, -1.0, 1.5)
+
+
+@st.composite
+def real_signal_pairs(draw):
+    """(f, g, chunk_size): two float64 signals of one length, edges mixed in, often tail-padded."""
+    chunk_size = draw(st.sampled_from([2, 4, 8]))
+    size = draw(st.integers(1, 5 * chunk_size))
+    sample = st.one_of(st.sampled_from(_REAL_EDGES), st.floats(-0.99, 0.99))
+    f, g = (np.array(draw(st.lists(sample, min_size=size, max_size=size))) for _ in "fg")
+    return f, g, chunk_size
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=real_signal_pairs(), data=st.data())
+def test_real_rows_give_the_complex_rows_outputs_bit_for_bit(split_any_work, pair, data):
+    """float64 rows run every engine to the same bits as the same rows cast to complex128."""
+    f, g, chunk_size = pair
+    real = make_chunks(f, chunk_size), make_chunks(g, chunk_size)
+    cplx = make_chunks(f.astype(np.complex128), chunk_size), make_chunks(
+        g.astype(np.complex128), chunk_size)
+    assert real[0].values.dtype == np.float64 and cplx[0].values.dtype == np.complex128
+    for plan_r, plan_c in zip(real, cplx):
+        assert plan_r.values.astype(np.complex128).tobytes() == plan_c.values.tobytes()
+        assert plan_r.scales.tobytes() == plan_c.scales.tobytes()
+    for shots, seed in ((None, 0), (1000, 5), (1000, 6)):
+        for workers in (1, 2):
+            want = process_chunks(*cplx, shots=shots, seed=seed, workers=workers)
+            got = process_chunks(*real, shots=shots, seed=seed, workers=workers)
+            for key in want.components:
+                assert got.components[key].tobytes() == want.components[key].tobytes()
+            assert got.columns.tobytes() == want.columns.tobytes()
+    # taps whose spectrum full_scale can scale to the bound (a subnormal peak's factor overflows)
+    tap = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+    taps = data.draw(st.lists(tap, min_size=1, max_size=chunk_size))
+    for pad_to in (chunk_size, 2 * chunk_size):
+        want = convolve_chunks(cplx[0].values, taps, pad_to)
+        got = convolve_chunks(real[0].values, taps, pad_to)
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
 def reference_quad(f, g, chunk_size, shots, seed):

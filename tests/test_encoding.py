@@ -273,8 +273,10 @@ def test_encoder_column_top_is_the_value_and_s_near_exact(magnitudes, kind):
         values = x.astype(np.complex128)
         values.imag = -0.0 if kind == "x - 0j" else 0.0
     top, s = encoder_column(values)
-    assert top.tobytes() == values.astype(np.complex128).tobytes()
-    assert s.imag.tobytes() == np.zeros(x.size).tobytes()
+    # the column keeps the values' dtype: float64 for the real kinds
+    assert top.dtype == s.dtype == values.dtype
+    assert top.tobytes() == values.tobytes()
+    assert np.imag(s).tobytes() == np.zeros(x.size).tobytes()
     # (1 - m)(1 + m) rounds three times: s stays within two ulps of the exact
     # value (1.25 at most in 1.4e5 draws); 1 - m*m is off by millions near 1
     for xi, si in zip(x.tolist(), s.real.tolist()):

@@ -422,6 +422,39 @@ def test_one_chunk_api_refuses_states_above_max_qubits_before_allocating(monkeyp
         assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_batched_engines_run_at_max_qubits_and_refuse_one_more(monkeypatch, dtype):
+    # with the limit at 19 qubits: a product of 2**17-sample rows and a
+    # convolution padded to 2**18 sit exactly on it, in two blocks of one
+    # row; one qubit more is refused before its 8 or 16 MiB state exists
+    monkeypatch.setattr(statevector, "MAX_QUBITS", 19)
+    rng = np.random.default_rng(19)
+    rows = rng.uniform(0.0, 1.0 - EPSILON, (2, 1 << 18)).astype(dtype)
+    if dtype == np.complex128:
+        rows *= np.exp(1j * rng.uniform(-np.pi, np.pi, rows.shape))
+    f, g = rows[:, : 1 << 17], rows[:, 1 << 17 :]
+    blocks = list(product_blocks(f, g))
+    assert [lo for lo, _ in blocks] == [0, 1]
+    for lo, states in blocks:
+        assert states.shape == (1, 1 << 17, 2, 2) and states.dtype == dtype
+        assert np.abs(states[0, :, 0, 0] * np.sqrt(1 << 17) - f[lo] * g[lo]).max() < 1e-14
+        assert abs(np.sum(np.abs(states) ** 2) - 1.0) < 1e-9
+    taps = np.full(4, 0.25)
+    out = convolve_chunks(f, taps, 1 << 18)
+    want = np.fft.ifft(np.fft.fft(f, 1 << 18) * np.fft.fft(taps, 1 << 18))
+    assert out.shape == (2, 1 << 18) and np.abs(out - want).max() < 1e-12
+    for run in (lambda: next(product_blocks(rows[:1], rows[1:])),
+                lambda: convolve_chunks(f, taps, 1 << 19)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="num_qubits must be in"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 def chunk_rows(seed, n, num_chunks, phases):
     """(C, 2**n) encodable rows with edge values mixed in.
 
