@@ -26,8 +26,8 @@ from itertools import chain
 import numpy as np
 
 from .encoding import EPSILON, rescale_rows
-from .errors import DomainError, FormatError, ShapeError
-from .pipelines import COMPONENTS, product_blocks
+from .errors import DomainError, FormatError, NormalizationError, ShapeError
+from .pipelines import COMPONENTS, convolve_chunks, product_blocks
 from .sampling import shot_readout
 
 _PCM_FULL_SCALE = 32768.0
@@ -288,8 +288,8 @@ class NormalizationRecord:
 def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
     """Map samples into the encodable domain, returning (values, record).
 
-    "assume-positive" passes samples through and rejects any negative one.
-    "shift-scale" maps [-1, 1) to [0, 1) via (s + 1) / 2.
+    "assume-positive" returns the buffer's own array, not a copy, and rejects
+    any negative sample. "shift-scale" maps [-1, 1) to [0, 1) via (s + 1) / 2.
     """
     samples = buffer.samples
     if mode == "assume-positive":
@@ -300,7 +300,7 @@ def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
                 f"assume-positive input has {negative.size} negative samples, "
                 f"first at index {i} (value {samples[i]})"
             )
-        return samples.copy(), NormalizationRecord(mode, 0.0, 1.0)
+        return samples, NormalizationRecord(mode, 0.0, 1.0)
     if mode == "shift-scale":
         return (samples + 1.0) * 0.5, NormalizationRecord(mode, 1.0, 0.5)
     raise ShapeError(f"unknown normalization mode {mode!r}")
@@ -530,6 +530,44 @@ def process_chunks(
     channels = channels.reshape(len(COMPONENTS), -1)
     components = {f"{bf}{bg}": channels[j] for j, (bf, bg) in enumerate(COMPONENTS)}
     return QuadOutput(components, "exact" if shots is None else shots, seed, columns)
+
+
+def _row_norms(x) -> np.ndarray:
+    """The l2 norm of each row of a complex array, bit for bit a 1-D np.linalg.norm.
+
+    np.vecdot sums each row with the same BLAS dot as that call, in the same
+    order; np.linalg.norm(x, axis=-1) sums in another order and can move a
+    printed digit.
+    """
+    return np.sqrt(np.vecdot(x.real, x.real, axis=-1) + np.vecdot(x.imag, x.imag, axis=-1))
+
+
+def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
+    """(samples, rel) of every chunk of `plan` convolved with `kernel` by convolve_chunks.
+
+    rel is metrics.csv's rel_l2_vs_oracle: each row's l2 distance from the FFT
+    circular convolution of the zero-padded row over that reference's norm, 0.0
+    for an all-zero row; a non-finite one is a NormalizationError naming its chunk.
+    samples: each row's first chunk_size real parts over its scale, cut to total_samples.
+    """
+    results = convolve_chunks(plan.values, kernel, padded_len)
+    # each step overwrites `reference`, the one (C, padded_len) array beside `results`; a
+    # kernel tap near the float maximum overflows it, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = np.fft.fft(plan.values, padded_len)
+        reference *= np.fft.fft(kernel, padded_len)
+        np.fft.ifft(reference, out=reference)
+        denom = _row_norms(reference)
+        distance = _row_norms(np.subtract(results, reference, out=reference))
+        rel = np.divide(distance, denom, out=np.zeros_like(denom), where=denom != 0)
+    bad = np.flatnonzero(~np.isfinite(rel))
+    if bad.size:
+        raise NormalizationError(f"rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "
+                                 "the kernel overflows the reference convolution")
+    # chunks are disjoint and unwindowed, so the linear tail past chunk_size
+    # has nowhere to go; it is dropped, not overlap-added
+    pieces = results[:, : plan.chunk_size].real / plan.scales[:, None]
+    return pieces.reshape(-1)[: plan.total_samples], rel
 
 
 def stitch_and_write(

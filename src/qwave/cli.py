@@ -22,6 +22,7 @@ from .audio import (
     CONVOLVE_CSV,
     SWEEP_CSV,
     check_rate,
+    convolve_plan,
     csv_table,
     ensure_dir,
     make_chunks,
@@ -35,7 +36,7 @@ from .audio import (
 )
 from .encoding import SignalChunk
 from .errors import NormalizationError, QwaveError, ResourceLimitError, ShapeError
-from .pipelines import convolve_chunks, product_blocks
+from .pipelines import product_blocks
 from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
@@ -84,6 +85,8 @@ def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "aut
     for a built-in.
     """
     name = spec.strip()
+    if not name:  # open() would read "" as a missing file
+        raise ShapeError(f"--kernel {spec!r} is blank; name a built-in or a kernel file")
     builtin = _builtin_kernel(name, chunk_size, padded_len)
     if builtin is not None:
         if domain not in ("auto", builtin[1]):
@@ -257,16 +260,6 @@ def _cmd_multiply(args) -> int:
     return 0
 
 
-def _row_norms(x) -> np.ndarray:
-    """The l2 norm of each row of a complex array, bit for bit a 1-D np.linalg.norm.
-
-    np.vecdot sums each row with the same BLAS dot as that call, in the same
-    order; np.linalg.norm(x, axis=-1) sums in another order and can move a
-    printed digit.
-    """
-    return np.sqrt(np.vecdot(x.real, x.real, axis=-1) + np.vecdot(x.imag, x.imag, axis=-1))
-
-
 def _cmd_convolve(args) -> int:
     if args.shots is not None:
         raise ShapeError("convolve runs on the exact statevector; --shots exact is the only mode")
@@ -285,28 +278,11 @@ def _cmd_convolve(args) -> int:
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
     try:
-        results = convolve_chunks(plan.values, kernel, padded_len)
-    except NormalizationError as exc:  # the kernel's spectrum cannot be encoded
+        convolved, rel = convolve_plan(plan, kernel, padded_len)
+    except NormalizationError as exc:  # the kernel cannot be encoded, or overflows the oracle
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
-    # each zero-padded row's circular convolution with the kernel, by FFT;
-    # a kernel tap near the float maximum overflows it, which the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        reference = np.fft.ifft(np.fft.fft(plan.values, padded_len)
-                                * np.fft.fft(kernel, padded_len))
-        denom = _row_norms(reference)
-        rel = np.divide(_row_norms(results - reference), denom,
-                        out=np.zeros_like(denom), where=denom != 0)
-    bad = np.flatnonzero(~np.isfinite(rel))
-    if bad.size:
-        raise NormalizationError(
-            f"--kernel {args.kernel}: rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "
-            "the kernel overflows the reference convolution")
-    # chunks are disjoint and unwindowed, so the linear tail past chunk_size
-    # has nowhere to go; it is dropped, not overlap-added
-    pieces = results[:, : args.chunk_size].real / plan.scales[:, None]
-    convolved = pieces.reshape(1, -1)[:, : plan.total_samples]
     tables = {"metrics.csv": csv_table(CONVOLVE_CSV, [range(len(rel)), rel])}
-    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved, buf.sample_rate)
+    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved[None], buf.sample_rate)
     inputs = [("f", args.signal_f, sha_f), ("kernel", args.kernel, sha_kernel)]
     _write_manifest(args.out, "convolve", inputs, [
         ("kernel", args.kernel),

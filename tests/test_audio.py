@@ -23,6 +23,7 @@ from qwave import (
     DomainError,
     FormatError,
     METRICS_CSV_HEADER,
+    NormalizationError,
     MetricsReport,
     NormalizationRecord,
     QuadOutput,
@@ -44,7 +45,7 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
-from qwave.audio import SWEEP_CSV, csv_table, read_signal
+from qwave.audio import SWEEP_CSV, convolve_plan, csv_table, read_signal
 from qwave.encoding import rescale_rows
 from reference import product_state_by_gates
 
@@ -505,6 +506,51 @@ def test_real_rows_give_the_complex_rows_outputs_bit_for_bit(split_any_work, pai
         want = convolve_chunks(cplx[0].values, taps, pad_to)
         got = convolve_chunks(real[0].values, taps, pad_to)
         assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def convolve_cases(draw):
+    """(plan, kernel, padded_len): rows that rescale, all-zero rows, tail padding, any kernel."""
+    chunk_size = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    num_chunks = draw(st.integers(1, 4))
+    size = draw(st.integers((num_chunks - 1) * chunk_size + 1, num_chunks * chunk_size))
+    # a chunk of each kind: within the bound, above it (make_chunks rescales it), or all zero
+    peaks = draw(st.lists(st.sampled_from([0.9, 4.0, 0.0]), min_size=num_chunks,
+                          max_size=num_chunks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (num_chunks, chunk_size)) * np.array(peaks)[:, None]
+    plan = make_chunks(values.reshape(-1)[:size], chunk_size)
+    padded_len = 2 * chunk_size
+    if draw(st.booleans()):  # a time-domain kernel up to chunk_size taps wide
+        kernel = rng.uniform(-1.0, 1.0, draw(st.integers(1, chunk_size)))
+    else:  # a Fourier-domain kernel file's taps, as build_kernel reads them: complex
+        kernel = np.fft.ifft(rng.uniform(-1.0, 1.0, padded_len))
+    return plan, kernel, padded_len
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=convolve_cases())
+def test_convolve_plan_equals_the_engine_and_the_per_row_oracle_bit_for_bit(case):
+    """convolve_plan's samples are the engine's rows unscaled; each rel is the 1-D norm ratio."""
+    plan, kernel, padded_len = case
+    samples, rel = convolve_plan(plan, kernel, padded_len)
+    results = convolve_chunks(plan.values, kernel, padded_len)
+    want = (results[:, : plan.chunk_size].real / plan.scales[:, None]).reshape(-1)
+    assert samples.tobytes() == want[: plan.total_samples].tobytes()
+    assert rel.shape == (plan.num_chunks,)
+    for i, row in enumerate(plan.values):
+        ref = np.fft.ifft(np.fft.fft(row, padded_len) * np.fft.fft(kernel, padded_len))
+        norm = np.linalg.norm(results[i] - ref) / np.linalg.norm(ref) if row.any() else 0.0
+        assert rel[i].tobytes() == np.float64(norm).tobytes()
+
+
+def test_convolve_plan_refuses_a_kernel_that_overflows_the_oracle():
+    """Taps of 1e307 encode but overflow the FFT reference; taps of 1e308 overflow the spectrum."""
+    plan = make_chunks(np.full(20, 0.5), 8)
+    with pytest.raises(NormalizationError, match="rel_l2_vs_oracle of chunk 0 is nan"):
+        convolve_plan(plan, np.full(8, 1e307), 16)
+    with pytest.raises(NormalizationError, match="cannot rescale a peak"):
+        convolve_plan(plan, np.full(8, 1e308), 16)
 
 
 def reference_quad(f, g, chunk_size, shots, seed):

@@ -308,6 +308,17 @@ def test_empty_kernel_file_names_the_flag_and_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec", ["", "   "], ids=["empty", "spaces"])
+def test_blank_kernel_is_refused_before_any_file_is_read(tmp_path, capsys, spec):
+    # the signal does not exist, so a read would fail with "no such file"
+    code = main(["convolve", str(tmp_path / "missing.wav"), "--kernel", spec,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --kernel {spec!r} is blank; name a built-in or a kernel file\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("values, domain, message", [
     ("1e-320 2e-320", "time", "cannot rescale a peak |value| of 3e-320"),
     ("1e308 1e308", "time", "cannot rescale a peak |value| of inf"),

@@ -29,7 +29,8 @@ from qwave import (
     product_blocks,
     zero_pad,
 )
-from qwave.cli import _row_norms, build_kernel
+from qwave.audio import _row_norms
+from qwave.cli import build_kernel
 from reference import convolve_by_gates, product_state_by_gates
 
 RNG = np.random.default_rng(90210)

@@ -2,8 +2,9 @@
 
 Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
-engines, the encoder column, the shot readout and its counter inside
-`process_chunks`, the output file writer, the CSV table writer, the manifest), then
+chunk drivers and their engines, the encoder column, the shot readout and
+its counter inside `process_chunks`, the FFT oracle inside `convolve_plan`,
+the output file writer, the CSV table writer, the manifest), then
 runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
 read only) after one warm-up call. A stage called inside another, such as the
 encoder inside `process_chunks`, counts in itself only, and "the rest of
@@ -42,9 +43,11 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 # (label, owner, attribute): the callable main reaches through owner.attribute.
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
 # reach the encoder through qwave.pipelines' names, process_chunks the shot
-# readout through qwave.audio's and the readout the counter through
-# qwave.sampling's. The output file writer and the CSV table writer are one
-# stage each, whichever module calls them.
+# readout and convolve_plan its engine through qwave.audio's, and the readout
+# the counter through qwave.sampling's. A tree whose qwave.cli calls
+# convolve_chunks itself has no convolve_plan; its engine is wrapped there.
+# The output file writer and the CSV table writer are one stage each,
+# whichever module calls them.
 # Stages called from several threads at once would be timed wrongly, so run
 # workloads with --workers 1, as the benchmark does.
 STAGES = (
@@ -56,6 +59,8 @@ STAGES = (
     ("process_chunks, outside the stages below", qwave.cli, "process_chunks"),
     ("shot_readout, outside draw_counts", qwave.audio, "shot_readout"),
     ("draw_counts", qwave.sampling, "draw_counts"),
+    ("convolve_plan, outside convolve_chunks", qwave.cli, "convolve_plan"),
+    ("convolve_chunks", qwave.audio, "convolve_chunks"),
     ("convolve_chunks", qwave.cli, "convolve_chunks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
     ("stitch_and_write, outside the stages below", qwave.cli, "stitch_and_write"),
