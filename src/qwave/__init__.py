@@ -47,7 +47,7 @@ from .pipelines import (
     ProductState,
     classical_circular_convolution,
     classical_dft,
-    convolve_chunks,
+    convolve_blocks,
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
@@ -87,7 +87,7 @@ __all__ = [
     "DomainError", "FormatError", "NormalizationError", "QwaveError",
     "ResourceLimitError", "ShapeError", "StateError",
     "COMPONENTS", "ProductState", "classical_circular_convolution",
-    "classical_dft", "convolve_chunks", "convolve_optimized",
+    "classical_dft", "convolve_blocks", "convolve_optimized",
     "convolve_via_theorem", "extract_component", "pointwise_multiply_state",
     "postselect_probability", "product_blocks", "zero_pad",
     "STANDARD_TEST_PAIR", "ShotCounts",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .encoding import EPSILON, rescale_rows
 from .errors import DomainError, FormatError, NormalizationError, ShapeError
-from .pipelines import COMPONENTS, convolve_chunks, product_blocks
+from .pipelines import COMPONENTS, convolve_blocks, product_blocks
 from .sampling import shot_readout
 
 _PCM_FULL_SCALE = 32768.0
@@ -543,31 +543,37 @@ def _row_norms(x) -> np.ndarray:
 
 
 def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
-    """(samples, rel) of every chunk of `plan` convolved with `kernel` by convolve_chunks.
+    """(samples, rel) of every chunk of `plan` convolved with `kernel` by convolve_blocks.
 
     rel is metrics.csv's rel_l2_vs_oracle: each row's l2 distance from the FFT
     circular convolution of the zero-padded row over that reference's norm, 0.0
     for an all-zero row; a non-finite one is a NormalizationError naming its chunk.
     samples: each row's first chunk_size real parts over its scale, cut to total_samples.
+    Both are computed one engine block of rows at a time.
     """
-    results = convolve_chunks(plan.values, kernel, padded_len)
-    # each step overwrites `reference`, the one (C, padded_len) array beside `results`; a
-    # kernel tap near the float maximum overflows it, which the check below refuses
+    samples = np.empty((plan.num_chunks, plan.chunk_size))
+    rel = np.zeros(plan.num_chunks)
+    # a kernel tap near the float maximum overflows the reference, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        reference = np.fft.fft(plan.values, padded_len)
-        reference *= np.fft.fft(kernel, padded_len)
-        np.fft.ifft(reference, out=reference)
-        denom = _row_norms(reference)
-        distance = _row_norms(np.subtract(results, reference, out=reference))
-        rel = np.divide(distance, denom, out=np.zeros_like(denom), where=denom != 0)
+        spectrum = np.fft.fft(kernel, padded_len)
+        for lo, results in convolve_blocks(plan.values, kernel, padded_len):
+            rows = slice(lo, lo + len(results))
+            # the oracle transforms the rows itself; each step overwrites `reference`
+            reference = np.fft.fft(plan.values[rows], padded_len)
+            reference *= spectrum
+            np.fft.ifft(reference, out=reference)
+            denom = _row_norms(reference)
+            distance = _row_norms(np.subtract(results, reference, out=reference))
+            np.divide(distance, denom, out=rel[rows], where=denom != 0)
+            # chunks are disjoint and unwindowed, so the linear tail past chunk_size
+            # has nowhere to go; it is dropped, not overlap-added
+            np.divide(results[:, : plan.chunk_size].real, plan.scales[rows, None],
+                      out=samples[rows])
     bad = np.flatnonzero(~np.isfinite(rel))
     if bad.size:
         raise NormalizationError(f"rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "
                                  "the kernel overflows the reference convolution")
-    # chunks are disjoint and unwindowed, so the linear tail past chunk_size
-    # has nowhere to go; it is dropped, not overlap-added
-    pieces = results[:, : plan.chunk_size].real / plan.scales[:, None]
-    return pieces.reshape(-1)[: plan.total_samples], rel
+    return samples.reshape(-1)[: plan.total_samples], rel
 
 
 def stitch_and_write(

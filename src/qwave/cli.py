@@ -235,12 +235,14 @@ def _cmd_multiply(args) -> int:
     values_g, _ = normalize_for_encoding(buf_g, args.normalization)
     plan_f = make_chunks(values_f, args.chunk_size)
     plan_g = make_chunks(values_g, args.chunk_size)
+    rate = buf_f.sample_rate
     ensure_dir(args.out)  # an --out that cannot be made fails before the run
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
-    paths = stitch_and_write(quad, plan_f, buf_f.sample_rate, args.out, record)
+    del buf_f, buf_g, values_f, values_g, plan_g  # whole-signal arrays the outputs do not read
+    paths = stitch_and_write(quad, plan_f, rate, args.out, record)
     inputs = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)]
     _write_manifest(args.out, "multiply", inputs, [
-        ("sample_rate", buf_f.sample_rate),
+        ("sample_rate", rate),
         ("chunk_size", args.chunk_size),
         ("num_chunks", plan_f.num_chunks),
         ("tail_padding", plan_f.tail_padding),
@@ -277,27 +279,29 @@ def _cmd_convolve(args) -> int:
     buf, sha_f = read_signal(args.signal_f, args.sample_rate)
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
+    rate, num_chunks, tail_padding = buf.sample_rate, plan.num_chunks, plan.tail_padding
     try:
         convolved, rel = convolve_plan(plan, kernel, padded_len)
     except NormalizationError as exc:  # the kernel cannot be encoded, or overflows the oracle
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
+    del buf, values, plan  # whole-signal arrays the outputs do not read
     tables = {"metrics.csv": csv_table(CONVOLVE_CSV, [range(len(rel)), rel])}
-    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved[None], buf.sample_rate)
+    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved[None], rate)
     inputs = [("f", args.signal_f, sha_f), ("kernel", args.kernel, sha_kernel)]
     _write_manifest(args.out, "convolve", inputs, [
         ("kernel", args.kernel),
         ("kernel_domain", domain),
-        ("sample_rate", buf.sample_rate),
+        ("sample_rate", rate),
         ("chunk_size", args.chunk_size),
         ("padded_length", padded_len),
-        ("num_chunks", plan.num_chunks),
-        ("tail_padding", plan.tail_padding),
+        ("num_chunks", num_chunks),
+        ("tail_padding", tail_padding),
         ("shots", "exact"),
         ("seed", args.seed),
         ("workers", args.workers),
         ("normalization", record.mode),
     ], paths)
-    print(f"convolve: {plan.num_chunks} chunks, kernel {args.kernel} ({domain} domain), "
+    print(f"convolve: {num_chunks} chunks, kernel {args.kernel} ({domain} domain), "
           f"worst rel l2 vs oracle {rel.max():.3e}")
     print(f"  convolved.wav metrics.csv manifest.txt -> {args.out}")
     return 0

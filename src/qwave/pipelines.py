@@ -8,9 +8,9 @@ with h~ = sqrt(1-|h|^2), so the |00> slice times sqrt(N) is the pointwise
 product. Circular convolution reuses the same state on Fourier coefficients,
 then undoes the transform on the index register.
 
-`product_blocks` and `convolve_chunks` write each circuit's closed-form state
-(amplitude h * rho_f[t_f, 0] * rho_g[t_g, 0], h the Hadamard amplitude) for
-many chunks at once, with a leading chunk axis. `pointwise_multiply_state`
+`product_blocks` and `convolve_blocks` write each circuit's closed-form state
+(amplitude h * rho_f[t_f, 0] * rho_g[t_g, 0], h the Hadamard amplitude) a
+block of chunks at a time, with a leading chunk axis. `pointwise_multiply_state`
 and `convolve_optimized` are the one-chunk API: the same engines at one
 chunk. The tests hold them bit for bit to the gate-by-gate forms, except
 for the sign of a zero product amplitude, which a gate's u01 * 0 term decides.
@@ -75,7 +75,7 @@ def postselect_probability(product: ProductState, component=(0, 0)) -> float:
     return float(np.sum(np.abs(slice_) ** 2))
 
 
-# Amplitudes per block of chunks in product_blocks and convolve_chunks. A
+# Amplitudes per block of chunks in product_blocks and convolve_blocks. A
 # block's states and rho blocks are the only transients that grow with the
 # number of chunks, so this holds them to a few MiB (at least one chunk).
 _CHUNK_BLOCK = 1 << 16
@@ -242,15 +242,16 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     returned with the renormalization and superposition weights divided out.
     `g_kernel` is a plain time-domain array of length <= pad_to.
     """
-    return convolve_chunks(f.values[None], g_kernel, pad_to)[0]
+    return next(convolve_blocks(f.values[None], g_kernel, pad_to))[1][0]
 
 
-def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
+def convolve_blocks(values, g_kernel, pad_to: int):
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
-    Returns complex128 of shape (C, pad_to), carrying only the register's
-    ancilla-0 branch; the kernel's spectrum, full-scale factor and encoder
-    column are computed once. Real rows are read as they are: their
+    Yields (lo, out) for rows lo, lo + 1, ..., out a fresh complex128
+    (rows, pad_to) array that a caller may overwrite, carrying only the
+    register's ancilla-0 branch; the kernel's spectrum, full-scale factor and
+    encoder column are computed once. Real rows are read as they are: their
     register amplitudes are written straight into the complex state. A
     state above MAX_QUBITS is refused before any is allocated.
     """
@@ -268,7 +269,6 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
     # is checked: the kernel's column is ghat.values, which SignalChunk checked
     col_g, scale_g = ghat.values, ghat.scale
     h = _hadamard_amplitude(m)
-    out = np.empty((num_chunks, pad_to), dtype=np.complex128)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):
         # |f> on the register, the encoding ancilla's 0 branch kept; the
         # zero padding's encoder column tops are +0.0
@@ -283,5 +283,5 @@ def convolve_chunks(values, g_kernel, pad_to: int) -> np.ndarray:
         np.multiply(col_g, psi, out=psi)
         psi = np.fft.ifft(psi, axis=1, norm="ortho")
         psi *= np.sqrt(pad_to)
-        np.divide(psi, scale_g, out=out[lo:hi])
-    return out
+        psi /= scale_g
+        yield lo, psi

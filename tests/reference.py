@@ -2,7 +2,7 @@
 
 The package applies a different 2x2 block for every register value in one
 pass (`apply_uniformly_controlled`), and runs each circuit on many chunks at
-once (`product_blocks`, `convolve_chunks`). These helpers apply one gate at a
+once (`product_blocks`, `convolve_blocks`). These helpers apply one gate at a
 time to one chunk's state, the textbook form those passes are checked
 against, and live here because no production path calls them.
 """

@@ -9,6 +9,7 @@ import struct
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qwave import (
     QuadOutput,
     ShapeError,
     SignalChunk,
-    convolve_chunks,
+    convolve_blocks,
     decode_component,
     extract_component,
     fidelity_percent,
@@ -503,8 +504,8 @@ def test_real_rows_give_the_complex_rows_outputs_bit_for_bit(split_any_work, pai
     tap = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
     taps = data.draw(st.lists(tap, min_size=1, max_size=chunk_size))
     for pad_to in (chunk_size, 2 * chunk_size):
-        want = convolve_chunks(cplx[0].values, taps, pad_to)
-        got = convolve_chunks(real[0].values, taps, pad_to)
+        want = np.concatenate([out for _, out in convolve_blocks(cplx[0].values, taps, pad_to)])
+        got = np.concatenate([out for _, out in convolve_blocks(real[0].values, taps, pad_to)])
         assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
@@ -531,10 +532,18 @@ def convolve_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=convolve_cases())
 def test_convolve_plan_equals_the_engine_and_the_per_row_oracle_bit_for_bit(case):
-    """convolve_plan's samples are the engine's rows unscaled; each rel is the 1-D norm ratio."""
+    """convolve_plan's samples are the engine's rows unscaled; each rel is the 1-D norm ratio.
+
+    At any engine block size: one block, one row per block, or blocks whose last is short.
+    """
     plan, kernel, padded_len = case
     samples, rel = convolve_plan(plan, kernel, padded_len)
-    results = convolve_chunks(plan.values, kernel, padded_len)
+    for rows in (1, 2, 3):
+        with mock.patch.object(pipelines, "_CHUNK_BLOCK", rows * 2 * padded_len):
+            blocked = convolve_plan(plan, kernel, padded_len)
+        assert blocked[0].tobytes() == samples.tobytes()
+        assert blocked[1].tobytes() == rel.tobytes()
+    results = np.concatenate([out for _, out in convolve_blocks(plan.values, kernel, padded_len)])
     want = (results[:, : plan.chunk_size].real / plan.scales[:, None]).reshape(-1)
     assert samples.tobytes() == want[: plan.total_samples].tobytes()
     assert rel.shape == (plan.num_chunks,)
@@ -551,6 +560,27 @@ def test_convolve_plan_refuses_a_kernel_that_overflows_the_oracle():
         convolve_plan(plan, np.full(8, 1e307), 16)
     with pytest.raises(NormalizationError, match="cannot rescale a peak"):
         convolve_plan(plan, np.full(8, 1e308), 16)
+
+
+def test_convolve_plan_names_the_first_overflowing_chunk_in_a_later_block(monkeypatch):
+    """Zero rows convolve to a zero reference, whose rel is 0.0; chunk 3 overflows first."""
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 2 * 2 * 16)  # two rows per block
+    plan = make_chunks(np.concatenate([np.zeros(24), np.full(16, 0.5)]), 8)
+    with pytest.raises(NormalizationError, match="rel_l2_vs_oracle of chunk 3 is nan"):
+        convolve_plan(plan, np.full(8, 1e307), 16)
+
+
+def test_convolve_plan_memory_is_the_outputs_and_one_block():
+    """No whole-signal complex array: 2**20 samples at chunk 8 peak under twice the samples."""
+    plan = make_chunks(positive_signal(1 << 20, np.random.default_rng(27)), 8)
+    tracemalloc.start()
+    try:
+        samples, _ = convolve_plan(plan, np.full(4, 0.25), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.size == 1 << 20
+    assert peak <= 2 * samples.nbytes, f"peak {peak / samples.nbytes:.2f}x the samples"
 
 
 def reference_quad(f, g, chunk_size, shots, seed):

@@ -548,7 +548,7 @@ def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
 @pytest.mark.parametrize("spec", ["moving-average-2", "low-pass-1", "file"])
 def test_convolve_outputs_equal_one_chunk_formula_in_row_blocks(tmp_path, monkeypatch,
                                                                 chunk_size, spec):
-    # 80 amplitudes per block: convolve_chunks runs two chunks of 8 (32
+    # 80 amplitudes per block: convolve_blocks runs two chunks of 8 (32
     # amplitudes each) or one chunk of 32 per block, with a short last block
     monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 80)
     test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec)
@@ -591,7 +591,8 @@ def test_oracle_column_equals_brute_force_distance(n, num_chunks, seed, kind, da
     padded_kernel = np.zeros(padded_len, dtype=np.complex128)
     padded_kernel[: kernel.size] = kernel
     oracle = [classical_circular_convolution(row, padded_kernel) for row in padded]
-    results = pipelines.convolve_chunks(plan.values, kernel, padded_len)
+    blocks = pipelines.convolve_blocks(plan.values, kernel, padded_len)
+    results = np.concatenate([out for _, out in blocks])
     assert len(column) == plan.num_chunks
     for got, want, row in zip(column, oracle, results):
         denom = np.linalg.norm(want)

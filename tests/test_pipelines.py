@@ -18,7 +18,7 @@ from qwave import (
     SignalChunk,
     classical_circular_convolution,
     classical_dft,
-    convolve_chunks,
+    convolve_blocks,
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
@@ -441,11 +441,11 @@ def test_batched_engines_run_at_max_qubits_and_refuse_one_more(monkeypatch, dtyp
         assert np.abs(states[0, :, 0, 0] * np.sqrt(1 << 17) - f[lo] * g[lo]).max() < 1e-14
         assert abs(np.sum(np.abs(states) ** 2) - 1.0) < 1e-9
     taps = np.full(4, 0.25)
-    out = convolve_chunks(f, taps, 1 << 18)
+    out = np.concatenate([block for _, block in convolve_blocks(f, taps, 1 << 18)])
     want = np.fft.ifft(np.fft.fft(f, 1 << 18) * np.fft.fft(taps, 1 << 18))
     assert out.shape == (2, 1 << 18) and np.abs(out - want).max() < 1e-12
     for run in (lambda: next(product_blocks(rows[:1], rows[1:])),
-                lambda: convolve_chunks(f, taps, 1 << 19)):
+                lambda: next(convolve_blocks(f, taps, 1 << 19))):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="num_qubits must be in"):
@@ -494,7 +494,7 @@ def assert_batch_matches_chunks(f, g, kernel, pad_to):
     states = np.concatenate([s for _, s in product_blocks(f, g)])
     big_n = f.shape[1]
     prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
-    convolved = convolve_chunks(f, kernel, pad_to)
+    convolved = np.concatenate([out for _, out in convolve_blocks(f, kernel, pad_to)])
     for c in range(len(f)):
         chunk_f, chunk_g = SignalChunk(f[c]), SignalChunk(g[c])
         product = product_state_by_gates(chunk_f, chunk_g)
@@ -542,6 +542,7 @@ def test_batched_engines_bitwise_equal_across_blocks(monkeypatch, block_chunks, 
     monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", block_chunks * 4 << n)
     starts = [lo for lo, _ in product_blocks(f, g)]
     assert starts == list(range(0, 7, block_chunks))
+    assert [lo for lo, _ in convolve_blocks(f, kernel, 2 << n)] == starts
     assert_batch_matches_chunks(f, g, kernel, 2 << n)
 
 
@@ -598,14 +599,14 @@ def test_product_blocks_hold_each_component_contiguous():
         assert np.shares_memory(block[bf, bg], block) and block[bf, bg].flags.c_contiguous
 
 
-def test_convolve_chunks_keeps_only_encoder_amplitudes():
+def test_convolve_blocks_keeps_only_encoder_amplitudes():
     # one 2**16-sample chunk padded to 2**17: the kernel's and the chunk's
     # encoder tops, the output and the FFT temporaries; building each
     # whole rho and keeping a view of the kernel's peaked at 16x the output
     values = np.random.default_rng(20).uniform(0.05, 0.95, (1, 1 << 16)).astype(np.complex128)
     tracemalloc.start()
     try:
-        out = convolve_chunks(values, np.full(4, 0.25), 1 << 17)
+        _, out = next(convolve_blocks(values, np.full(4, 0.25), 1 << 17))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -614,7 +615,7 @@ def test_convolve_chunks_keeps_only_encoder_amplitudes():
 
 
 def padded_encoder_convolution(values, kernel, pad_to):
-    """convolve_chunks written out: np.pad's zero-padded rows, each value its own encoder top, then the FFTs."""
+    """convolve_blocks' rows written out: np.pad's zero-padded rows, each value its own encoder top, then the FFTs."""
     ghat = SignalChunk.full_scale(np.fft.fft(pipelines._pad_array(kernel, pad_to)))
     padded = np.pad(values, ((0, 0), (0, pad_to - values.shape[1])))
     col_f = padded * pipelines._hadamard_amplitude(pad_to.bit_length() - 1)
@@ -633,7 +634,7 @@ def padded_encoder_convolution(values, kernel, pad_to):
     normalization=st.sampled_from(["assume-positive", "shift-scale"]),
     negative_zeros=st.booleans(),
 )
-def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel,
+def test_convolve_blocks_equals_padded_encoder_expression(seed, n, total, kernel,
                                                            normalization, negative_zeros):
     # CLI-shaped rows: a tail-padded last chunk, -0.0 samples in some rows
     # and +0.0 or shift-scaled samples in others
@@ -653,10 +654,11 @@ def test_convolve_chunks_equals_padded_encoder_expression(seed, n, total, kernel
         if taps.size > pad_to:
             continue
         want = padded_encoder_convolution(plan.values, taps, pad_to)
-        assert convolve_chunks(plan.values, taps, pad_to).tobytes() == want.tobytes()
+        got = np.concatenate([out for _, out in convolve_blocks(plan.values, taps, pad_to)])
+        assert got.tobytes() == want.tobytes()
 
 
-def test_convolve_chunks_peak_at_a_million_samples():
+def test_convolve_blocks_peak_at_a_million_samples():
     # one 2**20-sample chunk padded to 2**21: the padding is filled with
     # +0.0, and the kernel's spectrum is freed once it is scaled to full
     # range; np.pad's rows and the kept spectrum peaked at 5.5x. The
@@ -665,7 +667,7 @@ def test_convolve_chunks_peak_at_a_million_samples():
     values = np.random.default_rng(21).uniform(0.05, 0.95, (1, 1 << 20)).astype(np.complex128)
     tracemalloc.start()
     try:
-        out = convolve_chunks(values, np.full(4, 0.25), 1 << 21)
+        _, out = next(convolve_blocks(values, np.full(4, 0.25), 1 << 21))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -680,8 +682,8 @@ def test_batched_engines_reject_bad_rows():
     with pytest.raises(ShapeError):
         next(product_blocks(np.zeros((2, 8)), np.zeros((3, 8))))
     with pytest.raises(ShapeError):
-        convolve_chunks(np.zeros(8), np.ones(2), 16)
+        next(convolve_blocks(np.zeros(8), np.ones(2), 16))
     with pytest.raises(ShapeError):
-        convolve_chunks(np.zeros((2, 8)), np.ones(2), 4)
+        next(convolve_blocks(np.zeros((2, 8)), np.ones(2), 4))
     with pytest.raises(ShapeError):
-        convolve_chunks(np.zeros((2, 4)), np.ones(9), 8)
+        next(convolve_blocks(np.zeros((2, 4)), np.ones(9), 8))

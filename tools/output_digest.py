@@ -11,9 +11,12 @@ chunks of 128 at 300000 shots (D = 512 outcomes per chunk, so the sort
 counter draws three batches per chunk, where the benchmark's shot workload
 bins on the grid), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
-an engine block, and the tail is padded), and a text-input multiply and
-convolve whose samples include +0.0 and -0.0, which the encoder writes as
-they are, so a zero's sign reaches the states and the outputs unchanged.
+an engine block, and the tail is padded), a moving-average-5 convolve of
+that pair's first signal at chunk size 128 (313 chunks, the last one
+partial, in three engine blocks of up to 128 rows), and a text-input
+multiply and convolve whose samples include +0.0 and -0.0, which the
+encoder writes as they are, so a zero's sign reaches the states and the
+outputs unchanged.
 They run in-process inside a temporary directory with relative paths, so
 the manifests, which record input paths, compare across trees. Each output
 file prints as `sha256  path`, and each call's stdout as `sha256
@@ -86,6 +89,8 @@ def calls() -> list:
         np.savetxt(f"in/{name}", rng.uniform(0.0, 1.0, 40000))
     out.append(("mul-exact-c32768", ["multiply", "in/long_f.txt", "in/long_g.txt",
                                      "--chunk-size", "32768", "--out", "out/mul-exact-c32768"]))
+    out.append(("conv-ma5-c128", ["convolve", "in/long_f.txt", "--kernel", "moving-average-5",
+                                  "--chunk-size", "128", "--out", "out/conv-ma5-c128"]))
     for name in ("zeros_f.txt", "zeros_g.txt"):
         samples = rng.uniform(0.0, 1.0, 300)
         samples[rng.random(300) < 0.2] = 0.0

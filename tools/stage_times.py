@@ -7,7 +7,9 @@ its counter inside `process_chunks`, the FFT oracle inside `convolve_plan`,
 the output file writer, the CSV table writer, the manifest), then
 runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
 read only) after one warm-up call. A stage called inside another, such as the
-encoder inside `process_chunks`, counts in itself only, and "the rest of
+encoder inside `process_chunks`, counts in itself only; a generator stage,
+the `convolve_blocks` engine, is timed over each step of its iterator, so
+the work of each block counts in it and not in its consumer. "The rest of
 main" is each call's time outside every stage. It prints each stage that ran
 with its median time per call and that median's share of the median call;
 the shares need not sum to 100%, since a median of sums is not a sum of
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import os
 import statistics
@@ -44,8 +47,7 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
 # reach the encoder through qwave.pipelines' names, process_chunks the shot
 # readout and convolve_plan its engine through qwave.audio's, and the readout
-# the counter through qwave.sampling's. A tree whose qwave.cli calls
-# convolve_chunks itself has no convolve_plan; its engine is wrapped there.
+# the counter through qwave.sampling's.
 # The output file writer and the CSV table writer are one stage each,
 # whichever module calls them.
 # Stages called from several threads at once would be timed wrongly, so run
@@ -59,9 +61,8 @@ STAGES = (
     ("process_chunks, outside the stages below", qwave.cli, "process_chunks"),
     ("shot_readout, outside draw_counts", qwave.audio, "shot_readout"),
     ("draw_counts", qwave.sampling, "draw_counts"),
-    ("convolve_plan, outside convolve_chunks", qwave.cli, "convolve_plan"),
-    ("convolve_chunks", qwave.audio, "convolve_chunks"),
-    ("convolve_chunks", qwave.cli, "convolve_chunks"),
+    ("convolve_plan, outside convolve_blocks", qwave.cli, "convolve_plan"),
+    ("convolve_blocks", qwave.audio, "convolve_blocks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
     ("stitch_and_write, outside the stages below", qwave.cli, "stitch_and_write"),
     ("output files (write_outputs)", qwave.audio, "write_outputs"),
@@ -80,6 +81,19 @@ class StageClock:
         self.nested = []  # per open stage, the seconds spent in stages it called
 
     def wrap(self, label, fn):
+        """fn timed as `label`; a generator function is timed step by step, not its call."""
+        if inspect.isgeneratorfunction(fn):
+            @functools.wraps(fn)
+            def timed_steps(*args, **kwargs):
+                step = self.wrap(label, functools.partial(next, fn(*args, **kwargs)))
+                while True:
+                    try:
+                        item = step()
+                    except StopIteration:
+                        return
+                    yield item
+            return timed_steps
+
         @functools.wraps(fn)
         def timed(*args, **kwargs):
             self.nested.append(0.0)
