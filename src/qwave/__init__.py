@@ -23,7 +23,6 @@ from .audio import (
     make_chunks,
     normalize_for_encoding,
     process_chunks,
-    stitch_and_write,
     write_wav,
 )
 from .encoding import (
@@ -81,7 +80,7 @@ __all__ = [
     "METRICS_CSV_HEADER", "AudioBuffer", "ChunkPlan", "MetricsReport",
     "NormalizationRecord", "QuadOutput",
     "load_wav", "make_chunks", "normalize_for_encoding", "process_chunks",
-    "stitch_and_write", "write_wav",
+    "write_wav",
     "EPSILON", "SignalChunk", "build_rho", "encode_function",
     "encoder_column",
     "DomainError", "FormatError", "NormalizationError", "QwaveError",

@@ -8,8 +8,8 @@ RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float WAVs
 (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono 16-bit
 PCM. Positive-domain signals are split into power-of-two chunks, held as the
 rows of one array; the chunks run through the two-ancilla product pipeline
-together (exactly or with shot sampling), and the four decoded channels are
-stitched back in chunk order.
+together (exactly or with shot sampling), and the four decoded channels come
+back as one (4, samples) block in chunk order.
 """
 
 from __future__ import annotations
@@ -427,16 +427,22 @@ class MetricsReport:
 class QuadOutput:
     """The four decoded channels, concatenated over chunks, plus metrics columns.
 
-    `columns` is a (5, num_chunks) float array holding metrics.csv's rmsd,
-    fidelity, post-selection probability, scale_f and scale_g columns;
-    `shots` is the shot count or "exact". `metrics` builds the equivalent
-    MetricsReport rows on first access.
+    `channels` is a (4, samples) float64 block, one row per component in
+    COMPONENTS order; `components` maps each key ("00", "01", "10", "11") to
+    a view of its row. `columns` is a (5, num_chunks) float array holding
+    metrics.csv's rmsd, fidelity, post-selection probability, scale_f and
+    scale_g columns; `shots` is the shot count or "exact". `metrics` builds
+    the equivalent MetricsReport rows on first access.
     """
 
-    components: dict
+    channels: np.ndarray
     shots: object
     seed: int
     columns: np.ndarray
+
+    @property
+    def components(self) -> dict:
+        return {f"{bf}{bg}": row for (bf, bg), row in zip(COMPONENTS, self.channels)}
 
     @functools.cached_property
     def metrics(self) -> tuple:
@@ -471,7 +477,9 @@ def process_chunks(
     Each range reads its decoded channels and rmsd, fidelity and prob00
     columns off a block of states at a time, so peak memory is one block of
     states and, in shot mode, one sampling batch (a few MiB; see
-    qwave.sampling.draw_counts) per thread.
+    qwave.sampling.draw_counts) per thread. The channels come back as one
+    fresh (4, total_samples) block, the tail padding cut off, that no other
+    array shares, so a caller may overwrite it.
     """
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
@@ -527,9 +535,8 @@ def process_chunks(
             # reading each result re-raises the error a range ended with
             list(pool.map(run, range(0, num_chunks, step)))
     columns = np.vstack([scores, plan_f.scales, plan_g.scales])
-    channels = channels.reshape(len(COMPONENTS), -1)
-    components = {f"{bf}{bg}": channels[j] for j, (bf, bg) in enumerate(COMPONENTS)}
-    return QuadOutput(components, "exact" if shots is None else shots, seed, columns)
+    channels = channels.reshape(len(COMPONENTS), -1)[:, : plan_f.total_samples]
+    return QuadOutput(channels, "exact" if shots is None else shots, seed, columns)
 
 
 def _row_norms(x) -> np.ndarray:
@@ -576,32 +583,6 @@ def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
     return samples.reshape(-1)[: plan.total_samples], rel
 
 
-def stitch_and_write(
-    quad: QuadOutput,
-    plan: ChunkPlan,
-    sample_rate: int,
-    out_dir,
-    normalization: NormalizationRecord | None = None,
-) -> dict:
-    """Trim tail padding, write the four component WAVs and metrics.csv.
-
-    Decoded magnitudes land in [0, 1] and are written as-is; after
-    shift-scale normalization they are mapped back to [-1, 1) via 2v - 1
-    for listening (a remap, not an inverse of the encoding product). A
-    channel holding a NaN or infinite sample is a DomainError raised before
-    any file is written.
-    """
-    keys = sorted(quad.components)
-    # every channel at once: one (channels, samples) block of float64
-    block = np.array([quad.components[key][: plan.total_samples] for key in keys],
-                     dtype=np.float64)
-    if normalization is not None and normalization.mode == "shift-scale":
-        block = 2.0 * block - 1.0
-    paths = write_outputs(out_dir, {"metrics.csv": quad.metrics_csv()},
-                          [f"component_{key}.wav" for key in keys], block, sample_rate)
-    return dict(zip([*keys, "metrics"], paths))
-
-
 def ensure_dir(path) -> None:
     """Make the directory `path` and its parents unless it is one: one stat when it is."""
     if not os.path.isdir(path):
@@ -614,9 +595,13 @@ def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) 
     Row i of `block`, a fresh float64 (len(wavs), samples) array that is
     clipped to [-1, 1] and turned into 16-bit codes in place, becomes the
     mono 16-bit WAV wavs[i], as write_wav writes it; then each name in
-    `tables` gets its CSV text. A NaN or infinite sample is a DomainError
-    raised before anything is made.
+    `tables` gets its CSV text. A block without one row per WAV name is a
+    ShapeError, and a NaN or infinite sample a DomainError, both raised
+    before anything is made.
     """
+    rows = 0 if block is None else len(block)
+    if rows != len(wavs):
+        raise ShapeError(f"{rows} rows of samples for {len(wavs)} WAV names")
     pcm = ()
     if wavs:
         # before the clip, which would write +-inf as full scale; after it no peak exceeds 1

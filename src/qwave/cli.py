@@ -30,7 +30,6 @@ from .audio import (
     process_chunks,
     read_numbers,
     read_signal,
-    stitch_and_write,
     write_file,
     write_outputs,
 )
@@ -236,16 +235,25 @@ def _cmd_multiply(args) -> int:
     plan_f = make_chunks(values_f, args.chunk_size)
     plan_g = make_chunks(values_g, args.chunk_size)
     rate = buf_f.sample_rate
+    del buf_f, buf_g, values_f, values_g  # make_chunks copied them
     ensure_dir(args.out)  # an --out that cannot be made fails before the run
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
-    del buf_f, buf_g, values_f, values_g, plan_g  # whole-signal arrays the outputs do not read
-    paths = stitch_and_write(quad, plan_f, rate, args.out, record)
+    num_chunks, tail_padding = plan_f.num_chunks, plan_f.tail_padding
+    del plan_f, plan_g  # whole-signal arrays the outputs do not read
+    block = quad.channels  # fresh, so remapped and written in place
+    if record.mode == "shift-scale":
+        # the decoded magnitudes in [0, 1] are mapped back to [-1, 1] via
+        # 2v - 1 for listening: a remap, not an inverse of the encoded product
+        block *= 2.0
+        block -= 1.0
+    wavs = [f"component_{key}.wav" for key in quad.components]
+    paths = write_outputs(args.out, {"metrics.csv": quad.metrics_csv()}, wavs, block, rate)
     inputs = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)]
     _write_manifest(args.out, "multiply", inputs, [
         ("sample_rate", rate),
         ("chunk_size", args.chunk_size),
-        ("num_chunks", plan_f.num_chunks),
-        ("tail_padding", plan_f.tail_padding),
+        ("num_chunks", num_chunks),
+        ("tail_padding", tail_padding),
         ("shots", quad.shots),
         ("seed", args.seed),
         ("sampler", SAMPLER),
@@ -253,11 +261,10 @@ def _cmd_multiply(args) -> int:
         ("normalization", record.mode),
         ("normalization_shift", record.shift),
         ("normalization_scale", record.scale),
-    ], paths.values())
-    print(f"multiply: {plan_f.num_chunks} chunks x {args.chunk_size} samples, "
-          f"shots={quad.shots}")
-    for key in sorted(quad.components):
-        print(f"  component_{key}.wav")
+    ], paths)
+    print(f"multiply: {num_chunks} chunks x {args.chunk_size} samples, shots={quad.shots}")
+    for name in wavs:
+        print(f"  {name}")
     print(f"  metrics.csv manifest.txt -> {args.out}")
     return 0
 
@@ -280,11 +287,12 @@ def _cmd_convolve(args) -> int:
     values, record = normalize_for_encoding(buf, args.normalization)
     plan = make_chunks(values, args.chunk_size)
     rate, num_chunks, tail_padding = buf.sample_rate, plan.num_chunks, plan.tail_padding
+    del buf, values  # make_chunks copied them
     try:
         convolved, rel = convolve_plan(plan, kernel, padded_len)
     except NormalizationError as exc:  # the kernel cannot be encoded, or overflows the oracle
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
-    del buf, values, plan  # whole-signal arrays the outputs do not read
+    del plan  # whole-signal rows the outputs do not read
     tables = {"metrics.csv": csv_table(CONVOLVE_CSV, [range(len(rel)), rel])}
     paths = write_outputs(args.out, tables, ["convolved.wav"], convolved[None], rate)
     inputs = [("f", args.signal_f, sha_f), ("kernel", args.kernel, sha_kernel)]

@@ -4,12 +4,16 @@ The package applies a different 2x2 block for every register value in one
 pass (`apply_uniformly_controlled`), and runs each circuit on many chunks at
 once (`product_blocks`, `convolve_blocks`). These helpers apply one gate at a
 time to one chunk's state, the textbook form those passes are checked
-against, and live here because no production path calls them.
+against, and live here because no production path calls them. So does
+per_channel_wav_bytes, the one-WAV-at-a-time form of the block writer.
 """
+
+import io
 
 import numpy as np
 
 from qwave import (
+    AudioBuffer,
     ProductState,
     QubitLayout,
     ShapeError,
@@ -19,6 +23,7 @@ from qwave import (
     apply_qft,
     encode_function,
     init_state,
+    write_wav,
     zero_pad,
 )
 from qwave.pipelines import _pad_array
@@ -99,3 +104,13 @@ def convolve_by_gates(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     register_state = Statevector(m, kept)
     apply_qft(register_state, range(m - 1, -1, -1), inverse=True)
     return register_state.amplitudes * np.sqrt(big_m) / ghat.scale
+
+
+def per_channel_wav_bytes(values, rate, shift_scale=False) -> bytes:
+    """One channel's WAV bytes as write_wav writes it, after multiply's 2v - 1 when shift_scale."""
+    values = np.asarray(values, dtype=np.float64)
+    if shift_scale:
+        values = 2.0 * values - 1.0
+    out = io.BytesIO()
+    write_wav(out, AudioBuffer(np.clip(values, -1.0, 1.0), rate))
+    return out.getvalue()

@@ -26,7 +26,6 @@ from qwave import (
     METRICS_CSV_HEADER,
     NormalizationError,
     MetricsReport,
-    NormalizationRecord,
     QuadOutput,
     ShapeError,
     SignalChunk,
@@ -42,13 +41,12 @@ from qwave import (
     process_chunks,
     rmsd_percent,
     sample_counts,
-    stitch_and_write,
     write_wav,
 )
 import qwave.audio
-from qwave.audio import SWEEP_CSV, convolve_plan, csv_table, read_signal
+from qwave.audio import SWEEP_CSV, convolve_plan, csv_table, read_signal, write_outputs
 from qwave.encoding import rescale_rows
-from reference import product_state_by_gates
+from reference import per_channel_wav_bytes, product_state_by_gates
 
 RNG = np.random.default_rng(3141)
 
@@ -621,8 +619,8 @@ def test_process_chunks_equals_one_chunk_reference(split_any_work, shots, num_ch
                           workers=workers)
     channels, rows = reference_quad(f, g, 8, shots, 11)
     assert sorted(quad.components) == sorted(channels)
-    for key, values in channels.items():
-        assert np.array_equal(quad.components[key], values)
+    for key, values in channels.items():  # the reference keeps the tail padding
+        assert np.array_equal(quad.components[key], values[: f.size])
     assert [m.csv_row() for m in quad.metrics] == rows
 
 
@@ -867,7 +865,7 @@ def draw_columns(data, count, num_rows) -> np.ndarray:
        seed=st.integers(0, 2**63 - 1), data=st.data())
 def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
     columns = draw_columns(data, 5, num_chunks)
-    quad = QuadOutput({}, shots, seed, columns)
+    quad = QuadOutput(np.empty((4, 0)), shots, seed, columns)
     rows = [m.csv_row() for m in quad.metrics]
     assert quad.metrics_csv() == "".join(line + "\n" for line in [METRICS_CSV_HEADER, *rows])
     # the rows str.format wrote before the %-format fields
@@ -896,44 +894,44 @@ def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
     assert csv_table(SWEEP_CSV, [labels, log10, *strided, num_seeds]) == "".join(lines)
 
 
-def per_channel_wav_bytes(values, total, rate, shift_scale) -> bytes:
-    """One channel as stitch_and_write wrote it channel by channel, through write_wav."""
-    trimmed = values[:total].real.astype(np.float64)
-    if shift_scale:
-        trimmed = 2.0 * trimmed - 1.0
-    out = io.BytesIO()
-    write_wav(out, AudioBuffer(np.clip(trimmed, -1.0, 1.0), rate))
-    return out.getvalue()
-
-
-@pytest.mark.parametrize("shift_scale", [False, True], ids=["plain", "shift-scale"])
-def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
+def test_write_outputs_wavs_equal_per_channel_write_wav(tmp_path):
     rng = np.random.default_rng(21)
     plan_f = make_chunks(positive_signal(37, rng), 8)
     plan_g = make_chunks(positive_signal(37, rng), 8)
-    decoded = process_chunks(plan_f, plan_g, shots=300, seed=1).components
+    decoded = process_chunks(plan_f, plan_g, shots=300, seed=1).channels
     # past both ends of the range, on the clip and rounding edges, and -0.0
     edges = np.array([1.0, 1.5, -0.25, -1.0, -0.0, 0.5 + 2.0**-16, 1.0 - 2.0**-16, 2.0**-17])
-    decoded["01"] = decoded["01"].copy()
-    decoded["01"][:edges.size] = edges
-    quads = [process_chunks(plan_f, plan_g), QuadOutput(decoded, 300, 1, np.empty((5, 0)))]
-    record = NormalizationRecord("shift-scale", 1.0, 0.5) if shift_scale else None
-    for k, quad in enumerate(quads):
-        paths = stitch_and_write(quad, plan_f, 11025, tmp_path / str(k), record)
-        assert sorted(paths) == ["00", "01", "10", "11", "metrics"]
-        for key, values in quad.components.items():
-            with open(paths[key], "rb") as fh:
-                assert fh.read() == per_channel_wav_bytes(values, 37, 11025, shift_scale), key
+    decoded[1, :edges.size] = edges
+    names = [f"component_{key}.wav" for key in ("00", "01", "10", "11")]
+    for k, block in enumerate([process_chunks(plan_f, plan_g).channels, decoded]):
+        want = [per_channel_wav_bytes(row, 11025) for row in block]  # before the block is overwritten
+        paths = write_outputs(tmp_path / str(k), {"metrics.csv": "x\n"}, names, block, 11025)
+        assert paths == [os.path.join(tmp_path / str(k), name) for name in [*names, "metrics.csv"]]
+        for path, blob in zip(paths, want):
+            with open(path, "rb") as fh:
+                assert fh.read() == blob, path
 
 
-def test_stitch_refuses_a_non_finite_channel(tmp_path):
+def test_write_outputs_refuses_a_non_finite_sample(tmp_path):
     plan = make_chunks(positive_signal(16), 8)
     for bad in (np.nan, np.inf, -np.inf):  # an infinite sample must not clip to full scale
-        quad = process_chunks(plan, plan)
-        quad.components["10"][5] = bad
+        block = process_chunks(plan, plan).channels
+        block[2, 5] = bad
         with pytest.raises(DomainError, match="non-finite"):
-            stitch_and_write(quad, plan, 8000, tmp_path / "out")
+            write_outputs(tmp_path / "out", {"metrics.csv": "x\n"},
+                          ["a.wav", "b.wav", "c.wav", "d.wav"], block, 8000)
         assert not os.path.exists(tmp_path / "out")
+
+
+def test_write_outputs_refuses_a_block_without_one_row_per_wav(tmp_path):
+    block = np.full((3, 4), 2.0)
+    for names in (["a.wav", "b.wav"], ["a.wav", "b.wav", "c.wav", "d.wav"], []):
+        with pytest.raises(ShapeError, match=f"^3 rows of samples for {len(names)} WAV names$"):
+            write_outputs(tmp_path / "out", {"metrics.csv": "x\n"}, names, block, 8000)
+    with pytest.raises(ShapeError, match="^0 rows of samples for 1 WAV names$"):
+        write_outputs(tmp_path / "out", {"metrics.csv": "x\n"}, ["a.wav"])
+    assert not os.path.exists(tmp_path / "out")
+    assert (block == 2.0).all()  # neither clipped nor turned into codes
 
 
 def test_process_chunks_validates():
@@ -987,46 +985,41 @@ def test_write_file_keeps_an_existing_files_mode(tmp_path):
     assert os.stat(path).st_mode & 0o777 == 0o640
 
 
-def test_stitch_and_write(tmp_path):
+def test_process_chunks_channels_are_cut_to_the_signal(tmp_path):
     f = positive_signal(20)
     g = positive_signal(20)
-    plan_f, plan_g = make_chunks(f, 8), make_chunks(g, 8)
-    quad = process_chunks(plan_f, plan_g)
-    paths = stitch_and_write(quad, plan_f, 8000, tmp_path / "out")
-    for key in ("00", "01", "10", "11"):
-        buffer = load_wav(paths[key])
-        assert len(buffer) == 20  # tail padding trimmed
-    back = load_wav(paths["00"])
+    quad = process_chunks(make_chunks(f, 8), make_chunks(g, 8))
+    assert quad.channels.shape == (4, 20) and quad.channels.dtype == np.float64
+    # the components are the block's rows, in COMPONENTS order
+    assert list(quad.components) == ["00", "01", "10", "11"]
+    for row, values in zip(quad.channels, quad.components.values()):
+        assert np.shares_memory(row, values) and np.array_equal(row, values)
+    names = [f"component_{key}.wav" for key in quad.components]
+    paths = write_outputs(tmp_path / "out", {"metrics.csv": quad.metrics_csv()}, names,
+                          quad.channels, 8000)
+    for path in paths[:4]:
+        assert len(load_wav(path)) == 20  # tail padding trimmed
+    back = load_wav(paths[0])
     assert np.abs(back.samples - f * g).max() <= 1 / 32768 + 1e-9
-    lines = open(paths["metrics"]).read().splitlines()
+    lines = open(paths[4]).read().splitlines()
     assert lines[0] == METRICS_CSV_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("0,exact,")
 
 
-def test_stitch_makes_its_directory_only_when_missing(tmp_path, monkeypatch):
+def test_write_outputs_makes_its_directory_only_when_missing(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("os.makedirs() was called")
 
-    plan = make_chunks(np.full(4, 0.5), 2)
-    quad = process_chunks(plan, plan)
-    stitch_and_write(quad, plan, 8000, tmp_path / "a" / "b")  # parents made too
+    def write(out_dir):
+        return write_outputs(out_dir, {"metrics.csv": "x\n"}, ["a.wav"], np.full((1, 4), 0.25),
+                             8000)
+
+    write(tmp_path / "a" / "b")  # parents made too
     assert (tmp_path / "a" / "b" / "metrics.csv").is_file()
     (tmp_path / "file").write_bytes(b"")
     with pytest.raises(FileExistsError):
-        stitch_and_write(quad, plan, 8000, tmp_path / "file")
+        write(tmp_path / "file")
     monkeypatch.setattr(qwave.audio.os, "makedirs", refuse)
-    paths = stitch_and_write(quad, plan, 8000, tmp_path / "a" / "b")
-    assert load_wav(paths["00"]).samples.tolist() == [0.25] * 4
-
-
-def test_stitch_shift_scale_remap(tmp_path):
-    quad = QuadOutput({"00": np.array([0.0, 0.5, 1.0])}, "exact", 0, np.empty((5, 0)))
-    plan = make_chunks(np.full(3, 0.1), 2)
-    paths = stitch_and_write(
-        quad, plan, 8000, tmp_path, NormalizationRecord("shift-scale", 1.0, 0.5)
-    )
-    back = load_wav(paths["00"])
-    assert back.samples[0] == pytest.approx(-1.0)
-    assert back.samples[1] == pytest.approx(0.0, abs=1e-4)
-    assert back.samples[2] == pytest.approx(1.0 - 1 / 32768, abs=1e-9)
+    paths = write(tmp_path / "a" / "b")
+    assert load_wav(paths[0]).samples.tolist() == [0.25] * 4

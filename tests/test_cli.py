@@ -36,6 +36,7 @@ from qwave import (
     fidelity_percent,
     load_wav,
     make_chunks,
+    normalize_for_encoding,
     pipelines,
     pointwise_multiply_state,
     process_chunks,
@@ -46,7 +47,7 @@ from qwave import (
 )
 from qwave.audio import CONVOLVE_CSV, csv_table
 from qwave.cli import build_kernel, main
-from reference import convolve_by_gates
+from reference import convolve_by_gates, per_channel_wav_bytes
 
 RNG = np.random.default_rng(662)
 
@@ -119,12 +120,31 @@ def test_multiply_rejects_negative_in_assume_positive(tmp_path, capsys):
 
 
 def test_multiply_shift_scale_accepts_signed(tmp_path):
-    t = np.arange(160) / 8000
-    write_wav(tmp_path / "f.wav", AudioBuffer(0.4 * np.sin(2 * np.pi * 440 * t), 8000))
-    tone_wav(tmp_path / "g.wav")
-    code = main(["multiply", str(tmp_path / "f.wav"), str(tmp_path / "g.wav"),
-                 "--normalization", "shift-scale", "--out", str(tmp_path / "out")])
-    assert code == 0
+    t = np.arange(37) / 8000
+    f = 0.4 * np.sin(2 * np.pi * 440 * t)
+    g = RNG.uniform(-0.9, 0.9, t.size)
+    # -1.0 encodes as 0.0 and 0.0 as 0.5: f*g of 0.0 and f*g~ of 0.5 are remapped
+    # to -1.0 and 0.0, f~*g~ of 1.0 to full scale, which clips to the top code
+    f[:2], g[:2] = (-1.0, 0.0), (-1.0, -1.0)
+    write_wav(tmp_path / "f.wav", AudioBuffer(f, 8000))
+    write_wav(tmp_path / "g.wav", AudioBuffer(g, 8000))
+    plans = [make_chunks(normalize_for_encoding(load_wav(tmp_path / name), "shift-scale")[0], 8)
+             for name in ("f.wav", "g.wav")]
+    for shots in ("exact", "300"):
+        out = tmp_path / shots
+        code = main(["multiply", str(tmp_path / "f.wav"), str(tmp_path / "g.wav"),
+                     "--normalization", "shift-scale", "--shots", shots, "--seed", "1",
+                     "--out", str(out)])
+        assert code == 0
+        quad = process_chunks(*plans, shots=None if shots == "exact" else 300, seed=1)
+        for key, values in quad.components.items():
+            assert (out / f"component_{key}.wav").read_bytes() == per_channel_wav_bytes(
+                values, 8000, shift_scale=True), (shots, key)
+    exact = {key: load_wav(tmp_path / "exact" / f"component_{key}.wav").samples
+             for key in ("00", "01", "11")}
+    assert exact["00"][0] == -1.0
+    assert exact["01"][1] == pytest.approx(0.0, abs=1e-4)
+    assert exact["11"][0] == 1.0 - 1 / 32768
 
 
 def test_multiply_text_inputs(tmp_path):
@@ -743,6 +763,28 @@ def test_shot_sweep_memory_does_not_grow_with_seeds(tmp_path):
         tracemalloc.stop()
     # the whole table would be 64 x 2**15 int64 counts, 16 MiB, before temporaries
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["multiply", "f.wav", "g.wav"], 8.0),
+    (["multiply", "f.wav", "g.wav", "--normalization", "shift-scale"], 8.0),
+    (["convolve", "f.wav", "--kernel", "moving-average-4"], 3.25),
+], ids=["multiply", "multiply-shift-scale", "convolve"])
+def test_run_peak_memory_is_a_few_inputs(tmp_path, argv, bound):
+    """A whole run's traced peak on 2**20 samples, in multiples of one input's float64 bytes."""
+    samples = 1 << 20
+    rng = np.random.default_rng(20)
+    for name in ("f.wav", "g.wav"):
+        write_wav(tmp_path / name, AudioBuffer(rng.uniform(0.05, 0.95, samples), 8000))
+    argv = [str(tmp_path / arg) if arg.endswith(".wav") else arg for arg in argv]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = peak / (8 * samples)
+    assert ratio <= bound, f"peak {ratio:.2f}x one input's float64 samples"
 
 
 @pytest.mark.parametrize("route", ["multiply-wav", "multiply-txt", "convolve-kernel",

@@ -48,8 +48,7 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 # reach the encoder through qwave.pipelines' names, process_chunks the shot
 # readout and convolve_plan its engine through qwave.audio's, and the readout
 # the counter through qwave.sampling's.
-# The output file writer and the CSV table writer are one stage each,
-# whichever module calls them.
+# The CSV table writer is one stage, whichever module calls it.
 # Stages called from several threads at once would be timed wrongly, so run
 # workloads with --workers 1, as the benchmark does.
 STAGES = (
@@ -64,8 +63,6 @@ STAGES = (
     ("convolve_plan, outside convolve_blocks", qwave.cli, "convolve_plan"),
     ("convolve_blocks", qwave.audio, "convolve_blocks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
-    ("stitch_and_write, outside the stages below", qwave.cli, "stitch_and_write"),
-    ("output files (write_outputs)", qwave.audio, "write_outputs"),
     ("output files (write_outputs)", qwave.cli, "write_outputs"),
     ("CSV tables (csv_table)", qwave.audio, "csv_table"),
     ("CSV tables (csv_table)", qwave.cli, "csv_table"),
