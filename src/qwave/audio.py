@@ -285,6 +285,17 @@ class NormalizationRecord:
     scale: float
 
 
+def remap_for_listening(block: np.ndarray, record: NormalizationRecord) -> None:
+    """Map decoded magnitudes in [0, 1] back to [-1, 1] via 2v - 1, in place.
+
+    Only after shift-scale normalization; any other record leaves `block` as
+    it is. A remap for listening, not an inverse of the encoded product.
+    """
+    if record.mode == "shift-scale":
+        block *= 2.0
+        block -= 1.0
+
+
 def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
     """Map samples into the encodable domain, returning (values, record).
 

@@ -30,6 +30,7 @@ from .audio import (
     process_chunks,
     read_numbers,
     read_signal,
+    remap_for_listening,
     write_file,
     write_outputs,
 )
@@ -241,11 +242,7 @@ def _cmd_multiply(args) -> int:
     num_chunks, tail_padding = plan_f.num_chunks, plan_f.tail_padding
     del plan_f, plan_g  # whole-signal arrays the outputs do not read
     block = quad.channels  # fresh, so remapped and written in place
-    if record.mode == "shift-scale":
-        # the decoded magnitudes in [0, 1] are mapped back to [-1, 1] via
-        # 2v - 1 for listening: a remap, not an inverse of the encoded product
-        block *= 2.0
-        block -= 1.0
+    remap_for_listening(block, record)
     wavs = [f"component_{key}.wav" for key in quad.components]
     paths = write_outputs(args.out, {"metrics.csv": quad.metrics_csv()}, wavs, block, rate)
     inputs = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)]

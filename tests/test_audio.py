@@ -26,6 +26,7 @@ from qwave import (
     METRICS_CSV_HEADER,
     NormalizationError,
     MetricsReport,
+    NormalizationRecord,
     QuadOutput,
     ShapeError,
     SignalChunk,
@@ -44,7 +45,9 @@ from qwave import (
     write_wav,
 )
 import qwave.audio
-from qwave.audio import SWEEP_CSV, convolve_plan, csv_table, read_signal, write_outputs
+from qwave.audio import (
+    SWEEP_CSV, convolve_plan, csv_table, read_signal, remap_for_listening, write_outputs,
+)
 from qwave.encoding import rescale_rows
 from reference import per_channel_wav_bytes, product_state_by_gates
 
@@ -894,7 +897,10 @@ def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
     assert csv_table(SWEEP_CSV, [labels, log10, *strided, num_seeds]) == "".join(lines)
 
 
-def test_write_outputs_wavs_equal_per_channel_write_wav(tmp_path):
+@pytest.mark.parametrize("shift_scale", [False, True], ids=["plain", "shift-scale"])
+def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
+    # the stitched block as multiply writes it: remapped, then through write_outputs
+    record = NormalizationRecord("shift-scale" if shift_scale else "assume-positive", 1.0, 0.5)
     rng = np.random.default_rng(21)
     plan_f = make_chunks(positive_signal(37, rng), 8)
     plan_g = make_chunks(positive_signal(37, rng), 8)
@@ -904,7 +910,9 @@ def test_write_outputs_wavs_equal_per_channel_write_wav(tmp_path):
     decoded[1, :edges.size] = edges
     names = [f"component_{key}.wav" for key in ("00", "01", "10", "11")]
     for k, block in enumerate([process_chunks(plan_f, plan_g).channels, decoded]):
-        want = [per_channel_wav_bytes(row, 11025) for row in block]  # before the block is overwritten
+        # before the block is overwritten
+        want = [per_channel_wav_bytes(row, 11025, shift_scale) for row in block]
+        remap_for_listening(block, record)
         paths = write_outputs(tmp_path / str(k), {"metrics.csv": "x\n"}, names, block, 11025)
         assert paths == [os.path.join(tmp_path / str(k), name) for name in [*names, "metrics.csv"]]
         for path, blob in zip(paths, want):
@@ -1023,3 +1031,15 @@ def test_write_outputs_makes_its_directory_only_when_missing(tmp_path, monkeypat
     monkeypatch.setattr(qwave.audio.os, "makedirs", refuse)
     paths = write(tmp_path / "a" / "b")
     assert load_wav(paths[0]).samples.tolist() == [0.25] * 4
+
+
+def test_stitch_shift_scale_remap(tmp_path):
+    block = np.array([[0.0, 0.5, 1.0]])
+    remap_for_listening(block, NormalizationRecord("assume-positive", 0.0, 1.0))
+    assert block.tolist() == [[0.0, 0.5, 1.0]]  # only shift-scale is remapped
+    remap_for_listening(block, NormalizationRecord("shift-scale", 1.0, 0.5))
+    paths = write_outputs(tmp_path, {"metrics.csv": "x\n"}, ["component_00.wav"], block, 8000)
+    back = load_wav(paths[0])
+    assert back.samples[0] == pytest.approx(-1.0)
+    assert back.samples[1] == pytest.approx(0.0, abs=1e-4)
+    assert back.samples[2] == pytest.approx(1.0 - 1 / 32768, abs=1e-9)
