@@ -35,8 +35,8 @@ from .audio import (
     write_outputs,
 )
 from .encoding import SignalChunk
-from .errors import NormalizationError, QwaveError, ResourceLimitError, ShapeError
-from .pipelines import product_blocks
+from .errors import DomainError, NormalizationError, QwaveError, ResourceLimitError, ShapeError
+from .pipelines import pointwise_multiply_state
 from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
 from .statevector import MAX_QUBITS
@@ -331,12 +331,11 @@ def _parse_shots_list(text: str) -> list:
 def _sweep_chunk(flag: str, path) -> tuple:
     """(one chunk, sha256) of a shot-sweep input file; its errors name the flag and the file."""
     buffer, digest = read_signal(path, 8000)
-    if np.any(buffer.samples < 0):
-        raise ShapeError(f"{flag} {path}: sweep signals must be non-negative")
     try:
-        return SignalChunk.from_values(buffer.samples), digest
-    except ShapeError as exc:
-        raise ShapeError(f"{flag} {path}: {exc}") from None
+        values, _ = normalize_for_encoding(buffer, "assume-positive")
+        return SignalChunk.from_values(values), digest
+    except (ShapeError, DomainError) as exc:
+        raise type(exc)(f"{flag} {path}: {exc}") from None
 
 
 def _cmd_shot_sweep(args) -> int:
@@ -353,7 +352,7 @@ def _cmd_shot_sweep(args) -> int:
         chunk_f, sha_f = _sweep_chunk("--signal-f", args.signal_f)
         chunk_g, sha_g = _sweep_chunk("--signal-g", args.signal_g)
         inputs, signals = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)], []
-    _, states = next(product_blocks(chunk_f.values[None], chunk_g.values[None]))
+    state = pointwise_multiply_state(chunk_f, chunk_g).state.amplitudes.reshape(-1, 2, 2)
 
     ensure_dir(args.out)  # an --out that cannot be made fails before the seed loop
     labels = ["exact" if shots is None else shots for shots in shot_specs]
@@ -362,7 +361,7 @@ def _cmd_shot_sweep(args) -> int:
         rmsds, fids = np.zeros(1), np.full(1, 100.0)  # the exact state's
         if shots is not None:
             seeds = [[args.seed, shots, i] for i in range(args.num_seeds)]
-            rmsds, fids = seed_scores(states[0], shots, seeds)
+            rmsds, fids = seed_scores(state, shots, seeds)
         scores.append([f(x) for x in (rmsds, fids) for f in (np.median, np.min, np.max)])
         print(f"shots={label} rmsd={np.median(rmsds):.4g}% fidelity={np.median(fids):.6g}%")
     log10 = [None if shots is None else np.log10(shots) for shots in shot_specs]

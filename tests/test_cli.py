@@ -923,6 +923,47 @@ def test_shot_sweep_names_the_file_of_a_wrong_length(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_shot_sweep_refuses_a_length_mismatch_as_multiply_does(tmp_path, capsys):
+    np.savetxt(tmp_path / "f4.txt", [0.5, 0.6, 0.7, 0.8])
+    np.savetxt(tmp_path / "f8.txt", np.linspace(0.1, 0.8, 8))
+    out = tmp_path / "sweep"
+    assert main(["shot-sweep", "--signal-f", str(tmp_path / "f4.txt"),
+                 "--signal-g", str(tmp_path / "f8.txt"), "--shots-list", "10",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: signals differ in length: 4 vs 8\n"
+    assert not out.exists()
+
+
+def test_shot_sweep_refuses_negative_samples_by_the_assume_positive_rule(tmp_path, capsys):
+    signed, good = tmp_path / "signed.txt", tmp_path / "good.txt"
+    np.savetxt(signed, [0.5, -0.25, 0.7, -0.1])
+    np.savetxt(good, [0.5, 0.6, 0.7, 0.8])
+    out = tmp_path / "sweep"
+    assert main(["shot-sweep", "--signal-f", str(signed), "--signal-g", str(good),
+                 "--shots-list", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --signal-f {signed}: assume-positive input has 2 negative "
+                          f"samples, first at index 1")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_shot_sweep_takes_negative_zero_as_positive_zero(tmp_path):
+    # -0.0 is not below zero, and its sweep reads the same as +0.0's
+    good = tmp_path / "good.txt"
+    np.savetxt(good, [0.5, 0.6, 0.7, 0.8])
+    sweeps = []
+    for zero in (0.0, -0.0):
+        path = tmp_path / f"zero_{zero}.txt"
+        np.savetxt(path, [0.5, zero, 0.7, 0.3])
+        out = tmp_path / f"sweep_{zero}"
+        assert main(["shot-sweep", "--signal-f", str(path), "--signal-g", str(good),
+                     "--shots-list", "100,exact", "--num-seeds", "3", "--out", str(out)]) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert "-0.0" in (tmp_path / "zero_-0.0.txt").read_text()
+    assert sweeps[0] == sweeps[1]
+
+
 def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -16,7 +16,8 @@ that pair's first signal at chunk size 128 (313 chunks, the last one
 partial, in three engine blocks of up to 128 rows), and a text-input
 multiply and convolve whose samples include +0.0 and -0.0, which the
 encoder writes as they are, so a zero's sign reaches the states and the
-outputs unchanged.
+outputs unchanged, and a shot-sweep of a 16-sample text pair that holds
+both zeros, which the assume-positive sign rule accepts.
 They run in-process inside a temporary directory with relative paths, so
 the manifests, which record input paths, compare across trees. Each output
 file prints as `sha256  path`, and each call's stdout as `sha256
@@ -108,6 +109,14 @@ def calls() -> list:
                                     "--signal-g", "in/sweep_g.txt", "--num-seeds", "3",
                                     "--shots-list", "100,10000,exact",
                                     "--out", "out/shot-sweep-text"]))
+    for name in ("sweep_zeros_f.txt", "sweep_zeros_g.txt"):
+        samples = rng.uniform(0.5, 1.0, 16)
+        samples[rng.permutation(16)[:4]] = [0.0, -0.0, 0.0, -0.0]
+        np.savetxt(f"in/{name}", samples)
+    out.append(("shot-sweep-signed-zeros", ["shot-sweep", "--signal-f", "in/sweep_zeros_f.txt",
+                                            "--signal-g", "in/sweep_zeros_g.txt",
+                                            "--num-seeds", "3", "--shots-list", "100,exact",
+                                            "--out", "out/shot-sweep-signed-zeros"]))
     return out
 
 
