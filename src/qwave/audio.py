@@ -26,9 +26,10 @@ from itertools import chain
 import numpy as np
 
 from .encoding import EPSILON, rescale_rows
-from .errors import DomainError, FormatError, NormalizationError, ShapeError
+from .errors import DomainError, FormatError, NormalizationError, ResourceLimitError, ShapeError
 from .pipelines import COMPONENTS, convolve_blocks, product_blocks
 from .sampling import shot_readout
+from .statevector import MAX_QUBITS
 
 _PCM_FULL_SCALE = 32768.0
 _MAX_FLOAT_SAMPLE = 1.0 - 2.0 ** -15  # one 16-bit step below full scale
@@ -79,6 +80,30 @@ def check_rate(rate: int, name: str = "sample rate") -> None:
     """A ShapeError naming `name` unless `rate` fits a WAV header: 1 <= rate <= 2**31 - 1."""
     if not 1 <= rate <= _MAX_SAMPLE_RATE:
         raise ShapeError(f"{name} must be in [1, {_MAX_SAMPLE_RATE}], got {rate}")
+
+
+def check_chunk_size(chunk_size: int, name: str = "chunk_size") -> None:
+    """An error naming `name` unless `chunk_size` is 2**n >= 2 and n + 2 <= MAX_QUBITS."""
+    if chunk_size < 2 or chunk_size & (chunk_size - 1):
+        raise ShapeError(f"{name} must be a power of two >= 2, got {chunk_size}")
+    # multiply and convolve both hold a chunk of 2**n samples in n + 2 qubits
+    limit = 1 << (MAX_QUBITS - 2)
+    if chunk_size > limit:
+        raise ResourceLimitError(
+            f"{name} {chunk_size} exceeds 2**(MAX_QUBITS-2) = {limit}: a chunk "
+            f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """A ShapeError naming `name` unless `seed` is >= 0, as numpy.random.SeedSequence needs."""
+    if seed < 0:
+        raise ShapeError(f"{name} must be >= 0, got {seed}")
+
+
+def check_workers(workers: int, name: str = "workers") -> None:
+    """A ShapeError naming `name` unless `workers` is >= 1."""
+    if workers < 1:
+        raise ShapeError(f"{name} must be >= 1, got {workers}")
 
 
 def _read(path) -> bytes:
@@ -348,13 +373,13 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
 
     A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled by
     encoding.rescale_rows, as in SignalChunk.from_values. A NaN or infinite
-    sample is a DomainError naming its index.
+    sample is a DomainError naming its index. A chunk_size that check_chunk_size
+    refuses is refused before any row is allocated.
     """
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
         raise ShapeError(f"expected a non-empty 1-D signal, got shape {values.shape}")
-    if chunk_size < 2 or chunk_size & (chunk_size - 1):
-        raise ShapeError(f"chunk_size must be a power of two >= 2, got {chunk_size}")
+    check_chunk_size(chunk_size)
     total = values.size
     num_chunks = -(-total // chunk_size)
     # float64 rows for a real signal: |x + 0j| is |x| and (x + 0j) * c is
@@ -498,12 +523,10 @@ def process_chunks(
         raise ShapeError(
             f"signals differ in length: {plan_f.total_samples} vs {plan_g.total_samples}"
         )
-    if workers < 1:
-        raise ShapeError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     if shots is not None and shots < 1:
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
-    if seed < 0:
-        raise ShapeError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     num_chunks, big_n = plan_f.values.shape
     if shots is None:
         ranges = num_chunks * 4 * big_n // _MIN_RANGE_AMPLITUDES
@@ -606,20 +629,21 @@ def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) 
     Row i of `block`, a fresh float64 (len(wavs), samples) array that is
     clipped to [-1, 1] and turned into 16-bit codes in place, becomes the
     mono 16-bit WAV wavs[i], as write_wav writes it; then each name in
-    `tables` gets its CSV text. A block without one row per WAV name is a
-    ShapeError, and a NaN or infinite sample a DomainError, both raised
-    before anything is made.
+    `tables` gets its CSV text. A block without one row per WAV name or a
+    sample_rate that check_rate refuses is a ShapeError, and a NaN or
+    infinite sample a DomainError, all raised before anything is made or
+    the block is touched.
     """
     rows = 0 if block is None else len(block)
     if rows != len(wavs):
         raise ShapeError(f"{rows} rows of samples for {len(wavs)} WAV names")
     pcm = ()
     if wavs:
+        check_rate(sample_rate)
         # before the clip, which would write +-inf as full scale; after it no peak exceeds 1
         if not np.isfinite(block).all():
             raise DomainError("samples contain non-finite values")
         np.clip(block, -1.0, 1.0, out=block)
-        check_rate(sample_rate)
         pcm = _pcm16(block, out=block)
     ensure_dir(out_dir)
     paths = [os.path.join(out_dir, name) for name in [*wavs, *tables]]

@@ -21,7 +21,10 @@ from . import __version__
 from .audio import (
     CONVOLVE_CSV,
     SWEEP_CSV,
+    check_chunk_size,
     check_rate,
+    check_seed,
+    check_workers,
     convolve_plan,
     csv_table,
     ensure_dir,
@@ -35,11 +38,10 @@ from .audio import (
     write_outputs,
 )
 from .encoding import SignalChunk
-from .errors import DomainError, NormalizationError, QwaveError, ResourceLimitError, ShapeError
+from .errors import DomainError, NormalizationError, QwaveError, ShapeError
 from .pipelines import pointwise_multiply_state
 from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
 from .selftest import run_selftest
-from .statevector import MAX_QUBITS
 
 MANIFEST_VERSION = 4
 
@@ -202,41 +204,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_chunk_size(chunk_size: int) -> None:
-    if chunk_size < 2 or chunk_size & (chunk_size - 1):
-        raise ShapeError(f"--chunk-size must be a power of two >= 2, got {chunk_size}")
-    # multiply and convolve both hold a chunk of 2**n samples in n + 2 qubits
-    limit = 1 << (MAX_QUBITS - 2)
-    if chunk_size > limit:
-        raise ResourceLimitError(
-            f"--chunk-size {chunk_size} exceeds 2**(MAX_QUBITS-2) = {limit}: a chunk "
-            f"of 2**n samples needs n + 2 qubits and MAX_QUBITS is {MAX_QUBITS}")
-
-
-def _check_seed(seed: int) -> None:
-    # numpy.random.SeedSequence takes non-negative integers only
-    if seed < 0:
-        raise ShapeError(f"--seed must be >= 0, got {seed}")
-
-
 def _cmd_multiply(args) -> int:
-    _check_chunk_size(args.chunk_size)
-    _check_seed(args.seed)
-    if args.workers < 1:
-        raise ShapeError(f"--workers must be >= 1, got {args.workers}")
+    check_chunk_size(args.chunk_size, "--chunk-size")
+    check_seed(args.seed, "--seed")
+    check_workers(args.workers, "--workers")
     check_rate(args.sample_rate, "--sample-rate")
-    buf_f, sha_f = read_signal(args.signal_f, args.sample_rate)
-    buf_g, sha_g = read_signal(args.signal_g, args.sample_rate)
-    if buf_f.sample_rate != buf_g.sample_rate:
-        raise ShapeError(f"sample rates differ: {buf_f.sample_rate} vs {buf_g.sample_rate}")
-    if len(buf_f) != len(buf_g):
-        raise ShapeError(f"signals differ in length: {len(buf_f)} vs {len(buf_g)}")
-    values_f, record = normalize_for_encoding(buf_f, args.normalization)
-    values_g, _ = normalize_for_encoding(buf_g, args.normalization)
-    plan_f = make_chunks(values_f, args.chunk_size)
-    plan_g = make_chunks(values_g, args.chunk_size)
-    rate = buf_f.sample_rate
-    del buf_f, buf_g, values_f, values_g  # make_chunks copied them
+    plan_f, rate, sha_f, record = _input_chunks(args.signal_f, args)
+    plan_g, rate_g, sha_g, _ = _input_chunks(args.signal_g, args)
+    if rate != rate_g:
+        raise ShapeError(f"sample rates differ: {rate} vs {rate_g}")
+    if plan_f.total_samples != plan_g.total_samples:
+        raise ShapeError(
+            f"signals differ in length: {plan_f.total_samples} vs {plan_g.total_samples}")
     ensure_dir(args.out)  # an --out that cannot be made fails before the run
     quad = process_chunks(plan_f, plan_g, args.shots, args.seed, args.workers)
     num_chunks, tail_padding = plan_f.num_chunks, plan_f.tail_padding
@@ -275,16 +254,13 @@ def _cmd_convolve(args) -> int:
         raise ShapeError(f"convolve runs serially; --workers must be 1, got {args.workers}")
     if args.seed != 0:
         raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
-    _check_chunk_size(args.chunk_size)
+    check_chunk_size(args.chunk_size, "--chunk-size")
     check_rate(args.sample_rate, "--sample-rate")
     padded_len = 2 * args.chunk_size
     kernel, domain, sha_kernel = build_kernel(args.kernel, args.chunk_size, padded_len,
                                               args.kernel_domain)
-    buf, sha_f = read_signal(args.signal_f, args.sample_rate)
-    values, record = normalize_for_encoding(buf, args.normalization)
-    plan = make_chunks(values, args.chunk_size)
-    rate, num_chunks, tail_padding = buf.sample_rate, plan.num_chunks, plan.tail_padding
-    del buf, values  # make_chunks copied them
+    plan, rate, sha_f, record = _input_chunks(args.signal_f, args)
+    num_chunks, tail_padding = plan.num_chunks, plan.tail_padding
     try:
         convolved, rel = convolve_plan(plan, kernel, padded_len)
     except NormalizationError as exc:  # the kernel cannot be encoded, or overflows the oracle
@@ -328,6 +304,14 @@ def _parse_shots_list(text: str) -> list:
     return specs
 
 
+def _input_chunks(path, args) -> tuple:
+    """(ChunkPlan, sample rate, sha256, NormalizationRecord) of a multiply or convolve input."""
+    buffer, digest = read_signal(path, args.sample_rate)
+    values, record = normalize_for_encoding(buffer, args.normalization)
+    # make_chunks copies the values, so the buffer is freed on return
+    return make_chunks(values, args.chunk_size), buffer.sample_rate, digest, record
+
+
 def _sweep_chunk(flag: str, path) -> tuple:
     """(one chunk, sha256) of a shot-sweep input file; its errors name the flag and the file."""
     buffer, digest = read_signal(path, 8000)
@@ -343,7 +327,7 @@ def _cmd_shot_sweep(args) -> int:
         raise ShapeError("provide both --signal-f and --signal-g, or neither")
     if args.num_seeds < 1:
         raise ShapeError(f"num-seeds must be >= 1, got {args.num_seeds}")
-    _check_seed(args.seed)
+    check_seed(args.seed, "--seed")
     shot_specs = _parse_shots_list(args.shots_list)
     if args.signal_f is None:
         chunk_f, chunk_g = (SignalChunk.from_values(v) for v in STANDARD_TEST_PAIR)

@@ -28,6 +28,7 @@ from qwave import (
     MetricsReport,
     NormalizationRecord,
     QuadOutput,
+    ResourceLimitError,
     ShapeError,
     SignalChunk,
     convolve_blocks,
@@ -359,8 +360,9 @@ def test_make_chunks_padding_and_scales():
     assert plan.total_samples == 20
     assert plan.scales.tolist() == [1.0, 1.0, 1.0]
     assert np.abs(plan.values[2, 4:]).max() == 0.0
-    with pytest.raises(ShapeError):
-        make_chunks(positive_signal(20), chunk_size=6)
+    for bad in (3, 6):
+        with pytest.raises(ShapeError, match=f"^chunk_size must be a power of two >= 2, got {bad}$"):
+            make_chunks(positive_signal(20), chunk_size=bad)
 
 
 def test_make_chunks_rescales_hot_chunk():
@@ -942,17 +944,39 @@ def test_write_outputs_refuses_a_block_without_one_row_per_wav(tmp_path):
     assert (block == 2.0).all()  # neither clipped nor turned into codes
 
 
+def test_write_outputs_refuses_a_bad_rate_before_touching_the_block(tmp_path):
+    block = np.array([[1.5, -0.25, 0.5]])
+    before = block.tobytes()
+    for rate in (0, -1, 2**31):
+        with pytest.raises(ShapeError, match=rf"^sample rate must be in \[1, \d+\], got {rate}$"):
+            write_outputs(tmp_path / "out", {}, ["a.wav"], block, rate)
+        assert block.tobytes() == before  # the 1.5 is not clipped to 1.0
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_make_chunks_refuses_a_chunk_size_no_engine_can_run_before_allocating():
+    # 2**25 samples need 27 qubits; the rows alone would take 256 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^chunk_size 33554432 exceeds"):
+            make_chunks(np.full(4, 0.5), 2**25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_process_chunks_validates():
     f = make_chunks(positive_signal(16), 8)
     g = make_chunks(positive_signal(24), 8)
     with pytest.raises(ShapeError):
         process_chunks(f, g)
     g16 = make_chunks(positive_signal(16), 8)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="^workers must be >= 1, got 0$"):
         process_chunks(f, g16, workers=0)
     with pytest.raises(ShapeError):
         process_chunks(f, g16, shots=0)
-    with pytest.raises(ShapeError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ShapeError, match="^seed must be >= 0, got -1$"):
         process_chunks(f, g16, shots=10, seed=-1)
 
 

@@ -119,6 +119,17 @@ def test_multiply_rejects_negative_in_assume_positive(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_multiply_reads_checks_and_chunks_f_before_reading_g(tmp_path, capsys):
+    # two faults, a negative sample in f and a missing g: f's is the one reported
+    write_wav(tmp_path / "f.wav", AudioBuffer(np.array([0.5, -0.25, 0.5]), 8000))
+    code = main(["multiply", str(tmp_path / "f.wav"), str(tmp_path / "missing_g.wav"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: assume-positive input has 1 negative samples, "
+                                       "first at index 1 (value -0.25)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_multiply_shift_scale_accepts_signed(tmp_path):
     t = np.arange(37) / 8000
     f = 0.4 * np.sin(2 * np.pi * 440 * t)
