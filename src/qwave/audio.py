@@ -387,10 +387,11 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     # complex rows' result, in half the memory
     rows = np.zeros((num_chunks, chunk_size), dtype=np.result_type(values.dtype, np.float64))
     rows.reshape(-1)[:total] = values
-    # One max over every magnitude: when it is within the bound no row is
-    # rescaled and every scale is 1.0. A NaN or infinity fails the comparison
-    # and takes the row-wise path below.
-    if np.abs(rows).max() <= 1.0 - EPSILON:
+    # One peak over every magnitude, for real rows from their max and min with
+    # no |rows| temporary: within the bound no row is rescaled and every scale
+    # is 1.0. A NaN or infinity fails the comparison and takes the row-wise path.
+    peak = np.abs(rows).max() if rows.dtype.kind == "c" else max(rows.max(), -rows.min())
+    if peak <= 1.0 - EPSILON:
         return ChunkPlan(chunk_size, total, rows, np.ones(num_chunks))
     peaks = np.abs(rows).max(axis=1)
     if not np.isfinite(peaks).all():
@@ -517,12 +518,12 @@ def process_chunks(
     fresh (4, total_samples) block, the tail padding cut off, that no other
     array shares, so a caller may overwrite it.
     """
-    if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
-        raise ShapeError("chunk plans do not match")
     if plan_f.total_samples != plan_g.total_samples:
         raise ShapeError(
             f"signals differ in length: {plan_f.total_samples} vs {plan_g.total_samples}"
         )
+    if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
+        raise ShapeError("chunk plans do not match")
     check_workers(workers)
     if shots is not None and shots < 1:
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
@@ -571,6 +572,80 @@ def process_chunks(
     columns = np.vstack([scores, plan_f.scales, plan_g.scales])
     channels = channels.reshape(len(COMPONENTS), -1)[:, : plan_f.total_samples]
     return QuadOutput(channels, "exact" if shots is None else shots, seed, columns)
+
+
+def build_kernel(spec: str, chunk_size: int, domain: str = "auto", spec_name: str = "spec",
+                 domain_name: str = "domain") -> tuple:
+    """(time_domain_values, domain_label, file_sha256, padded_len) of a kernel spec.
+
+    padded_len, 2 * chunk_size, is the frame convolve_plan runs each chunk in.
+    Built-ins: identity, shift-K, moving-average-K (time domain) and
+    low-pass-K (Fourier domain: keep bins within K of DC, inverse-transformed
+    here before the pipeline); an explicit domain other than a built-in's own
+    is an error. Anything else is read as a numeric file whose domain comes
+    from `domain`: time (length <= chunk_size) or fourier (length ==
+    padded_len exactly); file_sha256 is the hash of the bytes read, None
+    for a built-in. Errors name the spec and the domain as `spec_name` and
+    `domain_name`.
+    """
+    padded_len = 2 * chunk_size
+    name = spec.strip()
+    if not name:  # open() would read "" as a missing file
+        raise ShapeError(f"{spec_name} {spec!r} is blank; name a built-in or a kernel file")
+    builtin = _builtin_kernel(name, chunk_size, padded_len)
+    if builtin is not None:
+        if domain not in ("auto", builtin[1]):
+            raise ShapeError(f"{domain_name} {domain} contradicts {spec_name} {name}, "
+                             f"a {builtin[1]}-domain built-in")
+        return (*builtin, None, padded_len)
+    # numeric file
+    values, digest = read_numbers(name, f"{spec_name} {name}")
+    if domain == "fourier":
+        if values.size != padded_len:
+            raise ShapeError(f"{name}: Fourier-domain kernel must have exactly "
+                             f"{padded_len} bins, got {values.size}")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            values = np.fft.ifft(values)
+        if not np.all(np.isfinite(values)):
+            raise ShapeError(f"{spec_name} {name}: its inverse transform is not finite")
+        return values, "fourier", digest, padded_len
+    if values.size > chunk_size:
+        raise ShapeError(f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}")
+    return values, "time", digest, padded_len
+
+
+def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
+    """(time_domain_values, domain_label) of a built-in kernel, or None for a file."""
+    if name == "identity":
+        return np.array([1.0]), "time"
+    if name.startswith("shift-"):
+        k = _kernel_param(name, "shift-")
+        if not 0 <= k < chunk_size:
+            raise ShapeError(f"shift amount {k} must be in [0, {chunk_size})")
+        kernel = np.zeros(k + 1)
+        kernel[k] = 1.0
+        return kernel, "time"
+    if name.startswith("moving-average-"):
+        k = _kernel_param(name, "moving-average-")
+        if not 1 <= k <= chunk_size:
+            raise ShapeError(f"moving-average width {k} must be in [1, {chunk_size}]")
+        return np.full(k, 1.0 / k), "time"
+    if name.startswith("low-pass-"):
+        k = _kernel_param(name, "low-pass-")
+        if not 0 <= k <= padded_len // 2:
+            raise ShapeError(f"low-pass cutoff {k} must be in [0, {padded_len // 2}]")
+        bins = np.arange(padded_len)
+        ghat = np.where(np.minimum(bins, padded_len - bins) <= k, 1.0, 0.0)
+        return np.fft.ifft(ghat), "fourier"
+    return None
+
+
+def _kernel_param(name: str, prefix: str) -> int:
+    tail = name[len(prefix):]
+    # int() would also take signs, underscores, spaces and non-ASCII digits
+    if not (tail.isascii() and tail.isdigit()):
+        raise ShapeError(f"bad kernel spec {name!r}: {tail!r} is not an integer")
+    return int(tail)
 
 
 def _row_norms(x) -> np.ndarray:

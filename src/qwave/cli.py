@@ -21,6 +21,7 @@ from . import __version__
 from .audio import (
     CONVOLVE_CSV,
     SWEEP_CSV,
+    build_kernel,
     check_chunk_size,
     check_rate,
     check_seed,
@@ -31,7 +32,6 @@ from .audio import (
     make_chunks,
     normalize_for_encoding,
     process_chunks,
-    read_numbers,
     read_signal,
     remap_for_listening,
     write_file,
@@ -73,76 +73,6 @@ def _write_manifest(out_dir, command, inputs, entries, outputs) -> None:
     lines += [*entries, ("outputs", " ".join(names))]
     text = "".join(f"{key} = {value}\n" for key, value in lines)
     write_file(os.path.join(out_dir, "manifest.txt"), text.encode())
-
-
-def build_kernel(spec: str, chunk_size: int, padded_len: int, domain: str = "auto"):
-    """Resolve a kernel spec to (time_domain_values, domain_label, file_sha256).
-
-    Built-ins: identity, shift-K, moving-average-K (time domain) and
-    low-pass-K (Fourier domain: keep bins within K of DC, inverse-transformed
-    here before the pipeline); an explicit domain other than a built-in's own
-    is an error. Anything else is read as a numeric file whose domain comes
-    from the flag: time (length <= chunk_size) or fourier (length ==
-    padded_len exactly); file_sha256 is the hash of the bytes read, None
-    for a built-in.
-    """
-    name = spec.strip()
-    if not name:  # open() would read "" as a missing file
-        raise ShapeError(f"--kernel {spec!r} is blank; name a built-in or a kernel file")
-    builtin = _builtin_kernel(name, chunk_size, padded_len)
-    if builtin is not None:
-        if domain not in ("auto", builtin[1]):
-            raise ShapeError(f"--kernel-domain {domain} contradicts --kernel {name}, "
-                             f"a {builtin[1]}-domain built-in")
-        return (*builtin, None)
-    # numeric file
-    values, digest = read_numbers(name, f"--kernel {name}")
-    if domain == "fourier":
-        if values.size != padded_len:
-            raise ShapeError(f"{name}: Fourier-domain kernel must have exactly "
-                             f"{padded_len} bins, got {values.size}")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            values = np.fft.ifft(values)
-        if not np.all(np.isfinite(values)):
-            raise ShapeError(f"--kernel {name}: its inverse transform is not finite")
-        return values, "fourier", digest
-    if values.size > chunk_size:
-        raise ShapeError(f"{name}: kernel length {values.size} exceeds chunk size {chunk_size}")
-    return values, "time", digest
-
-
-def _builtin_kernel(name: str, chunk_size: int, padded_len: int):
-    """(time_domain_values, domain_label) of a built-in kernel, or None for a file."""
-    if name == "identity":
-        return np.array([1.0]), "time"
-    if name.startswith("shift-"):
-        k = _kernel_param(name, "shift-")
-        if not 0 <= k < chunk_size:
-            raise ShapeError(f"shift amount {k} must be in [0, {chunk_size})")
-        kernel = np.zeros(k + 1)
-        kernel[k] = 1.0
-        return kernel, "time"
-    if name.startswith("moving-average-"):
-        k = _kernel_param(name, "moving-average-")
-        if not 1 <= k <= chunk_size:
-            raise ShapeError(f"moving-average width {k} must be in [1, {chunk_size}]")
-        return np.full(k, 1.0 / k), "time"
-    if name.startswith("low-pass-"):
-        k = _kernel_param(name, "low-pass-")
-        if not 0 <= k <= padded_len // 2:
-            raise ShapeError(f"low-pass cutoff {k} must be in [0, {padded_len // 2}]")
-        bins = np.arange(padded_len)
-        ghat = np.where(np.minimum(bins, padded_len - bins) <= k, 1.0, 0.0)
-        return np.fft.ifft(ghat), "fourier"
-    return None
-
-
-def _kernel_param(name: str, prefix: str) -> int:
-    tail = name[len(prefix):]
-    # int() would also take signs, underscores, spaces and non-ASCII digits
-    if not (tail.isascii() and tail.isdigit()):
-        raise ShapeError(f"bad kernel spec {name!r}: {tail!r} is not an integer")
-    return int(tail)
 
 
 def _add_common_flags(parser) -> None:
@@ -256,9 +186,8 @@ def _cmd_convolve(args) -> int:
         raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
     check_chunk_size(args.chunk_size, "--chunk-size")
     check_rate(args.sample_rate, "--sample-rate")
-    padded_len = 2 * args.chunk_size
-    kernel, domain, sha_kernel = build_kernel(args.kernel, args.chunk_size, padded_len,
-                                              args.kernel_domain)
+    kernel, domain, sha_kernel, padded_len = build_kernel(
+        args.kernel, args.chunk_size, args.kernel_domain, "--kernel", "--kernel-domain")
     plan, rate, sha_f, record = _input_chunks(args.signal_f, args)
     num_chunks, tail_padding = plan.num_chunks, plan.tail_padding
     try:

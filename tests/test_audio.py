@@ -47,7 +47,8 @@ from qwave import (
 )
 import qwave.audio
 from qwave.audio import (
-    SWEEP_CSV, convolve_plan, csv_table, read_signal, remap_for_listening, write_outputs,
+    SWEEP_CSV, build_kernel, convolve_plan, csv_table, read_signal, remap_for_listening,
+    write_outputs,
 )
 from qwave.encoding import rescale_rows
 from reference import per_channel_wav_bytes, product_state_by_gates
@@ -964,6 +965,43 @@ def test_make_chunks_refuses_a_chunk_size_no_engine_can_run_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_make_chunks_bound_test_adds_no_magnitude_temporary():
+    """The one-max test of real rows reads their max and min: no |rows| beside the rows."""
+    values = positive_signal(1 << 20, np.random.default_rng(32))
+    tracemalloc.start()
+    try:
+        plan = make_chunks(values, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.scales.tolist() == [1.0] * (1 << 17)
+    assert peak < 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the input"
+
+
+def test_process_chunks_names_the_lengths_before_the_plans():
+    with pytest.raises(ShapeError, match="^signals differ in length: 16 vs 24$"):
+        process_chunks(make_chunks(np.full(16, 0.5), 8), make_chunks(np.full(24, 0.5), 8))
+    with pytest.raises(ShapeError, match="^chunk plans do not match$"):
+        process_chunks(make_chunks(np.full(16, 0.5), 8), make_chunks(np.full(16, 0.5), 4))
+
+
+@pytest.mark.parametrize("spec, domain, message", [
+    ("  ", "auto", "{spec} '  ' is blank; name a built-in or a kernel file"),
+    ("low-pass-2", "time",
+     "{domain} time contradicts {spec} low-pass-2, a fourier-domain built-in"),
+    ("k.txt", "fourier", "{spec} k.txt: its inverse transform is not finite"),
+])
+def test_build_kernel_errors_name_the_spec_and_domain_as_the_caller_does(
+        tmp_path, monkeypatch, spec, domain, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.txt").write_text(" ".join(["1e308"] * 16))
+    for names in [(), ("--kernel", "--kernel-domain")]:
+        spec_name, domain_name = names or ("spec", "domain")
+        with pytest.raises(ShapeError) as info:
+            build_kernel(spec, 8, domain, *names)
+        assert str(info.value) == message.format(spec=spec_name, domain=domain_name)
 
 
 def test_process_chunks_validates():

@@ -45,8 +45,8 @@ from qwave import (
     sample_counts,
     write_wav,
 )
-from qwave.audio import CONVOLVE_CSV, csv_table
-from qwave.cli import build_kernel, main
+from qwave.audio import CONVOLVE_CSV, build_kernel, csv_table
+from qwave.cli import main
 from reference import convolve_by_gates, per_channel_wav_bytes
 
 RNG = np.random.default_rng(662)
@@ -201,9 +201,9 @@ def test_convolve_moving_average(tmp_path):
 
 
 def test_convolve_low_pass_kernel_shape():
-    kernel, domain, _ = build_kernel("low-pass-2", 8, 16)
+    kernel, domain, _, padded_len = build_kernel("low-pass-2", 8)
     assert domain == "fourier"
-    assert kernel.size == 16
+    assert kernel.size == padded_len == 16
     assert np.abs(kernel.imag).max() < 1e-12  # symmetric bins give a real kernel
 
 
@@ -564,7 +564,7 @@ def test_convolve_outputs_equal_one_chunk_formula(tmp_path, chunk_size, spec):
     if spec == "file":
         spec = str(tmp_path / "k.txt")
         np.savetxt(spec, RNG.uniform(-1, 1, chunk_size))
-    kernel, _, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    kernel, _, _, _ = build_kernel(spec, chunk_size)
     out = tmp_path / "out"
     assert main(["convolve", str(tmp_path / "f.wav"), "--kernel", spec,
                  "--chunk-size", str(chunk_size), "--out", str(out)]) == 0
@@ -615,7 +615,7 @@ def test_oracle_column_equals_brute_force_distance(n, num_chunks, seed, kind, da
         assert main(["convolve", str(work / "f.wav"), "--kernel", spec, "--kernel-domain",
                      domain, "--chunk-size", str(chunk_size), "--out", str(work / "out")]) == 0
         column = [float(line.split(",")[1]) for line in read_lines(work / "out/metrics.csv")[1:]]
-        kernel, _, _ = build_kernel(spec, chunk_size, padded_len, domain)
+        kernel, _, _, _ = build_kernel(spec, chunk_size, domain)
         plan = make_chunks(load_wav(work / "f.wav").samples, chunk_size)
     padded = np.zeros((plan.num_chunks, padded_len), dtype=np.complex128)
     padded[:, :chunk_size] = plan.values
@@ -663,17 +663,17 @@ def test_one_chunk_convolutions_run_no_oracle(oracles_forbidden):
 
 
 def test_kernel_specs():
-    kernel, domain, _ = build_kernel("shift-3", 8, 16)
+    kernel, domain, _, _ = build_kernel("shift-3", 8)
     assert domain == "time"
     assert kernel.tolist() == [0, 0, 0, 1]
-    kernel, _, _ = build_kernel("moving-average-4", 8, 16)
+    kernel, _, _, _ = build_kernel("moving-average-4", 8)
     assert kernel == pytest.approx(np.full(4, 0.25))
     from qwave import ShapeError
 
     with pytest.raises(ShapeError):
-        build_kernel("shift-8", 8, 16)
+        build_kernel("shift-8", 8)
     with pytest.raises(ShapeError):
-        build_kernel("moving-average-x", 8, 16)
+        build_kernel("moving-average-x", 8)
 
 
 @pytest.mark.parametrize("spec, tail", [
@@ -685,7 +685,7 @@ def test_kernel_parameters_are_ascii_decimal_digits(tmp_path, capsys, spec, tail
     # int() reads "4_0" as 40, "+2" as 2 and an Arabic-Indic three as 3
     message = f"bad kernel spec {spec!r}: {tail!r} is not an integer"
     with pytest.raises(qwave.ShapeError) as info:
-        build_kernel(spec, 8, 16)
+        build_kernel(spec, 8)
     assert str(info.value) == message
     tone_wav(tmp_path / "f.wav")
     out = tmp_path / "out"
@@ -702,7 +702,7 @@ def test_kernel_parameters_are_ascii_decimal_digits(tmp_path, capsys, spec, tail
 ])
 def test_kernel_range_errors_name_the_bound(spec, message):
     with pytest.raises(qwave.ShapeError) as info:
-        build_kernel(spec, 8, 16)
+        build_kernel(spec, 8)
     assert str(info.value) == message
 
 

@@ -29,8 +29,7 @@ from qwave import (
     product_blocks,
     zero_pad,
 )
-from qwave.audio import _row_norms
-from qwave.cli import build_kernel
+from qwave.audio import _row_norms, build_kernel
 from reference import convolve_by_gates, product_state_by_gates
 
 RNG = np.random.default_rng(90210)
@@ -649,7 +648,7 @@ def test_convolve_blocks_equals_padded_encoder_expression(seed, n, total, kernel
     spec = kernel.replace("K", str(chunk_size // 2))
     if spec == "moving-average-4":
         spec = f"moving-average-{min(4, chunk_size)}"
-    taps, _, _ = build_kernel(spec, chunk_size, 2 * chunk_size)
+    taps, _, _, _ = build_kernel(spec, chunk_size)
     for pad_to in (chunk_size, 2 * chunk_size):
         if taps.size > pad_to:
             continue

@@ -3,7 +3,8 @@
 Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
 chunk drivers and their engines, the encoder column, the shot readout and
-its counter inside `process_chunks`, the FFT oracle inside `convolve_plan`,
+its counter and row scores inside `process_chunks`, the FFT oracle inside
+`convolve_plan`,
 the output file writer, the CSV table writer, the manifest), then
 runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
 read only) after one warm-up call. A stage called inside another, such as the
@@ -13,7 +14,10 @@ the work of each block counts in it and not in its consumer. "The rest of
 main" is each call's time outside every stage. It prints each stage that ran
 with its median time per call and that median's share of the median call;
 the shares need not sum to 100%, since a median of sums is not a sum of
-medians. Each wrapper adds well under a microsecond per stage call. The
+medians. On a shot workload it also prints `draw_counts`' draws per call
+(rows x shots), its grid and sort calls per call (by `_grid_plan`) and its
+median time per draw. Each wrapper adds well under a
+microsecond per stage call. The
 qwave package timed is the one on the path, named on the first line, so two
 trees compare by running this script with each tree's src first on
 PYTHONPATH.
@@ -47,7 +51,8 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
 # reach the encoder through qwave.pipelines' names, process_chunks the shot
 # readout and convolve_plan its engine through qwave.audio's, and the readout
-# the counter through qwave.sampling's.
+# the counter and the row scores through qwave.sampling's. build_kernel is
+# timed where qwave.cli calls it.
 # The CSV table writer is one stage, whichever module calls it.
 # Stages called from several threads at once would be timed wrongly, so run
 # workloads with --workers 1, as the benchmark does.
@@ -58,8 +63,11 @@ STAGES = (
     ("normalize_for_encoding", qwave.cli, "normalize_for_encoding"),
     ("make_chunks", qwave.cli, "make_chunks"),
     ("process_chunks, outside the stages below", qwave.cli, "process_chunks"),
-    ("shot_readout, outside draw_counts", qwave.audio, "shot_readout"),
+    ("shot_readout, outside the four stages below", qwave.audio, "shot_readout"),
     ("draw_counts", qwave.sampling, "draw_counts"),
+    ("decode_rows", qwave.sampling, "decode_rows"),
+    ("rmsd_rows", qwave.sampling, "rmsd_rows"),
+    ("fidelity_rows", qwave.sampling, "fidelity_rows"),
     ("convolve_plan, outside convolve_blocks", qwave.cli, "convolve_plan"),
     ("convolve_blocks", qwave.audio, "convolve_blocks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
@@ -76,6 +84,16 @@ class StageClock:
     def __init__(self):
         self.totals = {}
         self.nested = []  # per open stage, the seconds spent in stages it called
+        self.draws = [0, 0, 0]  # over the draw_counts calls: rows x shots, grid calls, sort calls
+
+    def counting(self, fn):
+        """draw_counts `fn`, adding each call's rows x shots and its kind to self.draws."""
+        @functools.wraps(fn)
+        def counted(cdf, shots, seeds):
+            self.draws[0] += len(cdf) * shots
+            self.draws[1 if qwave.sampling._grid_plan(cdf.shape[-1], shots)[0] else 2] += 1
+            return fn(cdf, shots, seeds)
+        return counted
 
     def wrap(self, label, fn):
         """fn timed as `label`; a generator function is timed step by step, not its call."""
@@ -111,7 +129,8 @@ def wrapped(clock):
     present = [(label, owner, name, getattr(owner, name)) for label, owner, name in STAGES
                if hasattr(owner, name)]
     for label, owner, name, fn in present:
-        setattr(owner, name, clock.wrap(label, fn))
+        counted = clock.counting(fn) if name == "draw_counts" else fn
+        setattr(owner, name, clock.wrap(label, counted))
     try:
         yield
     finally:
@@ -130,13 +149,13 @@ def main(argv=None) -> int:
         parser.error(f"--calls must be >= 1, got {args.calls}")
     workload = WORKLOADS[args.workload]
     clock = StageClock()
-    calls, stages = [], {label: [] for label, _, _ in STAGES}
+    calls, draws, stages = [], [], {label: [] for label, _, _ in STAGES}
     with tempfile.TemporaryDirectory() as work:
         paths, _ = make_inputs(workload, args.seed, work)
         call_argv = workload.argv(paths, os.path.join(work, "out"))
         with wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
             for i in range(args.calls + 1):  # call 0 is the warm-up
-                clock.totals = {}
+                clock.totals, clock.draws = {}, [0, 0, 0]
                 start = time.perf_counter()
                 code = qwave.cli.main(call_argv)
                 elapsed = time.perf_counter() - start
@@ -144,6 +163,7 @@ def main(argv=None) -> int:
                     sys.exit(f"stage_times: main exited {code} on {' '.join(call_argv)}")
                 if i:
                     calls.append(elapsed)
+                    draws.append(clock.draws)
                     for label in stages:
                         stages[label].append(clock.totals.get(label, 0.0))
     rest = [call - sum(stages[label][i] for label in stages) for i, call in enumerate(calls)]
@@ -155,6 +175,11 @@ def main(argv=None) -> int:
     for label, times in rows + [("the rest of main", rest)]:
         median = statistics.median(times)
         print(f"{label:<44} {median * 1e6:>10.1f} {100.0 * median / median_call:>6.1f}%")
+    per_call, grid_calls, sort_calls = (statistics.median(column) for column in zip(*draws))
+    if per_call:
+        per_draw = statistics.median(stages["draw_counts"]) / per_call
+        print(f"draw_counts: {per_call:.0f} draws per call (rows x shots) in {grid_calls:.0f} "
+              f"grid and {sort_calls:.0f} sort calls, {per_draw * 1e9:.2f} ns per draw")
     return 0
 
 
