@@ -242,31 +242,31 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     returned with the renormalization and superposition weights divided out.
     `g_kernel` is a plain time-domain array of length <= pad_to.
     """
-    return next(convolve_blocks(f.values[None], g_kernel, pad_to))[1][0]
-
-
-def convolve_blocks(values, g_kernel, pad_to: int):
-    """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
-
-    Yields (lo, out) for rows lo, lo + 1, ..., out a fresh complex128
-    (rows, pad_to) array that a caller may overwrite, carrying only the
-    register's ancilla-0 branch; the kernel's spectrum, full-scale factor and
-    encoder column are computed once. Real rows are read as they are: their
-    register amplitudes are written straight into the complex state. A
-    state above MAX_QUBITS is refused before any is allocated.
-    """
-    values = _chunk_rows(values)
-    num_chunks, big_n = values.shape
-    if pad_to < big_n or pad_to & (pad_to - 1):
-        raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
-    m = int(pad_to).bit_length() - 1
-    _check_num_qubits(m + 1)
+    _check_num_qubits(int(pad_to).bit_length())  # before a pad_to-long spectrum is allocated
     with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
         spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
+    return next(convolve_blocks(f.values[None], spectrum))[1][0]
+
+
+def convolve_blocks(values, spectrum):
+    """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
+
+    `spectrum` holds the kernel's Fourier coefficients on a padded frame of a
+    power-of-two length pad_to >= N, the values the circuit loads. Yields
+    (lo, out) for rows lo, lo + 1, ..., out a fresh complex128 (rows, pad_to)
+    array that a caller may overwrite, carrying only the register's ancilla-0
+    branch; the spectrum's full-scale factor is computed once. Real rows are
+    read as they are: their register amplitudes are written straight into the
+    complex state. A state above MAX_QUBITS is refused before any is allocated.
+    """
+    values = _chunk_rows(values)
+    (num_chunks, big_n), pad_to = values.shape, np.size(spectrum)
+    if pad_to < big_n or pad_to & (pad_to - 1):  # full_scale refuses a spectrum not 1-D
+        raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
+    m = pad_to.bit_length() - 1
+    _check_num_qubits(m + 1)
     ghat = SignalChunk.full_scale(spectrum)
-    del spectrum  # not kept through the loop
-    # an encoder column's top entry is the value itself, once its magnitude
-    # is checked: the kernel's column is ghat.values, which SignalChunk checked
+    # SignalChunk checked ghat's magnitudes, so its values are its encoder column's tops
     col_g, scale_g = ghat.values, ghat.scale
     h = _hadamard_amplitude(m)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):

@@ -508,8 +508,9 @@ def test_real_rows_give_the_complex_rows_outputs_bit_for_bit(split_any_work, pai
     tap = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
     taps = data.draw(st.lists(tap, min_size=1, max_size=chunk_size))
     for pad_to in (chunk_size, 2 * chunk_size):
-        want = np.concatenate([out for _, out in convolve_blocks(cplx[0].values, taps, pad_to)])
-        got = np.concatenate([out for _, out in convolve_blocks(real[0].values, taps, pad_to)])
+        spectrum = np.fft.fft(taps, pad_to)
+        want = np.concatenate([out for _, out in convolve_blocks(cplx[0].values, spectrum)])
+        got = np.concatenate([out for _, out in convolve_blocks(real[0].values, spectrum)])
         assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
@@ -547,7 +548,8 @@ def test_convolve_plan_equals_the_engine_and_the_per_row_oracle_bit_for_bit(case
             blocked = convolve_plan(plan, kernel, padded_len)
         assert blocked[0].tobytes() == samples.tobytes()
         assert blocked[1].tobytes() == rel.tobytes()
-    results = np.concatenate([out for _, out in convolve_blocks(plan.values, kernel, padded_len)])
+    spectrum = np.fft.fft(kernel, padded_len)
+    results = np.concatenate([out for _, out in convolve_blocks(plan.values, spectrum)])
     want = (results[:, : plan.chunk_size].real / plan.scales[:, None]).reshape(-1)
     assert samples.tobytes() == want[: plan.total_samples].tobytes()
     assert rel.shape == (plan.num_chunks,)
@@ -555,6 +557,26 @@ def test_convolve_plan_equals_the_engine_and_the_per_row_oracle_bit_for_bit(case
         ref = np.fft.ifft(np.fft.fft(row, padded_len) * np.fft.fft(kernel, padded_len))
         norm = np.linalg.norm(results[i] - ref) / np.linalg.norm(ref) if row.any() else 0.0
         assert rel[i].tobytes() == np.float64(norm).tobytes()
+
+
+def test_convolve_plan_transforms_the_kernel_once(monkeypatch):
+    """The engine and the oracle share one kernel spectrum: one 1-D np.fft.fft call per plan.
+
+    Every other transform is of a block of rows, 2-D, in the engine or the
+    oracle; three blocks of rows show the spectrum is not redone per block.
+    """
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 2 * 2 * 16)  # two rows per block
+    plan = make_chunks(np.full(40, 0.5), 8)
+    fft, shapes = np.fft.fft, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    convolve_plan(plan, np.full(4, 0.25), 16)
+    assert [shape for shape in shapes if len(shape) == 1] == [(16,)]
+    assert len(shapes) == 1 + 2 * 3
 
 
 def test_convolve_plan_refuses_a_kernel_that_overflows_the_oracle():

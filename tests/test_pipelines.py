@@ -440,11 +440,12 @@ def test_batched_engines_run_at_max_qubits_and_refuse_one_more(monkeypatch, dtyp
         assert np.abs(states[0, :, 0, 0] * np.sqrt(1 << 17) - f[lo] * g[lo]).max() < 1e-14
         assert abs(np.sum(np.abs(states) ** 2) - 1.0) < 1e-9
     taps = np.full(4, 0.25)
-    out = np.concatenate([block for _, block in convolve_blocks(f, taps, 1 << 18)])
+    out = np.concatenate([block for _, block in convolve_blocks(f, np.fft.fft(taps, 1 << 18))])
     want = np.fft.ifft(np.fft.fft(f, 1 << 18) * np.fft.fft(taps, 1 << 18))
     assert out.shape == (2, 1 << 18) and np.abs(out - want).max() < 1e-12
+    spectrum = np.fft.fft(taps, 1 << 19)  # the caller's, made before the tracing
     for run in (lambda: next(product_blocks(rows[:1], rows[1:])),
-                lambda: next(convolve_blocks(f, taps, 1 << 19))):
+                lambda: next(convolve_blocks(f, spectrum))):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="num_qubits must be in"):
@@ -493,7 +494,8 @@ def assert_batch_matches_chunks(f, g, kernel, pad_to):
     states = np.concatenate([s for _, s in product_blocks(f, g)])
     big_n = f.shape[1]
     prob00 = np.sum(np.abs(states[:, :, 0, 0]) ** 2, axis=1)
-    convolved = np.concatenate([out for _, out in convolve_blocks(f, kernel, pad_to)])
+    spectrum = np.fft.fft(kernel, pad_to)
+    convolved = np.concatenate([out for _, out in convolve_blocks(f, spectrum)])
     for c in range(len(f)):
         chunk_f, chunk_g = SignalChunk(f[c]), SignalChunk(g[c])
         product = product_state_by_gates(chunk_f, chunk_g)
@@ -541,7 +543,7 @@ def test_batched_engines_bitwise_equal_across_blocks(monkeypatch, block_chunks, 
     monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", block_chunks * 4 << n)
     starts = [lo for lo, _ in product_blocks(f, g)]
     assert starts == list(range(0, 7, block_chunks))
-    assert [lo for lo, _ in convolve_blocks(f, kernel, 2 << n)] == starts
+    assert [lo for lo, _ in convolve_blocks(f, np.fft.fft(kernel, 2 << n))] == starts
     assert_batch_matches_chunks(f, g, kernel, 2 << n)
 
 
@@ -603,9 +605,10 @@ def test_convolve_blocks_keeps_only_encoder_amplitudes():
     # encoder tops, the output and the FFT temporaries; building each
     # whole rho and keeping a view of the kernel's peaked at 16x the output
     values = np.random.default_rng(20).uniform(0.05, 0.95, (1, 1 << 16)).astype(np.complex128)
+    spectrum = np.fft.fft(np.full(4, 0.25), 1 << 17)
     tracemalloc.start()
     try:
-        _, out = next(convolve_blocks(values, np.full(4, 0.25), 1 << 17))
+        _, out = next(convolve_blocks(values, spectrum))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -653,20 +656,22 @@ def test_convolve_blocks_equals_padded_encoder_expression(seed, n, total, kernel
         if taps.size > pad_to:
             continue
         want = padded_encoder_convolution(plan.values, taps, pad_to)
-        got = np.concatenate([out for _, out in convolve_blocks(plan.values, taps, pad_to)])
+        spectrum = np.fft.fft(taps, pad_to)
+        got = np.concatenate([out for _, out in convolve_blocks(plan.values, spectrum)])
         assert got.tobytes() == want.tobytes()
 
 
 def test_convolve_blocks_peak_at_a_million_samples():
     # one 2**20-sample chunk padded to 2**21: the padding is filled with
-    # +0.0, and the kernel's spectrum is freed once it is scaled to full
-    # range; np.pad's rows and the kept spectrum peaked at 5.5x. The
+    # +0.0, and the caller's spectrum is the only one besides its full-scale
+    # copy; np.pad's rows and a kept second spectrum peaked at 5.5x. The
     # block's column goes after the forward FFT and the kernel product and
     # scaling run in place, which took the peak from 5.0x to 4.5x
     values = np.random.default_rng(21).uniform(0.05, 0.95, (1, 1 << 20)).astype(np.complex128)
+    spectrum = np.fft.fft(np.full(4, 0.25), 1 << 21)
     tracemalloc.start()
     try:
-        _, out = next(convolve_blocks(values, np.full(4, 0.25), 1 << 21))
+        _, out = next(convolve_blocks(values, spectrum))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -681,8 +686,23 @@ def test_batched_engines_reject_bad_rows():
     with pytest.raises(ShapeError):
         next(product_blocks(np.zeros((2, 8)), np.zeros((3, 8))))
     with pytest.raises(ShapeError):
-        next(convolve_blocks(np.zeros(8), np.ones(2), 16))
-    with pytest.raises(ShapeError):
-        next(convolve_blocks(np.zeros((2, 8)), np.ones(2), 4))
-    with pytest.raises(ShapeError):
-        next(convolve_blocks(np.zeros((2, 4)), np.ones(9), 8))
+        next(convolve_blocks(np.zeros(8), np.ones(16)))
+    with pytest.raises(ShapeError, match="must be 1-D"):
+        next(convolve_blocks(np.zeros((2, 8)), np.ones((2, 8))))
+    with pytest.raises(ShapeError, match="length 9 exceeds padded length 8"):
+        convolve_optimized(SignalChunk(np.zeros(4)), np.ones(9), 8)
+
+
+@pytest.mark.parametrize("shape", [(1 << 15,), (3 << 15,), (0,), ()],
+                         ids=["short", "not-a-power-of-two", "empty", "scalar"])
+def test_convolve_blocks_refuses_a_spectrum_off_the_padded_frame(shape):
+    """A spectrum length that is not a power of two >= N is refused before any allocation."""
+    rows, spectrum = np.zeros((2, 1 << 16)), np.ones(shape, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match=r"^target length \d+ must be a power of two >= 65536$"):
+            next(convolve_blocks(rows, spectrum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16

@@ -16,13 +16,15 @@ with its median time per call and that median's share of the median call;
 the shares need not sum to 100%, since a median of sums is not a sum of
 medians. On a shot workload it also prints `draw_counts`' draws per call
 (rows x shots), its grid and sort calls per call (by `_grid_plan`) and its
-median time per draw. Each wrapper adds well under a
-microsecond per stage call. The
+median time per draw. `--shots N` runs a shot workload's argv at N shots
+instead of its own, so a change to the shot counter's plan is timed
+through `main`. Each wrapper adds well under a microsecond per stage call. The
 qwave package timed is the one on the path, named on the first line, so two
 trees compare by running this script with each tree's src first on
 PYTHONPATH.
 
     PYTHONPATH=src python tools/stage_times.py --workload mul-exact-c8 --calls 800
+    PYTHONPATH=src python tools/stage_times.py --workload mul-shots-c8 --calls 50 --shots 50000
 """
 
 from __future__ import annotations
@@ -144,15 +146,22 @@ def main(argv=None) -> int:
     parser.add_argument("--calls", type=int, default=800,
                         help="timed calls (default 800)")
     parser.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
+    parser.add_argument("--shots", type=int, default=None,
+                        help="shots per call in place of a shot workload's own")
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error(f"--calls must be >= 1, got {args.calls}")
     workload = WORKLOADS[args.workload]
+    if args.shots is not None and (workload.shots is None or args.shots < 1):
+        parser.error(f"--shots needs a shot workload and N >= 1, got {args.workload} "
+                     f"and {args.shots}")
     clock = StageClock()
     calls, draws, stages = [], [], {label: [] for label, _, _ in STAGES}
     with tempfile.TemporaryDirectory() as work:
         paths, _ = make_inputs(workload, args.seed, work)
         call_argv = workload.argv(paths, os.path.join(work, "out"))
+        if args.shots is not None:
+            call_argv[call_argv.index("--shots") + 1] = str(args.shots)
         with wrapped(clock), contextlib.redirect_stdout(io.StringIO()):
             for i in range(args.calls + 1):  # call 0 is the warm-up
                 clock.totals, clock.draws = {}, [0, 0, 0]
@@ -168,7 +177,8 @@ def main(argv=None) -> int:
                         stages[label].append(clock.totals.get(label, 0.0))
     rest = [call - sum(stages[label][i] for label in stages) for i, call in enumerate(calls)]
     median_call = statistics.median(calls)
-    print(f"{args.workload}, {args.calls} calls, qwave from {os.path.dirname(qwave.__file__)}: "
+    shots = "" if args.shots is None else f" at {args.shots} shots"
+    print(f"{args.workload}{shots}, {args.calls} calls, qwave from {os.path.dirname(qwave.__file__)}: "
           f"median call {median_call * 1e3:.3f} ms")
     print(f"{'stage':<44} {'median us':>10} {'share':>7}")
     rows = [(label, times) for label, times in stages.items() if any(times)]
