@@ -249,9 +249,10 @@ def test_count_draws_peak_memory_is_one_batch(dim):
 
 def test_sample_counts_batching_matches_single_pass(monkeypatch):
     state = two_qubit_state()
-    whole = sample_counts(state, 5_000, seed=7)
+    assert sampling._grid_plan(4, 2_000)[0] == 0  # sorted, in batches of _BATCH draws
+    whole = sample_counts(state, 2_000, seed=7)
     monkeypatch.setattr(sampling, "_BATCH", 999)
-    batched = sample_counts(state, 5_000, seed=7)
+    batched = sample_counts(state, 2_000, seed=7)
     assert np.array_equal(whole.counts, batched.counts)
 
 
