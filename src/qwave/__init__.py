@@ -50,6 +50,7 @@ from .pipelines import (
     convolve_optimized,
     convolve_via_theorem,
     extract_component,
+    kernel_spectrum,
     pointwise_multiply_state,
     postselect_probability,
     product_blocks,
@@ -88,7 +89,7 @@ __all__ = [
     "COMPONENTS", "ProductState", "classical_circular_convolution",
     "classical_dft", "convolve_blocks", "convolve_optimized",
     "convolve_via_theorem", "extract_component", "pointwise_multiply_state",
-    "postselect_probability", "product_blocks", "zero_pad",
+    "kernel_spectrum", "postselect_probability", "product_blocks", "zero_pad",
     "STANDARD_TEST_PAIR", "ShotCounts",
     "decode_component", "fidelity_percent", "make_rng", "rmsd_percent",
     "sample_counts",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .encoding import EPSILON, rescale_rows
 from .errors import DomainError, FormatError, NormalizationError, ResourceLimitError, ShapeError
-from .pipelines import COMPONENTS, _pad_array, convolve_blocks, product_blocks
+from .pipelines import COMPONENTS, convolve_blocks, kernel_spectrum, product_blocks
 from .sampling import shot_readout
 from .statevector import MAX_QUBITS
 
@@ -671,7 +671,7 @@ def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
     rel = np.zeros(plan.num_chunks)
     # a kernel tap near the float maximum overflows the reference, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fft(_pad_array(kernel, padded_len))  # the engine's and the oracle's
+        spectrum = kernel_spectrum(kernel, padded_len, plan.chunk_size)  # both routes read it
         for lo, results in convolve_blocks(plan.values, spectrum):
             rows = slice(lo, lo + len(results))
             # the oracle transforms the rows itself; each step overwrites `reference`

@@ -195,13 +195,15 @@ def classical_circular_convolution(f, g) -> np.ndarray:
 
 def zero_pad(chunk: SignalChunk, target_len: int) -> SignalChunk:
     """Extend a chunk with trailing zeros to a larger power-of-two length."""
-    if target_len < len(chunk) or target_len & (target_len - 1):
-        raise ShapeError(
-            f"target length {target_len} must be a power of two >= {len(chunk)}"
-        )
+    _check_frame(target_len, len(chunk))
     if target_len == len(chunk):
         return chunk
     return SignalChunk(_pad_array(chunk.values, target_len), chunk.scale)
+
+
+def _check_frame(target_len: int, n: int) -> None:
+    if target_len < n or target_len & (target_len - 1):
+        raise ShapeError(f"target length {target_len} must be a power of two >= {n}")
 
 
 def _pad_array(values, target_len: int) -> np.ndarray:
@@ -242,27 +244,34 @@ def convolve_optimized(f: SignalChunk, g_kernel, pad_to: int) -> np.ndarray:
     returned with the renormalization and superposition weights divided out.
     `g_kernel` is a plain time-domain array of length <= pad_to.
     """
-    _check_num_qubits(int(pad_to).bit_length())  # before a pad_to-long spectrum is allocated
+    return next(convolve_blocks(f.values[None], kernel_spectrum(g_kernel, pad_to, len(f))))[1][0]
+
+
+def kernel_spectrum(kernel, pad_to: int, big_n: int) -> np.ndarray:
+    """convolve_blocks' spectrum: the FFT of `kernel` zero-padded to pad_to.
+
+    As in convolve_by_gates, the frame (a power of two >= big_n) and then the
+    qubit limit are checked before it is allocated, then the kernel's length.
+    """
+    _check_frame(pad_to, big_n)
+    _check_num_qubits(int(pad_to).bit_length())
     with np.errstate(over="ignore", invalid="ignore"):  # full_scale refuses a non-finite peak
-        spectrum = np.fft.fft(_pad_array(g_kernel, pad_to))
-    return next(convolve_blocks(f.values[None], spectrum))[1][0]
+        return np.fft.fft(_pad_array(kernel, pad_to))
 
 
 def convolve_blocks(values, spectrum):
     """convolve_optimized for every row of a (C, N) array, a block of rows at a time.
 
-    `spectrum` holds the kernel's Fourier coefficients on a padded frame of a
-    power-of-two length pad_to >= N, the values the circuit loads. Yields
-    (lo, out) for rows lo, lo + 1, ..., out a fresh complex128 (rows, pad_to)
-    array that a caller may overwrite, carrying only the register's ancilla-0
-    branch; the spectrum's full-scale factor is computed once. Real rows are
-    read as they are: their register amplitudes are written straight into the
-    complex state. A state above MAX_QUBITS is refused before any is allocated.
+    `spectrum` holds the kernel's Fourier coefficients on a power-of-two frame
+    pad_to >= N (kernel_spectrum). Yields (lo, out) for rows lo, lo + 1, ...,
+    out a fresh complex128 (rows, pad_to) array that a caller may overwrite,
+    carrying only the register's ancilla-0 branch. Real rows are read as they
+    are: their register amplitudes are written straight into the complex
+    state. A state above MAX_QUBITS is refused before any is allocated.
     """
     values = _chunk_rows(values)
     (num_chunks, big_n), pad_to = values.shape, np.size(spectrum)
-    if pad_to < big_n or pad_to & (pad_to - 1):  # full_scale refuses a spectrum not 1-D
-        raise ShapeError(f"target length {pad_to} must be a power of two >= {big_n}")
+    _check_frame(pad_to, big_n)  # full_scale refuses a spectrum not 1-D
     m = pad_to.bit_length() - 1
     _check_num_qubits(m + 1)
     ghat = SignalChunk.full_scale(spectrum)

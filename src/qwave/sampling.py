@@ -33,10 +33,11 @@ _GRID_BATCH = 1 << 16
 _BATCH = 1 << 17
 _MAX_BATCH = 1 << 22
 _SORT_DRAWS_PER_EDGE = 32
-# draw_counts bins on a grid only when a call's first batch, min(shots,
-# _GRID_BATCH) draws, holds _GRID_DRAWS_PER_EDGE draws per CDF entry: with
+# draw_counts bins on a grid only when a call draws at least one full binned
+# batch and that batch holds _GRID_DRAWS_PER_EDGE draws per CDF entry: with
 # fewer, the grid's fixed numpy calls and its per-batch search of every edge
-# cost more than sorting them. Large batches keep GIL hand-overs per draw few.
+# cost more than sorting the whole batch. Large batches also keep the GIL
+# hand-overs per draw few when several threads draw at once.
 _GRID_DRAWS_PER_EDGE = 512
 # Each thread's cell-index and edge-mask buffers for a binned batch, kept
 # for the thread's life. glibc maps an allocation of 128 KiB or more afresh,
@@ -140,13 +141,12 @@ def draw_counts(cdf, shots: int, seeds) -> np.ndarray:
 def _grid_plan(dim: int, shots: int) -> tuple:
     """(bits, batch): the grid of 2**bits cells (0 for a single cell) and batch size for a call.
 
-    About sqrt(8 * dim * n) cells for a first batch of n draws balance the bins'
-    per-cell cost against sorting the edge draws (at most dim / cells of a batch).
+    About sqrt(8 * dim * batch) cells balance the per-cell cost of the bins
+    against the sorting of the edge draws, at most dim / cells of a batch.
     """
-    n = min(shots, _GRID_BATCH)
-    if n < _GRID_DRAWS_PER_EDGE * dim:
+    if shots < _GRID_BATCH or _GRID_BATCH < _GRID_DRAWS_PER_EDGE * dim:
         return 0, min(max(_BATCH, _SORT_DRAWS_PER_EDGE * dim), _MAX_BATCH)
-    return (8 * dim * n).bit_length() // 2, _GRID_BATCH
+    return (8 * dim * _GRID_BATCH).bit_length() // 2, _GRID_BATCH
 
 
 def _count_on_grid(cdf, shots: int, seeds, bits: int, batch: int) -> np.ndarray:

@@ -395,8 +395,12 @@ def test_convolve_kernel_too_long():
         convolve_optimized(f, np.ones(9), 8)
 
 
-@pytest.mark.parametrize("kernel, pad", [(np.ones(2), 4), (np.ones(2), 12), (np.ones(17), 16)],
-                         ids=["pad-short", "pad-not-power-of-two", "kernel-long"])
+@pytest.mark.parametrize("kernel, pad", [(np.ones(2), 4), (np.ones(2), 12), (np.ones(17), 16),
+                                         (np.ones(9), 4), (np.ones(2), 0), (np.ones(2), -4),
+                                         (np.ones(2), 3 << 24)],
+                         ids=["pad-short", "pad-not-power-of-two", "kernel-long",
+                              "kernel-long-pad-short", "pad-zero", "pad-negative",
+                              "pad-large-not-power-of-two"])
 def test_convolve_optimized_errors_match_reference(kernel, pad):
     f = random_chunk(8)
     with pytest.raises(ShapeError) as want:

@@ -9,9 +9,7 @@ built-in pair and one of a 16-sample text pair, a pooled shot-mode
 multiply (two workers, 1000 shots, seed 5), a shot-mode multiply of four
 chunks of 128 at 300000 shots (D = 512 outcomes per chunk, so the sort
 counter draws three batches per chunk, where the benchmark's shot workload
-bins on the grid), a shot-mode multiply of the shot workload's seed-1
-inputs at 50000 shots (fewer than one binned batch, D = 32: the grid
-counter), a shift-scale multiply and a multiply of a
+bins on the grid), a shift-scale multiply and a multiply of a
 40000-sample pair at chunk size 32768 (one chunk holds more amplitudes than
 an engine block, and the tail is padded), a moving-average-5 convolve of
 that pair's first signal at chunk size 128 (313 chunks, the last one
@@ -84,7 +82,6 @@ def calls() -> list:
              ["--workers", "2", "--shots", "1000", "--seed", "5"]),
             ("mul-shots-c128", "mul-shots-c8-s1",
              ["--chunk-size", "128", "--shots", "300000", "--seed", "11"]),
-            ("mul-shots-50000-c8", "mul-shots-c8-s1", ["--shots", "50000", "--seed", "7"]),
             ("mul-shift-scale-c8", "mul-exact-c8-s1", ["--normalization", "shift-scale"])):
         out.append((label, ["multiply", f"in/{inputs}/input_0.wav", f"in/{inputs}/input_1.wav",
                             *flags, "--out", f"out/{label}"]))
