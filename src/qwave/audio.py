@@ -21,7 +21,6 @@ import os
 import struct
 import warnings
 from dataclasses import astuple, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -107,9 +106,26 @@ def check_workers(workers: int, name: str = "workers") -> None:
 
 
 def _read(path) -> bytes:
-    # a missing file's FileNotFoundError carries its name
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The bytes of the file at `path`, as open(path, "rb").read() gives them.
+
+    One open, one fstat and one read of the size fstat gives; a file that
+    reads short, or whose size reads 0 (a pipe), is read on to its end. A
+    missing file or a directory is an OSError naming `path`, as from open().
+    """
+    fd = os.open(path, os.O_RDONLY)  # a missing file's FileNotFoundError carries its name
+    try:
+        size = os.fstat(fd).st_size
+        blob = os.read(fd, size)
+        if not blob or len(blob) < size:
+            parts = [blob]
+            while part := os.read(fd, 1 << 16):
+                parts.append(part)
+            blob = b"".join(parts)
+        return blob
+    except IsADirectoryError as exc:  # os.open opens a directory, and its read names no file
+        raise IsADirectoryError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
 
 
 def read_signal(path, sample_rate: int) -> tuple:
@@ -329,8 +345,8 @@ def normalize_for_encoding(buffer: AudioBuffer, mode: str = "assume-positive"):
     """
     samples = buffer.samples
     if mode == "assume-positive":
-        negative = np.flatnonzero(samples < 0)
-        if negative.size:
+        if samples.min() < 0:  # one pass; only a refused input is searched for its negatives
+            negative = np.flatnonzero(samples < 0)
             i = int(negative[0])
             raise DomainError(
                 f"assume-positive input has {negative.size} negative samples, "
@@ -440,7 +456,10 @@ def csv_table(table, columns) -> str:
         else:
             template.append((field % (column,)).replace("%", "%%"))
     row = ",".join(template) + "\n"
-    return header + "\n" + (row * num_rows) % tuple(chain.from_iterable(zip(*varying)))
+    values = [None] * (num_rows * len(varying))  # row by row, as the template reads them
+    for k, column in enumerate(varying):
+        values[k::len(varying)] = column
+    return header + "\n" + (row * num_rows) % tuple(values)
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,9 @@ def _add_common_flags(parser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The qwave parser, built once per process; parse_args leaves it unchanged."""
+def _build_parsers() -> tuple:
+    """(the qwave parser, {subcommand: its parser}), built once per process; parsing leaves
+    them unchanged. They are the one source of usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="qwave",
         description="Amplitude-encoded signal processing on a statevector simulator.",
@@ -131,7 +132,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
 
     sub.add_parser("selftest", help="run built-in consistency checks")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The qwave parser's parse_args(argv), run by the subcommand's parser alone when argv[0]
+    names one.
+
+    The qwave parser hands such a subcommand's parser everything after argv[0] and refuses
+    what that leaves over, so the Namespace, the exit code and every usage, help and error
+    line come out the same; its own pass over argv, half the time of a parse, is skipped.
+    Any other argv (--version, -h, none, an unknown command) goes through the qwave parser.
+    """
+    parser, commands = _build_parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _cmd_multiply(args) -> int:
@@ -301,7 +322,7 @@ def _cmd_selftest() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "multiply":
             return _cmd_multiply(args)

@@ -46,7 +46,7 @@ def _magnitude(values) -> np.ndarray:
         im = np.imag(values)
         mag += im * im
     np.sqrt(mag, out=mag)
-    peak = np.max(mag, initial=0.0)  # a NaN propagates, and fails the comparison
+    peak = mag.max(initial=0.0)  # a NaN propagates, and fails the comparison
     if not peak <= 1.0 + _BOUND_SLACK:
         _refuse_nan(values, mag)
         raise NormalizationError(f"|value| = {peak} exceeds 1")
@@ -131,6 +131,17 @@ def rescale_rows(rows: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return factors
 
 
+def _chunk_values(values) -> np.ndarray:
+    """`values` as a SignalChunk's complex128 array: 1-D, 2**n long with n >= 1, or a ShapeError."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 1:
+        raise ShapeError(f"chunk must be 1-D, got shape {values.shape}")
+    size = values.size
+    if size < 2 or size & (size - 1):
+        raise ShapeError(f"chunk length must be a power of two >= 2, got {size}")
+    return values
+
+
 @dataclass(frozen=True)
 class SignalChunk:
     """A power-of-two block of complex samples with magnitudes <= 1 - EPSILON.
@@ -143,12 +154,7 @@ class SignalChunk:
     scale: float = 1.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 1:
-            raise ShapeError(f"chunk must be 1-D, got shape {values.shape}")
-        size = values.size
-        if size < 2 or size & (size - 1):
-            raise ShapeError(f"chunk length must be a power of two >= 2, got {size}")
+        values = _chunk_values(self.values)
         mag = np.abs(values)
         max_mag = float(mag.max())
         if not max_mag <= (1.0 - EPSILON) * (1.0 + _BOUND_SLACK):  # NaN fails it too
@@ -190,7 +196,12 @@ class SignalChunk:
         if not (np.isfinite(peak) and np.isfinite(factor)):
             raise NormalizationError(
                 f"cannot rescale a peak |value| of {peak} to the {1.0 - EPSILON} bound")
-        return cls(raw * factor, factor)
+        # the scaled peak is 1 - EPSILON within a few ulps, far inside _BOUND_SLACK,
+        # so the chunk is built without the bound check's second pass over |values|
+        chunk = object.__new__(cls)
+        object.__setattr__(chunk, "values", _chunk_values(raw * factor))
+        object.__setattr__(chunk, "scale", factor)
+        return chunk
 
     @property
     def n(self) -> int:

@@ -275,7 +275,7 @@ def convolve_blocks(values, spectrum):
     m = pad_to.bit_length() - 1
     _check_num_qubits(m + 1)
     ghat = SignalChunk.full_scale(spectrum)
-    # SignalChunk checked ghat's magnitudes, so its values are its encoder column's tops
+    # full_scale scaled ghat into the bound, so its values are its encoder column's tops
     col_g, scale_g = ghat.values, ghat.scale
     h = _hadamard_amplitude(m)
     for lo, hi in _chunk_blocks(num_chunks, 2 * pad_to):

@@ -4,16 +4,21 @@ The package applies a different 2x2 block for every register value in one
 pass (`apply_uniformly_controlled`), and runs each circuit on many chunks at
 once (`product_blocks`, `convolve_blocks`). These helpers apply one gate at a
 time to one chunk's state, the textbook form those passes are checked
-against, and live here because no production path calls them. So does
-per_channel_wav_bytes, the one-WAV-at-a-time form of the block writer.
+against, and live here because no production path calls them. So do
+per_channel_wav_bytes, the one-WAV-at-a-time form of the block writer, and
+two earlier forms of package functions that tests hold the new ones to:
+csv_table_by_zip and full_scale_checked.
 """
 
 import io
+from itertools import chain
 
 import numpy as np
 
 from qwave import (
+    EPSILON,
     AudioBuffer,
+    NormalizationError,
     ProductState,
     QubitLayout,
     ShapeError,
@@ -114,3 +119,38 @@ def per_channel_wav_bytes(values, rate, shift_scale=False) -> bytes:
     out = io.BytesIO()
     write_wav(out, AudioBuffer(np.clip(values, -1.0, 1.0), rate))
     return out.getvalue()
+
+
+def csv_table_by_zip(table, columns) -> str:
+    """qwave.audio.csv_table as it was, its % arguments gathered row by row by zip and chain."""
+    header, fields = table
+    num_rows = len(columns[0])
+    template, varying = [], []
+    for field, column in zip(fields, columns):
+        if isinstance(column, np.ndarray):
+            bits = column.view(np.int64)
+            column = column[0].item() if num_rows and (bits == bits[0]).all() else column.tolist()
+        elif isinstance(column, list) and None in column:
+            column = ["" if value is None else field % (value,) for value in column]
+            field = "%s"
+        if isinstance(column, (list, range)):
+            template.append(field)
+            varying.append(column)
+        else:
+            template.append((field % (column,)).replace("%", "%%"))
+    row = ",".join(template) + "\n"
+    return header + "\n" + (row * num_rows) % tuple(chain.from_iterable(zip(*varying)))
+
+
+def full_scale_checked(raw) -> SignalChunk:
+    """SignalChunk.full_scale as it was: the scaled chunk built through SignalChunk's own
+    bound check, which takes |values| a second time."""
+    raw = np.asarray(raw, dtype=np.complex128)
+    peak = float(np.abs(raw).max()) if raw.size else 0.0
+    if peak == 0.0:
+        return SignalChunk(raw)
+    factor = (1.0 - EPSILON) / peak
+    if not (np.isfinite(peak) and np.isfinite(factor)):
+        raise NormalizationError(
+            f"cannot rescale a peak |value| of {peak} to the {1.0 - EPSILON} bound")
+    return SignalChunk(raw * factor, factor)

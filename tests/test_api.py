@@ -60,8 +60,9 @@ def test_cli_import_loads_no_thread_pool(cli_import_modules):
 
 
 def _writing_opens(tree):
-    """(enclosing function, call text) of each open that can write: os.open, or an
-    open(...) / x.open(...) whose mode is not a literal free of w, a, x and +."""
+    """(enclosing function, call text) of each open that can write: os.open with any flags
+    but os.O_RDONLY alone, or an open(...) / x.open(...) whose mode is not a literal free
+    of w, a, x and +."""
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
@@ -70,7 +71,9 @@ def _writing_opens(tree):
                 continue
             callee = ast.unparse(node.func)
             if callee == "os.open":
-                yield func.name, callee
+                flags = node.args[1] if len(node.args) > 1 else None
+                if flags is None or ast.unparse(flags) != "os.O_RDONLY":
+                    yield func.name, callee
                 continue
             if callee != "open" and not callee.endswith(".open"):
                 continue

@@ -47,11 +47,11 @@ from qwave import (
 )
 import qwave.audio
 from qwave.audio import (
-    SWEEP_CSV, build_kernel, convolve_plan, csv_table, read_signal, remap_for_listening,
-    write_outputs,
+    CONVOLVE_CSV, METRICS_CSV_FIELDS, SWEEP_CSV, build_kernel, convolve_plan, csv_table,
+    read_signal, remap_for_listening, write_outputs,
 )
 from qwave.encoding import rescale_rows
-from reference import per_channel_wav_bytes, product_state_by_gates
+from reference import csv_table_by_zip, per_channel_wav_bytes, product_state_by_gates
 
 RNG = np.random.default_rng(3141)
 
@@ -268,6 +268,35 @@ def test_read_signal_equals_load_wav_and_sha256_of_the_bytes(tmp_path, kind):
     assert buffer.samples.tobytes() == expected.samples.tobytes()
     assert buffer.sample_rate == expected.sample_rate
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["regular", "empty", "larger-than-a-pipe-read", "fifo",
+                                  "directory", "missing"])
+def test_read_gives_the_bytes_and_errors_of_open(tmp_path, kind):
+    """audio._read, one os.read of the fstat size, reads as open(path, "rb").read() does."""
+    path = tmp_path / "file"
+    blob = {"regular": b"0.5\n0.25\n", "empty": b"",
+            "larger-than-a-pipe-read": os.urandom(200_000), "fifo": os.urandom(150_000)}.get(kind)
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":  # st_size reads 0, so the read goes on to the writer's end
+        os.mkfifo(path)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            written = pool.submit(path.write_bytes, blob)
+            assert qwave.audio._read(path) == blob
+            written.result(timeout=10)
+        return
+    elif kind != "missing":
+        path.write_bytes(blob)
+    if blob is not None:
+        assert qwave.audio._read(path) == blob
+        return
+    with pytest.raises(OSError) as expected:
+        open(path, "rb").read()
+    with pytest.raises(type(expected.value)) as got:
+        qwave.audio._read(path)
+    assert (got.value.errno, got.value.strerror, got.value.filename) == (
+        expected.value.errno, expected.value.strerror, expected.value.filename)
 
 
 def test_wav_halfscale_codes():
@@ -920,6 +949,43 @@ def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
     log10 = [None if spec is None else np.log10(spec) for spec in specs]
     strided = scores.T.copy().T  # each score column a strided view, as the CLI passes them
     assert csv_table(SWEEP_CSV, [labels, log10, *strided, num_seeds]) == "".join(lines)
+
+
+def draw_csv_column(data, field, num_rows, first):
+    """A csv_table column for `field`: one value, a range, a list (None entries are
+    empty fields) or, for a float field, a float64 array: constant, varying, signed
+    zeros or NaNs. The first column is a range or a list, one entry per row."""
+    if field in ("%s", "%d"):
+        entries = st.integers(-10**18, 10**18)
+        if field == "%s":
+            entries = st.one_of(entries, st.just("exact"))
+        kinds = ["value", "range", "list", "none"]
+    else:
+        entries = _CSV_FLOATS
+        kinds = ["value", "constant", "varying", "signed-zeros", "nan", "none"]
+    kind = data.draw(st.sampled_from(["range", "list"] if first else kinds))
+    if kind == "value":
+        return data.draw(entries)
+    if kind == "range":
+        return range(num_rows)
+    if kind == "constant":
+        return np.full(num_rows, data.draw(_CSV_FLOATS))
+    if kind == "none":
+        entries = st.one_of(st.none(), entries)
+    elif kind != "list":
+        entries = {"varying": _CSV_FLOATS, "signed-zeros": st.sampled_from([0.0, -0.0]),
+                   "nan": st.sampled_from([float("nan"), -float("nan"), 0.5])}[kind]
+    column = data.draw(st.lists(entries, min_size=num_rows, max_size=num_rows))
+    return column if kind in ("list", "none") else np.array(column, dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=st.sampled_from([(METRICS_CSV_HEADER, METRICS_CSV_FIELDS), CONVOLVE_CSV, SWEEP_CSV]),
+       num_rows=st.one_of(st.integers(0, 8), st.integers(0, 300)), data=st.data())
+def test_csv_table_equals_the_zip_assembly(table, num_rows, data):
+    """The % arguments laid out by slice assignment give the text zip and chain gave."""
+    columns = [draw_csv_column(data, field, num_rows, k == 0) for k, field in enumerate(table[1])]
+    assert csv_table(table, columns) == csv_table_by_zip(table, columns)
 
 
 @pytest.mark.parametrize("shift_scale", [False, True], ids=["plain", "shift-scale"])

@@ -49,6 +49,9 @@ from qwave.audio import CONVOLVE_CSV, build_kernel, csv_table
 from qwave.cli import main
 from reference import convolve_by_gates, per_channel_wav_bytes
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.bench_workloads import WORKLOADS  # noqa: E402
+
 RNG = np.random.default_rng(662)
 
 
@@ -1133,14 +1136,17 @@ def test_inputs_are_read_once_and_hashed_from_those_bytes(tmp_path, monkeypatch,
                         "--shots-list", "10"], {"f": s, "g": t}),
     }[command]
     opened = []
-    real_open = builtins.open
 
-    def counting_open(file, *args, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def counting(real_open):
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        return counting_open
 
-    monkeypatch.setattr(builtins, "open", counting_open)
-    monkeypatch.setattr(io, "open", counting_open)
+    # every way a file is opened by name: the file object and the descriptor
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(os, "open", counting(os.open))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     monkeypatch.undo()
     assert sorted(p for p in opened if p in inputs) == sorted(read.values())
@@ -1148,6 +1154,52 @@ def test_inputs_are_read_once_and_hashed_from_those_bytes(tmp_path, monkeypatch,
     for role, path in read.items():
         with open(path, "rb") as fh:
             assert manifest[f"input_{role}_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+# argvs for the parse: each benchmark workload's, then the forms argparse itself
+# resolves (=, abbreviations, --, flags after the command) and its error paths
+_PARSE_CORPUS = [
+    *(w.argv(["f.wav", "g.wav"], "out") for _, w in sorted(WORKLOADS.items())),
+    ["multiply", "f.wav", "g.wav", "--out=out"],
+    ["multiply", "f.wav", "g.wav", "--chunk", "8", "--work", "1", "--out", "out"],
+    ["multiply", "--out", "out", "--", "f.wav", "g.wav"],
+    ["convolve", "--kernel", "identity", "--out", "out", "--", "f.wav"],
+    ["multiply", "--", "f.wav", "g.wav", "--out", "out"],
+    ["multiply", "f.wav", "g.wav", "--out", "out", "--bogus"],
+    ["multiply", "f.wav", "g.wav", "--out", "out", "h.wav"],
+    ["multiply", "f.wav", "g.wav", "--out", "out", "--version"],
+    ["convolve", "f.wav", "--out", "out", "--ver"],
+    ["multiply", "f.wav", "g.wav"],
+    ["multiply", "f.wav", "g.wav", "--out", "out", "--shots", "x"],
+    ["multiply", "f.wav", "g.wav", "--out", "out", "--chunk-size", "eight"],
+    ["convolve", "f.wav", "--out", "out", "--kernel-domain", "space", "--kernel", "identity"],
+    ["shot-sweep", "--out", "out", "--shots-list", "10,exact", "--num-seeds", "3"],
+    ["multiply", "-h"],
+    ["selftest"],
+    ["selftest", "extra"],
+    [],
+    ["--version"],
+    ["-h"],
+    ["--version", "multiply", "f.wav", "g.wav", "--out", "out"],
+    ["unknown", "f.wav"],
+    ["Multiply", "f.wav", "g.wav", "--out", "out"],
+]
+
+
+def parse_outcome(parse, argv, capsys) -> tuple:
+    """(Namespace or None, SystemExit code or None, stdout, stderr) of parse(argv)."""
+    try:
+        args, code = parse(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (args, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_cli_parse_equals_the_full_parser(argv, capsys):
+    """main's parse gives the Namespace, exit code and text that the full parser's gives."""
+    full = parse_outcome(qwave.cli._build_parsers()[0].parse_args, list(argv), capsys)
+    assert parse_outcome(qwave.cli._parse_args, list(argv), capsys) == full
 
 
 def test_version(capsys):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwave import (
@@ -22,7 +22,7 @@ from qwave import (
     encoder_column,
     init_state,
 )
-from reference import apply_controlled_unitary, controls_for_index
+from reference import apply_controlled_unitary, controls_for_index, full_scale_checked
 
 RNG = np.random.default_rng(51423)
 
@@ -456,6 +456,41 @@ def test_full_scale_refuses_a_peak_it_cannot_rescale(raw, peak):
     smallest = (1.0 - EPSILON) / np.finfo(np.float64).max
     chunk = SignalChunk.full_scale(np.array([np.nextafter(smallest, 1.0), 0.0]))
     assert np.abs(chunk.values).max() == pytest.approx(1 - EPSILON)
+
+
+# spectrum parts at full_scale's edges: signed zeros, subnormals (alone, a peak
+# whose factor is finite or overflows), tiny and huge magnitudes, inf and NaN
+_SPECTRUM_PARTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -3e-320, 1e-308, 2.2e-308, 1.0, 1.7e308, np.inf, np.nan]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3, 4, 8, 16, 64]).flatmap(lambda size: st.lists(
+    st.builds(complex, _SPECTRUM_PARTS, _SPECTRUM_PARTS), min_size=size, max_size=size)))
+@example([0j] * 8)
+@example([-0.0 + 0j, 0j, 0j, -0j])
+@example([1e-308 + 0j, 5e-324j])
+@example([3e-320 + 0j, 0j])
+@example([complex(np.inf, 0.0), 0.5 + 0j])
+@example([complex(np.nan, 0.0), 0.5 + 0j])
+@example([1.7e308 + 1.7e308j, 1.0 + 0j])
+def test_full_scale_equals_the_bound_checked_chunk(raw):
+    """full_scale skips SignalChunk's second |values| pass: same bits, scale and errors."""
+    raw = np.array(raw, dtype=np.complex128)
+    try:
+        expected = full_scale_checked(raw)
+    except (NormalizationError, ShapeError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            SignalChunk.full_scale(raw)
+        return
+    chunk = SignalChunk.full_scale(raw)
+    assert chunk.values.dtype == np.complex128
+    assert chunk.values.tobytes() == expected.values.tobytes()
+    assert type(chunk.scale) is type(expected.scale)
+    assert np.float64(chunk.scale).tobytes() == np.float64(expected.scale).tobytes()
 
 
 def test_complement():
