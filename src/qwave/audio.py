@@ -207,7 +207,12 @@ def _decode_wav(path, blob: bytes) -> AudioBuffer:
     if samples.ndim == 2:
         warnings.warn(f"{path}: averaging {samples.shape[1]} channels to mono")
         samples = samples.mean(axis=1)
-    return AudioBuffer(samples, rate)
+    # codes over 32768, clipped floats and their channel means all lie in [-1, 1],
+    # and _parse_wav refused a rate out of range, so AudioBuffer's bounds pass is skipped
+    buffer = object.__new__(AudioBuffer)
+    object.__setattr__(buffer, "samples", samples)
+    object.__setattr__(buffer, "sample_rate", rate)
+    return buffer
 
 
 def _parse_wav(path, blob: bytes):
@@ -276,14 +281,14 @@ def write_wav(path, buffer: AudioBuffer) -> None:
 
 
 def _pcm16(samples, out=None) -> np.ndarray:
-    """int16 codes of float samples of any shape: rounded, the top code clipped.
+    """int16 codes of float samples in [-1, 1], of any shape: rounded, the top code clipped.
 
     The scaling, rounding and clip run in one float64 array: `out`, which
     may be `samples` itself, or else a new one.
     """
     codes = np.multiply(samples, _PCM_FULL_SCALE, out=out)
     np.round(codes, out=codes)
-    np.clip(codes, -32768, 32767, out=codes)
+    np.minimum(codes, 32767, out=codes)  # the codes of [-1, 1] run from -32768 to 32768
     return codes.astype("<i2")
 
 
@@ -557,17 +562,19 @@ def process_chunks(
         threads = min(threads, os.cpu_count() or 1)
     step = -(-num_chunks // threads)
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
-    scores = np.empty((3, num_chunks))
-    scores[0], scores[1] = 0.0, 100.0
+    # QuadOutput.columns: rmsd, fidelity and prob00, which the ranges fill, then the scales
+    columns = np.empty((5, num_chunks))
+    columns[0], columns[1] = 0.0, 100.0
+    columns[3], columns[4] = plan_f.scales, plan_g.scales
 
     def run(first):
-        """Fill the channels and scores of chunks first .. first + step - 1."""
+        """Fill the channels and score columns of chunks first .. first + step - 1."""
         last = first + step
         for lo, states in product_blocks(plan_f.values[first:last], plan_g.values[first:last]):
             rows = slice(first + lo, first + lo + len(states))
             # [t_f, t_g, chunk, x]: each component a contiguous (rows, N) slice
             block = states.transpose(2, 3, 0, 1)
-            scores[2, rows] = np.sum(np.abs(block[0, 0]) ** 2, axis=1)
+            columns[2, rows] = (np.abs(block[0, 0]) ** 2).sum(axis=1)
             if shots is None:
                 # the block is fresh, so it is scaled in place and its
                 # magnitudes written straight into the channels, in
@@ -578,7 +585,7 @@ def process_chunks(
                 continue
             seeds = [[seed, k] for k in range(rows.start, rows.stop)]
             readout = shot_readout(states, shots, seeds)
-            channels[:, rows], scores[0, rows], scores[1, rows] = readout
+            channels[:, rows], columns[0, rows], columns[1, rows] = readout
 
     if threads == 1:
         run(0)
@@ -588,7 +595,6 @@ def process_chunks(
         with ThreadPoolExecutor(threads) as pool:
             # reading each result re-raises the error a range ended with
             list(pool.map(run, range(0, num_chunks, step)))
-    columns = np.vstack([scores, plan_f.scales, plan_g.scales])
     channels = channels.reshape(len(COMPONENTS), -1)[:, : plan_f.total_samples]
     return QuadOutput(channels, "exact" if shots is None else shots, seed, columns)
 

@@ -134,6 +134,7 @@ def test_load_wav_equals_scipy_read(tmp_path, dtype, channels):
     shape = (37,) if channels == 1 else (37, channels)
     if dtype == np.int16:
         data = rng.integers(-32768, 32768, size=shape).astype(np.int16)
+        data.flat[:2] = -32768, 32767  # both ends of the int16 range
     else:
         data = rng.uniform(-1.2, 1.2, size=shape).astype(np.float32)  # some clip
     path = tmp_path / "x.wav"
@@ -148,6 +149,10 @@ def test_load_wav_equals_scipy_read(tmp_path, dtype, channels):
     rate, samples = scipy_load(path)
     assert buffer.sample_rate == rate
     assert buffer.samples.tobytes() == samples.tobytes()
+    # the decoder skips AudioBuffer's bounds pass; the checked buffer takes its samples as they are
+    checked = AudioBuffer(buffer.samples, buffer.sample_rate)
+    assert buffer.samples.dtype == np.float64 and buffer.samples.ndim == 1
+    assert checked.samples.tobytes() == buffer.samples.tobytes()
 
 
 def riff(*chunks, form=b"WAVE"):
