@@ -461,10 +461,16 @@ def csv_table(table, columns) -> str:
         else:
             template.append((field % (column,)).replace("%", "%%"))
     row = ",".join(template) + "\n"
-    values = [None] * (num_rows * len(varying))  # row by row, as the template reads them
-    for k, column in enumerate(varying):
-        values[k::len(varying)] = column
-    return header + "\n" + (row * num_rows) % tuple(values)
+    # the % arguments live only through the % pass, not through the join, the call's peak
+    return header + "\n" + (row * num_rows) % _row_major(varying, num_rows)
+
+
+def _row_major(columns, num_rows: int) -> tuple:
+    """The entries of `columns`, each num_rows long, row by row: one slice assignment a column."""
+    values = [None] * (num_rows * len(columns))
+    for k, column in enumerate(columns):
+        values[k::len(columns)] = column
+    return tuple(values)
 
 
 @dataclass(frozen=True)
