@@ -2,11 +2,11 @@
 
 Signals come in as WAV or numeric text (read_signal); a run's WAVs and CSV
 tables (csv_table) go out through write_outputs. Audio flows through as
-float64 in [-1, 1). 16-bit PCM reads divide by 32768 (so -32768 maps to
--1.0 and 16384 to 0.5); writes round to int16 and clip the top code. The
-RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float WAVs
-(plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono 16-bit
-PCM. Positive-domain signals are split into power-of-two chunks, held as the
+float64 in [-1, 1). 16-bit PCM reads multiply by 2**-15, exactly (so -32768
+maps to -1.0 and 16384 to 0.5); writes round to int16 and clip the top code.
+The RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float
+WAVs (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono
+16-bit PCM. Positive-domain signals are split into power-of-two chunks, held as the
 rows of one array; the chunks run through the two-ancilla product pipeline
 together (exactly or with shot sampling), and the four decoded channels come
 back as one (4, samples) block in chunk order.
@@ -197,7 +197,7 @@ def _decode_wav(path, blob: bytes) -> AudioBuffer:
     if channels > 1:
         data = data.reshape(frames, channels)
     if sample_format == "int16":
-        samples = data.astype(np.float64) / _PCM_FULL_SCALE
+        samples = np.multiply(data, 1.0 / _PCM_FULL_SCALE, dtype=np.float64)  # exact
     else:
         finite = np.isfinite(data)
         if not finite.all():
@@ -281,14 +281,16 @@ def write_wav(path, buffer: AudioBuffer) -> None:
 
 
 def _pcm16(samples, out=None) -> np.ndarray:
-    """int16 codes of float samples in [-1, 1], of any shape: rounded, the top code clipped.
+    """int16 codes of finite float samples of any shape: clipped to [-1, 1], rounded.
 
-    The scaling, rounding and clip run in one float64 array: `out`, which
-    may be `samples` itself, or else a new one.
+    The clip, scaling and rounding run in one float64 array: `out`, which
+    may be `samples` itself, or else a new one. The clip stops at the top
+    code's sample, 1 - 2**-15, so no code needs clipping after the exact
+    scale by 32768 and no finite sample overflows it.
     """
-    codes = np.multiply(samples, _PCM_FULL_SCALE, out=out)
-    np.round(codes, out=codes)
-    np.minimum(codes, 32767, out=codes)  # the codes of [-1, 1] run from -32768 to 32768
+    codes = np.clip(samples, -1.0, _MAX_FLOAT_SAMPLE, out=out)
+    codes *= _PCM_FULL_SCALE
+    np.rint(codes, out=codes)
     return codes.astype("<i2")
 
 
@@ -302,18 +304,19 @@ def _pcm16_file(pcm, rate: int) -> bytes:
 def write_file(path, data: bytes) -> None:
     """Make the file at `path` hold exactly `data`; every qwave output goes through here.
 
-    An existing file is rewritten in place and then cut to len(data), never
-    truncated on open: on ext4, emptying a file that holds data and closing
-    it once refilled (which starts its writeback) cost several times the
-    write itself. A new file gets mode 0o666 & ~umask, as open(path, "wb")
-    gives.
+    An existing file is rewritten in place and then, if it was longer, cut
+    to len(data), never truncated on open: on ext4, emptying a file that
+    holds data and closing it once refilled (which starts its writeback)
+    cost several times the write itself. A new file gets mode 0o666 & ~umask,
+    as open(path, "wb") gives.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
         while view:
             view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
+        if os.lseek(fd, 0, os.SEEK_END) > len(data):  # an lseek costs less than an ftruncate
+            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 
@@ -372,7 +375,8 @@ class ChunkPlan:
     complex128 for a complex one. `scales[i]` is the factor row i was
     multiplied by (1.0 unless its peak was above the bound). Row i, cast to
     complex128, and scales[i] equal SignalChunk.from_values of that chunk's
-    samples bit for bit.
+    samples bit for bit. The rows may be a view of make_chunks' input, so
+    neither is written while the other is in use.
     """
 
     chunk_size: int
@@ -395,7 +399,9 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     A chunk whose peak magnitude exceeds 1 - EPSILON is rescaled by
     encoding.rescale_rows, as in SignalChunk.from_values. A NaN or infinite
     sample is a DomainError naming its index. A chunk_size that check_chunk_size
-    refuses is refused before any row is allocated.
+    refuses is refused before any row is allocated. An input already in the
+    rows' dtype that fills its last chunk is not copied: the rows are its
+    reshape, copied only before a row is rescaled, so the input is never written.
     """
     values = np.asarray(values)
     if values.ndim != 1 or values.size == 0:
@@ -406,8 +412,13 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     # float64 rows for a real signal: |x + 0j| is |x| and (x + 0j) * c is
     # x * c + 0j exactly, so every step downstream gives the real part of the
     # complex rows' result, in half the memory
-    rows = np.zeros((num_chunks, chunk_size), dtype=np.result_type(values.dtype, np.float64))
-    rows.reshape(-1)[:total] = values
+    dtype = np.result_type(values.dtype, np.float64)
+    shared = values.dtype == dtype and total == num_chunks * chunk_size
+    if shared:
+        rows = values.reshape(num_chunks, chunk_size)
+    else:
+        rows = np.zeros((num_chunks, chunk_size), dtype=dtype)
+        rows.reshape(-1)[:total] = values
     # One peak over every magnitude, for real rows from their max and min with
     # no |rows| temporary: within the bound no row is rescaled and every scale
     # is 1.0. A NaN or infinity fails the comparison and takes the row-wise path.
@@ -418,6 +429,8 @@ def make_chunks(values, chunk_size: int = 8) -> ChunkPlan:
     if not np.isfinite(peaks).all():
         i = int(np.argmin(np.isfinite(np.abs(rows.reshape(-1)))))
         raise DomainError(f"sample {i} is not finite ({values[i]})")
+    if shared:
+        rows = rows.copy()  # rescale_rows writes the hot rows in place
     return ChunkPlan(chunk_size, total, rows, rescale_rows(rows, peaks))
 
 
@@ -519,9 +532,18 @@ class QuadOutput:
         )
 
     def metrics_csv(self) -> str:
-        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk, by csv_table."""
+        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk, by csv_table.
+
+        One compare over all five columns finds those whose entries share one
+        bit pattern; each goes to csv_table as one value, formatted once.
+        """
+        num_chunks = self.columns.shape[1]
+        bits = self.columns.view(np.int64)
+        constant = (bits == bits[:, :1]).all(axis=1).tolist()
+        columns = [row[0].item() if same and num_chunks else row
+                   for row, same in zip(self.columns, constant)]
         return csv_table((METRICS_CSV_HEADER, METRICS_CSV_FIELDS),
-                         [range(self.columns.shape[1]), self.shots, self.seed, *self.columns])
+                         [range(num_chunks), self.shots, self.seed, *columns])
 
 
 def process_chunks(
@@ -580,7 +602,8 @@ def process_chunks(
             rows = slice(first + lo, first + lo + len(states))
             # [t_f, t_g, chunk, x]: each component a contiguous (rows, N) slice
             block = states.transpose(2, 3, 0, 1)
-            columns[2, rows] = (np.abs(block[0, 0]) ** 2).sum(axis=1)
+            top = block[0, 0]  # real for real rows, where |x|**2 is x*x
+            columns[2, rows] = (top * top if top.dtype.kind == "f" else np.abs(top) ** 2).sum(1)
             if shots is None:
                 # the block is fresh, so it is scaled in place and its
                 # magnitudes written straight into the channels, in
@@ -732,8 +755,8 @@ def ensure_dir(path) -> None:
 def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) -> list:
     """Write a run's files into `out_dir` (made by ensure_dir); return their paths in order.
 
-    Row i of `block`, a fresh float64 (len(wavs), samples) array that is
-    clipped to [-1, 1] and turned into 16-bit codes in place, becomes the
+    Row i of `block`, a fresh float64 (len(wavs), samples) array that
+    _pcm16 clips to [-1, 1] and turns into 16-bit codes in place, becomes the
     mono 16-bit WAV wavs[i], as write_wav writes it; then each name in
     `tables` gets its CSV text. A block without one row per WAV name or a
     sample_rate that check_rate refuses is a ShapeError, and a NaN or
@@ -746,10 +769,8 @@ def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) 
     pcm = ()
     if wavs:
         check_rate(sample_rate)
-        # before the clip, which would write +-inf as full scale; after it no peak exceeds 1
-        if not np.isfinite(block).all():
+        if not np.isfinite(block).all():  # _pcm16's clip would write +-inf as full scale
             raise DomainError("samples contain non-finite values")
-        np.clip(block, -1.0, 1.0, out=block)
         pcm = _pcm16(block, out=block)
     ensure_dir(out_dir)
     paths = [os.path.join(out_dir, name) for name in [*wavs, *tables]]

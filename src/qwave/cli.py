@@ -189,10 +189,8 @@ def _cmd_multiply(args) -> int:
         ("normalization_shift", record.shift),
         ("normalization_scale", record.scale),
     ], paths)
-    print(f"multiply: {num_chunks} chunks x {args.chunk_size} samples, shots={quad.shots}")
-    for name in wavs:
-        print(f"  {name}")
-    print(f"  metrics.csv manifest.txt -> {args.out}")
+    print(f"multiply: {num_chunks} chunks x {args.chunk_size} samples, shots={quad.shots}",
+          *(f"  {name}" for name in wavs), f"  metrics.csv manifest.txt -> {args.out}", sep="\n")
     return 0
 
 
@@ -258,7 +256,7 @@ def _input_chunks(path, args) -> tuple:
     """(ChunkPlan, sample rate, sha256, NormalizationRecord) of a multiply or convolve input."""
     buffer, digest = read_signal(path, args.sample_rate)
     values, record = normalize_for_encoding(buffer, args.normalization)
-    # make_chunks copies the values, so the buffer is freed on return
+    # the plan's rows may be a view of the buffer's samples, which then live as long as it
     return make_chunks(values, args.chunk_size), buffer.sample_rate, digest, record
 
 

@@ -85,10 +85,20 @@ def encoder_column(values) -> np.ndarray:
     `top, s = encoder_column(values)` unpacks them.
     """
     values = np.asarray(values)
-    s = _complement(_magnitude(values))
     column = np.empty((2,) + values.shape, dtype=np.result_type(values.dtype, np.float64))
     column[0] = values
-    column[1] = s
+    if values.dtype != np.float64:
+        column[1] = _complement(_magnitude(values))
+        return column
+    # float64: m = |x| written straight into [1], the bits of _magnitude's
+    # sqrt(x*x) unless x*x underflows, where s is 1.0 either way
+    m = np.abs(values, out=column[1, ...])
+    peak = m.max(initial=0.0)  # a NaN propagates, and fails the comparison
+    if not peak <= 1.0 + _BOUND_SLACK:
+        _magnitude(values)  # refuses the value, with the message the complex lane gives
+    if peak > 1.0:
+        np.minimum(m, 1.0, out=m)
+    _complement(m)
     return column
 
 

@@ -183,7 +183,8 @@ def _count_on_grid(cdf, shots: int, seeds, bits: int, batch: int) -> np.ndarray:
             if bits:
                 words = rng.bit_generator.random_raw(m)
                 cell_m, in_edge_m = cell[:m], in_edge_cell[:m]
-                np.right_shift(words, shift, out=cell_m)
+                # into a uint64 view of the int64 cells: an int64 out would take a casting loop
+                np.right_shift(words, shift, out=cell_m.view(np.uint64))
                 binned += np.bincount(cell_m, minlength=cells)
                 np.take(edge, cell_m, out=in_edge_m, mode="clip")  # unbuffered: cells are in range
                 u = (words[in_edge_m] >> np.uint64(11)) * 2.0**-53  # rng.random's uniforms

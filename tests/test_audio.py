@@ -1016,6 +1016,44 @@ def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
                 assert fh.read() == blob, path
 
 
+def pcm16_by_the_clip_scale_round_min_chain(samples) -> np.ndarray:
+    """The codes write_outputs wrote before: clip to [-1, 1], scale, round, clip 32768 to 32767."""
+    codes = np.clip(samples, -1.0, 1.0) * 32768.0
+    np.round(codes, out=codes)
+    np.minimum(codes, 32767, out=codes)
+    return codes.astype("<i2")
+
+
+_TOP = 32767.5 / 32768  # scales onto the half between the top code and 32768
+# the full-scale ends, the floats just inside and above 1, signed zeros,
+# subnormals, each rounding tie and its neighbours near the top, and huge finite samples
+_PCM_EDGES = (1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 + 2.0 ** -15, 1.5,
+              -np.nextafter(1.0, 2.0), -1.5, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              _TOP, np.nextafter(_TOP, 0.0), np.nextafter(_TOP, 2.0), 32767 / 32768,
+              32766.5 / 32768, -32767.5 / 32768, 0.5 / 32768, -0.5 / 32768, 1.5 / 32768,
+              1e308, -1e308, np.finfo(np.float64).max)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_PCM_EDGES),
+                          st.floats(-1.1, 1.1),
+                          st.floats(allow_nan=False, allow_infinity=False)), min_size=1,
+                max_size=64))
+@example(list(_PCM_EDGES))
+def test_pcm16_equals_the_clip_scale_round_min_chain(samples):
+    """One clip at the top code's sample, an exact scale and a rint give the old chain's codes.
+
+    Huge finite samples overflow nothing, and the input is left as it is unless passed as `out`.
+    """
+    samples = np.array(samples)
+    before = samples.tobytes()
+    want = pcm16_by_the_clip_scale_round_min_chain(samples).tobytes()
+    with np.errstate(all="raise"):
+        assert qwave.audio._pcm16(samples).tobytes() == want
+        assert samples.tobytes() == before
+        assert qwave.audio._pcm16(samples, out=samples).tobytes() == want
+
+
 def test_write_outputs_refuses_a_non_finite_sample(tmp_path):
     plan = make_chunks(positive_signal(16), 8)
     for bad in (np.nan, np.inf, -np.inf):  # an infinite sample must not clip to full scale
@@ -1073,6 +1111,53 @@ def test_make_chunks_bound_test_adds_no_magnitude_temporary():
     assert peak < 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the input"
 
 
+def test_make_chunks_rows_are_a_view_of_an_unpadded_unscaled_input():
+    values = positive_signal(24)
+    plan = make_chunks(values, 8)
+    assert plan.values.base is values and plan.values.shape == (3, 8)
+    assert plan.scales.tolist() == [1.0] * 3
+
+
+@pytest.mark.parametrize("case", ["padded", "rescaled", "float32", "complex64"])
+def test_make_chunks_copies_a_padded_rescaled_or_cast_input(case):
+    values = positive_signal(20 if case == "padded" else 24)
+    if case == "rescaled":
+        values[9] = 1.0  # chunk 1 is hot
+    elif case != "padded":
+        values = values.astype(case)
+    before = values.tobytes()
+    plan = make_chunks(values, 8)
+    assert not np.shares_memory(plan.values, values)
+    assert values.tobytes() == before
+    assert (plan.scales != 1.0).tolist() == [False, case == "rescaled", False]
+
+
+def test_make_chunks_of_a_read_only_input_with_a_hot_row_leaves_it_unchanged():
+    values = positive_signal(24)
+    values[20] = -1.0
+    values.setflags(write=False)
+    before = values.tobytes()
+    plan = make_chunks(values, 8)
+    rows, scales = make_chunks_by_rows(values, 8)
+    assert values.tobytes() == before
+    assert plan.values.astype(np.complex128).tobytes() == rows.tobytes()
+    assert plan.scales.tobytes() == scales.tobytes()
+
+
+def test_process_chunks_and_convolve_plan_leave_the_input_unchanged():
+    """The plans' rows are views of read-only inputs here, so any write to them would raise."""
+    f, g = positive_signal(64), positive_signal(64)
+    before = f.tobytes() + g.tobytes()
+    for values in (f, g):
+        values.setflags(write=False)
+    plan_f, plan_g = make_chunks(f, 8), make_chunks(g, 8)
+    assert np.shares_memory(plan_f.values, f) and np.shares_memory(plan_g.values, g)
+    process_chunks(plan_f, plan_g)
+    process_chunks(plan_f, plan_g, shots=100, seed=2)
+    convolve_plan(plan_f, np.full(4, 0.25), 16)
+    assert f.tobytes() + g.tobytes() == before
+
+
 def test_process_chunks_names_the_lengths_before_the_plans():
     with pytest.raises(ShapeError, match="^signals differ in length: 16 vs 24$"):
         process_chunks(make_chunks(np.full(16, 0.5), 8), make_chunks(np.full(24, 0.5), 8))
@@ -1123,6 +1208,16 @@ def test_write_file_leaves_exactly_the_new_bytes(old, new):
         qwave.audio.write_file(path, new)
         with open(path, "rb") as fh:
             assert fh.read() == new
+
+
+@pytest.mark.parametrize("old_size", [5000, 44, 3, 0], ids=["longer", "equal", "shorter", "empty"])
+def test_write_file_rewrites_an_existing_file_to_exactly_the_new_bytes(tmp_path, old_size):
+    """Over a longer file the tail is cut; over an equal or shorter one nothing is left over."""
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"\xff" * old_size)
+    new = bytes(range(44))
+    qwave.audio.write_file(path, new)
+    assert path.read_bytes() == new
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

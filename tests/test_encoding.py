@@ -22,6 +22,7 @@ from qwave import (
     encoder_column,
     init_state,
 )
+from qwave.encoding import _BOUND_SLACK
 from reference import apply_controlled_unitary, controls_for_index, full_scale_checked
 
 RNG = np.random.default_rng(51423)
@@ -282,6 +283,49 @@ def test_encoder_column_top_is_the_value_and_s_near_exact(magnitudes, kind):
     for xi, si in zip(x.tolist(), s.real.tolist()):
         exact = exact_complement(xi)
         assert abs(decimal.Decimal(si) - exact) <= 2 * decimal.Decimal(ulp_at(exact)), xi
+
+
+_ABOVE_SLACK = np.nextafter(1.0 + _BOUND_SLACK, 2.0)
+# real samples where |x| and sqrt(x*x) could part: subnormals, |x| near 1e-154
+# (x*x at the subnormal boundary), 1 - EPSILON, 1 - 2**-53, (1, 1 + slack],
+# the first value past the slack, and the refused non-finite ones
+_REAL_LANE = st.one_of(
+    st.sampled_from([0.0, 5e-324, np.nextafter(_TINY, 0.0), _TINY, 1e-154, 1.4916681462400413e-154,
+                     1.0 - EPSILON, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                     1.0 + _BOUND_SLACK, _ABOVE_SLACK, 1.5, np.inf, np.nan]),
+    st.floats(0.0, _TINY),
+    st.floats(1e-155, 1e-153),
+    st.floats(0.0, 1.0),
+    st.floats(1.0 - 1e-6, 1.0),
+    st.floats(1.0, 1.0 + _BOUND_SLACK),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_REAL_LANE, st.booleans()), min_size=1, max_size=64))
+@example([(5e-324, True), (1e-154, False), (1.0 + _BOUND_SLACK, True)])
+@example([(0.0, True), (1.0 - EPSILON, True), (np.nextafter(1.0, 2.0), False)])
+@example([(0.5, False), (_ABOVE_SLACK, True)])
+@example([(0.5, False), (np.nan, True)])
+def test_encoder_column_real_lane_equals_the_complex_lane_bit_for_bit(signed):
+    """float64 values write |x| as m: the complex lane's real parts and rho's column, same bits.
+
+    A value the lanes refuse raises the message build_rho gives for the same float64 values.
+    """
+    values = np.array([-x if negative else x for x, negative in signed])
+    try:
+        rho = build_rho(values)
+    except NormalizationError as exc:
+        with pytest.raises(NormalizationError) as raised:
+            encoder_column(values)
+        assert str(raised.value) == str(exc)
+        return
+    column = encoder_column(values)
+    assert column.dtype == np.float64
+    assert column.tobytes() == encoder_column(values.astype(np.complex128)).real.tobytes()
+    assert np.stack(column, axis=-1).astype(np.complex128).tobytes() == rho[..., :, 0].tobytes()
+    # the same bits for one value, as a 0-d array
+    assert encoder_column(values[0]).tobytes() == column[:, 0].tobytes()
 
 
 def test_builder_shapes_broadcast():
