@@ -482,12 +482,17 @@ def make_chunks_by_rows(values, chunk_size):
 @example(values=np.array([-0.0, 0.0, -_BOUND, 0.5]), chunk_size=2)
 @example(values=np.array([complex(-0.0, _BOUND), complex(_BOUND, -0.0), 0.1j]), chunk_size=4)
 @example(values=np.array([0.5, np.nan, np.inf]), chunk_size=2)
+@example(values=np.array([0.5, 1.0, 0.25, -0.5]), chunk_size=2)  # unpadded, row 0 rescaled
 def test_make_chunks_equals_row_wise_rescale_bit_for_bit(values, chunk_size):
     """One max over the signal decides as the per-row peaks do: same bits, same errors.
 
     The rows keep the signal's dtype (float64 for a real one) and equal the
-    complex128 row-wise reference once cast.
+    complex128 row-wise reference once cast. They are a view of an unpadded
+    input that no row rescales, and a copy otherwise; the read-only input is
+    never written.
     """
+    values.setflags(write=False)
+    before = values.tobytes()
     try:
         rows, scales = make_chunks_by_rows(values, chunk_size)
     except DomainError as exc:
@@ -499,6 +504,9 @@ def test_make_chunks_equals_row_wise_rescale_bit_for_bit(values, chunk_size):
     assert plan.values.dtype == values.dtype
     assert plan.values.astype(np.complex128).tobytes() == rows.tobytes()
     assert plan.scales.tobytes() == scales.tobytes()
+    assert values.tobytes() == before
+    unpadded_and_unscaled = values.size % chunk_size == 0 and (scales == 1.0).all()
+    assert np.shares_memory(plan.values, values) == unpadded_and_unscaled
 
 
 # real samples where a complex lane could round or sign differently: signed
@@ -1111,37 +1119,12 @@ def test_make_chunks_bound_test_adds_no_magnitude_temporary():
     assert peak < 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the input"
 
 
-def test_make_chunks_rows_are_a_view_of_an_unpadded_unscaled_input():
-    values = positive_signal(24)
+@pytest.mark.parametrize("dtype", ["float32", "complex64"])
+def test_make_chunks_copies_an_input_cast_to_the_rows_dtype(dtype):
+    values = positive_signal(24).astype(dtype)
     plan = make_chunks(values, 8)
-    assert plan.values.base is values and plan.values.shape == (3, 8)
-    assert plan.scales.tolist() == [1.0] * 3
-
-
-@pytest.mark.parametrize("case", ["padded", "rescaled", "float32", "complex64"])
-def test_make_chunks_copies_a_padded_rescaled_or_cast_input(case):
-    values = positive_signal(20 if case == "padded" else 24)
-    if case == "rescaled":
-        values[9] = 1.0  # chunk 1 is hot
-    elif case != "padded":
-        values = values.astype(case)
-    before = values.tobytes()
-    plan = make_chunks(values, 8)
+    assert plan.values.dtype == np.result_type(dtype, np.float64)
     assert not np.shares_memory(plan.values, values)
-    assert values.tobytes() == before
-    assert (plan.scales != 1.0).tolist() == [False, case == "rescaled", False]
-
-
-def test_make_chunks_of_a_read_only_input_with_a_hot_row_leaves_it_unchanged():
-    values = positive_signal(24)
-    values[20] = -1.0
-    values.setflags(write=False)
-    before = values.tobytes()
-    plan = make_chunks(values, 8)
-    rows, scales = make_chunks_by_rows(values, 8)
-    assert values.tobytes() == before
-    assert plan.values.astype(np.complex128).tobytes() == rows.tobytes()
-    assert plan.scales.tobytes() == scales.tobytes()
 
 
 def test_process_chunks_and_convolve_plan_leave_the_input_unchanged():
@@ -1198,8 +1181,12 @@ def test_process_chunks_validates():
 
 @settings(max_examples=80, deadline=None)
 @given(old=st.one_of(st.none(), st.binary(max_size=3000)), new=st.binary(max_size=3000))
+@example(old=b"\xff" * 5000, new=bytes(range(44)))  # longer: its tail is cut
+@example(old=b"\xff" * 44, new=bytes(range(44)))  # equal: not truncated, nothing left over
+@example(old=b"\xff" * 3, new=bytes(range(44)))  # shorter
+@example(old=b"", new=bytes(range(44)))
 def test_write_file_leaves_exactly_the_new_bytes(old, new):
-    """Over no file or any older content, longer or shorter, the file ends as `new`."""
+    """Over no file or any older content, longer, as long or shorter, the file ends as `new`."""
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "out.bin")
         if old is not None:
@@ -1208,16 +1195,6 @@ def test_write_file_leaves_exactly_the_new_bytes(old, new):
         qwave.audio.write_file(path, new)
         with open(path, "rb") as fh:
             assert fh.read() == new
-
-
-@pytest.mark.parametrize("old_size", [5000, 44, 3, 0], ids=["longer", "equal", "shorter", "empty"])
-def test_write_file_rewrites_an_existing_file_to_exactly_the_new_bytes(tmp_path, old_size):
-    """Over a longer file the tail is cut; over an equal or shorter one nothing is left over."""
-    path = tmp_path / "out.bin"
-    path.write_bytes(b"\xff" * old_size)
-    new = bytes(range(44))
-    qwave.audio.write_file(path, new)
-    assert path.read_bytes() == new
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
