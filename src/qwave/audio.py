@@ -1,9 +1,9 @@
 """Every file qwave reads or writes, and the chunked audio pipeline between them.
 
-Signals come in as WAV or numeric text (read_signal); a run's WAVs and CSV
-tables (csv_table) go out through write_outputs. Audio flows through as
-float64 in [-1, 1). 16-bit PCM reads multiply by 2**-15, exactly (so -32768
-maps to -1.0 and 16384 to 0.5); writes round to int16 and clip the top code.
+Signals come in as WAV or numeric text (read_signal); a run's WAVs, CSV
+tables (csv_table) and manifest go out through one write_outputs call. Audio
+is float64 in [-1, 1). 16-bit PCM reads multiply by 2**-15, exactly (-32768
+maps to -1.0, 16384 to 0.5); writes round to int16 and clip the top code.
 The RIFF codec is this module's own: it reads 16-bit PCM and 32-bit float
 WAVs (plain or WAVE_FORMAT_EXTENSIBLE, any channel count) and writes mono
 16-bit PCM. Positive-domain signals are split into power-of-two chunks, held as the
@@ -452,19 +452,31 @@ def csv_table(table, columns) -> str:
     """The text of a (header, fields) table: the header line, then row i of the columns.
 
     columns[0] is a sequence with one entry per row; each other column is a
-    sequence as long, or one value for every row. fields[k] %-formats column
-    k, and a None entry is an empty field. One value, and a float64 array
-    whose entries share one bit pattern (bits, not ==, decide, so 0.0 and
-    -0.0 differ), are formatted once, into the row template; the other
-    columns fill it in one % pass over the whole table.
+    sequence as long, one value for every row, or a float64 array of one or
+    more consecutive columns, one per row of the 2-D array (a 1-D one holds
+    one). fields[k] %-formats the k-th column, and a None entry is an empty
+    field. One value, and an array row whose entries share one bit pattern
+    (one compare tests each array; bits, not ==, decide, so 0.0 and -0.0
+    differ), are formatted once, into the row template; the other columns
+    fill it in one % pass over the whole table.
     """
     header, fields = table
     num_rows = len(columns[0])
-    template, varying = [], []
-    for field, column in zip(fields, columns):
+    if not num_rows:
+        return header + "\n"
+    flat = []
+    for column in columns:
         if isinstance(column, np.ndarray):
-            bits = column.view(np.int64)
-            column = column[0].item() if num_rows and (bits == bits[0]).all() else column.tolist()
+            block = column.reshape(-1, num_rows)
+            bits = block.view(np.int64)
+            constant = (bits == bits[:, :1]).all(axis=1).tolist()
+            flat += [row[0].item() if same else row for row, same in zip(block, constant)]
+        else:
+            flat.append(column)
+    template, varying = [], []
+    for field, column in zip(fields, flat):
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
         elif isinstance(column, list) and None in column:
             column = ["" if value is None else field % (value,) for value in column]
             field = "%s"
@@ -532,18 +544,9 @@ class QuadOutput:
         )
 
     def metrics_csv(self) -> str:
-        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk, by csv_table.
-
-        One compare over all five columns finds those whose entries share one
-        bit pattern; each goes to csv_table as one value, formatted once.
-        """
-        num_chunks = self.columns.shape[1]
-        bits = self.columns.view(np.int64)
-        constant = (bits == bits[:, :1]).all(axis=1).tolist()
-        columns = [row[0].item() if same and num_chunks else row
-                   for row, same in zip(self.columns, constant)]
+        """metrics.csv's text: the header, then MetricsReport.csv_row of each chunk, by csv_table."""
         return csv_table((METRICS_CSV_HEADER, METRICS_CSV_FIELDS),
-                         [range(num_chunks), self.shots, self.seed, *columns])
+                         [range(self.columns.shape[1]), self.shots, self.seed, self.columns])
 
 
 def process_chunks(
@@ -752,16 +755,16 @@ def ensure_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
 
 
-def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) -> list:
-    """Write a run's files into `out_dir` (made by ensure_dir); return their paths in order.
+def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) -> None:
+    """Write every file of a run into `out_dir` (made by ensure_dir), in the order given.
 
     Row i of `block`, a fresh float64 (len(wavs), samples) array that
     _pcm16 clips to [-1, 1] and turns into 16-bit codes in place, becomes the
     mono 16-bit WAV wavs[i], as write_wav writes it; then each name in
-    `tables` gets its CSV text. A block without one row per WAV name or a
-    sample_rate that check_rate refuses is a ShapeError, and a NaN or
-    infinite sample a DomainError, all raised before anything is made or
-    the block is touched.
+    `tables` gets its text: a CSV table, or a CLI run's manifest.txt, last.
+    A block without one row per WAV name or a sample_rate that check_rate
+    refuses is a ShapeError, and a NaN or infinite sample a DomainError,
+    all raised before anything is made or the block is touched.
     """
     rows = 0 if block is None else len(block)
     if rows != len(wavs):
@@ -773,9 +776,7 @@ def write_outputs(out_dir, tables: dict, wavs=(), block=None, sample_rate=None) 
             raise DomainError("samples contain non-finite values")
         pcm = _pcm16(block, out=block)
     ensure_dir(out_dir)
-    paths = [os.path.join(out_dir, name) for name in [*wavs, *tables]]
-    for path, codes in zip(paths, pcm):
-        write_file(path, _pcm16_file(codes, sample_rate))
-    for path, text in zip(paths[len(wavs):], tables.values()):
-        write_file(path, text.encode())
-    return paths
+    for name, codes in zip(wavs, pcm):
+        write_file(os.path.join(out_dir, name), _pcm16_file(codes, sample_rate))
+    for name, text in tables.items():
+        write_file(os.path.join(out_dir, name), text.encode())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import platform
 import sys
 
@@ -34,7 +33,6 @@ from .audio import (
     process_chunks,
     read_signal,
     remap_for_listening,
-    write_file,
     write_outputs,
 )
 from .encoding import SignalChunk
@@ -58,10 +56,10 @@ def _parse_shots(text: str):
     return shots
 
 
-def _write_manifest(out_dir, command, inputs, entries, outputs) -> None:
-    """manifest.txt: version and environment, `command`, input_<role> and input_<role>_sha256
-    per (role, path, sha256) in `inputs` (None hashes skipped), the entries, then `outputs`:
-    the names of the paths written and of manifest.txt, sorted."""
+def _manifest_text(command, inputs, entries, names) -> str:
+    """manifest.txt's text: version and environment, `command`, input_<role> and
+    input_<role>_sha256 per (role, path, sha256) in `inputs` (None hashes skipped), the
+    entries, then `outputs`: the run's other file `names` and manifest.txt, sorted."""
     # the bit-for-bit promise holds for the interpreter and numpy named here
     lines = [("manifest_version", MANIFEST_VERSION), ("tool", f"qwave {__version__}"),
              ("python", platform.python_version()), ("numpy", np.__version__),
@@ -69,10 +67,8 @@ def _write_manifest(out_dir, command, inputs, entries, outputs) -> None:
     for role, path, digest in inputs:
         if digest is not None:  # a built-in kernel reads no file
             lines += [(f"input_{role}", path), (f"input_{role}_sha256", digest)]
-    names = sorted([*(os.path.basename(p) for p in outputs), "manifest.txt"])
-    lines += [*entries, ("outputs", " ".join(names))]
-    text = "".join(f"{key} = {value}\n" for key, value in lines)
-    write_file(os.path.join(out_dir, "manifest.txt"), text.encode())
+    lines += [*entries, ("outputs", " ".join(sorted([*names, "manifest.txt"])))]
+    return "".join(f"{key} = {value}\n" for key, value in lines)
 
 
 def _add_common_flags(parser) -> None:
@@ -174,9 +170,9 @@ def _cmd_multiply(args) -> int:
     block = quad.channels  # fresh, so remapped and written in place
     remap_for_listening(block, record)
     wavs = [f"component_{key}.wav" for key in quad.components]
-    paths = write_outputs(args.out, {"metrics.csv": quad.metrics_csv()}, wavs, block, rate)
+    tables = {"metrics.csv": quad.metrics_csv()}
     inputs = [("f", args.signal_f, sha_f), ("g", args.signal_g, sha_g)]
-    _write_manifest(args.out, "multiply", inputs, [
+    tables["manifest.txt"] = _manifest_text("multiply", inputs, [
         ("sample_rate", rate),
         ("chunk_size", args.chunk_size),
         ("num_chunks", num_chunks),
@@ -188,7 +184,8 @@ def _cmd_multiply(args) -> int:
         ("normalization", record.mode),
         ("normalization_shift", record.shift),
         ("normalization_scale", record.scale),
-    ], paths)
+    ], [*wavs, *tables])
+    write_outputs(args.out, tables, wavs, block, rate)
     print(f"multiply: {num_chunks} chunks x {args.chunk_size} samples, shots={quad.shots}",
           *(f"  {name}" for name in wavs), f"  metrics.csv manifest.txt -> {args.out}", sep="\n")
     return 0
@@ -215,9 +212,8 @@ def _cmd_convolve(args) -> int:
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
     del plan  # whole-signal rows the outputs do not read
     tables = {"metrics.csv": csv_table(CONVOLVE_CSV, [range(len(rel)), rel])}
-    paths = write_outputs(args.out, tables, ["convolved.wav"], convolved[None], rate)
     inputs = [("f", args.signal_f, sha_f), ("kernel", args.kernel, sha_kernel)]
-    _write_manifest(args.out, "convolve", inputs, [
+    tables["manifest.txt"] = _manifest_text("convolve", inputs, [
         ("kernel", args.kernel),
         ("kernel_domain", domain),
         ("sample_rate", rate),
@@ -229,7 +225,8 @@ def _cmd_convolve(args) -> int:
         ("seed", args.seed),
         ("workers", args.workers),
         ("normalization", record.mode),
-    ], paths)
+    ], ["convolved.wav", *tables])
+    write_outputs(args.out, tables, ["convolved.wav"], convolved[None], rate)
     print(f"convolve: {num_chunks} chunks, kernel {args.kernel} ({domain} domain), "
           f"worst rel l2 vs oracle {rel.max():.3e}")
     print(f"  convolved.wav metrics.csv manifest.txt -> {args.out}")
@@ -297,15 +294,16 @@ def _cmd_shot_sweep(args) -> int:
         scores.append([f(x) for x in (rmsds, fids) for f in (np.median, np.min, np.max)])
         print(f"shots={label} rmsd={np.median(rmsds):.4g}% fidelity={np.median(fids):.6g}%")
     log10 = [None if shots is None else np.log10(shots) for shots in shot_specs]
-    sweep = csv_table(SWEEP_CSV, [labels, log10, *np.array(scores).T, args.num_seeds])
-    paths = write_outputs(args.out, {"sweep.csv": sweep})
-    _write_manifest(args.out, "shot-sweep", inputs, [
+    sweep = csv_table(SWEEP_CSV, [labels, log10, np.array(scores).T, args.num_seeds])
+    tables = {"sweep.csv": sweep}
+    tables["manifest.txt"] = _manifest_text("shot-sweep", inputs, [
         *signals,
         ("shots_list", args.shots_list),
         ("num_seeds", args.num_seeds),
         ("seed", args.seed),
         ("sampler", SAMPLER),
-    ], paths)
+    ], tables)
+    write_outputs(args.out, tables)
     print(f"  sweep.csv manifest.txt -> {args.out}")
     return 0
 

@@ -964,6 +964,9 @@ def test_metrics_csv_equals_header_and_csv_rows(num_chunks, shots, seed, data):
     assert csv_table(SWEEP_CSV, [labels, log10, *strided, num_seeds]) == "".join(lines)
 
 
+_FLOAT_ARRAY_KINDS = ("constant", "varying", "signed-zeros", "nan")
+
+
 def draw_csv_column(data, field, num_rows, first):
     """A csv_table column for `field`: one value, a range, a list (None entries are
     empty fields) or, for a float field, a float64 array: constant, varying, signed
@@ -975,30 +978,61 @@ def draw_csv_column(data, field, num_rows, first):
         kinds = ["value", "range", "list", "none"]
     else:
         entries = _CSV_FLOATS
-        kinds = ["value", "constant", "varying", "signed-zeros", "nan", "none"]
+        kinds = ["value", *_FLOAT_ARRAY_KINDS, "none"]
     kind = data.draw(st.sampled_from(["range", "list"] if first else kinds))
     if kind == "value":
         return data.draw(entries)
     if kind == "range":
         return range(num_rows)
-    if kind == "constant":
-        return np.full(num_rows, data.draw(_CSV_FLOATS))
+    if kind in _FLOAT_ARRAY_KINDS:
+        return draw_float_array(data, num_rows, kind)
     if kind == "none":
         entries = st.one_of(st.none(), entries)
-    elif kind != "list":
-        entries = {"varying": _CSV_FLOATS, "signed-zeros": st.sampled_from([0.0, -0.0]),
-                   "nan": st.sampled_from([float("nan"), -float("nan"), 0.5])}[kind]
-    column = data.draw(st.lists(entries, min_size=num_rows, max_size=num_rows))
-    return column if kind in ("list", "none") else np.array(column, dtype=np.float64)
+    return data.draw(st.lists(entries, min_size=num_rows, max_size=num_rows))
+
+
+def draw_float_array(data, num_rows, kind=None):
+    """num_rows float64 entries of one of _FLOAT_ARRAY_KINDS, drawn when `kind` is None."""
+    if kind is None:
+        kind = data.draw(st.sampled_from(_FLOAT_ARRAY_KINDS))
+    if kind == "constant":
+        return np.full(num_rows, data.draw(_CSV_FLOATS))
+    entries = {"varying": _CSV_FLOATS, "signed-zeros": st.sampled_from([0.0, -0.0]),
+               "nan": st.sampled_from([float("nan"), -float("nan"), 0.5])}[kind]
+    return np.array(data.draw(st.lists(entries, min_size=num_rows, max_size=num_rows)),
+                    dtype=np.float64)
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=st.sampled_from([(METRICS_CSV_HEADER, METRICS_CSV_FIELDS), CONVOLVE_CSV, SWEEP_CSV]),
        num_rows=st.one_of(st.integers(0, 8), st.integers(0, 300)), data=st.data())
 def test_csv_table_equals_the_zip_assembly(table, num_rows, data):
-    """The % arguments laid out by slice assignment give the text zip and chain gave."""
+    """The % arguments laid out by slice assignment give the text zip and chain gave, and a
+    2-D float64 block of consecutive columns gives the text of its rows passed one by one."""
     columns = [draw_csv_column(data, field, num_rows, k == 0) for k, field in enumerate(table[1])]
     assert csv_table(table, columns) == csv_table_by_zip(table, columns)
+    # every table's float columns are one run: any stretch of it becomes one block
+    floats = [k for k, field in enumerate(table[1]) if field not in ("%s", "%d")]
+    lo = data.draw(st.sampled_from(floats))
+    hi = data.draw(st.integers(lo + 1, floats[-1] + 1))
+    block = np.array([draw_float_array(data, num_rows) for _ in range(lo, hi)])
+    if data.draw(st.booleans()):
+        block = block.T.copy().T  # strided rows, as shot-sweep passes its score block
+    assert csv_table(table, [*columns[:lo], block, *columns[hi:]]) == csv_table_by_zip(
+        table, [*columns[:lo], *block, *columns[hi:]])
+
+
+@pytest.mark.parametrize("block", [
+    # constant rows (rmsd, fidelity, scale_f) and varying ones (prob00 and scale_g) in one block
+    np.array([[0.0] * 4, [100.0] * 4, [0.25, 0.5, 0.5, -0.0], [1.0] * 4, [1.0, 1.0, 1.0, 0.5]]),
+    np.array([[0.0], [100.0], [0.125], [1.0], [-0.0]]),  # C = 1: every row is constant
+], ids=["constant-and-varying", "one-chunk"])
+def test_csv_table_block_equals_its_rows(block):
+    table = (METRICS_CSV_HEADER, METRICS_CSV_FIELDS)
+    want = csv_table_by_zip(table, [range(block.shape[1]), "exact", 3, *block])
+    assert csv_table(table, [range(block.shape[1]), "exact", 3, block]) == want
+    assert want.splitlines()[-1] == f"{block.shape[1] - 1},exact,3," + ",".join(
+        "%.10g" % value for value in block[:, -1])
 
 
 @pytest.mark.parametrize("shift_scale", [False, True], ids=["plain", "shift-scale"])
@@ -1017,11 +1051,11 @@ def test_stitched_wavs_equal_per_channel_write_wav(tmp_path, shift_scale):
         # before the block is overwritten
         want = [per_channel_wav_bytes(row, 11025, shift_scale) for row in block]
         remap_for_listening(block, record)
-        paths = write_outputs(tmp_path / str(k), {"metrics.csv": "x\n"}, names, block, 11025)
-        assert paths == [os.path.join(tmp_path / str(k), name) for name in [*names, "metrics.csv"]]
-        for path, blob in zip(paths, want):
-            with open(path, "rb") as fh:
-                assert fh.read() == blob, path
+        out_dir = tmp_path / str(k)
+        write_outputs(out_dir, {"metrics.csv": "x\n"}, names, block, 11025)
+        assert sorted(os.listdir(out_dir)) == [*names, "metrics.csv"]
+        for name, blob in zip(names, want):
+            assert (out_dir / name).read_bytes() == blob, name
 
 
 def pcm16_by_the_clip_scale_round_min_chain(samples) -> np.ndarray:
@@ -1230,13 +1264,13 @@ def test_process_chunks_channels_are_cut_to_the_signal(tmp_path):
     for row, values in zip(quad.channels, quad.components.values()):
         assert np.shares_memory(row, values) and np.array_equal(row, values)
     names = [f"component_{key}.wav" for key in quad.components]
-    paths = write_outputs(tmp_path / "out", {"metrics.csv": quad.metrics_csv()}, names,
-                          quad.channels, 8000)
-    for path in paths[:4]:
-        assert len(load_wav(path)) == 20  # tail padding trimmed
-    back = load_wav(paths[0])
+    out = tmp_path / "out"
+    write_outputs(out, {"metrics.csv": quad.metrics_csv()}, names, quad.channels, 8000)
+    for name in names:
+        assert len(load_wav(out / name)) == 20  # tail padding trimmed
+    back = load_wav(out / names[0])
     assert np.abs(back.samples - f * g).max() <= 1 / 32768 + 1e-9
-    lines = open(paths[4]).read().splitlines()
+    lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == METRICS_CSV_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("0,exact,")
@@ -1247,8 +1281,7 @@ def test_write_outputs_makes_its_directory_only_when_missing(tmp_path, monkeypat
         raise AssertionError("os.makedirs() was called")
 
     def write(out_dir):
-        return write_outputs(out_dir, {"metrics.csv": "x\n"}, ["a.wav"], np.full((1, 4), 0.25),
-                             8000)
+        write_outputs(out_dir, {"metrics.csv": "x\n"}, ["a.wav"], np.full((1, 4), 0.25), 8000)
 
     write(tmp_path / "a" / "b")  # parents made too
     assert (tmp_path / "a" / "b" / "metrics.csv").is_file()
@@ -1256,8 +1289,8 @@ def test_write_outputs_makes_its_directory_only_when_missing(tmp_path, monkeypat
     with pytest.raises(FileExistsError):
         write(tmp_path / "file")
     monkeypatch.setattr(qwave.audio.os, "makedirs", refuse)
-    paths = write(tmp_path / "a" / "b")
-    assert load_wav(paths[0]).samples.tolist() == [0.25] * 4
+    write(tmp_path / "a" / "b")
+    assert load_wav(tmp_path / "a" / "b" / "a.wav").samples.tolist() == [0.25] * 4
 
 
 def test_stitch_shift_scale_remap(tmp_path):
@@ -1265,8 +1298,8 @@ def test_stitch_shift_scale_remap(tmp_path):
     remap_for_listening(block, NormalizationRecord("assume-positive", 0.0, 1.0))
     assert block.tolist() == [[0.0, 0.5, 1.0]]  # only shift-scale is remapped
     remap_for_listening(block, NormalizationRecord("shift-scale", 1.0, 0.5))
-    paths = write_outputs(tmp_path, {"metrics.csv": "x\n"}, ["component_00.wav"], block, 8000)
-    back = load_wav(paths[0])
+    write_outputs(tmp_path, {"metrics.csv": "x\n"}, ["component_00.wav"], block, 8000)
+    back = load_wav(tmp_path / "component_00.wav")
     assert back.samples[0] == pytest.approx(-1.0)
     assert back.samples[1] == pytest.approx(0.0, abs=1e-4)
     assert back.samples[2] == pytest.approx(1.0 - 1 / 32768, abs=1e-9)

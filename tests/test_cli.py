@@ -874,10 +874,11 @@ def test_failed_write_is_one_error_line(tmp_path, capsys, monkeypatch):
     def full(path, data):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(qwave.cli, "write_file", full)
+    monkeypatch.setattr(qwave.audio, "write_file", full)
     argv = ["convolve", str(tmp_path / "f.txt"), "--kernel", "identity", "--chunk-size", "4"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
+    assert not (tmp_path / "out" / "manifest.txt").exists()  # the manifest is written last
 
 
 def test_sample_rate_beyond_the_wav_header_is_one_error_line(tmp_path, capsys):

@@ -4,10 +4,10 @@ Wraps the stage functions an exact or shot `multiply` and a `convolve` call
 pass through (argument parsing, input reads, normalization, chunking, the
 chunk drivers and their engines, the encoder column, the shot readout and
 its counter and row scores inside `process_chunks`, the FFT oracle inside
-`convolve_plan`,
-the output file writer, the CSV table writer, the manifest), then
-runs N real calls on a benchmark workload's inputs (perfbench.bench_workloads,
-read only) after one warm-up call. A stage called inside another, such as the
+`convolve_plan`, the writer of every output file, manifest.txt included,
+the CSV table text and the manifest text), then runs N real calls on a
+benchmark workload's inputs (perfbench.bench_workloads, read only) after
+one warm-up call. A stage called inside another, such as the
 encoder inside `process_chunks`, counts in itself only; a generator stage,
 the `convolve_blocks` engine, is timed over each step of its iterator, so
 the work of each block counts in it and not in its consumer. "The rest of
@@ -80,7 +80,7 @@ STAGES = (
     ("output files (write_outputs)", qwave.cli, "write_outputs"),
     ("CSV tables (csv_table)", qwave.audio, "csv_table"),
     ("CSV tables (csv_table)", qwave.cli, "csv_table"),
-    ("manifest", qwave.cli, "_write_manifest"),
+    ("manifest text (_manifest_text)", qwave.cli, "_manifest_text"),
 )
 
 
