@@ -467,7 +467,7 @@ def csv_table(table, columns) -> str:
     flat = []
     for column in columns:
         if isinstance(column, np.ndarray):
-            block = column.reshape(-1, num_rows)
+            block = column.reshape(-1, column.shape[-1])
             bits = block.view(np.int64)
             constant = (bits == bits[:, :1]).all(axis=1).tolist()
             flat += [row[0].item() if same else row for row, same in zip(block, constant)]
