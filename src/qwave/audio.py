@@ -44,8 +44,8 @@ _PCM16_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
 _MAX_SAMPLE_RATE = 2**31 - 1
 # the sample formats load_wav reads, with their little-endian numpy dtypes
 _READ_DTYPES = {"int16": "<i2", "float32": "<f4"}
-# The least work each thread's chunk range must hold before process_chunks
-# splits a call: state amplitudes in exact mode (one product_blocks block),
+# The least work each thread's row range must hold before _run_ranges splits
+# a call: state amplitudes on the exact engines (one product_blocks block),
 # shot draws in shot mode. On a 2-vCPU host two threads lost to one below
 # about 3e4 amplitudes or 1e6 draws per thread.
 _MIN_RANGE_AMPLITUDES = 1 << 16
@@ -132,8 +132,8 @@ def read_signal(path, sample_rate: int) -> tuple:
     """(AudioBuffer, sha256 hex of the file), both from one read of its bytes.
 
     A .wav name (any case) decodes as in load_wav, at the file's own rate;
-    any other is read_numbers' text at `sample_rate`, in [-1, 1], clipped as
-    float WAV samples are.
+    any other is numeric text (one finite number a line) at `sample_rate`, in
+    [-1, 1], clipped as float WAV samples are.
     """
     blob = _read(path)
     digest = hashlib.sha256(blob).hexdigest()
@@ -143,12 +143,6 @@ def read_signal(path, sample_rate: int) -> tuple:
     if np.abs(values).max() > 1.0:
         raise ShapeError(f"{path}: samples must lie in [-1, 1]")
     return AudioBuffer(np.clip(values, -1.0, _MAX_FLOAT_SAMPLE), sample_rate), digest
-
-
-def read_numbers(path, label: str) -> tuple:
-    """(one column of finite numbers, sha256 hex) of a text file; errors start with `label`."""
-    blob = _read(path)
-    return _parse_numbers(blob, label), hashlib.sha256(blob).hexdigest()
 
 
 def _parse_numbers(blob: bytes, label) -> np.ndarray:
@@ -549,34 +543,55 @@ class QuadOutput:
                          [range(self.columns.shape[1]), self.shots, self.seed, self.columns])
 
 
-def process_chunks(
-    plan_f: ChunkPlan,
-    plan_g: ChunkPlan,
-    shots: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> QuadOutput:
+def _run_ranges(engine, write, num_rows: int, workers: int, amplitudes: int, draws=None):
+    """write(rows, block) for each (lo, block) that engine(first, last) yields, as
+    product_blocks and convolve_blocks do over the row slice first:last, with
+    `rows` the block's slice of all num_rows rows.
+
+    A row costs `draws` shot draws, or else `amplitudes` state amplitudes. The
+    rows run in min(workers, os.cpu_count()) contiguous ranges, fewer if one
+    would hold under _MIN_RANGE_DRAWS or _MIN_RANGE_AMPLITUDES of them, on that
+    many threads, or in this one when that is 1; a range's error is raised here.
+    """
+    ranges = (num_rows * amplitudes // _MIN_RANGE_AMPLITUDES if draws is None
+              else num_rows * draws // _MIN_RANGE_DRAWS)
+    threads = max(1, min(workers, num_rows, ranges))
+    if threads > 1:  # os.cpu_count() costs microseconds; a one-thread call skips it
+        threads = min(threads, os.cpu_count() or 1)
+    step = -(-num_rows // threads)
+
+    def run(first):
+        for lo, block in engine(first, first + step):
+            write(slice(first + lo, first + lo + len(block)), block)
+
+    if threads == 1:
+        return run(0)
+    from concurrent.futures import ThreadPoolExecutor  # its import costs every CLI start
+
+    with ThreadPoolExecutor(threads) as pool:  # reading each result re-raises a range's error
+        list(pool.map(run, range(0, num_rows, step)))
+
+
+def process_chunks(plan_f: ChunkPlan, plan_g: ChunkPlan, shots: int | None = None,
+                   seed: int = 0, workers: int = 1) -> QuadOutput:
     """Run every chunk pair through the product pipeline.
 
     shots=None computes components exactly from the statevector; an integer
     samples that many shots with a per-chunk stream derived from (seed,
     chunk_index), so results are byte-identical for any worker count. The
-    chunks are split into min(workers, os.cpu_count()) contiguous ranges,
-    fewer if a range would hold under _MIN_RANGE_AMPLITUDES state amplitudes
-    (exact) or _MIN_RANGE_DRAWS shot draws, and run on that many threads
+    chunks run in contiguous ranges by _run_ranges, a chunk costing 4 * N
+    state amplitudes (exact) or `shots` draws, on up to `workers` threads
     (the Philox draw, the sorts and numpy's large array loops release the
-    GIL; draw_counts' bincount holds it) or in this one when that is 1.
-    Each range reads its decoded channels and rmsd, fidelity and prob00
-    columns off a block of states at a time, so peak memory is one block of
-    states and, in shot mode, one sampling batch (a few MiB; see
-    qwave.sampling.draw_counts) per thread. The channels come back as one
-    fresh (4, total_samples) block, the tail padding cut off, that no other
-    array shares, so a caller may overwrite it.
+    GIL; draw_counts' bincount holds it). Each range reads its decoded
+    channels and rmsd, fidelity and prob00 columns off a block of states at
+    a time, so peak memory is one block of states and, in shot mode, one
+    sampling batch (a few MiB; see qwave.sampling.draw_counts) per thread.
+    The channels come back as one fresh (4, total_samples) block, the tail
+    padding cut off, that no other array shares, so a caller may overwrite it.
     """
     if plan_f.total_samples != plan_g.total_samples:
         raise ShapeError(
-            f"signals differ in length: {plan_f.total_samples} vs {plan_g.total_samples}"
-        )
+            f"signals differ in length: {plan_f.total_samples} vs {plan_g.total_samples}")
     if plan_f.chunk_size != plan_g.chunk_size or plan_f.num_chunks != plan_g.num_chunks:
         raise ShapeError("chunk plans do not match")
     check_workers(workers)
@@ -584,49 +599,29 @@ def process_chunks(
         raise ShapeError(f"shots must be >= 1 or None for exact mode, got {shots}")
     check_seed(seed)
     num_chunks, big_n = plan_f.values.shape
-    if shots is None:
-        ranges = num_chunks * 4 * big_n // _MIN_RANGE_AMPLITUDES
-    else:
-        ranges = num_chunks * shots // _MIN_RANGE_DRAWS
-    threads = max(1, min(workers, num_chunks, ranges))
-    if threads > 1:  # os.cpu_count() costs microseconds; a one-thread call skips it
-        threads = min(threads, os.cpu_count() or 1)
-    step = -(-num_chunks // threads)
     channels = np.empty((len(COMPONENTS), num_chunks, big_n))
     # QuadOutput.columns: rmsd, fidelity and prob00, which the ranges fill, then the scales
     columns = np.empty((5, num_chunks))
     columns[0], columns[1] = 0.0, 100.0
     columns[3], columns[4] = plan_f.scales, plan_g.scales
 
-    def run(first):
-        """Fill the channels and score columns of chunks first .. first + step - 1."""
-        last = first + step
-        for lo, states in product_blocks(plan_f.values[first:last], plan_g.values[first:last]):
-            rows = slice(first + lo, first + lo + len(states))
-            # [t_f, t_g, chunk, x]: each component a contiguous (rows, N) slice
-            block = states.transpose(2, 3, 0, 1)
-            top = block[0, 0]  # real for real rows, where |x|**2 is x*x
-            columns[2, rows] = (top * top if top.dtype.kind == "f" else np.abs(top) ** 2).sum(1)
-            if shots is None:
-                # the block is fresh, so it is scaled in place and its
-                # magnitudes written straight into the channels, in
-                # COMPONENTS order (2 * t_f + t_g)
-                block = block.reshape(4, -1, big_n)
-                block *= np.sqrt(big_n)
-                np.abs(block, out=channels[:, rows])
-                continue
-            seeds = [[seed, k] for k in range(rows.start, rows.stop)]
-            readout = shot_readout(states, shots, seeds)
-            channels[:, rows], columns[0, rows], columns[1, rows] = readout
+    def write(rows, states):  # the channels and score columns of chunks `rows`
+        # [t_f, t_g, chunk, x]: each component a contiguous (rows, N) slice
+        block = states.transpose(2, 3, 0, 1)
+        top = block[0, 0]  # real for real rows, where |x|**2 is x*x
+        columns[2, rows] = (top * top if top.dtype.kind == "f" else np.abs(top) ** 2).sum(1)
+        if shots is None:
+            # the block is fresh, so it is scaled in place and its magnitudes
+            # written straight into the channels, in COMPONENTS order (2 * t_f + t_g)
+            block = block.reshape(4, -1, big_n)
+            block *= np.sqrt(big_n)
+            np.abs(block, out=channels[:, rows])
+            return
+        seeds = [[seed, k] for k in range(rows.start, rows.stop)]
+        channels[:, rows], columns[0, rows], columns[1, rows] = shot_readout(states, shots, seeds)
 
-    if threads == 1:
-        run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # its import costs every CLI start
-
-        with ThreadPoolExecutor(threads) as pool:
-            # reading each result re-raises the error a range ended with
-            list(pool.map(run, range(0, num_chunks, step)))
+    _run_ranges(lambda lo, hi: product_blocks(plan_f.values[lo:hi], plan_g.values[lo:hi]),
+                write, num_chunks, workers, 4 * big_n, shots)
     channels = channels.reshape(len(COMPONENTS), -1)[:, : plan_f.total_samples]
     return QuadOutput(channels, "exact" if shots is None else shots, seed, columns)
 
@@ -656,7 +651,8 @@ def build_kernel(spec: str, chunk_size: int, domain: str = "auto", spec_name: st
                              f"a {builtin[1]}-domain built-in")
         return (*builtin, None, padded_len)
     # numeric file
-    values, digest = read_numbers(name, f"{spec_name} {name}")
+    blob = _read(name)
+    values, digest = _parse_numbers(blob, f"{spec_name} {name}"), hashlib.sha256(blob).hexdigest()
     if domain == "fourier":
         if values.size != padded_len:
             raise ShapeError(f"{name}: Fourier-domain kernel must have exactly "
@@ -715,22 +711,25 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real, axis=-1) + np.vecdot(x.imag, x.imag, axis=-1))
 
 
-def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
+def convolve_plan(plan: ChunkPlan, kernel, padded_len: int, workers: int = 1) -> tuple:
     """(samples, rel) of every chunk of `plan` convolved with `kernel` by convolve_blocks.
 
     rel is metrics.csv's rel_l2_vs_oracle: each row's l2 distance from the FFT
     circular convolution of the zero-padded row over that reference's norm, 0.0
     for an all-zero row; a non-finite one is a NormalizationError naming its chunk.
     samples: each row's first chunk_size real parts over its scale, cut to total_samples.
-    Both are computed one engine block of rows at a time.
+    Both come one engine block of rows at a time from _run_ranges, a row costing
+    2 * padded_len amplitudes, on up to `workers` threads: the same bytes for any count.
     """
+    check_workers(workers)
     samples = np.empty((plan.num_chunks, plan.chunk_size))
     rel = np.zeros(plan.num_chunks)
-    # a kernel tap near the float maximum overflows the reference, which the check below refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = kernel_spectrum(kernel, padded_len, plan.chunk_size)  # both routes read it
-        for lo, results in convolve_blocks(plan.values, spectrum):
-            rows = slice(lo, lo + len(results))
+    spectrum = kernel_spectrum(kernel, padded_len, plan.chunk_size)  # both routes read it
+
+    def write(rows, results):
+        # a kernel tap near the float maximum overflows the reference, which the check
+        # below refuses; errstate does not reach pool threads, so each block enters it
+        with np.errstate(over="ignore", invalid="ignore"):
             # the oracle transforms the rows itself; each step overwrites `reference`
             reference = np.fft.fft(plan.values[rows], padded_len)
             reference *= spectrum
@@ -742,6 +741,9 @@ def convolve_plan(plan: ChunkPlan, kernel, padded_len: int) -> tuple:
             # has nowhere to go; it is dropped, not overlap-added
             np.divide(results[:, : plan.chunk_size].real, plan.scales[rows, None],
                       out=samples[rows])
+
+    _run_ranges(lambda lo, hi: convolve_blocks(plan.values[lo:hi], spectrum), write,
+                plan.num_chunks, workers, 2 * padded_len)
     bad = np.flatnonzero(~np.isfinite(rel))
     if bad.size:
         raise NormalizationError(f"rel_l2_vs_oracle of chunk {bad[0]} is {rel[bad[0]]}; "

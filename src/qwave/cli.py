@@ -194,10 +194,8 @@ def _cmd_multiply(args) -> int:
 def _cmd_convolve(args) -> int:
     if args.shots is not None:
         raise ShapeError("convolve runs on the exact statevector; --shots exact is the only mode")
-    # convolve runs its chunks serially and draws nothing at random, so a
-    # recorded worker count or seed would describe a run that did not happen
-    if args.workers != 1:
-        raise ShapeError(f"convolve runs serially; --workers must be 1, got {args.workers}")
+    check_workers(args.workers, "--workers")
+    # convolve draws nothing at random, so a recorded seed would describe a run that did not happen
     if args.seed != 0:
         raise ShapeError(f"convolve draws no samples; --seed must be 0, got {args.seed}")
     check_chunk_size(args.chunk_size, "--chunk-size")
@@ -207,7 +205,7 @@ def _cmd_convolve(args) -> int:
     plan, rate, sha_f, record = _input_chunks(args.signal_f, args)
     num_chunks, tail_padding = plan.num_chunks, plan.tail_padding
     try:
-        convolved, rel = convolve_plan(plan, kernel, padded_len)
+        convolved, rel = convolve_plan(plan, kernel, padded_len, args.workers)
     except NormalizationError as exc:  # the kernel cannot be encoded, or overflows the oracle
         raise NormalizationError(f"--kernel {args.kernel}: {exc}") from None
     del plan  # whole-signal rows the outputs do not read

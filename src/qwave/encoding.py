@@ -109,13 +109,17 @@ def build_rho(values) -> np.ndarray:
     its column bit for bit. mu = [[m, -s], [s, m]] is the Y-rotation taking
     |0> to m|0> + s|1>, and phi = diag(phase, 1) puts value's phase on |0>.
     The phase is value / |value| (1 at 0), each part divided by hypot(re, im),
-    which stays accurate and non-zero for a subnormal value whose re*re + im*im
-    underflows; -phase*s is written by parts too.
+    which stays non-zero for a subnormal value whose re*re + im*im underflows;
+    -phase*s is written by parts too. A hypot below 2**-1022 rounds onto the
+    subnormal grid (hypot(5e-324, 5e-324) is 5e-324), so such a value's parts
+    are first scaled by 2**600, exactly; every other value keeps its bits.
     """
     values = np.asarray(values)
     m = _magnitude(values)
     s = _complement(m.copy())
     re, im = np.real(values), np.imag(values)
+    shift = np.where(np.hypot(re, im) < np.finfo(np.float64).tiny, 600, 0)
+    re, im = np.ldexp(re, shift), np.ldexp(im, shift)
     mag = np.hypot(re, im)
     nonzero = mag > 0.0
     rho = np.empty(values.shape + (2, 2), dtype=np.complex128)

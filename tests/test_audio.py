@@ -630,6 +630,16 @@ def test_convolve_plan_refuses_a_kernel_that_overflows_the_oracle():
         convolve_plan(plan, np.full(8, 1e308), 16)
 
 
+def test_convolve_plan_on_threads_refuses_an_overflowing_kernel_without_warnings(
+        split_any_work):
+    """numpy's errstate does not reach pool threads, so each range silences the oracle itself."""
+    plan = make_chunks(np.full(40, 0.5), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning in any thread fails the call
+        with pytest.raises(NormalizationError, match="rel_l2_vs_oracle of chunk 0 is nan"):
+            convolve_plan(plan, np.full(8, 1e307), 16, workers=2)
+
+
 def test_convolve_plan_names_the_first_overflowing_chunk_in_a_later_block(monkeypatch):
     """Zero rows convolve to a zero reference, whose rel is 0.0; chunk 3 overflows first."""
     monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 2 * 2 * 16)  # two rows per block
@@ -852,24 +862,36 @@ def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
     (300, 20, 8, []),
     (qwave.audio._MIN_RANGE_DRAWS - 1, 2, 2, []),
     (qwave.audio._MIN_RANGE_DRAWS, 2, 2, [2]),
+    # convolve_plan runs a chunk of 8 in a 16-sample frame, 32 amplitudes too:
+    # the benchmark's convolve call stays in one range
+    ("convolve", 250, 8, []),
+    ("convolve", 2 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
 ], ids=["exact-c8", "exact-c1024", "exact-2-ranges", "exact-3-ranges", "shots-small",
-        "shots-below", "shots-2-ranges"])
+        "shots-below", "shots-2-ranges", "convolve-c8", "convolve-2-ranges"])
 def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_chunks,
                                                         chunk_size, started):
-    """Each thread gets at least _MIN_RANGE_AMPLITUDES amplitudes or _MIN_RANGE_DRAWS draws."""
+    """Each thread gets at least _MIN_RANGE_AMPLITUDES amplitudes or _MIN_RANGE_DRAWS draws.
+
+    shots "convolve" runs convolve_plan with a moving-average-4 kernel instead.
+    """
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
     rng = np.random.default_rng(num_chunks)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
-    pooled = process_chunks(plan_f, plan_g, shots=shots, seed=4, workers=8)
+
+    def outputs(workers):
+        if shots == "convolve":
+            return convolve_plan(plan_f, np.full(4, 0.25), 2 * chunk_size, workers)
+        quad = process_chunks(plan_f, plan_g, shots=shots, seed=4, workers=workers)
+        return quad.channels, quad.columns
+
+    pooled = outputs(8)
     assert RecordingExecutor.sizes == started
     monkeypatch.undo()
-    serial = process_chunks(plan_f, plan_g, shots=shots, seed=4)
-    for key in serial.components:
-        assert np.array_equal(serial.components[key], pooled.components[key])
-    assert pooled.columns.tobytes() == serial.columns.tobytes()
+    for one, eight in zip(outputs(1), pooled):
+        assert one.tobytes() == eight.tobytes()
 
 
 @pytest.mark.parametrize("chunk_size", [2, 8, 32])

@@ -1,17 +1,21 @@
 """A model-based property test of the command line.
 
 Each example draws a `multiply` (exact or at a few shots) or a `convolve`
-with a built-in kernel: a chunk size from 2 to 64, a length that often
-leaves the last chunk partial, int16, float32 or stereo WAV inputs or text
-ones, and a normalization mode. It calls qwave.cli.main into a fresh
-directory and checks every output against the model below, which uses
-numpy and the standard library and imports no engine from qwave: each WAV
-(read with the `wave` module) within 1 LSB and its header, every
-metrics.csv field and every manifest.txt line. Shot counts are replayed
-from the closed-form probabilities on the Philox streams [seed, chunk]. A
-`multiply` runs at --workers 1, 2 and 3 with the per-thread work floor
-lowered to one chunk, so the chunks really are split over threads, and
-must write the same bytes each time.
+with a built-in kernel or a kernel file in either domain: a chunk size from
+2 to 64, a length that often leaves the last chunk partial, int16, float32
+or stereo WAV inputs or text ones, and a normalization mode. It calls
+qwave.cli.main into a fresh directory and checks every output against the
+model below, which uses numpy and the standard library and imports no
+engine from qwave: each WAV (read with the `wave` module) within 1 LSB and
+its header, every metrics.csv field and every manifest.txt line. Shot
+counts are replayed from the closed-form probabilities on the Philox
+streams [seed, chunk]. Both commands run at --workers 1, 2 and 3 with the
+per-thread work floor lowered to one chunk, so the chunks really are split
+over threads, and must write the same bytes each time.
+
+A second test draws such a run with one fault in its argv or its input,
+and checks that the run is refused with one stderr line naming the fault,
+and that no --out directory is made.
 """
 
 import contextlib
@@ -47,9 +51,10 @@ INPUT_KINDS = ("int16", "float32", "int16-stereo", "float32-stereo", "text")
 
 
 @st.composite
-def runs(draw):
-    """One CLI run: its command, flags and the raw samples of each input file."""
-    command = draw(st.sampled_from(["multiply", "multiply", "convolve"]))
+def runs(draw, commands=("multiply", "multiply", "convolve")):
+    """One CLI run: its command (one of `commands`), flags and the raw samples of each
+    input file."""
+    command = draw(st.sampled_from(commands))
     n = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     chunks = draw(st.integers(1, 4))
     run = {
@@ -65,12 +70,19 @@ def runs(draw):
     if command == "multiply":
         run["shots"] = draw(st.one_of(st.none(), st.integers(1, 300)))
     else:
-        name = draw(st.sampled_from(["identity", "shift", "moving-average", "low-pass"]))
+        name = draw(st.sampled_from(["identity", "shift", "moving-average", "low-pass",
+                                     "time-file", "fourier-file"]))
         k = {"identity": None, "shift": st.integers(0, n - 1),
-             "moving-average": st.integers(1, n), "low-pass": st.integers(0, n)}[name]
+             "moving-average": st.integers(1, n), "low-pass": st.integers(0, n),
+             "time-file": st.integers(1, n), "fourier-file": st.just(2 * n)}[name]
         run["kernel"] = name if k is None else f"{name}-{draw(k)}"
         run["kernel_domain"] = draw(st.sampled_from(
             ["auto", "fourier" if name == "low-pass" else "time"]))
+        if name.endswith("-file"):  # taps or bins in [-1, 1], written as text
+            seed = draw(st.integers(0, 2**32))
+            run["taps"] = np.random.default_rng(seed).uniform(-1.0, 1.0, draw(k))
+            run["kernel_domain"] = ("fourier" if name == "fourier-file"
+                                    else draw(st.sampled_from(["auto", "time"])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     run["raw"] = [raw_samples(rng, kind, run["total"], run["normalization"] == "shift-scale")
                   for kind in run["kinds"]]
@@ -162,30 +174,36 @@ def multiply_model(run, x, y) -> tuple:
 
 def convolve_model(run, x) -> tuple:
     """(the convolved samples before the write, the kernel's domain): each chunk convolved
-    with the kernel in a frame of twice the chunk size, its first chunk_size samples kept."""
+    with the kernel in a frame of twice the chunk size, its first chunk_size samples kept.
+    A Fourier-domain kernel file holds the frame's bins; a time-domain one, the taps."""
     n = run["chunk_size"]
     name, _, k = run["kernel"].rpartition("-")
     if run["kernel"] == "identity":
         out, domain = x.copy(), "time"
-    elif name == "low-pass":
+    elif name in ("low-pass", "fourier-file"):
         bins = np.arange(2 * n)
-        mask = np.minimum(bins, 2 * n - bins) <= int(k)
+        mask = run["taps"] if "taps" in run else np.minimum(bins, 2 * n - bins) <= int(k)
         out, domain = np.fft.ifft(np.fft.fft(x, 2 * n) * mask)[:, :n].real, "fourier"
     else:
-        taps = np.full(int(k), 1.0 / int(k)) if name == "moving-average" else np.eye(n)[int(k)]
+        if name == "moving-average":
+            taps = np.full(int(k), 1.0 / int(k))
+        else:
+            taps = np.eye(n)[int(k)] if name == "shift" else run["taps"]
         out = np.array([np.convolve(row, taps)[:n] for row in x])
         domain = "time"
     return out.reshape(-1)[: run["total"]], domain
 
 
 def manifest_lines(run, argv, inputs, domain=None) -> list:
-    """Every manifest.txt line of the run."""
+    """Every manifest.txt line of the run; a convolve's inputs are the signal and its
+    kernel file, if it has one."""
     n, total = run["chunk_size"], run["total"]
     chunks = -(-total // n)
     lines = ["manifest_version = 4", f"tool = qwave {qwave.__version__}",
              f"python = {platform.python_version()}", f"numpy = {np.__version__}",
              f"command = {run['command']}"]
-    for role, path in zip("fg", inputs):
+    roles = ["f", "g"] if run["command"] == "multiply" else ["f", "kernel"]
+    for role, path in zip(roles, inputs):
         with open(path, "rb") as fh:
             lines += [f"input_{role} = {path}",
                       f"input_{role}_sha256 = {hashlib.sha256(fh.read()).hexdigest()}"]
@@ -201,11 +219,13 @@ def manifest_lines(run, argv, inputs, domain=None) -> list:
                   "outputs = component_00.wav component_01.wav component_10.wav "
                   "component_11.wav manifest.txt metrics.csv"]
     else:
-        lines += [f"kernel = {run['kernel']}", f"kernel_domain = {domain}",
+        kernel = inputs[1] if len(inputs) > 1 else run["kernel"]
+        lines += [f"kernel = {kernel}", f"kernel_domain = {domain}",
                   f"sample_rate = {run['rate']}", f"chunk_size = {n}",
                   f"padded_length = {2 * n}", f"num_chunks = {chunks}",
                   f"tail_padding = {chunks * n - total}", "shots = exact", "seed = 0",
-                  "workers = 1", f"normalization = {run['normalization']}",
+                  f"workers = {argv[argv.index('--workers') + 1]}",
+                  f"normalization = {run['normalization']}",
                   "outputs = convolved.wav manifest.txt metrics.csv"]
     return lines
 
@@ -288,27 +308,39 @@ def check_multiply(run, work, inputs, rows, flags):
 
 
 def check_convolve(run, work, inputs, x, flags):
-    out = os.path.join(work, "out")
-    argv = ["convolve", *inputs, "--kernel", run["kernel"],
-            "--kernel-domain", run["kernel_domain"], *flags, "--out", out]
-    stdout = call(argv)
+    kernel = run["kernel"]
+    if "taps" in run:
+        kernel = os.path.join(work, "kernel.txt")
+        np.savetxt(kernel, run["taps"])
+        inputs = [*inputs, kernel]
     want, domain = convolve_model(run, x)
-    assert stdout.startswith(f"convolve: {len(x)} chunks, kernel {run['kernel']} "
-                             f"({domain} domain), worst rel l2 vs oracle ")
-    assert stdout.endswith(f"\n  convolved.wav metrics.csv manifest.txt -> {out}\n")
-    assert sorted(os.listdir(out)) == ["convolved.wav", "manifest.txt", "metrics.csv"]
-    check_wav(os.path.join(out, "convolved.wav"), want, run["rate"])
-    lines = Path(out, "metrics.csv").read_text().splitlines()
-    assert lines[0] == "chunk_index,rel_l2_vs_oracle" and len(lines) == len(x) + 1
-    for i, (line, row) in enumerate(zip(lines[1:], x)):
-        index, rel = line.split(",")
-        assert index == str(i)
-        if row.any():
-            assert 0.0 <= float(rel) < 1e-9
-        else:
-            assert rel == "0"  # an all-zero chunk's reference has no norm to divide by
-    assert Path(out, "manifest.txt").read_text().splitlines() == manifest_lines(
-        run, argv, inputs, domain)
+    written = []
+    for workers in (1, 2, 3):
+        out = os.path.join(work, f"out_{workers}")
+        argv = ["convolve", inputs[0], "--kernel", kernel, "--kernel-domain",
+                run["kernel_domain"], *flags, "--workers", str(workers), "--out", out]
+        # a floor of one chunk per thread, so two and three workers split the chunks
+        with mock.patch.object(qwave.audio, "_MIN_RANGE_AMPLITUDES", 1):
+            stdout = call(argv)
+        assert stdout.startswith(f"convolve: {len(x)} chunks, kernel {kernel} "
+                                 f"({domain} domain), worst rel l2 vs oracle ")
+        assert stdout.endswith(f"\n  convolved.wav metrics.csv manifest.txt -> {out}\n")
+        assert sorted(os.listdir(out)) == ["convolved.wav", "manifest.txt", "metrics.csv"]
+        check_wav(os.path.join(out, "convolved.wav"), want, run["rate"])
+        lines = Path(out, "metrics.csv").read_text().splitlines()
+        assert lines[0] == "chunk_index,rel_l2_vs_oracle" and len(lines) == len(x) + 1
+        for i, (line, row) in enumerate(zip(lines[1:], x)):
+            index, rel = line.split(",")
+            assert index == str(i)
+            if row.any():
+                assert 0.0 <= float(rel) < 1e-9
+            else:
+                assert rel == "0"  # an all-zero chunk's reference has no norm to divide by
+        assert Path(out, "manifest.txt").read_text().splitlines() == manifest_lines(
+            run, argv, inputs, domain)
+        written.append([stdout.replace(out, "OUT").encode()] + [
+            Path(out, name).read_bytes() for name in ("convolved.wav", "metrics.csv")])
+    assert written[0] == written[1] == written[2]
 
 
 @pytest.mark.filterwarnings("ignore:.*averaging 2 channels to mono:UserWarning")
@@ -318,3 +350,60 @@ def check_convolve(run, work, inputs, x, flags):
 def test_cli_outputs_match_the_numpy_model(tmp_path, run):
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         run_cli(run, work)
+
+
+# -- refused runs ---------------------------------------------------------------------------
+
+# (commands, the fault, a fragment of its one error line). A fault is flags appended to a
+# valid argv, whose last value of a flag wins; "-" names a fault in the signal file instead.
+FAULTS = [
+    ("mc", ["--chunk-size", "3"], "--chunk-size must be a power of two >= 2, got 3"),
+    ("mc", ["--chunk-size", str(2**40)], "--chunk-size 1099511627776 exceeds 2**(MAX_QUBITS-2)"),
+    ("mc", ["--workers", "0"], "--workers must be >= 1, got 0"),
+    ("mc", ["--sample-rate", "0"], "--sample-rate must be in [1, 2147483647], got 0"),
+    ("mc", ["-", "missing.txt"], "missing.txt: no such file"),
+    ("mc", ["-", "negative.txt", "--normalization", "assume-positive"],
+     "assume-positive input has 1 negative samples, first at index 1 (value -0.25)"),
+    ("m", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("c", ["--shots", "10"], "convolve runs on the exact statevector"),
+    ("c", ["--seed", "9"], "convolve draws no samples; --seed must be 0, got 9"),
+    ("c", ["--kernel", " "], "--kernel ' ' is blank"),
+    ("c", ["--kernel", "moving-average-65"], "moving-average width 65 must be in [1, "),
+    ("c", ["--kernel", "low-pass-2", "--kernel-domain", "time"],
+     "--kernel-domain time contradicts --kernel low-pass-2"),
+    ("c", ["--kernel", "long.txt", "--kernel-domain", "time"], "kernel length 65 exceeds"),
+    ("c", ["--kernel", "long.txt", "--kernel-domain", "fourier"],
+     "Fourier-domain kernel must have exactly"),
+]
+
+
+@pytest.mark.parametrize("commands, extra, message", FAULTS,
+                         ids=[" ".join(fault[1]) for fault in FAULTS])
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_refused_runs_print_one_error_line_and_make_no_out(tmp_path, capsys, commands, extra,
+                                                           message, data):
+    run = data.draw(runs(["multiply" if c == "m" else "convolve" for c in commands]))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        inputs = [write_input(os.path.join(work, f"in_{role}"), kind, raw, run["rate"])
+                  for role, kind, raw in zip("fg", run["kinds"], run["raw"])]
+        np.savetxt(os.path.join(work, "negative.txt"), [0.5, -0.25, 0.5])
+        np.savetxt(os.path.join(work, "long.txt"), np.full(65, 0.5))  # longer than any chunk
+        if extra[0] == "-":
+            inputs[0], extra = os.path.join(work, extra[1]), extra[2:]
+        extra = [os.path.join(work, a) if a.endswith(".txt") else a for a in extra]
+        out = os.path.join(work, "out")
+        argv = [run["command"], *inputs, "--chunk-size", str(run["chunk_size"]),
+                "--normalization", run["normalization"], "--sample-rate", str(run["rate"])]
+        if run["command"] == "convolve":
+            argv += ["--kernel", "identity"]
+        else:
+            argv += ["--seed", str(run["seed"])]
+        capsys.readouterr()
+        assert main([*argv, *extra, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not os.path.exists(out)

@@ -54,6 +54,16 @@ def encode_fresh(values):
     return state
 
 
+@pytest.mark.parametrize("value", [5e-324 + 5e-324j, 1e-320 + 1e-320j, 3e-321 - 4e-321j])
+def test_encoder_takes_deep_subnormal_values(value):
+    """A value whose hypot is below 2**-1022 still gives a unitary rho and its closed form."""
+    rho = build_rho(value)
+    assert np.abs(rho.conj().T @ rho - np.eye(2)).max() <= 1e-15
+    values = np.array([value, 0.5, 0.25j, value])
+    state = encode_fresh(values)
+    assert np.abs(state.amplitudes - expected_encoded(values)).max() <= 1e-15
+
+
 def random_state(num_qubits, rng=RNG):
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return Statevector(num_qubits, amps / np.linalg.norm(amps))
@@ -142,11 +152,15 @@ def reference_rho(value):
     """build_rho's formula for one value in Python floats: [[v, -phase*s], [s, m]].
 
     The phase is v / abs(v) divided by parts (1 at v = 0), and -phase*s is
-    formed by parts too.
+    formed by parts too. An abs(v) below 2**-1022 rounds onto the subnormal
+    grid, so such a v's parts are first scaled by 2**600.
     """
     top, s = reference_column(value)
-    a = abs(top)
-    p, q = (top.real / a, top.imag / a) if a else (1.0, 0.0)
+    unit = top
+    if abs(top) < np.finfo(np.float64).tiny:
+        unit = complex(math.ldexp(top.real, 600), math.ldexp(top.imag, 600))
+    a = abs(unit)
+    p, q = (unit.real / a, unit.imag / a) if a else (1.0, 0.0)
     return np.array([[top, complex(-p * s, -q * s)], [s, reference_magnitude(value)]],
                     dtype=np.complex128)
 
@@ -197,6 +211,10 @@ _ENCODABLE = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ENCODABLE, min_size=1, max_size=64))
+# deep-subnormal values, whose hypot rounds onto the subnormal grid
+@example([5e-324 + 5e-324j])
+@example([1e-320 + 1e-320j])
+@example([3e-321 - 4e-321j])
 def test_array_builders_bitwise_equal_scalar_reference(values):
     assert_builders_match_references(np.array(values, dtype=np.complex128))
 

@@ -39,3 +39,4 @@ def test_output_digest_rewrite_check_passes(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert "rewrite check passed" in run.stderr
+    assert "pooled check passed" in run.stderr

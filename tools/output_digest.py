@@ -17,7 +17,12 @@ partial, in three engine blocks of up to 128 rows), and a text-input
 multiply and convolve whose samples include +0.0 and -0.0, which the
 encoder writes as they are, so a zero's sign reaches the states and the
 outputs unchanged, and a shot-sweep of a 16-sample text pair that holds
-both zeros, which the assume-positive sign rule accepts.
+both zeros, which the assume-positive sign rule accepts. Last come
+moving-average-5 convolves of the 40000-sample signal on threads: at chunk
+size 8 on one worker, then on two and three, and at chunk size 128 on two.
+Each pooled call's files must hash as its one-worker twin's do, its
+manifest once its `workers` line reads 1; any that differs is named on
+stderr and the exit status is 1.
 They run in-process inside a temporary directory with relative paths, so
 the manifests, which record input paths, compare across trees. Each output
 file prints as `sha256  path`, and each call's stdout as `sha256
@@ -117,7 +122,37 @@ def calls() -> list:
                                             "--signal-g", "in/sweep_zeros_g.txt",
                                             "--num-seeds", "3", "--shots-list", "100,exact",
                                             "--out", "out/shot-sweep-signed-zeros"]))
+    for label, chunk_size, workers in (("conv-ma5-c8", 8, 1), ("conv-ma5-c8-w2", 8, 2),
+                                       ("conv-ma5-c8-w3", 8, 3), ("conv-ma5-c128-w2", 128, 2)):
+        out.append((label, ["convolve", "in/long_f.txt", "--kernel", "moving-average-5",
+                            "--chunk-size", str(chunk_size), "--workers", str(workers),
+                            "--out", f"out/{label}"]))
     return out
+
+
+# each pooled call, and the one-worker call whose files it must match
+POOLED = {"conv-ma5-c8-w2": "conv-ma5-c8", "conv-ma5-c8-w3": "conv-ma5-c8",
+          "conv-ma5-c128-w2": "conv-ma5-c128"}
+
+
+def pooled_mismatches() -> list:
+    """The files of each pooled call whose bytes differ from its one-worker twin's, the
+    manifest's `workers` line set to 1 first."""
+    bad = []
+    for label, twin in POOLED.items():
+        names = sorted(os.listdir(f"out/{label}"))
+        if names != sorted(os.listdir(f"out/{twin}")):
+            bad.append(f"out/{label}: files {names}")
+            continue
+        for name in names:
+            with open(f"out/{label}/{name}", "rb") as fh, open(f"out/{twin}/{name}", "rb") as tw:
+                data, want = fh.read(), tw.read()
+            if name == "manifest.txt":
+                workers = [line for line in data.split(b"\n") if line.startswith(b"workers = ")]
+                data = data.replace(b"\n" + workers[0] + b"\n", b"\nworkers = 1\n", 1)
+            if data != want:
+                bad.append(f"out/{label}/{name}")
+    return bad
 
 
 def sha256(data: bytes) -> str:
@@ -153,6 +188,7 @@ def main() -> int:
             argvs = calls()
             first = digest_lines(argvs)
             print("\n".join(first))
+            pooled = pooled_mismatches()
             for label, _ in argvs:
                 for path in output_files(label):
                     with open(path, "ab") as fh:
@@ -160,6 +196,12 @@ def main() -> int:
             rewritten = digest_lines(argvs)
         finally:
             os.chdir(home)
+    if pooled:
+        print("pooled check FAILED: these files differ from their one-worker call's:",
+              *(f"  {name}" for name in pooled), sep="\n", file=sys.stderr)
+    else:
+        print(f"pooled check passed: the files of all {len(POOLED)} pooled convolve calls "
+              f"equal their one-worker call's", file=sys.stderr)
     if rewritten != first:
         print("rewrite check FAILED: after every call reran over its junk-padded outputs, "
               "these hashes differ from the first pass:", file=sys.stderr)
@@ -168,7 +210,7 @@ def main() -> int:
         return 1
     print(f"rewrite check passed: all {len(first)} hashes equal after rerunning every "
           f"call over its junk-padded outputs", file=sys.stderr)
-    return 0
+    return 1 if pooled else 0
 
 
 if __name__ == "__main__":

@@ -1,20 +1,20 @@
 """Fresh-process peak RSS of one `multiply` and one `convolve` call per input length.
 
 Writes 8 kHz mono 16-bit sine WAVs of each length (10, 60 and 300 s by
-default) to a temporary directory, then for each length runs one exact
-`qwave multiply f.wav g.wav` and one `qwave convolve f.wav --kernel
-moving-average-4` call, at the default chunk size of 8, each in a new
-interpreter. Each child reports its peak RSS after importing qwave.cli and
+default) to a temporary directory, then for each length and each worker
+count (--workers, 1 by default) runs one exact `qwave multiply f.wav g.wav`
+and one `qwave convolve f.wav --kernel moving-average-4` call, at the
+default chunk size of 8, each in a new interpreter. Each child reports its peak RSS after importing qwave.cli and
 again after the call, and the call's wall time. The peak is the child's
 VmHWM from /proc/self/status where there is one: getrusage's ru_maxrss also
 counts the parent's peak, which an exec carries over on Linux. It
-prints one row per call and, per command, the slope of the peak between the
+prints one row per call and, per command and worker count, the slope of the peak between the
 shortest and the longest input in bytes per input sample: a run whose memory
 does not grow with the input reads near 0. The qwave package measured is the
 one the children import, named on the first line, so two trees compare by
 running this script with each tree's src first on PYTHONPATH.
 
-    PYTHONPATH=src python tools/peak_rss.py [--seconds 10 60 300]
+    PYTHONPATH=src python tools/peak_rss.py [--seconds 10 60 300] [--workers 1,2]
 """
 
 from __future__ import annotations
@@ -83,9 +83,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seconds", type=int, nargs="+", default=[10, 60, 300],
                         help="input lengths in seconds at 8 kHz (default 10 60 300)")
+    parser.add_argument("--workers", default="1",
+                        help="comma-separated worker counts, each run on every length "
+                             "(default 1)")
     args = parser.parse_args(argv)
     if min(args.seconds) < 1:
         parser.error(f"--seconds must be >= 1, got {min(args.seconds)}")
+    try:
+        workers = sorted({int(w) for w in args.workers.split(",")})
+    except ValueError:
+        parser.error(f"--workers must list integers, got {args.workers!r}")
+    if workers[0] < 1:
+        parser.error(f"--workers must be >= 1, got {workers[0]}")
     lengths = sorted(set(args.seconds))
     peaks = {}
     with tempfile.TemporaryDirectory() as work:
@@ -95,23 +104,25 @@ def main(argv=None) -> int:
             write_sine(f, seconds, 440.0)
             write_sine(g, seconds, 660.0)
             out = os.path.join(work, "out")
-            for command, call in (("multiply", ["multiply", f, g]),
-                                  ("convolve", ["convolve", f, "--kernel", "moving-average-4"])):
-                report = run_child(call + ["--out", out])
-                if not header:
-                    print(f"qwave from {os.path.dirname(report['qwave'])}")
-                    print(f"{'command':<9} {'seconds':>7} {'samples':>9} {'peak MiB':>9} "
-                          f"{'import MiB':>10} {'call s':>7}")
-                    header = True
-                peaks.setdefault(command, []).append(report["peak_kib"] * 1024)
-                print(f"{command:<9} {seconds:>7} {seconds * RATE:>9} "
-                      f"{report['peak_kib'] / 1024:>9.1f} {report['import_kib'] / 1024:>10.1f} "
-                      f"{report['wall_s']:>7.2f}")
+            for count in workers:
+                for command, call in (("multiply", ["multiply", f, g]),
+                                      ("convolve", ["convolve", f, "--kernel",
+                                                    "moving-average-4"])):
+                    report = run_child(call + ["--workers", str(count), "--out", out])
+                    if not header:
+                        print(f"qwave from {os.path.dirname(report['qwave'])}")
+                        print(f"{'command':<9} {'workers':>7} {'seconds':>7} {'samples':>9} "
+                              f"{'peak MiB':>9} {'import MiB':>10} {'call s':>7}")
+                        header = True
+                    peaks.setdefault((command, count), []).append(report["peak_kib"] * 1024)
+                    print(f"{command:<9} {count:>7} {seconds:>7} {seconds * RATE:>9} "
+                          f"{report['peak_kib'] / 1024:>9.1f} "
+                          f"{report['import_kib'] / 1024:>10.1f} {report['wall_s']:>7.2f}")
     if len(lengths) > 1:
         span = (lengths[-1] - lengths[0]) * RATE
-        for command, values in peaks.items():
-            print(f"{command}: {(values[-1] - values[0]) / span:.0f} bytes of peak RSS "
-                  f"per input sample, {lengths[0]} s to {lengths[-1]} s")
+        for (command, count), values in peaks.items():
+            print(f"{command} at {count} workers: {(values[-1] - values[0]) / span:.0f} bytes "
+                  f"of peak RSS per input sample, {lengths[0]} s to {lengths[-1]} s")
     return 0
 
 
