@@ -548,8 +548,8 @@ def _run_ranges(engine, write, num_rows: int, workers: int, amplitudes: int, dra
     product_blocks and convolve_blocks do over the row slice first:last, with
     `rows` the block's slice of all num_rows rows.
 
-    A row costs `draws` shot draws, or else `amplitudes` state amplitudes. The
-    rows run in min(workers, os.cpu_count()) contiguous ranges, fewer if one
+    A row costs `draws` shot draws, or `amplitudes` amplitudes if draws is None.
+    The rows run in min(workers, os.cpu_count()) contiguous ranges, fewer if one
     would hold under _MIN_RANGE_DRAWS or _MIN_RANGE_AMPLITUDES of them, on that
     many threads, or in this one when that is 1; a range's error is raised here.
     """

@@ -6,6 +6,7 @@ import io
 import os
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -891,6 +892,29 @@ def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_
     assert RecordingExecutor.sizes == started
     monkeypatch.undo()
     for one, eight in zip(outputs(1), pooled):
+        assert one.tobytes() == eight.tobytes()
+
+
+def test_both_drivers_on_more_threads_than_cores_write_what_one_thread_does(monkeypatch,
+                                                                          split_any_work):
+    """Eight threads, two rows per engine block and a short switch interval: the ranges write
+    disjoint rows of shared arrays, so no interleaving may move a byte."""
+    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 2 * 2 * 16)
+    plan_f, plan_g = make_chunks(positive_signal(8 * 40), 8), make_chunks(positive_signal(8 * 40), 8)
+
+    def outputs(workers):
+        quad = process_chunks(plan_f, plan_g, shots=200, seed=1, workers=workers)
+        return [quad.channels, quad.columns, *convolve_plan(plan_f, np.full(4, 0.25), 16, workers)]
+
+    serial = outputs(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = outputs(8)
+    finally:
+        sys.setswitchinterval(interval)
+    for one, eight in zip(serial, pooled):
         assert one.tobytes() == eight.tobytes()
 
 
