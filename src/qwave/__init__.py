@@ -15,14 +15,10 @@ __version__ = "0.1.0"
 from .audio import (
     METRICS_CSV_HEADER,
     AudioBuffer,
-    ChunkPlan,
     MetricsReport,
     NormalizationRecord,
-    QuadOutput,
     load_wav,
-    make_chunks,
     normalize_for_encoding,
-    process_chunks,
     write_wav,
 )
 from .encoding import (
@@ -43,7 +39,9 @@ from .errors import (
 )
 from .pipelines import (
     COMPONENTS,
+    ChunkPlan,
     ProductState,
+    QuadOutput,
     classical_circular_convolution,
     classical_dft,
     convolve_blocks,
@@ -51,8 +49,10 @@ from .pipelines import (
     convolve_via_theorem,
     extract_component,
     kernel_spectrum,
+    make_chunks,
     pointwise_multiply_state,
     postselect_probability,
+    process_chunks,
     product_blocks,
     zero_pad,
 )

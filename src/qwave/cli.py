@@ -13,6 +13,7 @@ import argparse
 import functools
 import platform
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,20 +26,18 @@ from .audio import (
     check_rate,
     check_seed,
     check_workers,
-    convolve_plan,
     csv_table,
     ensure_dir,
-    make_chunks,
     normalize_for_encoding,
-    process_chunks,
     read_signal,
     remap_for_listening,
     write_outputs,
 )
 from .encoding import SignalChunk
 from .errors import DomainError, NormalizationError, QwaveError, ShapeError
-from .pipelines import pointwise_multiply_state
-from .sampling import SAMPLER, STANDARD_TEST_PAIR, seed_scores
+from .pipelines import (convolve_plan, make_chunks, pointwise_multiply_state, process_chunks,
+                        seed_scores)
+from .sampling import SAMPLER, STANDARD_TEST_PAIR
 from .selftest import run_selftest
 
 MANIFEST_VERSION = 4
@@ -315,8 +314,19 @@ def _cmd_selftest() -> int:
     return 1 if failed else 0
 
 
+def _print_warning(message, *_) -> None:
+    """A command's warnings.showwarning: one `warning: <message>` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # each warning the command raises, such as one per stereo input averaged to mono, is one
+    # stderr line. A warning no filter names takes the action "always", so none is
+    # deduplicated; swapping two attributes costs a call far less than catch_warnings'
+    # copy of the filters, and the caller's filters are left as they are.
+    saved = warnings.showwarning, warnings.defaultaction
+    warnings.showwarning, warnings.defaultaction = _print_warning, "always"
     try:
         if args.command == "multiply":
             return _cmd_multiply(args)
@@ -335,6 +345,8 @@ def main(argv=None) -> int:
         where = "" if exc.filename is None else f"{exc.filename}: "  # a failed write names none
         print(f"error: {where}{reason}", file=sys.stderr)
         return 1
+    finally:
+        warnings.showwarning, warnings.defaultaction = saved
 
 
 if __name__ == "__main__":

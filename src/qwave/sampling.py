@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, StateError
-from .pipelines import _chunk_blocks, _component_offset
 from .statevector import Statevector
 
 # The name of sample_counts' sampling rule, which run manifests record: shot
@@ -215,18 +214,11 @@ def shot_readout(states, shots: int, seeds) -> tuple:
     return channels, rmsd_rows(channels[0], ideal00), fidelity_rows(probs, counts / shots)
 
 
-def seed_scores(state, shots: int, seeds) -> tuple:
-    """rmsd and fidelity (%) of one (N, 2, 2) product state, drawn once on each seed.
-
-    The (len(seeds),) arrays shot_readout gives for that state repeated,
-    computed a block of seeds at a time so the counts table and its
-    temporaries stay a few MiB however many seeds there are.
-    """
-    rmsds, fids = np.empty(len(seeds)), np.empty(len(seeds))
-    for lo, hi in _chunk_blocks(len(seeds), state.size):
-        block = np.broadcast_to(state, (hi - lo, *state.shape))
-        _, rmsds[lo:hi], fids[lo:hi] = shot_readout(block, shots, seeds[lo:hi])
-    return rmsds, fids
+def _component_offset(component) -> int:
+    bf, bg = component
+    if bf not in (0, 1) or bg not in (0, 1):
+        raise ShapeError(f"component must be a pair of bits, got {component}")
+    return 2 * bf + bg
 
 
 def decode_component(counts: ShotCounts, component=(0, 0)) -> np.ndarray:

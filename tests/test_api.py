@@ -96,3 +96,46 @@ def test_every_output_goes_through_write_file():
                 tree = ast.parse(fh.read())
             writers += [(name, *found) for found in _writing_opens(tree)]
     assert writers == [("audio.py", "write_file", "os.open")]
+
+
+# Each module of the package but __init__, and the sibling modules it imports. The file
+# formats and argument rules (audio) and the sampler sit below the engines and their chunk
+# drivers (pipelines); only selftest and the CLI sit above those.
+IMPORT_GRAPH = {
+    "errors": set(),
+    "statevector": {"errors"},
+    "encoding": {"errors", "statevector"},
+    "sampling": {"errors", "statevector"},
+    "audio": {"errors", "statevector"},
+    "pipelines": {"audio", "encoding", "errors", "sampling", "statevector"},
+    "selftest": {"encoding", "pipelines", "sampling", "statevector"},
+    "cli": {"audio", "encoding", "errors", "pipelines", "sampling", "selftest"},
+}
+
+
+def _sibling_imports(tree, modules) -> set:
+    """The names in `modules` that a module imports anywhere in its `tree`, relatively
+    (from .x import y, from . import x) or absolutely (import qwave.x, from qwave.x import y)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qwave" if node.level else None, node.module]))
+            paths = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "qwave" and len(parts) > 1 and parts[1] in modules:
+                found.add(parts[1])
+    return found
+
+
+def test_module_import_graph():
+    package = os.path.dirname(os.path.abspath(qwave.__file__))
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")} - {"__init__"}
+    graph = {}
+    for name in modules:
+        with open(os.path.join(package, f"{name}.py"), encoding="utf-8") as fh:
+            graph[name] = _sibling_imports(ast.parse(fh.read()), modules)
+    assert graph == IMPORT_GRAPH

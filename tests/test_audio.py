@@ -48,10 +48,11 @@ from qwave import (
 )
 import qwave.audio
 from qwave.audio import (
-    CONVOLVE_CSV, METRICS_CSV_FIELDS, SWEEP_CSV, build_kernel, convolve_plan, csv_table,
-    read_signal, remap_for_listening, write_outputs,
+    CONVOLVE_CSV, METRICS_CSV_FIELDS, SWEEP_CSV, build_kernel, csv_table, read_signal,
+    remap_for_listening, write_outputs,
 )
 from qwave.encoding import rescale_rows
+from qwave.pipelines import convolve_plan
 from reference import csv_table_by_zip, per_channel_wav_bytes, product_state_by_gates
 
 RNG = np.random.default_rng(3141)
@@ -64,8 +65,8 @@ def positive_signal(size, rng=RNG):
 @pytest.fixture
 def split_any_work(monkeypatch):
     """Let process_chunks give a thread a range of any size, so small calls use threads."""
-    monkeypatch.setattr(qwave.audio, "_MIN_RANGE_AMPLITUDES", 1)
-    monkeypatch.setattr(qwave.audio, "_MIN_RANGE_DRAWS", 1)
+    monkeypatch.setattr(pipelines, "_MIN_RANGE_AMPLITUDES", 1)
+    monkeypatch.setattr(pipelines, "_MIN_RANGE_DRAWS", 1)
 
 
 def test_wav_int16_roundtrip(tmp_path):
@@ -799,7 +800,7 @@ def test_pool_is_bounded_by_cpu_count(monkeypatch, split_any_work, cpus, workers
     """Both modes run their chunk ranges on min(workers, cpus) threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: cpus)
     rng = np.random.default_rng(workers)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
@@ -825,13 +826,13 @@ def test_one_worker_never_asks_the_core_count(monkeypatch, split_any_work):
 
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", refuse)
+    monkeypatch.setattr(pipelines.os, "cpu_count", refuse)
     rng = np.random.default_rng(5)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, 8 * 20), 8)
     serial = [process_chunks(plan_f, plan_g, shots=shots, seed=2, workers=1)
               for shots in (None, 300)]
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: 1)
     pooled = [process_chunks(plan_f, plan_g, shots=shots, seed=2, workers=4)
               for shots in (None, 300)]
     assert RecordingExecutor.sizes == []
@@ -845,7 +846,7 @@ def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
     """Two chunks make two ranges, so 8 CPUs and 1000 workers start two threads."""
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: 8)
     plan = make_chunks(np.linspace(0.1, 0.9, 2 * 2**10), 2**10)
     pooled = process_chunks(plan, plan, shots=50, seed=1, workers=1000)
     assert RecordingExecutor.sizes == [2]
@@ -858,15 +859,15 @@ def test_threads_are_bounded_by_chunk_count(monkeypatch, split_any_work):
     (None, 250, 8, []),
     (None, 2, 1024, []),
     # chunks of 8 hold 32 amplitudes: 2 ranges' worth, then one chunk short of 4
-    (None, 2 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
-    (None, 4 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32) - 1, 8, [3]),
+    (None, 2 * (pipelines._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
+    (None, 4 * (pipelines._MIN_RANGE_AMPLITUDES // 32) - 1, 8, [3]),
     (300, 20, 8, []),
-    (qwave.audio._MIN_RANGE_DRAWS - 1, 2, 2, []),
-    (qwave.audio._MIN_RANGE_DRAWS, 2, 2, [2]),
+    (pipelines._MIN_RANGE_DRAWS - 1, 2, 2, []),
+    (pipelines._MIN_RANGE_DRAWS, 2, 2, [2]),
     # convolve_plan runs a chunk of 8 in a 16-sample frame, 32 amplitudes too:
     # the benchmark's convolve call stays in one range
     ("convolve", 250, 8, []),
-    ("convolve", 2 * (qwave.audio._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
+    ("convolve", 2 * (pipelines._MIN_RANGE_AMPLITUDES // 32), 8, [2]),
 ], ids=["exact-c8", "exact-c1024", "exact-2-ranges", "exact-3-ranges", "shots-small",
         "shots-below", "shots-2-ranges", "convolve-c8", "convolve-2-ranges"])
 def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_chunks,
@@ -877,7 +878,7 @@ def test_threads_start_only_for_ranges_with_enough_work(monkeypatch, shots, num_
     """
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: 8)
     rng = np.random.default_rng(num_chunks)
     plan_f = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
     plan_g = make_chunks(rng.uniform(0.05, 0.95, num_chunks * chunk_size), chunk_size)
@@ -899,7 +900,7 @@ def test_both_drivers_on_more_threads_than_cores_write_what_one_thread_does(monk
                                                                           split_any_work):
     """Eight threads, two rows per engine block and a short switch interval: the ranges write
     disjoint rows of shared arrays, so no interleaving may move a byte."""
-    monkeypatch.setattr(qwave.audio.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipelines.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(pipelines, "_CHUNK_BLOCK", 2 * 2 * 16)
     plan_f, plan_g = make_chunks(positive_signal(8 * 40), 8), make_chunks(positive_signal(8 * 40), 8)
 

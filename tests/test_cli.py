@@ -21,6 +21,7 @@ from scipy.io import wavfile
 
 import qwave.audio
 import qwave.cli
+import qwave.pipelines
 from qwave import (
     MAX_QUBITS,
     METRICS_CSV_HEADER,
@@ -409,6 +410,25 @@ def test_zero_frame_wav_names_the_file(tmp_path, capsys, command, channels):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("names", [["st", "mono"], ["st", "st2"], ["st", "st"]],
+                         ids=["one-stereo-input", "two-stereo-inputs", "one-stereo-input-twice"])
+def test_each_stereo_input_is_one_warning_line(tmp_path, capsys, names):
+    """Each input averaged to mono is one `warning:` line on stderr, not Python's
+    file:line warning and its source line, and main hands the caller its warning filters
+    and showwarning back as it found them."""
+    for name in ("st", "st2", "mono"):
+        shape = 64 if name == "mono" else (64, 2)
+        wavfile.write(tmp_path / f"{name}.wav", 8000, np.full(shape, 16384, np.int16))
+    inputs = [str(tmp_path / f"{name}.wav") for name in names]
+    state = warnings.filters[:], warnings.showwarning, warnings.defaultaction
+    for _ in range(2):  # no line is deduplicated, in one call or the next
+        assert main(["multiply", *inputs, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {path}: averaging 2 channels to mono\n"
+            for path, name in zip(inputs, names) if name != "mono")
+    assert (warnings.filters, warnings.showwarning, warnings.defaultaction) == state
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_non_finite_float_wav_names_the_file_and_sample(tmp_path, capsys, bad):
     path = tmp_path / "f.wav"
@@ -487,7 +507,7 @@ def test_multiply_writes_metrics_csv_without_metrics_rows(tmp_path, monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("metrics.csv must be written from the columns")
 
-    monkeypatch.setattr(qwave.audio, "MetricsReport", refuse)
+    monkeypatch.setattr(qwave.pipelines, "MetricsReport", refuse)
     assert main(["multiply", *inputs, "--shots", "500", "--seed", "3",
                  "--out", str(tmp_path / "out")]) == 0
     assert read_lines(tmp_path / "out" / "metrics.csv") == expected

@@ -13,9 +13,14 @@ streams [seed, chunk]. Both commands run at --workers 1, 2 and 3 with the
 per-thread work floor lowered to one chunk, so the chunks really are split
 over threads, and must write the same bytes each time.
 
-A second test draws such a run with one fault in its argv or its input,
-and checks that the run is refused with one stderr line naming the fault,
-and that no --out directory is made.
+A `shot-sweep` test draws the built-in pair or two text pairs, a
+--shots-list with exact entries and 1 to 4 seeds, and checks every sweep.csv
+field, every manifest.txt line and the stdout against the same model: seed i
+of a shot count replays the Philox stream [seed, shots, i].
+
+Two more tests draw such runs with one fault in the argv or an input, and
+check that each run is refused with one stderr line naming the fault, an
+empty stdout and no --out directory.
 """
 
 import contextlib
@@ -36,7 +41,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import qwave
-import qwave.audio
+import qwave.pipelines
 from qwave.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -47,6 +52,11 @@ BOUND = 1.0 - 1e-9  # a chunk whose peak is above this would be rescaled before 
 METRICS_HEADER = ("chunk_index,shots,seed,rmsd_percent,fidelity_percent,"
                   "postselect_probability,scale_f,scale_g")
 SAMPLER = "philox-inverse-cdf/1"
+SWEEP_HEADER = ("shots,log10_shots,rmsd_percent_median,rmsd_percent_min,rmsd_percent_max,"
+                "fidelity_percent_median,fidelity_percent_min,fidelity_percent_max,num_seeds")
+# the pair shot-sweep runs without --signal-f and --signal-g
+BUILT_IN_PAIR = (0.92 + 0.06 * np.sin(2.0 * np.pi * np.arange(8) / 8.0),
+                 0.90 + 0.08 * np.cos(2.0 * np.pi * np.arange(8) / 8.0))
 INPUT_KINDS = ("int16", "float32", "int16-stereo", "float32-stereo", "text")
 
 
@@ -135,17 +145,30 @@ def chunk_rows(samples, n, normalization) -> np.ndarray:
     return rows.reshape(-1, n)
 
 
-def replay_counts(probs, shots, seed) -> np.ndarray:
+def replay_counts(probs, shots, streams) -> np.ndarray:
     """Each row's counts: shot j lands on the first k with u_j < cdf[k], where u_j is the
-    j-th uniform of the Philox stream [seed, row] and cdf the row's closed CDF."""
+    j-th uniform of the row's Philox stream (streams[i] seeds row i) and cdf the row's
+    closed CDF."""
     counts = np.empty(probs.shape, dtype=np.int64)
-    for i, row in enumerate(probs):
+    for i, (row, stream) in enumerate(zip(probs, streams)):
         cdf = np.cumsum(row / row.sum())
         cdf[-1] = 1.0
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i])))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(stream)))
         draws = np.searchsorted(cdf, rng.random(shots), side="right")
         counts[i] = np.bincount(draws, minlength=row.size)
     return counts
+
+
+def shot_scores(probs, counts, ideal00, shots) -> tuple:
+    """(estimates, rmsd, fidelity) of each row of (rows, 4n) counts: the (rows, n, 4)
+    per-index estimates sqrt(hits / total over the index's four patterns), an unseen index
+    decoding to 0; the rmsd (%) of pattern 00 against ideal00; the Bhattacharyya fidelity
+    (%) of the frequencies against probs."""
+    table = counts.reshape(len(counts), -1, 4)
+    estimates = np.sqrt(table / np.maximum(table.sum(axis=2, keepdims=True), 1))
+    rmsd = 100.0 * np.sqrt(np.mean((estimates[:, :, 0] - ideal00) ** 2, axis=1))
+    fidelity = 100.0 * np.sum(np.sqrt(probs * counts / shots), axis=1) ** 2
+    return estimates, rmsd, fidelity
 
 
 def multiply_model(run, x, y) -> tuple:
@@ -159,13 +182,10 @@ def multiply_model(run, x, y) -> tuple:
     rmsd, fidelity = np.zeros(len(x)), np.full(len(x), 100.0)
     channels = {c: np.abs(exact[c]) for c in COMPONENTS}
     if run["shots"] is not None:
-        counts = replay_counts(probs, run["shots"], run["seed"]).reshape(len(x), n, 4)
-        totals = counts.sum(axis=2, keepdims=True)
-        estimates = np.sqrt(counts / np.maximum(totals, 1))  # an unseen index decodes to 0
+        streams = [[run["seed"], i] for i in range(len(x))]
+        counts = replay_counts(probs, run["shots"], streams)
+        estimates, rmsd, fidelity = shot_scores(probs, counts, ideal00, run["shots"])
         channels = {c: estimates[:, :, k].reshape(-1) for k, c in enumerate(COMPONENTS)}
-        rmsd = 100.0 * np.sqrt(np.mean((estimates[:, :, 0] - ideal00) ** 2, axis=1))
-        frequencies = counts.reshape(len(x), -1) / run["shots"]
-        fidelity = 100.0 * np.sum(np.sqrt(probs * frequencies), axis=1) ** 2
     if run["normalization"] == "shift-scale":
         channels = {c: 2.0 * v - 1.0 for c, v in channels.items()}
     prob00 = probs[:, 0::4].sum(axis=1)
@@ -194,19 +214,26 @@ def convolve_model(run, x) -> tuple:
     return out.reshape(-1)[: run["total"]], domain
 
 
+def manifest_head(command, roles, inputs) -> list:
+    """A manifest's lines up to its entries: the version and environment, the command,
+    then the path and sha256 of each input file, named input_<role>."""
+    lines = ["manifest_version = 4", f"tool = qwave {qwave.__version__}",
+             f"python = {platform.python_version()}", f"numpy = {np.__version__}",
+             f"command = {command}"]
+    for role, path in zip(roles, inputs):
+        with open(path, "rb") as fh:
+            lines += [f"input_{role} = {path}",
+                      f"input_{role}_sha256 = {hashlib.sha256(fh.read()).hexdigest()}"]
+    return lines
+
+
 def manifest_lines(run, argv, inputs, domain=None) -> list:
     """Every manifest.txt line of the run; a convolve's inputs are the signal and its
     kernel file, if it has one."""
     n, total = run["chunk_size"], run["total"]
     chunks = -(-total // n)
-    lines = ["manifest_version = 4", f"tool = qwave {qwave.__version__}",
-             f"python = {platform.python_version()}", f"numpy = {np.__version__}",
-             f"command = {run['command']}"]
     roles = ["f", "g"] if run["command"] == "multiply" else ["f", "kernel"]
-    for role, path in zip(roles, inputs):
-        with open(path, "rb") as fh:
-            lines += [f"input_{role} = {path}",
-                      f"input_{role}_sha256 = {hashlib.sha256(fh.read()).hexdigest()}"]
+    lines = manifest_head(run["command"], roles, inputs)
     shift_scale = run["normalization"] == "shift-scale"
     if run["command"] == "multiply":
         lines += [f"sample_rate = {run['rate']}", f"chunk_size = {n}",
@@ -276,8 +303,8 @@ def check_multiply(run, work, inputs, rows, flags):
         out = os.path.join(work, f"out_{workers}")
         argv = ["multiply", *inputs, *flags, "--workers", str(workers), "--out", out]
         # a floor of one chunk per thread, so two and three workers split the chunks
-        with mock.patch.object(qwave.audio, "_MIN_RANGE_AMPLITUDES", 1), \
-                mock.patch.object(qwave.audio, "_MIN_RANGE_DRAWS", 1):
+        with mock.patch.object(qwave.pipelines, "_MIN_RANGE_AMPLITUDES", 1), \
+                mock.patch.object(qwave.pipelines, "_MIN_RANGE_DRAWS", 1):
             stdout = call(argv)
         shots = run["shots"] or "exact"
         assert stdout == "".join(
@@ -320,7 +347,7 @@ def check_convolve(run, work, inputs, x, flags):
         argv = ["convolve", inputs[0], "--kernel", kernel, "--kernel-domain",
                 run["kernel_domain"], *flags, "--workers", str(workers), "--out", out]
         # a floor of one chunk per thread, so two and three workers split the chunks
-        with mock.patch.object(qwave.audio, "_MIN_RANGE_AMPLITUDES", 1):
+        with mock.patch.object(qwave.pipelines, "_MIN_RANGE_AMPLITUDES", 1):
             stdout = call(argv)
         assert stdout.startswith(f"convolve: {len(x)} chunks, kernel {kernel} "
                                  f"({domain} domain), worst rel l2 vs oracle ")
@@ -343,13 +370,107 @@ def check_convolve(run, work, inputs, x, flags):
     assert written[0] == written[1] == written[2]
 
 
-@pytest.mark.filterwarnings("ignore:.*averaging 2 channels to mono:UserWarning")
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(run=runs())
 def test_cli_outputs_match_the_numpy_model(tmp_path, run):
     with tempfile.TemporaryDirectory(dir=tmp_path) as work:
         run_cli(run, work)
+
+
+# -- shot-sweep -----------------------------------------------------------------------------
+
+@st.composite
+def sweeps(draw):
+    """One shot-sweep run: its --shots-list text, the entries it names (None for exact),
+    --num-seeds, --seed (None: the flag is left out) and the text pair (None: built-in)."""
+    tokens = draw(st.lists(st.one_of(st.just("exact"), st.integers(1, 3000).map(str)),
+                           min_size=1, max_size=4))
+    separators = draw(st.lists(st.sampled_from([",", ", ", " ,", ",,"]),
+                               min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(t + sep for t, sep in zip(tokens, separators))[:-1]
+    sweep = {"shots_list": text, "specs": [None if t == "exact" else int(t) for t in tokens],
+             "num_seeds": draw(st.integers(1, 4)),
+             "seed": draw(st.one_of(st.none(), st.integers(0, 2**32))), "pair": None}
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        edges = [0.0, 1.0, TOP, 1.0 - 2.0**-16]
+        sweep["pair"] = [np.where(rng.random(n) < 0.1, rng.choice(edges, n), rng.uniform(0, 1, n))
+                         for _ in "fg"]
+    return sweep
+
+
+def sweep_argv(sweep, work) -> list:
+    """The run's argv up to --out, its text pair written into `work` as f.txt and g.txt."""
+    argv = ["shot-sweep", "--shots-list", sweep["shots_list"],
+            "--num-seeds", str(sweep["num_seeds"])]
+    if sweep["seed"] is not None:
+        argv += ["--seed", str(sweep["seed"])]
+    if sweep["pair"] is not None:
+        for role, raw in zip("fg", sweep["pair"]):
+            np.savetxt(os.path.join(work, f"{role}.txt"), raw)
+            argv += [f"--signal-{role}", os.path.join(work, f"{role}.txt")]
+    return argv
+
+
+def sweep_model(sweep) -> list:
+    """Each entry's sweep.csv scores: the median, min and max rmsd over the seeds, then the
+    fidelity's. Seed i of a shot count replays the Philox stream [seed, shots, i] on the
+    product state's closed-form probabilities; an exact entry scores 0 and 100 once."""
+    pair = BUILT_IN_PAIR
+    if sweep["pair"] is not None:
+        pair = [decoded("text", raw) for raw in sweep["pair"]]
+    exact = exact_components(*pair)
+    n, k, seed = pair[0].size, sweep["num_seeds"], sweep["seed"] or 0
+    probs = np.stack([exact[c] for c in COMPONENTS], axis=1).reshape(1, 4 * n) ** 2 / n
+    scores = []
+    for shots in sweep["specs"]:
+        rmsd, fidelity = np.zeros(1), np.full(1, 100.0)
+        if shots is not None:
+            counts = replay_counts(np.repeat(probs, k, axis=0), shots,
+                                   [[seed, shots, i] for i in range(k)])
+            _, rmsd, fidelity = shot_scores(probs, counts, np.abs(exact["00"]), shots)
+        scores.append([stat(v) for v in (rmsd, fidelity) for stat in (np.median, np.min, np.max)])
+    return scores
+
+
+def check_sweep(sweep, work):
+    out = os.path.join(work, "out")
+    argv = [*sweep_argv(sweep, work), "--out", out]
+    stdout = call(argv)
+    scores = sweep_model(sweep)
+    labels = ["exact" if shots is None else str(shots) for shots in sweep["specs"]]
+    assert stdout == "".join(
+        f"{line}\n" for line in [*(f"shots={label} rmsd={row[0]:.4g}% fidelity={row[3]:.6g}%"
+                                   for label, row in zip(labels, scores)),
+                                 f"  sweep.csv manifest.txt -> {out}"])
+    assert sorted(os.listdir(out)) == ["manifest.txt", "sweep.csv"]
+    lines = Path(out, "sweep.csv").read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER and len(lines) == len(labels) + 1
+    for line, shots, label, row in zip(lines[1:], sweep["specs"], labels, scores):
+        fields = line.split(",")
+        log10 = "" if shots is None else f"{np.log10(shots):.6g}"
+        assert [*fields[:2], fields[8]] == [label, log10, str(sweep["num_seeds"])]
+        if shots is None:
+            assert fields[2:8] == ["0", "0", "0", "100", "100", "100"]
+        np.testing.assert_allclose(np.array(fields[2:8], dtype=np.float64), row,
+                                   rtol=1e-8, atol=1e-12)
+    inputs = [] if sweep["pair"] is None else [os.path.join(work, f"{r}.txt") for r in "fg"]
+    assert Path(out, "manifest.txt").read_text().splitlines() == [
+        *manifest_head("shot-sweep", "fg", inputs),
+        *(["signals = built-in"] if sweep["pair"] is None else []),
+        f"shots_list = {sweep['shots_list']}", f"num_seeds = {sweep['num_seeds']}",
+        f"seed = {sweep['seed'] or 0}", f"sampler = {SAMPLER}",
+        "outputs = manifest.txt sweep.csv"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sweep=sweeps())
+def test_shot_sweep_outputs_match_the_numpy_model(tmp_path, sweep):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        check_sweep(sweep, work)
 
 
 # -- refused runs ---------------------------------------------------------------------------
@@ -406,4 +527,50 @@ def test_refused_runs_print_one_error_line_and_make_no_out(tmp_path, capsys, com
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+        assert not os.path.exists(out)
+
+
+# (id, the fault, its one error line with {} for the run's directory). Flags are appended
+# to a drawn shot-sweep argv, whose last value of a flag wins; a fault naming --signal-f or
+# --signal-g replaces the drawn run's signals with its own.
+SWEEP_FAULTS = [
+    ("num-seeds-0", ["--num-seeds", "0"], "num-seeds must be >= 1, got 0"),
+    ("negative-seed", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("shots-list-0", ["--shots-list", "0"], "--shots-list: shots must be >= 1, got 0"),
+    ("shots-list-abc", ["--shots-list", "abc"],
+     "--shots-list: shots must be a positive integer or 'exact', got 'abc'"),
+    ("shots-list-blank", ["--shots-list", " , "], "--shots-list names no shot counts: ' , '"),
+    ("signal-f-alone", ["--signal-f", "f.txt"],
+     "provide both --signal-f and --signal-g, or neither"),
+    ("signal-g-alone", ["--signal-g", "g.txt"],
+     "provide both --signal-f and --signal-g, or neither"),
+    ("three-samples", ["--signal-f", "three.txt", "--signal-g", "g.txt"],
+     "--signal-f {}/three.txt: chunk length must be a power of two >= 2, got 3"),
+    ("negative-sample", ["--signal-f", "f.txt", "--signal-g", "negative.txt"],
+     "--signal-g {}/negative.txt: assume-positive input has 1 negative samples, "
+     "first at index 1 (value -0.25)"),
+]
+
+
+@pytest.mark.parametrize("extra, message", [fault[1:] for fault in SWEEP_FAULTS],
+                         ids=[fault[0] for fault in SWEEP_FAULTS])
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sweep=sweeps())
+def test_refused_shot_sweeps_print_one_error_line_and_make_no_out(tmp_path, capsys, extra,
+                                                                  message, sweep):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        if any(flag.startswith("--signal-") for flag in extra):
+            sweep = {**sweep, "pair": None}
+        argv = sweep_argv(sweep, work)
+        for name, values in [("f.txt", [0.5] * 8), ("g.txt", [0.25] * 8),
+                             ("three.txt", [0.5, 0.25, 0.5]), ("negative.txt", [0.5, -0.25])]:
+            np.savetxt(os.path.join(work, name), values)
+        extra = [os.path.join(work, a) if a.endswith(".txt") else a for a in extra]
+        out = os.path.join(work, "out")
+        capsys.readouterr()
+        assert main([*argv, *extra, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(work)}\n"
         assert not os.path.exists(out)

@@ -29,7 +29,7 @@ from qwave import (
     product_blocks,
     zero_pad,
 )
-from qwave.audio import _row_norms, build_kernel
+from qwave.audio import build_kernel
 from reference import convolve_by_gates, product_state_by_gates
 
 RNG = np.random.default_rng(90210)
@@ -198,7 +198,8 @@ def test_batched_oracle_bitwise_equal_stacked_rows(seed, num_chunks, m, phases):
     got = np.stack([classical_circular_convolution(row, g) for row in f])
     assert got.tobytes() == np.stack([loop_circular_convolution(row, g) for row in f]).tobytes()
     for x in (got, f):
-        assert _row_norms(x).tobytes() == np.array([np.linalg.norm(row) for row in x]).tobytes()
+        norms = np.array([np.linalg.norm(row) for row in x])
+        assert pipelines._row_norms(x).tobytes() == norms.tobytes()
 
 
 def test_batched_oracle_rejects_bad_shapes():

@@ -43,7 +43,6 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import qwave  # noqa: E402
-import qwave.audio  # noqa: E402
 import qwave.cli  # noqa: E402
 import qwave.pipelines  # noqa: E402
 import qwave.sampling  # noqa: E402
@@ -51,14 +50,14 @@ from perfbench.bench_workloads import WORKLOADS, make_inputs  # noqa: E402
 
 # (label, owner, attribute): the callable main reaches through owner.attribute.
 # qwave.cli imports its stages by name, so they are wrapped there; the engines
-# reach the encoder through qwave.pipelines' names, process_chunks the shot
-# readout and convolve_plan its engine through qwave.audio's, and the readout
-# the counter and the row scores through qwave.sampling's. build_kernel is
-# timed where qwave.cli calls it. Argument parsing is main's own parse
-# (qwave.cli._parse_args) where the CLI has one, and argparse's parse_args,
-# which main called directly before it, in any case: a stage called inside
-# another under the same label counts once.
-# The CSV table writer is one stage, whichever module calls it.
+# reach the encoder, process_chunks the shot readout and convolve_plan its
+# engine through qwave.pipelines' names, and the readout the counter and the
+# row scores through qwave.sampling's. build_kernel is timed where qwave.cli
+# calls it. Argument parsing is main's own parse (qwave.cli._parse_args) where
+# the CLI has one, and argparse's parse_args, which main called directly before
+# it, in any case: a stage called inside another under the same label counts
+# once. The CSV table writer is one stage, whichever module calls it: qwave.cli
+# for convolve and shot-sweep, qwave.pipelines for multiply's metrics.csv.
 # Stages called from several threads at once would be timed wrongly, so run
 # workloads with --workers 1, as the benchmark does.
 STAGES = (
@@ -69,16 +68,16 @@ STAGES = (
     ("normalize_for_encoding", qwave.cli, "normalize_for_encoding"),
     ("make_chunks", qwave.cli, "make_chunks"),
     ("process_chunks, outside the stages below", qwave.cli, "process_chunks"),
-    ("shot_readout, outside the four stages below", qwave.audio, "shot_readout"),
+    ("shot_readout, outside the four stages below", qwave.pipelines, "shot_readout"),
     ("draw_counts", qwave.sampling, "draw_counts"),
     ("decode_rows", qwave.sampling, "decode_rows"),
     ("rmsd_rows", qwave.sampling, "rmsd_rows"),
     ("fidelity_rows", qwave.sampling, "fidelity_rows"),
     ("convolve_plan, outside convolve_blocks", qwave.cli, "convolve_plan"),
-    ("convolve_blocks", qwave.audio, "convolve_blocks"),
+    ("convolve_blocks", qwave.pipelines, "convolve_blocks"),
     ("encoder_column", qwave.pipelines, "encoder_column"),
     ("output files (write_outputs)", qwave.cli, "write_outputs"),
-    ("CSV tables (csv_table)", qwave.audio, "csv_table"),
+    ("CSV tables (csv_table)", qwave.pipelines, "csv_table"),
     ("CSV tables (csv_table)", qwave.cli, "csv_table"),
     ("manifest text (_manifest_text)", qwave.cli, "_manifest_text"),
 )
